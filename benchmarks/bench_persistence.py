@@ -10,7 +10,7 @@ measures that assumption made real:
   faster than recomputing the offline phase, and that every one of the
   nine query methods answers identically before and after the
   round-trip;
-* the :class:`~repro.service.TopologyService` LRU cache under a skewed
+* the :class:`~repro.service.TopologyServer` LRU cache under a skewed
   online workload, reporting hit rate and per-method engine latency.
 """
 
@@ -31,7 +31,7 @@ from repro.core import (
     TopologySearchSystem,
 )
 from repro.persist import load_system, save_system, snapshot_info
-from repro.service import TopologyService
+from repro.service import TopologyServer
 
 from benchmarks.common import emit, emit_json
 
@@ -130,7 +130,7 @@ def test_persistence_speedup(benchmark):
 def test_service_cache_hit_rate(benchmark):
     system = _default_system()
     system.build([("Protein", "DNA"), ("Protein", "Interaction")], max_length=3)
-    service = TopologyService(system, cache_size=256)
+    service = TopologyServer(system, cache_size=256)
 
     # A skewed online workload: 10 distinct queries, the head queried
     # far more often than the tail (the access pattern caching exists
@@ -164,7 +164,7 @@ def test_service_cache_hit_rate(benchmark):
                 ["engine mean latency", f"{latency['mean_seconds'] * 1e3:.2f} ms"],
                 ["engine p95 latency", f"{latency['p95_seconds'] * 1e3:.2f} ms"],
             ],
-            title="TopologyService LRU cache under a skewed workload",
+            title="TopologyServer LRU cache under a skewed workload",
         ),
     )
     emit_json(

@@ -27,7 +27,7 @@ from repro.core import (
     TopologyQuery,
     TopologySearchSystem,
 )
-from repro.service import TopologyService
+from repro.service import TopologyServer
 
 
 def main() -> None:
@@ -82,7 +82,7 @@ def main() -> None:
     # 4. Persistence: the factors survive a snapshot round trip.
     path = os.path.join(tempfile.mkdtemp(prefix="repro-explain-"), "calibrated.topo")
     system.save(path)
-    service = TopologyService.from_snapshot(path)
+    service = TopologyServer.from_snapshot(path)
     restored_factors = service.calibration_stats()["strategies"]
     print(f"\nRestored service keeps its calibration: {restored_factors}")
     print(

@@ -17,7 +17,7 @@ import tempfile
 from repro.biozon import BiozonConfig, generate
 from repro.core import TopologySearchSystem
 from repro.persist import snapshot_info
-from repro.service import TopologyService
+from repro.service import TopologyServer
 
 WORKERS = 2
 PAIRS = [("Protein", "DNA"), ("Protein", "Interaction")]
@@ -65,7 +65,7 @@ def main() -> None:
         parallel.save(path)
         info = snapshot_info(path)
         print(f"snapshot build_config: {info.build_config}")
-        service = TopologyService.from_snapshot(path)
+        service = TopologyServer.from_snapshot(path)
     rebuilt = service.rebuild()
     assert rebuilt.parallel is not None and rebuilt.parallel.workers == WORKERS
     assert service.system.store.state_digest() == serial.store.state_digest()

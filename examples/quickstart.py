@@ -5,7 +5,7 @@ query Q1 = {(Protein, desc contains 'enzyme'), (DNA, type = 'mRNA')},
 and prints the four topology results T1-T4 with their witnessing pairs —
 exactly the output Section 2.2 derives by hand.  It then snapshots the
 built system to disk, restores it in milliseconds, and serves the same
-query through the cached :class:`TopologyService`.
+query through the cached :class:`TopologyServer`.
 
 Run:  python examples/quickstart.py
 """
@@ -24,7 +24,7 @@ from repro.core import (
     TopologySearchSystem,
 )
 from repro.persist import load_system, save_system, snapshot_info
-from repro.service import TopologyService
+from repro.service import TopologyServer
 
 
 def main() -> None:
@@ -96,8 +96,8 @@ def main() -> None:
     same = restored.search(query, method="fast-top")
     print(f"Restored system answers identically: {same.tids == result.tids}")
 
-    # 8. Serve queries through the cached service facade.
-    service = TopologyService(restored, cache_size=64)
+    # 8. Serve queries through the cached serving layer.
+    service = TopologyServer(restored, cache_size=64)
     service.query(topk)   # engine execution (miss)
     service.query(topk)   # LRU cache hit
     stats = service.cache_stats()

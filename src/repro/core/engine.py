@@ -102,7 +102,7 @@ class TopologySearchSystem:
         self.engine = Engine(database, self.stats)
         self.build_report: Optional[BuildReport] = None
         # The parameters of the last build() — persisted into snapshots
-        # (repro.persist) and reused by TopologyService.rebuild(), so a
+        # (repro.persist) and reused by TopologyServer.rebuild(), so a
         # system built in parallel rebuilds in parallel.
         self.build_config: Optional[Dict[str, object]] = None
         # Bumped on every (re)build or snapshot restore; caches layered on

@@ -1,23 +1,21 @@
 """Online query serving: cached, batched, instrumented — and concurrent.
 
-Three front ends share the same thread-safe machinery:
-
-:class:`TopologyService`
-    The single-caller facade: LRU result cache, batching, latency
-    accounting, in-place rebuild.
+One :class:`ServingCore` (:mod:`repro.service.core`) owns the request
+path — read lease, generation stamp, LRU result cache, single-flight
+deduplication of identical concurrent queries, exact counters, latency
+table, slow-query log — and two front ends supply the execution:
 
 :class:`TopologyServer`
-    The concurrent serving layer: a reader–writer lease around a shared
-    engine, generation hot-swap rebuilds (traffic keeps flowing while
-    the next generation builds on a clone), single-flight deduplication
-    of identical concurrent queries, and plan-class-grouped parallel
-    ``query_many`` over thread or replica-process pools.
+    The core over one shared local engine: generation hot-swap rebuilds
+    (traffic keeps flowing while the next generation builds on a
+    clone) and plan-class-grouped parallel ``query_many`` over thread
+    or replica-process pools.
 
 :class:`ShardCoordinator`
-    The same serving surface over a *sharded* store (:mod:`repro.shard`):
-    one warm worker process per shard, total scatter-gather per query
-    with a paper-identical top-k merge, and all-or-nothing generation
-    commits for rebuilds.
+    The core over a *sharded* store (:mod:`repro.shard`): one warm
+    worker process per shard, total scatter-gather per query with a
+    paper-identical top-k merge, and all-or-nothing generation commits
+    for rebuilds.
 
 >>> from repro.service import TopologyServer
 >>> server = TopologyServer.from_snapshot("biozon.topo")
@@ -29,31 +27,28 @@ Three front ends share the same thread-safe machinery:
 """
 
 from repro.service.cache import MISSING, CacheStats, LRUCache
-from repro.service.coordinator import (
-    CoordinatorStats,
-    ScatterPlan,
-    ShardCoordinator,
-)
-from repro.service.facade import (
+from repro.service.coordinator import ScatterPlan, ShardCoordinator
+from repro.service.core import (
     DEFAULT_METHOD,
     LatencyStats,
-    TopologyService,
+    ReadWriteLock,
+    ServingCore,
+    ServingStats,
     resolve_rebuild_config,
 )
-from repro.service.server import ReadWriteLock, ServerStats, TopologyServer
+from repro.service.server import TopologyServer
 
 __all__ = [
     "CacheStats",
-    "CoordinatorStats",
     "DEFAULT_METHOD",
     "LRUCache",
     "LatencyStats",
     "MISSING",
     "ReadWriteLock",
     "ScatterPlan",
-    "ServerStats",
+    "ServingCore",
+    "ServingStats",
     "ShardCoordinator",
     "TopologyServer",
-    "TopologyService",
     "resolve_rebuild_config",
 ]

@@ -4,9 +4,8 @@ Online topology queries are highly repetitive (the same few entity-pair
 / constraint combinations dominate real traffic), so a bounded
 most-recently-used cache in front of the engine removes most dispatch
 work.  The cache is deliberately dumb: it never inspects values, and
-consistency is the owner's job (:class:`~repro.service.TopologyService`
-and :class:`~repro.service.TopologyServer` drop the whole cache
-whenever the underlying system is rebuilt).
+consistency is the owner's job (:class:`~repro.service.ServingCore`
+drops the whole cache whenever a new generation is swapped in).
 
 Every operation — including the ``get`` that both reads the entry *and*
 refreshes its recency *and* bumps a counter — holds one internal lock,

@@ -4,12 +4,14 @@
 :class:`~repro.service.TopologyServer` — ``query`` / ``query_many`` /
 ``explain`` / ``rebuild`` / ``stats`` / ``latency_stats`` /
 ``generation`` — so :class:`~repro.service.http.TopologyHttpApp` fronts
-either without knowing which it got.  Underneath, instead of one shared
-engine, it opens a shard set (:mod:`repro.shard`) and keeps one warm
-worker *process* per shard (:class:`~repro.service.replica.ShardBackend`),
-so a query's per-shard executions run truly in parallel on a GIL
-interpreter and each shard process only ever pages its own slice of
-AllTops/LeftTops.
+either without knowing which it got.  It is the same
+:class:`~repro.service.core.ServingCore` (lease, generation stamp,
+result cache, single-flight, counters, latency, slow-query log) with a
+different ``execute``: instead of one shared engine, it opens a shard
+set (:mod:`repro.shard`) and keeps one warm worker *process* per shard
+(:class:`~repro.service.replica.ShardBackend`), so a query's per-shard
+executions run truly in parallel on a GIL interpreter and each shard
+process only ever pages its own slice of AllTops/LeftTops.
 
 **Every query fans out to every shard.**  Routing is by data (the E1
 endpoint of each stored row), not by query — a query's answer can draw
@@ -54,32 +56,24 @@ import shutil
 import tempfile
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.methods import METHOD_CLASSES, MethodResult
-from repro.core.plan import PlanCacheStats, QueryPlan
+from repro.core.plan import QueryPlan
 from repro.core.query import TopologyQuery
 from repro.errors import ShardError, ShardUnavailableError, TopologyError
-from repro.obs import SlowQueryLog, current_trace, query_summary
 from repro.obs import span as obs_span
-from repro.obs import tracer as obs_tracer
 from repro.parallel.partition import histogram_skew
-from repro.service.cache import MISSING, CacheStats, LRUCache
-from repro.service.facade import (
-    DEFAULT_METHOD,
-    LatencyStats,
-    resolve_rebuild_config,
-)
+from repro.service.core import DEFAULT_METHOD, ServingCore, resolve_rebuild_config
 from repro.service.replica import ShardBackend
-from repro.service.server import ReadWriteLock, _Flight
 from repro.shard.build import SKEW_WARNING_THRESHOLD
 from repro.shard.manifest import ShardManifest, read_manifest
 
 if TYPE_CHECKING:  # imported lazily at runtime inside rebuild()
     from repro.core.engine import BuildReport
 
-__all__ = ["CoordinatorStats", "ScatterPlan", "ShardCoordinator"]
+__all__ = ["ScatterPlan", "ShardCoordinator"]
 
 _LOG = logging.getLogger("repro.shard")
 
@@ -98,35 +92,7 @@ class ScatterPlan:
     ranked: bool
 
 
-@dataclass(frozen=True)
-class CoordinatorStats:
-    """Counter snapshot for one :class:`ShardCoordinator`.
-
-    Field-compatible with :class:`~repro.service.server.ServerStats`
-    (same invariants: ``hits + misses == requests``, ``misses ==
-    executions + coalesced``) so the HTTP stats serializer applies
-    unchanged; ``shards`` adds the per-shard sections (routing load,
-    health counters, skew), ``uptime_seconds`` how long this
-    coordinator has been serving, and ``started_generation`` the
-    generation it started on (``generation - started_generation`` =
-    rebuild commits this process has lived through)."""
-
-    generation: int
-    requests: int
-    executions: int
-    coalesced: int
-    failures: int
-    rebuilds: int
-    restores: int
-    in_flight: int
-    result_cache: CacheStats
-    plan_cache: PlanCacheStats
-    shards: List[Dict[str, Any]] = field(default_factory=list)
-    uptime_seconds: float = 0.0
-    started_generation: int = 1
-
-
-class ShardCoordinator:
+class ShardCoordinator(ServingCore):
     """Scatter-gather query serving over one shard set.
 
     Open with a manifest path (or parsed
@@ -148,18 +114,13 @@ class ShardCoordinator:
     ) -> None:
         if not isinstance(manifest, ShardManifest):
             manifest = read_manifest(manifest)
-        self.default_method = default_method.lower()
+        super().__init__(
+            cache_size, default_method, slow_query_seconds, source="coordinator"
+        )
         self.shard_timeout = shard_timeout
         self.retry_after = retry_after
         self._start_method = start_method
-        self._rw = ReadWriteLock()
         self._manifest = manifest
-        self._generation = 1
-        self._cache = LRUCache(cache_size)
-        self._flights: Dict[Tuple[str, TopologyQuery], _Flight] = {}
-        self._flight_lock = threading.Lock()
-        self._latency: Dict[str, LatencyStats] = {}
-        self._latency_lock = threading.Lock()
         self._writer_mutex = threading.Lock()
         self._scatter_plans: Dict[str, ScatterPlan] = {}
         self._shard_counters: List[Dict[str, int]] = [
@@ -170,17 +131,11 @@ class ShardCoordinator:
         self._shard_rows: List[int] = self._count_routed_rows(manifest)
         self._owned_dir: Optional[str] = None  # generation dir we created
         self._closed = False
-        self.slow_query_log = SlowQueryLog(slow_query_seconds, source="coordinator")
         self._started_monotonic = time.monotonic()
         self._started_generation = self._generation
         # Routing-skew warnings are emitted at most once per generation
         # (a /stats poller past 2x skew must not flood the logs).
         self._skew_warned_generation: Optional[int] = None
-        self._requests = 0
-        self._executions = 0
-        self._coalesced = 0
-        self._failures = 0
-        self._rebuilds = 0
         self._backends = self._start_backends(manifest, self._generation)
 
     # ------------------------------------------------------------------
@@ -241,11 +196,6 @@ class ShardCoordinator:
         self.close()
 
     @property
-    def generation(self) -> int:
-        """The serving generation (1-based; bumped by every commit)."""
-        return self._generation
-
-    @property
     def num_shards(self) -> int:
         return self._manifest.count
 
@@ -278,49 +228,10 @@ class ShardCoordinator:
         """Evaluate one query across every shard and merge.
 
         Caching, single-flight deduplication and generation stamping
-        behave exactly like :meth:`TopologyServer.query`; the engine
-        execution is replaced by a scatter to all shard backends and a
-        paper-identical merge of their partial answers."""
-        name = (method or self.default_method).lower()
-        with self._rw.read_locked():
-            return self._query_locked(name, query)
-
-    def _query_locked(self, name: str, query: TopologyQuery) -> MethodResult:
-        backends = self._backends
-        generation = self._generation
-        key = (name, query)
-        with self._flight_lock:
-            self._requests += 1
-            cached = self._cache.get(key, MISSING)
-            if cached is not MISSING:
-                return cached
-            flight = self._flights.get(key)
-            owner = flight is None
-            if owner:
-                flight = _Flight()
-                self._flights[key] = flight
-                self._executions += 1
-            else:
-                self._coalesced += 1
-        if not owner:
-            return flight.wait()
-        try:
-            merged = self._scatter_merge(
-                backends, generation, name, [(0, query)]
-            )
-            result = merged[0]
-        except BaseException as error:
-            # relint: disable=R2 (single-flight protocol: register, execute unlocked, then settle — the result comes from the scatter, not from lock-spanning reads)
-            with self._flight_lock:
-                self._failures += 1
-                self._flights.pop(key, None)
-            flight.fail(error)
-            raise
-        with self._flight_lock:
-            self._cache.put(key, result)
-            self._flights.pop(key, None)
-        flight.resolve(result)
-        return result
+        are the core's, exactly as for :meth:`TopologyServer.query`; the
+        engine execution is replaced by a scatter to all shard backends
+        and a paper-identical merge of their partial answers."""
+        return self._scatter_serve((query,), method)[0]
 
     def query_many(
         self,
@@ -337,143 +248,76 @@ class ShardCoordinator:
         ``mode`` are accepted for surface compatibility and ignored.
         Duplicates inside the batch scatter once and share the merged
         result; everything folds into the result cache."""
-        batch = list(queries)
-        name = (method or self.default_method).lower()
         if mode not in ("thread", "process"):
             raise TopologyError(f"unknown query_many mode {mode!r}")
-        if not batch:
-            return []
+        return self._scatter_serve(list(queries), method)
+
+    def _scatter_serve(
+        self, queries: Sequence[TopologyQuery], method: Optional[str]
+    ) -> List[MethodResult]:
+        """The core's request path with the scatter as ``execute``.  The
+        ``coordinator.scatter`` span opens only when something executes
+        (a hit opens none) and stays open across the settle, so a
+        slow-query record finds the gathered ``shard.query`` spans."""
+        name = (method or self.default_method).lower()
         with self._rw.read_locked():
-            backends = self._backends
-            generation = self._generation
-            results: List[Optional[MethodResult]] = [None] * len(batch)
-            # Batch-local dedup: one scatter slot per distinct query.
-            slots: Dict[Tuple[str, TopologyQuery], List[int]] = {}
-            with self._flight_lock:
-                self._requests += len(batch)
-                for index, query in enumerate(batch):
-                    key = (name, query)
-                    cached = self._cache.get(key, MISSING)
-                    if cached is not MISSING:
-                        results[index] = cached
-                    else:
-                        slots.setdefault(key, []).append(index)
-                self._executions += len(slots)
-                self._coalesced += sum(
-                    len(positions) - 1 for positions in slots.values()
-                )
-            if slots:
-                items = [
-                    (slot, key[1]) for slot, key in enumerate(slots)
-                ]
-                try:
-                    merged = self._scatter_merge(
-                        backends, generation, name, items
-                    )
-                except BaseException:
-                    # relint: disable=R2 (single-flight protocol: the admit/settle critical sections bracket an unlocked scatter; results are per-slot, not a composite read)
-                    with self._flight_lock:
-                        self._failures += len(slots)
-                    raise
-                with self._flight_lock:
-                    for slot, (key, positions) in enumerate(slots.items()):
-                        result = merged[slot]
-                        self._cache.put(key, result)
-                        for index in positions:
-                            results[index] = result
-        return results  # type: ignore[return-value]  # every slot filled
+            admission = self._admit(name, queries)
+            if admission.owned:
+                with obs_span(
+                    "coordinator.scatter",
+                    ingress=True,
+                    method=name,
+                    shards=len(self._backends),
+                    items=len(admission.owned),
+                ):
+                    self._settle(admission, self._scatter_merge)
+        return self._collect(admission)
 
     def _scatter_merge(
-        self,
-        backends: Sequence[ShardBackend],
-        generation: int,
-        name: str,
-        items: Sequence[Tuple[int, TopologyQuery]],
-    ) -> Dict[int, MethodResult]:
-        """Fan ``items`` out to every backend, gather, merge per item.
+        self, generation: int, name: str, queries: Sequence[TopologyQuery]
+    ) -> List[MethodResult]:
+        """Fan ``queries`` out to every backend, gather, merge per query.
 
         Dispatch completes for *all* shards before the first gather
         blocks, so shard executions overlap for their whole duration.
         Any shard failing (dead worker, reply deadline) aborts the
-        whole call — never a partial merge."""
+        whole call — never a partial merge.  Runs under the request's
+        read lease, so ``_backends`` is ``generation``'s set."""
         plan = self.scatter_plan(name)
+        backends = self._backends
         if not backends:
             raise TopologyError("coordinator is closed")
-        with obs_span(
-            "coordinator.scatter",
-            ingress=True,
-            method=name,
-            shards=len(backends),
-            items=len(items),
-        ):
-            calls = []
-            for backend in backends:
-                self._bump_shard(backend.shard_index, "calls")
-                try:
-                    calls.append(
-                        backend.submit("query_batch", (name, list(items)))
-                    )
-                except ShardUnavailableError:
-                    self._bump_shard(backend.shard_index, "failures")
-                    raise
-            partials: Dict[int, List[MethodResult]] = {
-                index: [] for index, _ in items
-            }
-            for backend, call in zip(backends, calls):
-                try:
-                    reply = call.result()
-                except ShardUnavailableError:
-                    self._bump_shard(backend.shard_index, "timeouts")
-                    self._bump_shard(backend.shard_index, "failures")
-                    raise
-                except Exception:
-                    self._bump_shard(backend.shard_index, "failures")
-                    raise
-                for index, partial in reply:
-                    partials[index].append(partial)
-            queries = dict(items)
-            merged: Dict[int, MethodResult] = {}
-            for index, parts in partials.items():
-                if len(parts) != len(backends):  # pragma: no cover - defensive
-                    raise ShardError(
-                        f"query {index} got {len(parts)} partial answers "
-                        f"from {len(backends)} shards"
-                    )
-                result = self._merge(plan, queries[index], parts)
-                result.generation = generation
-                self._record_latency(name, result.elapsed_seconds)
-                if (
-                    result.elapsed_seconds
-                    >= self.slow_query_log.threshold_seconds
-                ):
-                    self._slow_query(generation, name, queries[index], result)
-                merged[index] = result
+        items = list(enumerate(queries))
+        calls = []
+        for backend in backends:
+            self._bump_shard(backend.shard_index, "calls")
+            try:
+                calls.append(backend.submit("query_batch", (name, items)))
+            except ShardUnavailableError:
+                self._bump_shard(backend.shard_index, "failures")
+                raise
+        partials: List[List[MethodResult]] = [[] for _ in queries]
+        for backend, call in zip(backends, calls):
+            try:
+                reply = call.result()
+            except ShardUnavailableError:
+                self._bump_shard(backend.shard_index, "timeouts")
+                self._bump_shard(backend.shard_index, "failures")
+                raise
+            except Exception:
+                self._bump_shard(backend.shard_index, "failures")
+                raise
+            for index, partial in reply:
+                partials[index].append(partial)
+        merged: List[MethodResult] = []
+        for index, parts in enumerate(partials):
+            if len(parts) != len(backends):  # pragma: no cover - defensive
+                raise ShardError(
+                    f"query {index} got {len(parts)} partial answers "
+                    f"from {len(backends)} shards"
+                )
+            merged.append(self._merge(plan, queries[index], parts))
         return merged
-
-    def _slow_query(
-        self,
-        generation: int,
-        name: str,
-        query: TopologyQuery,
-        result: MethodResult,
-    ) -> None:
-        """One structured slow-query record for a merged answer.  The
-        span breakdown covers the per-shard ``shard.query`` spans (and
-        their engine children) already gathered into this trace; the
-        calibrator lives shard-side, so its version is not reported
-        here."""
-        ctx = current_trace()
-        spans = obs_tracer().trace_spans(ctx.trace_id) if ctx is not None else []
-        self.slow_query_log.maybe_record(
-            elapsed_seconds=result.elapsed_seconds,
-            method=name,
-            query=query_summary(query),
-            generation=generation,
-            trace_id=ctx.trace_id if ctx is not None else None,
-            plan={"choice": result.plan_choice},
-            calibrator_version=None,
-            spans=spans,
-        )
 
     @staticmethod
     def _merge(
@@ -597,13 +441,11 @@ class ShardCoordinator:
             except BaseException:
                 shutil.rmtree(generation_dir, ignore_errors=True)
                 raise
-            with self._rw.write_locked():
+            with self._swap():
                 old_backends = self._backends
                 self._backends = new_backends
                 self._manifest = new_manifest
-                self._generation = next_generation
                 self._shard_rows = list(split.row_histogram)
-                self._cache.clear()
             for backend in old_backends:
                 backend.close()
             # Reclaim the generation directory this coordinator created
@@ -611,8 +453,6 @@ class ShardCoordinator:
             retired_dir, self._owned_dir = self._owned_dir, generation_dir
             if retired_dir is not None:
                 shutil.rmtree(retired_dir, ignore_errors=True)
-            with self._flight_lock:
-                self._rebuilds += 1
             return report
 
     # ------------------------------------------------------------------
@@ -621,13 +461,6 @@ class ShardCoordinator:
     def _bump_shard(self, index: int, counter: str) -> None:
         with self._counter_lock:
             self._shard_counters[index][counter] += 1
-
-    def _record_latency(self, name: str, seconds: float) -> None:
-        with self._latency_lock:
-            stats = self._latency.get(name)
-            if stats is None:
-                stats = self._latency.setdefault(name, LatencyStats(name))
-        stats.record(seconds)
 
     def shard_sections(self) -> List[Dict[str, Any]]:
         """Per-shard stats sections: identity, routed-row load, health
@@ -657,27 +490,12 @@ class ShardCoordinator:
         """Max/mean of :meth:`partition_histogram` (1.0 = balanced)."""
         return histogram_skew(self._shard_rows)
 
-    def stats(self) -> CoordinatorStats:
-        with self._flight_lock:
-            return CoordinatorStats(
-                generation=self._generation,
-                requests=self._requests,
-                executions=self._executions,
-                coalesced=self._coalesced,
-                failures=self._failures,
-                rebuilds=self._rebuilds,
-                restores=0,
-                in_flight=len(self._flights),
-                result_cache=self._cache.stats(),
-                # The coordinator does not plan; shards do.  A zeroed
-                # plan-cache section keeps the stats wire shape stable.
-                plan_cache=PlanCacheStats(
-                    hits=0, misses=0, size=0, capacity=0, invalidations=0
-                ),
-                shards=self.shard_sections(),
-                uptime_seconds=time.monotonic() - self._started_monotonic,
-                started_generation=self._started_generation,
-            )
+    def _backend_stats(self) -> Dict[str, Any]:
+        return {
+            "shards": self.shard_sections(),
+            "uptime_seconds": time.monotonic() - self._started_monotonic,
+            "started_generation": self._started_generation,
+        }
 
     def shard_digests(self) -> List[str]:
         """Each live backend's order-sensitive store digest, gathered in
@@ -687,13 +505,6 @@ class ShardCoordinator:
             backends = self._backends
             calls = [backend.submit("digest") for backend in backends]
             return [call.result() for call in calls]
-
-    def latency_stats(self) -> Dict[str, Dict[str, float]]:
-        """Per-method merged-result latency snapshots (slowest-shard
-        engine time; cache hits do not contribute)."""
-        with self._latency_lock:
-            items = sorted(self._latency.items())
-        return {name: stats.snapshot() for name, stats in items}
 
     def skew_report(self) -> Dict[str, Any]:
         """The /stats skew block: histogram, max/mean ratio, and the

@@ -418,7 +418,7 @@ class TopologyHttpApp:
     async def _handle_stats(
         self, scope: Scope, receive: Receive, send: Send, log: RequestLog
     ) -> None:
-        # ONE ServerStats snapshot feeds every counter in the payload;
+        # ONE ServingStats snapshot feeds every counter in the payload;
         # a second read of the live server mid-traffic could break the
         # hits+misses==requests invariant the stress suite asserts.
         stats = self.server.stats()
@@ -426,14 +426,11 @@ class TopologyHttpApp:
         # Sharded backend (ShardCoordinator): surface the per-shard
         # sections and the routing-skew block alongside the shared
         # counter shape.  A plain TopologyServer has neither.
-        shards = getattr(stats, "shards", None)
-        if shards is not None:
-            payload["shards"] = shards
+        if stats.shards is not None:
+            payload["shards"] = stats.shards
             payload["uptime_seconds"] = stats.uptime_seconds
             payload["started_generation"] = stats.started_generation
-            skew_report = getattr(self.server, "skew_report", None)
-            if skew_report is not None:
-                payload["sharding"] = skew_report()
+            payload["sharding"] = self.server.skew_report()
         with self._stats_lock:
             http_section = {
                 "requests_total": self._requests_total,

@@ -69,12 +69,21 @@ def _latency_family(latency: Dict[str, Dict[str, Any]]) -> Family:
 
 
 def _shard_families(stats: Any, server: Any) -> List[Family]:
-    """Per-shard routing/health gauges plus the merged worker-side
-    observability sections (best-effort: a dead worker is ``up 0``)."""
-    shards = getattr(stats, "shards", None)
+    """What only a ShardCoordinator reports: uptime, per-shard
+    routing/health gauges, and the merged worker-side observability
+    sections (best-effort: a dead worker is ``up 0``)."""
+    shards = stats.shards
     if shards is None:
         return []
-    families: List[Family] = []
+    families: List[Family] = [
+        _single("repro.server.uptime_seconds", "gauge", "Seconds serving.", stats.uptime_seconds),
+        _single(
+            "repro.server.started_generation",
+            "gauge",
+            "Generation this process started on.",
+            stats.started_generation,
+        ),
+    ]
     routed: List[Tuple[Dict[str, str], float]] = []
     calls: List[Tuple[Dict[str, str], float]] = []
     failures: List[Tuple[Dict[str, str], float]] = []
@@ -97,72 +106,68 @@ def _shard_families(stats: Any, server: Any) -> List[Family]:
             "repro.shard.timeouts", "counter", "Timed-out scatter calls per shard.", timeouts
         )
     )
-    partition_skew = getattr(server, "partition_skew", None)
-    if callable(partition_skew):
+    families.append(
+        _single(
+            "repro.shard.skew",
+            "gauge",
+            "Routing skew (max/mean routed rows; 1.0 = balanced).",
+            server.partition_skew(),
+        )
+    )
+    up: List[Tuple[Dict[str, str], float]] = []
+    generation: List[Tuple[Dict[str, str], float]] = []
+    plan_cache: Dict[str, List[Tuple[Dict[str, str], float]]] = {
+        "hits": [],
+        "misses": [],
+        "invalidations": [],
+        "size": [],
+    }
+    calibrator_version: List[Tuple[Dict[str, str], float]] = []
+    for section in server.shard_obs_sections():
+        label = {"shard": str(section.get("index"))}
+        alive = bool(section.get("up"))
+        up.append((label, 1.0 if alive else 0.0))
+        if not alive:
+            continue
+        generation.append((label, section.get("generation", 0)))
+        pc = section.get("plan_cache") or {}
+        for key in plan_cache:
+            plan_cache[key].append((label, pc.get(key, 0)))
+        cal = section.get("calibrator") or {}
+        calibrator_version.append((label, cal.get("version", 0)))
+    families.append(
+        _labeled("repro.shard.up", "gauge", "1 if the shard worker answered the scrape.", up)
+    )
+    if generation:
         families.append(
-            _single(
-                "repro.shard.skew",
+            _labeled(
+                "repro.shard.generation", "gauge", "Serving generation per worker.", generation
+            )
+        )
+    for key, kind in (
+        ("hits", "counter"),
+        ("misses", "counter"),
+        ("invalidations", "counter"),
+        ("size", "gauge"),
+    ):
+        if plan_cache[key]:
+            families.append(
+                _labeled(
+                    f"repro.shard.plan_cache.{key}",
+                    kind,
+                    f"Worker-side plan cache {key} per shard.",
+                    plan_cache[key],
+                )
+            )
+    if calibrator_version:
+        families.append(
+            _labeled(
+                "repro.shard.calibrator.version",
                 "gauge",
-                "Routing skew (max/mean routed rows; 1.0 = balanced).",
-                partition_skew(),
+                "Worker-side cost calibrator version per shard.",
+                calibrator_version,
             )
         )
-    obs_sections = getattr(server, "shard_obs_sections", None)
-    if callable(obs_sections):
-        up: List[Tuple[Dict[str, str], float]] = []
-        generation: List[Tuple[Dict[str, str], float]] = []
-        plan_cache: Dict[str, List[Tuple[Dict[str, str], float]]] = {
-            "hits": [],
-            "misses": [],
-            "invalidations": [],
-            "size": [],
-        }
-        calibrator_version: List[Tuple[Dict[str, str], float]] = []
-        for section in obs_sections():
-            label = {"shard": str(section.get("index"))}
-            alive = bool(section.get("up"))
-            up.append((label, 1.0 if alive else 0.0))
-            if not alive:
-                continue
-            generation.append((label, section.get("generation", 0)))
-            pc = section.get("plan_cache") or {}
-            for key in plan_cache:
-                plan_cache[key].append((label, pc.get(key, 0)))
-            cal = section.get("calibrator") or {}
-            calibrator_version.append((label, cal.get("version", 0)))
-        families.append(
-            _labeled("repro.shard.up", "gauge", "1 if the shard worker answered the scrape.", up)
-        )
-        if generation:
-            families.append(
-                _labeled(
-                    "repro.shard.generation", "gauge", "Serving generation per worker.", generation
-                )
-            )
-        for key, kind in (
-            ("hits", "counter"),
-            ("misses", "counter"),
-            ("invalidations", "counter"),
-            ("size", "gauge"),
-        ):
-            if plan_cache[key]:
-                families.append(
-                    _labeled(
-                        f"repro.shard.plan_cache.{key}",
-                        kind,
-                        f"Worker-side plan cache {key} per shard.",
-                        plan_cache[key],
-                    )
-                )
-        if calibrator_version:
-            families.append(
-                _labeled(
-                    "repro.shard.calibrator.version",
-                    "gauge",
-                    "Worker-side cost calibrator version per shard.",
-                    calibrator_version,
-                )
-            )
     return families
 
 
@@ -213,22 +218,8 @@ def metrics_families(
         ),
         _latency_family(latency),
     ]
-    uptime = getattr(stats, "uptime_seconds", None)
-    if uptime is not None:
-        families.append(
-            _single("repro.server.uptime_seconds", "gauge", "Seconds serving.", uptime)
-        )
-        families.append(
-            _single(
-                "repro.server.started_generation",
-                "gauge",
-                "Generation this process started on.",
-                getattr(stats, "started_generation", 1),
-            )
-        )
-    calibration_stats = getattr(server, "calibration_stats", None)
-    if callable(calibration_stats):
-        snap = calibration_stats()
+    if stats.shards is None:  # behind a coordinator, calibration lives shard-side
+        snap = server.calibration_stats()
         families.append(
             _single(
                 "repro.calibrator.version",

@@ -388,7 +388,7 @@ def parse_rebuild_request(payload: Any) -> Dict[str, Any]:
     """Body of ``POST /rebuild`` -> build kwargs overrides.
 
     An empty body (or ``{}``) means "rebuild exactly like before" —
-    :func:`~repro.service.facade.resolve_rebuild_config` reuses the
+    :func:`~repro.service.core.resolve_rebuild_config` reuses the
     previous build's recorded configuration.  The overridable subset is
     deliberately small: the refresh knobs an operator of an evolving
     database actually turns."""
@@ -485,11 +485,11 @@ def _plan_cache_stats_to_wire(stats: PlanCacheStats) -> Dict[str, Any]:
 
 
 def server_stats_to_wire(stats: Any, latency: Dict[str, Dict[str, float]]) -> Dict[str, Any]:
-    """One :class:`~repro.service.server.ServerStats` snapshot (plus the
+    """One :class:`~repro.service.core.ServingStats` snapshot (plus the
     latency snapshots) -> the ``GET /stats`` body.
 
     Every counter in the payload is derived from the *single*
-    ``ServerStats`` value the caller captured, never from a second read
+    ``ServingStats`` value the caller captured, never from a second read
     of the live server — that is what keeps ``hits + misses ==
     requests`` exact in the face of concurrent traffic (the stress suite
     polls this endpoint mid-hammer and asserts the invariants on every

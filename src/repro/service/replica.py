@@ -1,25 +1,36 @@
-"""Warm replica processes for CPU-parallel query fan-out.
+"""Warm engine worker processes: one protocol, two pools.
 
 On a stock (GIL) interpreter, threads interleave pure-Python engine
 executions instead of running them in parallel — a thread pool gives
-concurrency (overlap, fairness, single-flight) but not *speedup*.  This
-module supplies the speedup path used by
-``TopologyServer.query_many(mode="process")``: a pool of worker
-processes, each holding its own full replica of the serving generation,
-restored once per worker from a snapshot written at pool start.
+concurrency (overlap, fairness, single-flight) but not *speedup*.  The
+speedup path is worker processes, each holding a warm engine restored
+once from a snapshot file, and there is exactly one worker protocol:
 
+* a worker is a single-process pool whose initializer loads one
+  snapshot and is stamped by its parent with ``(index, generation)``;
+* a request is ``(op, args, trace context)`` — ``query_batch``,
+  ``explain``, ``digest``, ``ping``, ``obs_stats``, ``sleep``;
+* a reply is ``(stamp, payload, spans)``: the stamp is checked against
+  what the parent believes the worker serves (a cross-wired or stale
+  worker is detected, never merged), and the spans recorded under the
+  request's trace are ingested into the parent's trace buffer — the
+  trace crosses the process boundary through the reply, not through
+  shared memory.
+
+:class:`ShardBackend` is one such worker over one *shard* snapshot (the
+coordinator keeps one per shard).  :class:`ReplicaPool` is N of them
+over one snapshot of the *whole* serving generation, written at pool
+start — the fan-out behind ``TopologyServer.query_many(mode="process")``.
 The economics mirror :mod:`repro.parallel` (the offline-phase pool):
 pay a one-time per-worker cost — process start plus snapshot restore —
-then dispatch cheap work items.  A work item is one plan-class-grouped
-chunk of a batch; the reply carries full
+then dispatch cheap work items.  Replies carry full
 :class:`~repro.core.methods.MethodResult` objects (queries, results and
 plans all pickle cleanly: they are frozen/plain dataclasses over
 builtins).
 
 Replicas are *read-only copies*: they never see the parent's caches or
 calibrator, and a generation hot-swap on the parent makes the pool
-stale — ``TopologyServer`` tags the pool with the generation it was
-built from and replaces it after a swap.
+stale — ``TopologyServer`` replaces it after a swap.
 """
 
 from __future__ import annotations
@@ -38,49 +49,14 @@ from repro.obs import current_wire as obs_current_wire
 from repro.obs import span as obs_span
 from repro.obs import tracer as obs_tracer
 
-# Per-process replica installed by the pool initializer.  Module-level
+# Per-process engine installed by the pool initializer.  Module-level
 # globals: multiprocessing gives every worker its own module instance.
 _REPLICA = None
-# Generation the replica was restored from, as attested by the *parent*
-# at pool construction.  Every reply carries it back, so a reply from a
-# worker that somehow outlived its pool's generation is detectable at
-# the consumer instead of silently merging stale answers.
-_REPLICA_GENERATION: Optional[int] = None
-
-
-def _init_replica(snapshot_path: str, generation: Optional[int] = None) -> None:
-    """Pool initializer: restore this worker's private replica."""
-    global _REPLICA, _REPLICA_GENERATION
-    from repro.persist import load_system
-
-    _REPLICA = load_system(snapshot_path)
-    _REPLICA_GENERATION = generation
-    # Forked workers inherit the parent's span buffer; drop it so a
-    # worker only ever ships spans it recorded itself.
-    obs_tracer().reset()
-
-
-def _run_chunk(
-    chunk: Tuple[str, Sequence[Tuple[int, TopologyQuery]], Optional[dict]]
-) -> Tuple[Optional[int], List[Tuple[int, MethodResult]], List[dict]]:
-    """Execute one (method, [(batch index, query), ...], trace wire)
-    chunk against this worker's replica, preserving the indices for
-    reassembly.  The reply leads with the worker's attested generation
-    and trails with the spans recorded here (the parent ingests them
-    into its own trace buffer — the trace crosses the process boundary
-    through the reply, not through shared memory)."""
-    if _REPLICA is None:  # pragma: no cover - initializer always ran
-        raise TopologyError("replica worker used before initialization")
-    method, items, trace = chunk
-    tracer = obs_tracer()
-    with tracer.adopt(trace) as ctx:
-        with obs_span("replica.chunk", method=method, items=len(items), pid=os.getpid()):
-            results = [
-                (index, _REPLICA.search(query, method=method))
-                for index, query in items
-            ]
-    spans = tracer.take(ctx.trace_id) if ctx is not None else []
-    return _REPLICA_GENERATION, results, spans
+# Stamp installed with it: (worker index, generation) as attested by the
+# *parent* at pool construction.  Every reply leads with it, so a
+# cross-wired worker, or one that somehow outlived its pool's
+# generation, is detected at the consumer, never merged.
+_SHARD_STAMP: Optional[Tuple[int, int]] = None
 
 
 def _spawn_safe_main() -> bool:
@@ -127,109 +103,15 @@ def _pick_start_method(requested: Optional[str]) -> str:
     )
 
 
-class ReplicaPool:
-    """A warm pool of replica processes serving one generation.
-
-    Construction snapshots ``system`` to a temporary file and starts
-    ``workers`` processes, each restoring the snapshot into a private
-    replica.  :meth:`run` then dispatches pre-chunked work; results
-    stream back in completion order.  :meth:`close` tears the pool down
-    and removes the snapshot file."""
-
-    def __init__(
-        self,
-        system: Any,
-        workers: int,
-        start_method: Optional[str] = None,
-        generation: Optional[int] = None,
-    ) -> None:
-        if workers < 1:
-            raise TopologyError(f"replica workers must be >= 1, got {workers}")
-        self.workers = workers
-        self.generation = generation
-        self.start_method = _pick_start_method(start_method)
-        fd, self._snapshot_path = tempfile.mkstemp(
-            prefix="topology-replica-", suffix=".topo"
-        )
-        os.close(fd)
-        self._pool = None
-        try:
-            system.save(self._snapshot_path)
-            context = multiprocessing.get_context(self.start_method)
-            self._pool = context.Pool(
-                processes=workers,
-                initializer=_init_replica,
-                initargs=(self._snapshot_path, generation),
-            )
-        except BaseException:
-            self.close()
-            raise
-
-    def run(
-        self, chunks: Sequence[Tuple[str, Sequence[Tuple[int, TopologyQuery]]]]
-    ) -> List[List[Tuple[int, MethodResult]]]:
-        """Execute every chunk; replies arrive in completion order (each
-        reply keeps its items' batch indices).
-
-        Every reply's attested generation must match the generation this
-        pool was built for — a mismatch means a worker is serving a
-        different snapshot than the parent believes (a respawned worker
-        re-running a stale initializer, or a pool mix-up) and raises
-        rather than letting wrong-generation answers merge silently."""
-        if self._pool is None:
-            raise TopologyError("replica pool is closed")
-        trace = obs_current_wire()
-        tracer = obs_tracer()
-        out: List[List[Tuple[int, MethodResult]]] = []
-        for reply_generation, items, spans in self._pool.imap_unordered(
-            _run_chunk, [(method, items, trace) for method, items in chunks]
-        ):
-            tracer.ingest(spans)
-            if reply_generation != self.generation:
-                raise TopologyError(
-                    f"replica reply attested generation {reply_generation}, "
-                    f"but this pool serves generation {self.generation}"
-                )
-            out.append(items)
-        return out
-
-    def close(self) -> None:
-        """Stop the workers and delete the snapshot file (idempotent)."""
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.terminate()
-            pool.join()
-        if self._snapshot_path and os.path.exists(self._snapshot_path):
-            try:
-                os.remove(self._snapshot_path)
-            except OSError:  # pragma: no cover - best effort cleanup
-                pass
-        self._snapshot_path = ""
-
-    def __enter__(self) -> "ReplicaPool":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
-
-
-# ----------------------------------------------------------------------
-# Shard backends (repro.shard serving)
-# ----------------------------------------------------------------------
-# Stamp installed by the shard initializer: (shard index, generation) as
-# attested by the parent.  Every reply leads with it, so a cross-wired
-# or stale worker is detected at the coordinator, never merged.
-_SHARD_STAMP: Optional[Tuple[int, int]] = None
-
-
 def _init_shard(snapshot_path: str, shard_index: int, generation: int) -> None:
-    """Pool initializer: load this worker's shard snapshot."""
+    """Pool initializer: load this worker's snapshot."""
     global _REPLICA, _SHARD_STAMP
     from repro.persist import load_system
 
     _REPLICA = load_system(snapshot_path)
     _SHARD_STAMP = (shard_index, generation)
-    # See _init_replica: never ship spans inherited across a fork.
+    # Forked workers inherit the parent's span buffer; drop it so a
+    # worker only ever ships spans it recorded itself.
     obs_tracer().reset()
 
 
@@ -278,12 +160,12 @@ def _run_shard_op(op: str, args: Any) -> Any:
 def _shard_op(
     request: Tuple[str, Any, Optional[dict]]
 ) -> Tuple[Optional[Tuple[int, int]], Any, List[dict]]:
-    """Execute one coordinator op against this worker's shard engine.
+    """Execute one op against this worker's engine.
 
-    ``request`` carries the coordinator's trace context (or ``None``);
-    the reply trails with the spans this worker recorded under it, so
-    the coordinator can stitch per-shard ``shard.query`` spans — and
-    their engine children — into the request's trace."""
+    ``request`` carries the parent's trace context (or ``None``); the
+    reply trails with the spans this worker recorded under it, so the
+    parent can stitch per-worker ``shard.query`` spans — and their
+    engine children — into the request's trace."""
     op, args, trace = request
     if _REPLICA is None:  # pragma: no cover - initializer always ran
         raise TopologyError("shard worker used before initialization")
@@ -314,7 +196,9 @@ class ShardCall:
 
     __slots__ = ("_backend", "_async_result", "_timeout")
 
-    def __init__(self, backend: "ShardBackend", async_result: Any, timeout: float) -> None:
+    def __init__(
+        self, backend: "ShardBackend", async_result: Any, timeout: Optional[float]
+    ) -> None:
         self._backend = backend
         self._async_result = async_result
         self._timeout = timeout
@@ -363,14 +247,19 @@ class ShardBackend:
     worker times out *its* calls with
     :class:`~repro.errors.ShardUnavailableError` while its siblings
     keep answering.  The pool respawns a crashed worker and re-runs the
-    initializer, so a transiently killed shard heals on the next call."""
+    initializer, so a transiently killed shard heals on the next call.
+
+    ``timeout`` is the reply deadline of one op — sized for one query's
+    scatter leg.  ``None`` means no deadline (:class:`ReplicaPool`: its
+    ops are whole batch shares, whose running time scales with the
+    batch, not with a query)."""
 
     def __init__(
         self,
         shard_index: int,
         snapshot_path: str,
         generation: int,
-        timeout: float = 30.0,
+        timeout: Optional[float] = 30.0,
         retry_after: int = 1,
         start_method: Optional[str] = None,
     ) -> None:
@@ -413,7 +302,83 @@ class ShardBackend:
             pool.terminate()
             pool.join()
 
-    def __enter__(self) -> "ShardBackend":
+
+class ReplicaPool:
+    """A warm pool of replica processes serving one generation.
+
+    Construction snapshots ``system`` to a temporary file and starts
+    ``workers`` :class:`ShardBackend` processes over it, each restoring
+    the snapshot into a private replica stamped ``(worker index,
+    generation)``.  :meth:`run` then dispatches pre-chunked work.
+    :meth:`close` tears the pool down and removes the snapshot file."""
+
+    def __init__(
+        self,
+        system: Any,
+        workers: int,
+        generation: int,
+        start_method: Optional[str] = None,
+    ) -> None:
+        if workers < 1:
+            raise TopologyError(f"replica workers must be >= 1, got {workers}")
+        self.workers = workers
+        self.generation = generation
+        fd, self._snapshot_path = tempfile.mkstemp(
+            prefix="topology-replica-", suffix=".topo"
+        )
+        os.close(fd)
+        self._backends: List[ShardBackend] = []
+        try:
+            system.save(self._snapshot_path)
+            for index in range(workers):
+                self._backends.append(
+                    ShardBackend(
+                        index,
+                        self._snapshot_path,
+                        generation,
+                        timeout=None,  # a chunk is a batch share, not one query
+                        start_method=start_method,
+                    )
+                )
+        except BaseException:
+            self.close()
+            raise
+
+    def run(
+        self, chunks: Sequence[Tuple[str, Sequence[Tuple[int, TopologyQuery]]]]
+    ) -> List[List[Tuple[int, MethodResult]]]:
+        """Execute every ``(method, [(batch index, query), ...])`` chunk,
+        one ``query_batch`` op each, dealt round-robin over the workers;
+        all chunks are dispatched before the first reply is awaited.
+        Each reply keeps its items' batch indices.
+
+        Every reply's stamp must match ``(worker, generation)`` as this
+        pool was built — a mismatch means a worker is serving a
+        different snapshot than the parent believes and raises rather
+        than letting wrong-generation answers merge silently.  There is
+        no reply deadline: a chunk takes as long as its share of the
+        batch (plus, for the first, the worker's snapshot load)."""
+        if not self._backends:
+            raise TopologyError("replica pool is closed")
+        calls = [
+            self._backends[at % self.workers].submit("query_batch", (method, list(items)))
+            for at, (method, items) in enumerate(chunks)
+        ]
+        return [call.result() for call in calls]
+
+    def close(self) -> None:
+        """Stop the workers and delete the snapshot file (idempotent)."""
+        backends, self._backends = self._backends, []
+        for backend in backends:
+            backend.close()
+        if self._snapshot_path and os.path.exists(self._snapshot_path):
+            try:
+                os.remove(self._snapshot_path)
+            except OSError:  # pragma: no cover - best effort cleanup
+                pass
+        self._snapshot_path = ""
+
+    def __enter__(self) -> "ReplicaPool":
         return self
 
     def __exit__(self, *exc: Any) -> None:

@@ -1,16 +1,15 @@
 """Concurrent serving layer: many queries, one shared engine.
 
-:class:`TopologyServer` is the multi-threaded counterpart of
-:class:`~repro.service.TopologyService` — the component that turns the
-paper's online phase (Figure 10) into something that can serve heavy
-interactive traffic against one shared, materialized
-:class:`~repro.core.engine.TopologySearchSystem`:
+:class:`TopologyServer` turns the paper's online phase (Figure 10) into
+something that can serve heavy interactive traffic against one shared,
+materialized :class:`~repro.core.engine.TopologySearchSystem`.  It is a
+:class:`~repro.service.core.ServingCore` — read lease, generation
+stamp, result cache, single-flight, exact counters, latency table and
+slow-query log all live there, once — plus the three things that are
+specific to a local engine:
 
-* **Reader–writer coordination** — every query holds a shared *read*
-  lease for its whole execution; :meth:`rebuild` and :meth:`restore`
-  take the exclusive *write* path.  Queries therefore proceed in
-  parallel with each other, and a writer never mutates state a reader
-  is traversing.
+* **The execution** — ``system.search`` on the serving generation's
+  engine, under the request's read lease.
 
 * **Generation hot-swap** — :meth:`rebuild` does *not* rebuild the
   serving system in place.  It clones the base relations
@@ -20,14 +19,6 @@ interactive traffic against one shared, materialized
   microseconds.  In-flight readers finish on the old generation, the
   next request sees the new one, and no request ever observes a
   half-built store.  :meth:`restore` hot-swaps a snapshot the same way.
-  Every result is stamped with the generation that produced it
-  (``MethodResult.generation``).
-
-* **Single-flight deduplication** — when N concurrent requests ask the
-  same (method, query) and the result is not cached yet, exactly one of
-  them plans and executes; the other N-1 wait for that execution and
-  share its result.  A thundering herd of identical queries costs one
-  engine execution, not N.
 
 * **Parallel batches** — :meth:`query_many` fans a workload out over a
   thread pool, *grouped by plan class* first: one leader per class runs
@@ -35,16 +26,8 @@ interactive traffic against one shared, materialized
   class fans out as plan-cache hits.  For CPU-bound workloads on
   multi-core machines, ``mode="process"`` fans out over warm replica
   processes instead (:mod:`repro.service.replica`) — the only way past
-  the GIL on a stock interpreter.
-
-The counters (:meth:`stats`) are exact under concurrency and obey two
-invariants the stress tests pin down: ``hits + misses == requests`` and
-``misses == executions + coalesced``.
-
-Locking order, for maintainers: the RW lease is always outermost, then
-the flight lock, then a cache/calibrator internal lock.  Nothing ever
-acquires them in another order, and no engine call is made while the
-flight lock is held (flights are waited on *outside* it).
+  the GIL on a stock interpreter.  Either way every query of the batch
+  goes through the core's one request path.
 """
 
 from __future__ import annotations
@@ -52,14 +35,11 @@ from __future__ import annotations
 import contextvars
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
-from dataclasses import dataclass
+from functools import partial
 from typing import (
-    TYPE_CHECKING,
     Any,
     Dict,
     Iterable,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -71,139 +51,18 @@ from repro.core.methods import MethodResult
 from repro.core.plan import PlanCacheStats, QueryPlan
 from repro.core.query import TopologyQuery
 from repro.errors import TopologyError
-from repro.obs import SlowQueryLog, current_trace, query_summary
 from repro.obs import span as obs_span
-from repro.obs import tracer as obs_tracer
-from repro.service.cache import MISSING, CacheStats, LRUCache
-from repro.service.facade import (
-    DEFAULT_METHOD,
-    LatencyStats,
-    resolve_rebuild_config,
-)
+from repro.service.cache import CacheStats
+from repro.service.core import DEFAULT_METHOD, ServingCore, resolve_rebuild_config
+from repro.service.replica import ReplicaPool
 
-if TYPE_CHECKING:  # imported lazily at runtime (replica imports us back)
-    from repro.service.replica import ReplicaPool
-
-__all__ = ["ReadWriteLock", "ServerStats", "TopologyServer"]
+__all__ = ["TopologyServer"]
 
 
-class ReadWriteLock:
-    """A reader–writer lock with writer preference.
-
-    Any number of readers share the lock; a writer excludes everyone.
-    A *waiting* writer blocks new readers (otherwise a steady read load
-    would starve rebuilds forever), but the readers already inside
-    finish first — which is exactly the generation contract: in-flight
-    queries complete on the old generation, the swap happens, and the
-    queued readers see the new one.
-
-    Not reentrant: a thread holding a read lease must not request the
-    write lock (that's a deadlock by construction)."""
-
-    def __init__(self) -> None:
-        self._cond = threading.Condition()
-        self._readers = 0
-        self._writer_active = False
-        self._writers_waiting = 0
-
-    def acquire_read(self) -> None:
-        with self._cond:
-            while self._writer_active or self._writers_waiting:
-                self._cond.wait()
-            self._readers += 1
-
-    def release_read(self) -> None:
-        with self._cond:
-            self._readers -= 1
-            if self._readers == 0:
-                self._cond.notify_all()
-
-    def acquire_write(self) -> None:
-        with self._cond:
-            self._writers_waiting += 1
-            try:
-                while self._writer_active or self._readers:
-                    self._cond.wait()
-            finally:
-                self._writers_waiting -= 1
-            self._writer_active = True
-
-    def release_write(self) -> None:
-        with self._cond:
-            self._writer_active = False
-            self._cond.notify_all()
-
-    @contextmanager
-    def read_locked(self) -> Iterator[None]:
-        self.acquire_read()
-        try:
-            yield
-        finally:
-            self.release_read()
-
-    @contextmanager
-    def write_locked(self) -> Iterator[None]:
-        self.acquire_write()
-        try:
-            yield
-        finally:
-            self.release_write()
-
-
-class _Flight:
-    """One in-flight engine execution other requests can latch onto."""
-
-    __slots__ = ("event", "result", "error")
-
-    def __init__(self) -> None:
-        self.event = threading.Event()
-        self.result: Optional[MethodResult] = None
-        self.error: Optional[BaseException] = None
-
-    def resolve(self, result: MethodResult) -> None:
-        self.result = result
-        self.event.set()
-
-    def fail(self, error: BaseException) -> None:
-        self.error = error
-        self.event.set()
-
-    def wait(self) -> MethodResult:
-        self.event.wait()
-        if self.error is not None:
-            raise self.error
-        assert self.result is not None
-        return self.result
-
-
-@dataclass(frozen=True)
-class ServerStats:
-    """Counter snapshot for one :class:`TopologyServer`.
-
-    ``requests`` counts every :meth:`TopologyServer.query` call;
-    ``executions`` the engine executions dispatched (including failed
-    ones — ``failures`` of them raised); ``coalesced`` the requests that
-    waited on another request's in-flight execution instead of running
-    their own.  Exact invariants:
-    ``result_cache.hits + result_cache.misses == requests`` and
-    ``result_cache.misses == executions + coalesced``."""
-
-    generation: int
-    requests: int
-    executions: int
-    coalesced: int
-    failures: int
-    rebuilds: int
-    restores: int
-    in_flight: int
-    result_cache: CacheStats
-    plan_cache: PlanCacheStats
-
-
-class TopologyServer:
+class TopologyServer(ServingCore):
     """Thread-safe query serving over one shared topology system.
 
-    The server owns the result cache, latency accounting and request
+    The core owns the result cache, latency accounting and request
     coordination; the engine underneath owns the plan cache and the
     cost calibrator, so those swap atomically with the generation.
 
@@ -225,45 +84,22 @@ class TopologyServer:
                 "TopologyServer serves a built system: call build() first "
                 "or restore from a snapshot"
             )
-        self.default_method = default_method.lower()
+        super().__init__(cache_size, default_method, slow_query_seconds, source="server")
         self.max_workers = max_workers
-        self._rw = ReadWriteLock()
         self._system = system
-        self._generation = 1
-        self._cache = LRUCache(cache_size)
-        # Single-flight table.  The flight lock also makes the
-        # request/hit/miss/coalesced/execution accounting atomic per
-        # request, which is what lets the stress tests assert exact
-        # counter invariants under heavy thread contention.
-        self._flights: Dict[Tuple[str, TopologyQuery], _Flight] = {}
-        self._flight_lock = threading.Lock()
-        self._latency: Dict[str, LatencyStats] = {}
-        self._latency_lock = threading.Lock()
         # One rebuild/restore at a time; the heavy build work happens
         # under this mutex but *outside* the write lock, so traffic
         # keeps flowing while the next generation is prepared.
         self._writer_mutex = threading.Lock()
         self._pools: Dict[int, ThreadPoolExecutor] = {}
         self._pool_lock = threading.Lock()
-        self._replica_pool = None  # lazily created repro.service.replica pool
-        self._replica_workers = 0
-        self._replica_generation = 0
+        self._replica_pool: Optional[ReplicaPool] = None  # created lazily
         # One process-mode fan-out at a time: a second caller with a
         # different worker count would otherwise close the pool the
         # first is consuming mid-run (and concurrent replica batches
         # would just fight over the same cores anyway).
         self._replica_mutex = threading.Lock()
         self._closed = False
-        # Over-threshold queries emit one structured record each (see
-        # repro.obs.slowlog); threshold from REPRO_SLOW_QUERY_SECONDS
-        # unless given explicitly.
-        self.slow_query_log = SlowQueryLog(slow_query_seconds, source="server")
-        self._requests = 0
-        self._executions = 0
-        self._coalesced = 0
-        self._failures = 0
-        self._rebuilds = 0
-        self._restores = 0
 
     # ------------------------------------------------------------------
     # Construction conveniences / lifecycle
@@ -275,6 +111,7 @@ class TopologyServer:
         cache_size: int = 4096,
         default_method: str = DEFAULT_METHOD,
         max_workers: Optional[int] = None,
+        slow_query_seconds: Optional[float] = None,
     ) -> "TopologyServer":
         """Cold-start a server from a :mod:`repro.persist` snapshot."""
         return cls(
@@ -282,6 +119,7 @@ class TopologyServer:
             cache_size=cache_size,
             default_method=default_method,
             max_workers=max_workers,
+            slow_query_seconds=slow_query_seconds,
         )
 
     def close(self) -> None:
@@ -308,11 +146,6 @@ class TopologyServer:
         self.close()
 
     @property
-    def generation(self) -> int:
-        """The serving generation (1-based; bumped by every hot swap)."""
-        return self._generation
-
-    @property
     def system(self) -> TopologySearchSystem:
         """The currently serving system.  Treat as read-only: mutating
         it in place bypasses the generation contract."""
@@ -333,92 +166,18 @@ class TopologyServer:
         generation — stamped on ``result.generation``."""
         name = (method or self.default_method).lower()
         with obs_span("server.query", ingress=True, method=name):
-            with self._rw.read_locked():
-                return self._query_locked(name, query)
+            return self._serve(name, (query,), self._search)[0]
 
-    def _query_locked(self, name: str, query: TopologyQuery) -> MethodResult:
-        """The body of :meth:`query`; caller holds a read lease."""
+    def _search(
+        self, generation: int, name: str, queries: Sequence[TopologyQuery]
+    ) -> List[MethodResult]:
+        """The core's ``execute`` for the local engine; runs under the
+        request's read lease, so ``_system`` is ``generation``'s."""
         system = self._system
-        generation = self._generation
-        key = (name, query)
-        with self._flight_lock:
-            self._requests += 1
-            cached = self._cache.get(key, MISSING)
-            if cached is not MISSING:
-                return cached
-            flight = self._flights.get(key)
-            owner = flight is None
-            if owner:
-                flight = _Flight()
-                self._flights[key] = flight
-                self._executions += 1
-            else:
-                self._coalesced += 1
-        if not owner:
-            # Latch onto the owner's execution.  Waiting happens outside
-            # the flight lock, so the owner can resolve; both hold read
-            # leases, so a pending writer cannot wedge between them.
-            return flight.wait()
-        return self._execute_flight(system, generation, name, query, key, flight)
+        return [system.search(query, method=name) for query in queries]
 
-    def _execute_flight(
-        self,
-        system: TopologySearchSystem,
-        generation: int,
-        name: str,
-        query: TopologyQuery,
-        key: Tuple[str, TopologyQuery],
-        flight: _Flight,
-    ) -> MethodResult:
-        try:
-            result = system.search(query, method=name)
-        except BaseException as error:
-            with self._flight_lock:
-                self._failures += 1
-                self._flights.pop(key, None)
-            flight.fail(error)
-            raise
-        result.generation = generation
-        self._record_latency(name, result.elapsed_seconds)
-        if result.elapsed_seconds >= self.slow_query_log.threshold_seconds:
-            self._slow_query(system, generation, name, query, result)
-        # relint: disable=R2 (single-flight protocol: register, execute unlocked, then settle — the result comes from the engine, not from lock-spanning reads)
-        with self._flight_lock:
-            self._cache.put(key, result)
-            self._flights.pop(key, None)
-        flight.resolve(result)
-        return result
-
-    def _slow_query(
-        self,
-        system: TopologySearchSystem,
-        generation: int,
-        name: str,
-        query: TopologyQuery,
-        result: MethodResult,
-    ) -> None:
-        """Emit one structured slow-query record (threshold already met).
-        The per-span breakdown covers the spans finished so far — the
-        engine's plan/execute children of the still-open request span."""
-        ctx = current_trace()
-        spans = obs_tracer().trace_spans(ctx.trace_id) if ctx is not None else []
-        self.slow_query_log.maybe_record(
-            elapsed_seconds=result.elapsed_seconds,
-            method=name,
-            query=query_summary(query),
-            generation=generation,
-            trace_id=ctx.trace_id if ctx is not None else None,
-            plan={"choice": result.plan_choice},
-            calibrator_version=system.calibrator.version,
-            spans=spans,
-        )
-
-    def _record_latency(self, name: str, seconds: float) -> None:
-        with self._latency_lock:
-            stats = self._latency.get(name)
-            if stats is None:
-                stats = self._latency.setdefault(name, LatencyStats(name))
-        stats.record(seconds)
+    def _calibrator_version(self) -> Optional[int]:
+        return self._system.calibrator.version
 
     def explain(
         self, query: TopologyQuery, method: Optional[str] = None
@@ -457,9 +216,11 @@ class TopologyServer:
         fans out over warm *replica processes*, each serving its own
         copy of the current generation (:mod:`repro.service.replica`):
         per-query work is then truly parallel on a GIL interpreter, at
-        the price of replica-local plan caches and no shared
-        single-flight.  Replica results are folded back into this
-        server's result cache and latency accounting."""
+        the price of replica-local plan caches.  The batch still goes
+        through the core's request path as one list: cached queries are
+        hits, the distinct uncached ones execute once each on the
+        replicas, and the results settle into this server's result
+        cache, latency table and counters."""
         batch = list(queries)
         name = (method or self.default_method).lower()
         if mode not in ("thread", "process"):
@@ -548,78 +309,70 @@ class TopologyServer:
     def _query_many_replicas(
         self, batch: List[TopologyQuery], name: str, workers: int
     ) -> List[MethodResult]:
-        groups = self._plan_class_groups(batch, name)
         with self._replica_mutex:
-            pool_and_generation = self._current_replica_pool(workers)
-            if pool_and_generation is None:  # closed: serial fallback
+            pool = self._current_replica_pool(workers)
+            admission = None
+            if pool is not None:
+                with self._rw.read_locked():
+                    if self._generation == pool.generation:
+                        admission = self._admit(name, batch)
+            if admission is None:  # closed, or a swap raced the pool: serial
                 return [self.query(q, method=name) for q in batch]
-            pool, generation = pool_and_generation
-            # Whole plan-class groups land on one replica so each
-            # replica plans each of its classes once; groups are dealt
-            # biggest-first onto the emptiest bucket to balance load.
-            buckets: List[List[int]] = [[] for _ in range(workers)]
-            for group in sorted(groups, key=len, reverse=True):
-                min(buckets, key=len).extend(group)
-            chunks = [
-                (name, [(i, batch[i]) for i in bucket])
-                for bucket in buckets
-                if bucket
-            ]
             # The fan-out itself runs WITHOUT the read lease: a pending
             # hot swap must only ever wait microseconds, never a batch.
-            # The replicas serve their own copy of ``generation``, so a
-            # swap mid-run cannot tear these results — they just come
-            # back stamped with the generation they were computed from.
-            results: List[Optional[MethodResult]] = [None] * len(batch)
-            for pairs in pool.run(chunks):
-                for index, result in pairs:
-                    result.generation = generation
-                    results[index] = result
-                    self._record_latency(name, result.elapsed_seconds)
-            # Fold into the shared result cache only if that generation
-            # is still the serving one (checked under a fresh lease).
-            with self._rw.read_locked():
-                if self._generation == generation:
-                    for index, result in enumerate(results):
-                        if result is not None:
-                            self._cache.put((name, batch[index]), result)
-        missing = [i for i, r in enumerate(results) if r is None]
-        if missing:  # pragma: no cover - defensive
-            raise TopologyError(f"replica fan-out lost queries: {missing}")
-        return results  # type: ignore[return-value]
+            # The replicas serve their own copy of the admitted
+            # generation, so a swap mid-run cannot tear these results —
+            # they are stamped with that generation and settle into the
+            # cache only if nothing has dropped it since.
+            self._settle(admission, partial(self._fan_out, pool))
+        return self._collect(admission)
 
-    def _current_replica_pool(
-        self, workers: int
-    ) -> Optional[Tuple["ReplicaPool", int]]:
+    def _fan_out(
+        self,
+        pool: ReplicaPool,
+        generation: int,
+        name: str,
+        queries: List[TopologyQuery],
+    ) -> List[MethodResult]:
+        """The core's ``execute`` over replica processes.  Whole
+        plan-class groups land on one replica so each replica plans
+        each of its classes once; groups are dealt biggest-first onto
+        the emptiest bucket to balance load."""
+        buckets: List[List[int]] = [[] for _ in range(pool.workers)]
+        for group in sorted(self._plan_class_groups(queries, name), key=len, reverse=True):
+            min(buckets, key=len).extend(group)
+        chunks = [
+            (name, [(i, queries[i]) for i in bucket]) for bucket in buckets if bucket
+        ]
+        results: List[Optional[MethodResult]] = [None] * len(queries)
+        for pairs in pool.run(chunks):
+            for index, result in pairs:
+                results[index] = result
+        return results  # type: ignore[return-value]  # every chunk replied in full or run() raised
+
+    def _current_replica_pool(self, workers: int) -> Optional[ReplicaPool]:
         """The warm replica pool for (current generation, ``workers``),
         building one if needed, or ``None`` once closed.  Caller holds
         ``_replica_mutex``, so no consumer is mid-run on the pool being
         replaced.
 
         Construction — a snapshot write plus worker start-up, seconds
-        at real scale — deliberately happens *outside* the read lease
-        and outside ``_pool_lock``: under the writer-preferring RW lock
-        a lease held that long would stall a pending hot swap and,
-        behind it, every new query.  Capturing ``(system, generation)``
-        under a brief lease is enough for correctness: a swapped-out
-        system is never mutated in place, so snapshotting it leaselessly
-        still yields a consistent image of its generation.  If a swap
-        lands mid-construction, the freshly built pool is already stale:
-        rather than registering it (and serving one whole batch from the
-        old generation), construction re-checks the serving generation
-        and retries against the new one, bounded so a rebuild storm
-        degrades to serving the latest complete pool instead of looping.
-        The pool itself is built with the generation it serves and every
-        worker reply re-attests it (:meth:`ReplicaPool.run`)."""
-        from repro.service.replica import ReplicaPool
-
-        fresh = None
-        generation = None
+        at real scale — happens *outside* the read lease and outside
+        ``_pool_lock``: a lease held that long would stall a pending hot
+        swap and, behind it, every new query.  ``(system, generation)``
+        captured under a brief lease is enough: a swapped-out system is
+        never mutated in place, so snapshotting it leaselessly still
+        yields a consistent image of its generation.  A pool that a swap
+        overtook mid-construction is stale, so the loop re-checks the
+        serving generation and rebuilds — bounded, so a rebuild storm
+        hands back the latest complete pool instead of looping (the
+        caller compares ``pool.generation`` under its own lease)."""
+        fresh: Optional[ReplicaPool] = None
         for _ in range(3):  # bounded retry: swaps are rare, loops aren't
             with self._rw.read_locked():
                 system = self._system
                 current = self._generation
-            if fresh is not None and generation == current:
+            if fresh is not None and fresh.generation == current:
                 break
             with self._pool_lock:
                 if self._closed:
@@ -629,12 +382,12 @@ class TopologyServer:
                 pool = self._replica_pool
                 if (
                     pool is not None
-                    and self._replica_workers == workers
-                    and self._replica_generation == current
+                    and pool.workers == workers
+                    and pool.generation == current
                 ):
                     if fresh is not None:
                         fresh.close()
-                    return pool, current
+                    return pool
                 # Stale (old generation or different width): replace.
                 self._replica_pool = None
                 stale = pool
@@ -642,7 +395,6 @@ class TopologyServer:
                 stale.close()
             if fresh is not None:
                 fresh.close()
-            generation = current
             fresh = ReplicaPool(system, workers, generation=current)
         # relint: disable=R2 (bounded retry loop: each pass re-reads everything under one acquisition and builds the pool unlocked; no value spans two acquisitions)
         with self._pool_lock:
@@ -650,9 +402,7 @@ class TopologyServer:
                 fresh.close()
                 return None
             self._replica_pool = fresh
-            self._replica_workers = workers
-            self._replica_generation = generation
-        return fresh, generation
+        return fresh
 
     # ------------------------------------------------------------------
     # Lifecycle: hot rebuild + snapshot restore
@@ -665,7 +415,7 @@ class TopologyServer:
         """Re-run the offline phase *without* interrupting traffic.
 
         The previous build's configuration is reused unless overridden
-        (same rules as :meth:`TopologyService.rebuild`).  The build runs
+        (:func:`~repro.service.core.resolve_rebuild_config`).  The build runs
         on a clone of the base relations while queries keep executing
         against the current generation; learned calibration factors are
         carried over; then an exclusive pointer swap — microseconds, not
@@ -684,8 +434,8 @@ class TopologyServer:
             # plan choices must not have calibration silently re-enabled
             # by a rebuild.
             successor.calibration_enabled = current.calibration_enabled
-            self._swap(successor)
-            self._rebuilds += 1
+            with self._swap():
+                self._system = successor
             return report
 
     def restore(self, path: str) -> None:
@@ -695,17 +445,8 @@ class TopologyServer:
         until the pointer swap."""
         with self._writer_mutex:
             successor = TopologySearchSystem.from_snapshot(path)
-            self._swap(successor)
-            self._restores += 1
-
-    def _swap(self, successor: TopologySearchSystem) -> None:
-        """Publish ``successor`` as the next generation (exclusive)."""
-        with self._rw.write_locked():
-            # No readers inside => no flights outstanding: every flight
-            # is created and resolved under a read lease.
-            self._system = successor
-            self._generation += 1
-            self._cache.clear()
+            with self._swap(restore=True):
+                self._system = successor
 
     def save(self, path: str) -> None:
         """Snapshot the serving generation.
@@ -720,35 +461,11 @@ class TopologyServer:
             system = self._system
         system.save(path)
 
-    def invalidate(self) -> None:
-        """Drop every cached result (counters survive).
-
-        Takes the exclusive write path: clearing while an execution is
-        in flight would let that execution re-insert its
-        pre-invalidation result right after the clear.  Under the write
-        lock no reader — hence no flight — is outstanding.  Do not call
-        from a thread that holds a read lease (i.e. from inside a query
-        on this server); the lock is not reentrant."""
-        with self._rw.write_locked():
-            self._cache.clear()
-
     # ------------------------------------------------------------------
     # Instrumentation
     # ------------------------------------------------------------------
-    def stats(self) -> ServerStats:
-        with self._flight_lock:
-            return ServerStats(
-                generation=self._generation,
-                requests=self._requests,
-                executions=self._executions,
-                coalesced=self._coalesced,
-                failures=self._failures,
-                rebuilds=self._rebuilds,
-                restores=self._restores,
-                in_flight=len(self._flights),
-                result_cache=self._cache.stats(),
-                plan_cache=self._system.plan_cache_stats(),
-            )
+    def _backend_stats(self) -> Dict[str, Any]:
+        return {"plan_cache": self._system.plan_cache_stats()}
 
     def cache_stats(self) -> CacheStats:
         return self._cache.stats()
@@ -758,14 +475,6 @@ class TopologyServer:
 
     def calibration_stats(self) -> Dict[str, Any]:
         return self._system.calibrator.snapshot()
-
-    def latency_stats(self) -> Dict[str, Dict[str, float]]:
-        """Per-method engine-execution latency snapshots (cache hits and
-        coalesced waits do not contribute — they would measure the
-        coordination layer, not the engine)."""
-        with self._latency_lock:
-            items = sorted(self._latency.items())
-        return {name: stats.snapshot() for name, stats in items}
 
     def reset_latency_stats(self) -> None:
         with self._latency_lock:

@@ -302,12 +302,12 @@ class TestWiring:
         )
 
     def test_service_rebuild_reuses_parallel_config(self):
-        from repro.service import TopologyService
+        from repro.service import TopologyServer
 
         ds = generate(BiozonConfig.tiny(seed=3))
         system = TopologySearchSystem(ds.database, ds.graph())
         system.build(SYSTEM_PAIRS, max_length=MAX_LENGTH, parallel=2, partitions=3)
-        service = TopologyService(system)
+        service = TopologyServer(system)
 
         query = TopologyQuery(
             "Protein", "DNA",

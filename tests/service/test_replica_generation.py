@@ -1,10 +1,11 @@
 """Replica-pool generation attestation.
 
-A warm replica pool serves exactly one generation.  The parent stamps
-the generation into every worker at pool start; every reply carries it
-back, and :meth:`ReplicaPool.run` refuses to merge a reply attesting a
-different generation — the failure mode is a worker serving a stale
-snapshot after a hot-swap, which must be loud, never silently wrong.
+A warm replica pool serves exactly one generation.  Its workers speak
+the shard-backend protocol: the parent stamps (worker index, generation)
+into every worker at pool start; every reply carries the stamp back, and
+:meth:`ReplicaPool.run` refuses to merge a reply stamped differently —
+the failure mode is a worker serving a stale snapshot after a hot-swap,
+which must be loud, never silently wrong.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import KeywordConstraint, NoConstraint, TopologyQuery
-from repro.errors import TopologyError
+from repro.errors import ShardUnavailableError, TopologyError
 from repro.service.replica import ReplicaPool
 
 
@@ -44,20 +45,26 @@ class TestGenerationAttestation:
     def test_mismatched_attestation_refuses_to_merge(self, pool):
         """Simulate a pool mix-up: the consumer believes a different
         generation than the workers were initialized with."""
-        original = pool.generation
-        pool.generation = original + 1
+        (backend,) = pool._backends
+        backend.generation += 1
         try:
-            with pytest.raises(TopologyError, match="attested generation"):
+            with pytest.raises(TopologyError, match="stamped"):
                 pool.run([_chunk("human")])
         finally:
-            pool.generation = original
+            backend.generation -= 1
 
-    def test_untagged_pool_still_round_trips(self, tiny_system):
-        """generation=None (the facade's single-generation use) must
-        keep working: None attests equal to None."""
-        with ReplicaPool(tiny_system, workers=1, start_method="fork") as p:
-            (items,) = p.run([_chunk("binding")])
-            assert items[0][0] == 0
+    def test_chunks_have_no_reply_deadline(self, pool):
+        """A chunk is one worker's share of a batch, not one query, so
+        the per-op deadline of a shard backend (still enforced when
+        asked for) does not apply to replica workers — and work queued
+        behind a slow op is answered, not timed out."""
+        (backend,) = pool._backends
+        assert backend.timeout is None
+        with pytest.raises(ShardUnavailableError, match="no reply within"):
+            backend.call("sleep", 0.5, timeout=0.05)
+        assert backend.call("sleep", 0.1) == 0.1  # ran after the abandoned 0.5 s
+        (items,) = pool.run([_chunk("kinase")])
+        assert [index for index, _ in items] == [0]
 
     def test_closed_pool_rejects_work(self, tiny_system):
         p = ReplicaPool(

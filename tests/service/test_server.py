@@ -222,7 +222,7 @@ class TestSnapshotConsistency:
         LATENCY_BUCKETS bounds so `/metrics` histograms line up with
         `/stats`."""
         from repro.obs import LATENCY_BUCKETS
-        from repro.service.facade import LATENCY_SAMPLE_WINDOW
+        from repro.service.core import LATENCY_SAMPLE_WINDOW
 
         stats = LatencyStats("m")
         for n in range(LATENCY_SAMPLE_WINDOW + 100):  # overflow the window
@@ -412,9 +412,12 @@ class TestSnapshotLifecycle:
     def test_from_snapshot(self, tiny_system, tmp_path):
         path = tmp_path / "srv.topo"
         tiny_system.save(path)
-        with TopologyServer.from_snapshot(path, cache_size=16) as server:
+        with TopologyServer.from_snapshot(
+            path, cache_size=16, slow_query_seconds=0.25
+        ) as server:
             result = server.query(make_query())
             assert result.tids == tiny_system.search(make_query()).tids
+            assert server.slow_query_log.threshold_seconds == 0.25
 
 
 class TestQueryMany:
@@ -494,6 +497,44 @@ class TestQueryMany:
             follow_up = server.query(batch[0])
             assert follow_up.tids == oracle[0]
             assert server.stats().result_cache.hits >= 1
+
+    def test_process_mode_goes_through_the_cache_and_counters(self, tiny_system):
+        """Regression pin: the replica fan-out used to bypass the
+        request path — a batch of already-cached queries moved neither
+        ``requests`` nor ``hits`` and re-executed every query on the
+        replicas."""
+        batch = self.workload()
+        cached = batch[:2]
+        fresh = batch[2:]
+        with TopologyServer(tiny_system) as server:
+            for query in cached:
+                server.query(query)
+            before = server.stats()
+            latency_before = server.latency_stats()["fast-top-k-opt"]["count"]
+            # One uncached query appears twice: it executes once.
+            results = server.query_many(
+                batch + [fresh[0]], parallel=2, mode="process"
+            )
+            after = server.stats()
+            assert [r.query for r in results] == batch + [fresh[0]]
+            assert results[-1] is results[2]
+            assert after.requests - before.requests == len(batch) + 1
+            assert after.result_cache.hits - before.result_cache.hits == len(cached)
+            assert after.executions - before.executions == len(fresh)
+            assert after.coalesced - before.coalesced == 1
+            assert (
+                server.latency_stats()["fast-top-k-opt"]["count"] - latency_before
+                == len(fresh)
+            )
+            cache = after.result_cache
+            assert cache.hits + cache.misses == after.requests
+            assert cache.misses == after.executions + after.coalesced
+            assert after.in_flight == 0
+            # The cached results were served as-is, the fresh ones are
+            # cached now: the same batch again is all hits.
+            again = server.query_many(batch, parallel=2, mode="process")
+            assert all(a is b for a, b in zip(again, results))
+            assert server.stats().executions == after.executions
 
 
 class TestClose:
