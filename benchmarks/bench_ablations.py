@@ -92,7 +92,9 @@ def test_ablation_staged_topk(benchmark):
         checks = 0
         for topology in method._fast_top.pruned_topologies(query):
             checks += 1
-            hit = system.engine.execute(method.pruned_check_sql(query, topology))
+            hit = system.engine.execute(
+                method._fast_top.pruned_check_sql(query, topology)
+            )
             if hit.rows:
                 ranked.append((topology.tid, topology.scores[query.ranking]))
         ranked.sort(key=lambda ts: (-ts[1], -ts[0]))

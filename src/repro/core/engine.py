@@ -330,10 +330,12 @@ class TopologySearchSystem:
     def method(self, name: str):
         """Get (and cache) a method instance by its paper name.
 
-        Safe under concurrent callers: method objects are stateless
-        (they hold only the system handle), so if two threads race the
-        first lookup both build an equivalent instance and ``setdefault``
-        keeps exactly one."""
+        Safe under concurrent callers: method objects hold the system
+        handle and nothing a query writes except structures derived from
+        the tables and keyed by their versions (the ET methods' per-group
+        position arrays, which racing threads would rebuild identically),
+        so if two threads race the first lookup both build an equivalent
+        instance and ``setdefault`` keeps exactly one."""
         from repro.core.methods import create_method
 
         key = name.lower()

@@ -17,8 +17,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.plan import STRATEGY_REGULAR, QueryPlan
 from repro.core.query import TopologyQuery
 from repro.core.ranking import score_column
-from repro.obs import span
+from repro.obs import registry, span
 from repro.relational.sql.tokens import sql_quote
+
+
+#: The ``work`` counters that say how far an early-termination plan
+#: went: tagged onto the ``engine.execute`` span and carried into the
+#: slow-query record, so "why was this top-k slow" reads off the trace.
+TRACED_WORK = ("pruned_checks", "pruned_checks_proved_empty", "groups_probed")
 
 
 @dataclass
@@ -102,11 +108,22 @@ class Method:
         stats = self.system.database.stats
         before = stats.snapshot()
         t1 = time.perf_counter()
-        with span("engine.execute", method=self.name, strategy=plan.choice):
+        with span("engine.execute", method=self.name, strategy=plan.choice) as executing:
             tids, scores = self.execute(plan, query)
+            after = stats.snapshot()
+            work = {k: after[k] - before[k] for k in after}
+            if executing.recording:
+                executing.tag(**{name: work[name] for name in TRACED_WORK})
         execute_seconds = time.perf_counter() - t1
-        after = stats.snapshot()
-        work = {k: after[k] - before[k] for k in after}
+        checks = work["pruned_checks"]
+        if checks:
+            proved_empty = work["pruned_checks_proved_empty"]
+            counter = registry().counter(
+                "repro.engine.pruned_checks",
+                "Online checks of pruned topologies, by outcome.",
+            )
+            counter.inc(proved_empty, outcome="proved_empty")
+            counter.inc(checks - proved_empty, outcome="executed")
         self.system.record_plan_observation(plan, work)
         return MethodResult(
             method=self.name,

@@ -14,14 +14,23 @@ runs before any lower-scored unpruned group is processed.
 ``flavor`` selects the DGJ implementation per entity level: ``idgj``
 (index nested-loops) or ``hdgj`` (group-at-a-time hash join) — the
 plans of Figure 15 (a) and (b).
+
+In columnar mode the IDGJ plan runs set-at-a-time: both constraints are
+evaluated once over their entity tables
+(:class:`~repro.core.methods.pruned.Endpoints`) and
+:class:`~repro.relational.operators.IDGJProbe` decides each TopInfo
+group with a vectorised probe, in the same order, to the same witness
+and for the same counters as the operator stack, which ``row_mode()``
+and the HDGJ flavor still run.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.methods.base import Method
 from repro.core.methods.fast_top import FastTopMethod
+from repro.core.methods.pruned import Endpoints, PrunedChecks
 from repro.core.plan import QueryPlan
 from repro.core.query import TopologyQuery
 from repro.errors import TopologyError
@@ -36,11 +45,15 @@ from repro.relational.operators import (
     Filter,
     GroupAware,
     GroupFilter,
+    GroupJoinIndex,
     HDGJ,
     IDGJ,
+    IDGJProbe,
+    Operator,
     OrderedIndexScan,
     SeqScan,
 )
+from repro.relational.runtime import columnar_enabled
 
 
 class _EtBase(Method):
@@ -57,11 +70,17 @@ class _EtBase(Method):
         self.flavor = flavor
         self.plan_strategies = (f"et-{flavor}",)
         self._fast_top = FastTopMethod(system)
+        # (entity1, entity2) -> (table versions, GroupJoinIndex): the
+        # per-group position arrays of IDGJProbe, one set per version of
+        # the pairs table and the two entity tables.
+        self._join_indexes: Dict[Tuple[str, str], Tuple[tuple, GroupJoinIndex]] = {}
 
     # ------------------------------------------------------------------
     # Plan construction (Figure 15)
     # ------------------------------------------------------------------
-    def build_stack(self, query: TopologyQuery) -> GroupAware:
+    def _group_source(self, query: TopologyQuery) -> GroupAware:
+        """TopInfo in score order, one group per topology of the
+        query's entity pair."""
         db = self.system.database
         topinfo = db.table("TopInfo")
         score_col = self._score_col(query)
@@ -86,8 +105,15 @@ class _EtBase(Method):
             # Pruned topologies have no LeftTops rows; they are merged
             # in by score via their SQL5 checks instead.
             filters.append(Comparison("=", ColumnRef("t", "pruned"), Literal(False)))
-        source: GroupAware = GroupFilter(scan, And(filters))
+        return GroupFilter(scan, And(filters))
 
+    def _pairs_columns(self, query: TopologyQuery) -> Tuple[str, str]:
+        """The pairs-table columns holding entity1's and entity2's ids."""
+        return ("e1", "e2") if self.system.orientation(query) else ("e2", "e1")
+
+    def build_stack(self, query: TopologyQuery) -> GroupAware:
+        db = self.system.database
+        source = self._group_source(query)
         pairs = db.table(self.pairs_table)
         tid_index = pairs.hash_index_on(["TID"])
         stack: GroupAware = IDGJ(
@@ -98,9 +124,7 @@ class _EtBase(Method):
             [source.layout.position("t", "tid")],
         )
 
-        oriented = self.system.orientation(query)
-        col1 = "e1" if oriented else "e2"
-        col2 = "e2" if oriented else "e1"
+        col1, col2 = self._pairs_columns(query)
         stack = self._entity_level(
             stack, query.entity1, "q1", col1, query.constraint1.to_expression("q1")
         )
@@ -130,6 +154,32 @@ class _EtBase(Method):
         id_pos = table.schema.column_position("ID")
         return HDGJ(outer, inner_factory, [key_pos], [id_pos])
 
+    def build_probe(self, query: TopologyQuery, endpoints: Endpoints) -> IDGJProbe:
+        """The IDGJ plan of :meth:`build_stack` under ``FirstPerGroup``,
+        as one set-at-a-time operator."""
+        db = self.system.database
+        tables = (
+            db.table(self.pairs_table),
+            db.table(query.entity1),
+            db.table(query.entity2),
+        )
+        versions = tuple((table, table.data_version) for table in tables)
+        key = (query.entity1, query.entity2)
+        held = self._join_indexes.get(key)
+        if held is None or held[0] != versions:
+            pairs, table1, table2 = tables
+            col1, col2 = self._pairs_columns(query)
+            held = (versions, GroupJoinIndex(pairs, "TID", [(col1, table1), (col2, table2)]))
+            self._join_indexes[key] = held
+        source = self._group_source(query)
+        return IDGJProbe(
+            source,
+            source.layout.position("t", "tid"),
+            held[1],
+            endpoints.keep(0),
+            endpoints.keep(1),
+        )
+
     # ------------------------------------------------------------------
     # Driver: merge the DGJ stream with pruned-topology checks
     # ------------------------------------------------------------------
@@ -138,17 +188,17 @@ class _EtBase(Method):
     ) -> Tuple[List[int], Optional[List[float]]]:
         if query.k is None:
             raise TopologyError(f"{self.name} requires a top-k query")
-        stack = self.build_stack(query)
-        stream = FirstPerGroup(stack, None)
+        endpoints = Endpoints(self.system, query)
+        stream: Operator
+        if self.flavor == "idgj" and columnar_enabled():
+            stream = self.build_probe(query, endpoints)
+        else:
+            stream = FirstPerGroup(self.build_stack(query), None)
         tid_pos = stream.layout.position("t", "tid")
         score_pos = stream.layout.position("t", self._score_col(query).lower())
 
-        pruned: List = []
-        if self.include_pruned_checks:
-            pruned = sorted(
-                self._fast_top.pruned_topologies(query),
-                key=lambda t: (-t.scores[query.ranking], -t.tid),
-            )
+        checks = PrunedChecks(self._fast_top, query, endpoints)
+        pruned = checks.ranked() if self.include_pruned_checks else []
         pruned_idx = 0
 
         results: List[Tuple[int, float]] = []
@@ -170,11 +220,7 @@ class _EtBase(Method):
                 ):
                     topology = pruned[pruned_idx]
                     pruned_idx += 1
-                    check = self.system.engine.execute(
-                        self._fast_top.pruned_branch_sql(query, topology)
-                        + "\nFETCH FIRST 1 ROWS ONLY"
-                    )
-                    if check.rows:
+                    if checks.has_witness(topology):
                         results.append((topology.tid, pruned_key[0]))
                 else:
                     results.append((pending[tid_pos], pending[score_pos]))

@@ -4,13 +4,17 @@ The generated statement follows the paper's SQL1: the first branch joins
 the satisfying entities with LeftTops; one extra UNION branch per pruned
 topology re-checks its path condition online with a chain join over the
 relationship tables, subtracting the exception pairs via NOT EXISTS.
+A branch whose chains provably cannot connect the two satisfying entity
+sets (:class:`~repro.core.methods.pruned.PrunedChecks`) is left out of
+the statement that is executed.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.methods.base import Method
+from repro.core.methods.pruned import Endpoints, PrunedChecks
 from repro.core.model import Topology
 from repro.core.pathsql import multi_chain_fragments
 from repro.core.plan import QueryPlan
@@ -58,7 +62,16 @@ class FastTopMethod(Method):
             f"WHERE " + " AND ".join(conditions)
         )
 
+    def pruned_check_sql(self, query: TopologyQuery, topology: Topology) -> str:
+        """SQL5: does some satisfying pair match this pruned topology's
+        path condition and survive the exception table?"""
+        return self.pruned_branch_sql(query, topology) + "\nFETCH FIRST 1 ROWS ONLY"
+
     def sql_for(self, query: TopologyQuery) -> str:
+        """SQL1 as the paper writes it: every pruned topology a branch."""
+        return self._union_sql(query, self.pruned_topologies(query))
+
+    def _union_sql(self, query: TopologyQuery, pruned: Sequence[Topology]) -> str:
         from1, from2, cond1, cond2 = self._endpoint_sql(query)
         join1, join2 = self._pair_join_sql(query, "LT")
         branches = [
@@ -69,14 +82,16 @@ class FastTopMethod(Method):
                 f"  AND {join1} AND {join2}"
             )
         ]
-        for topology in self.pruned_topologies(query):
+        for topology in pruned:
             branches.append(self.pruned_branch_sql(query, topology))
         return "\nUNION\n".join(branches)
 
     def execute(
         self, plan: QueryPlan, query: TopologyQuery
     ) -> Tuple[List[int], Optional[List[float]]]:
-        result = self.system.engine.execute(self.sql_for(query))
+        checks = PrunedChecks(self, query, Endpoints(self.system, query))
+        live = [t for t in self.pruned_topologies(query) if checks.may_match(t)]
+        result = self.system.engine.execute(self._union_sql(query, live))
         tids = sorted(row[0] for row in result.rows)
         if query.k is None:
             return tids, None

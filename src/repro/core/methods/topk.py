@@ -14,6 +14,7 @@ from typing import List, Optional, Tuple
 
 from repro.core.methods.base import Method
 from repro.core.methods.fast_top import FastTopMethod
+from repro.core.methods.pruned import Endpoints, PrunedChecks
 from repro.core.plan import QueryPlan
 from repro.core.query import TopologyQuery
 from repro.errors import TopologyError
@@ -74,12 +75,6 @@ class FastTopKMethod(Method):
             f"FETCH FIRST {query.k} ROWS ONLY"
         )
 
-    def pruned_check_sql(self, query: TopologyQuery, topology) -> str:
-        """SQL5: does some satisfying pair match this pruned topology's
-        path condition and survive the exception table?"""
-        branch = self._fast_top.pruned_branch_sql(query, topology)
-        return branch + "\nFETCH FIRST 1 ROWS ONLY"
-
     def execute(
         self, plan: QueryPlan, query: TopologyQuery
     ) -> Tuple[List[int], Optional[List[float]]]:
@@ -91,19 +86,14 @@ class FastTopKMethod(Method):
 
         # Stage 2 (SQL5): check each pruned topology whose score could
         # still enter the current top k, best score first.
-        pruned = self._fast_top.pruned_topologies(query)
-        candidates = sorted(
-            pruned,
-            key=lambda t: (-t.scores[query.ranking], -t.tid),
-        )
-        for topology in candidates:
+        checks = PrunedChecks(self._fast_top, query, Endpoints(self.system, query))
+        for topology in checks.ranked():
             score = topology.scores[query.ranking]
             if len(ranked) >= query.k:
                 kth = ranked[-1]
                 if (score, topology.tid) <= (kth[1], kth[0]):
                     continue  # cannot displace the kth result
-            check = engine.execute(self.pruned_check_sql(query, topology))
-            if check.rows:
+            if checks.has_witness(topology):
                 ranked.append((topology.tid, score))
                 ranked.sort(key=lambda ts: (-ts[1], -ts[0]))
                 ranked = ranked[: query.k]

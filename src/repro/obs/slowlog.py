@@ -84,6 +84,7 @@ class SlowQueryLog:
         plan: Optional[Dict[str, Any]] = None,
         calibrator_version: Optional[int] = None,
         spans: Optional[Iterable[Any]] = None,
+        work: Optional[Dict[str, int]] = None,
     ) -> Optional[Dict[str, Any]]:
         """Record if over threshold; returns the record or ``None``."""
         if elapsed_seconds < self.threshold_seconds:
@@ -109,6 +110,7 @@ class SlowQueryLog:
             "elapsed_seconds": elapsed_seconds,
             "threshold_seconds": self.threshold_seconds,
             "plan": dict(plan) if plan else None,
+            "work": dict(work) if work else None,
             "calibrator_version": calibrator_version,
             "generation": generation,
             "spans": breakdown,

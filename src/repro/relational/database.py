@@ -24,6 +24,14 @@ class ExecStats:
     per-row ``+= 1`` hot path needs no lock and a before/after
     :meth:`snapshot` diff attributes work to exactly the query that ran
     on that thread.
+
+    The last three say how far an early-termination plan went rather
+    than what it cost, and carry no weight in the cost calibration:
+    ``groups_probed`` (groups a DGJ stack joined into its pairs table)
+    and, charged by the topology methods on the same per-thread
+    instance so that one diff carries them, ``pruned_checks`` /
+    ``pruned_checks_proved_empty`` (online checks of pruned topologies,
+    and those among them answered without executing a statement).
     """
 
     rows_scanned: int = 0
@@ -32,28 +40,20 @@ class ExecStats:
     rows_emitted: int = 0
     subqueries_run: int = 0
     groups_skipped: int = 0
+    groups_probed: int = 0
+    pruned_checks: int = 0
+    pruned_checks_proved_empty: int = 0
 
     def reset(self) -> None:
-        self.rows_scanned = 0
-        self.index_probes = 0
-        self.rows_joined = 0
-        self.rows_emitted = 0
-        self.subqueries_run = 0
-        self.groups_skipped = 0
+        for name in vars(self):
+            setattr(self, name, 0)
 
     def total_work(self) -> int:
         """Single scalar "work" figure for coarse comparisons."""
         return self.rows_scanned + self.index_probes + self.rows_joined
 
     def snapshot(self) -> Dict[str, int]:
-        return {
-            "rows_scanned": self.rows_scanned,
-            "index_probes": self.index_probes,
-            "rows_joined": self.rows_joined,
-            "rows_emitted": self.rows_emitted,
-            "subqueries_run": self.subqueries_run,
-            "groups_skipped": self.groups_skipped,
-        }
+        return dict(vars(self))
 
 
 @dataclass

@@ -1,7 +1,13 @@
 """Physical operators (Volcano iterators) including the DGJ family."""
 
 from repro.relational.operators.base import GroupAware, Operator
-from repro.relational.operators.dgj import HDGJ, IDGJ, FirstPerGroup
+from repro.relational.operators.dgj import (
+    HDGJ,
+    IDGJ,
+    FirstPerGroup,
+    GroupJoinIndex,
+    IDGJProbe,
+)
 from repro.relational.operators.filter import Filter, GroupFilter, Project
 from repro.relational.operators.join import (
     HashJoin,
@@ -15,6 +21,7 @@ from repro.relational.operators.scan import (
     OrderedIndexScan,
     RowsSource,
     SeqScan,
+    table_batch,
     table_layout,
 )
 from repro.relational.operators.sort import Distinct, Limit, Sort, TopN, UnionAll
@@ -25,11 +32,13 @@ __all__ = [
     "FirstPerGroup",
     "GroupAware",
     "GroupFilter",
+    "GroupJoinIndex",
     "HDGJ",
     "HashIndexScan",
     "HashJoin",
     "HashSemiJoin",
     "IDGJ",
+    "IDGJProbe",
     "IndexNestedLoopJoin",
     "Limit",
     "NestedLoopJoin",
@@ -42,5 +51,6 @@ __all__ = [
     "SortMergeJoin",
     "TopN",
     "UnionAll",
+    "table_batch",
     "table_layout",
 ]

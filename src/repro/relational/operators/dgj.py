@@ -21,6 +21,13 @@ Two implementations, as in the paper:
 :class:`FirstPerGroup` is the early-termination driver at the top of a
 DGJ stack: it emits the first surviving row of each group, immediately
 advancing past the rest, and stops after ``n_groups`` emissions.
+
+:class:`IDGJProbe` is the batch-native form of the stack the ET plans
+build most often — ``FirstPerGroup`` over an IDGJ into a pairs table
+and one IDGJ into each of two keyed tables: it decides a whole group
+with a vectorised probe over per-group position arrays
+(:class:`GroupJoinIndex`) and charges the counters the tuple-at-a-time
+stack would have charged up to the same witness.
 """
 
 from __future__ import annotations
@@ -28,11 +35,20 @@ from __future__ import annotations
 from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ExecutionError
+from repro.relational.column import HAVE_NUMPY, ColumnValues, np
 from repro.relational.expressions import Expression, Row, is_truthy
 from repro.relational.index import HashIndex
 from repro.relational.operators.base import GroupAware, Operator
 from repro.relational.operators.scan import table_layout
 from repro.relational.table import Table
+
+
+#: Pairs rows one vectorised probe decides at a time.  A larger group is
+#: probed chunk by chunk, so a witness near its start does not pay for
+#: the whole group.
+PROBE_CHUNK = 1024
+
+_NO_GROUP = object()
 
 
 def _key_fn(positions: Sequence[int]):
@@ -73,11 +89,16 @@ class IDGJ(GroupAware):
         self._outer_row: Optional[Row] = None
         self._matches: Optional[Iterator[int]] = None
         self._opened = False
+        # The join directly over the group source is the one level that
+        # meets every group the stack probes: it counts them.
+        self._counts_groups = not isinstance(outer, (IDGJ, HDGJ))
+        self._probed_group: Any = _NO_GROUP
 
     def open(self) -> None:
         self.outer.open()
         self._outer_row = None
         self._matches = None
+        self._probed_group = _NO_GROUP
         self._opened = True
 
     def next(self) -> Optional[Row]:
@@ -98,6 +119,11 @@ class IDGJ(GroupAware):
             outer = self.outer.next()
             if outer is None:
                 return None
+            if self._counts_groups:
+                group = self.outer.current_group()
+                if group != self._probed_group:
+                    self._probed_group = group
+                    self.stats.groups_probed += 1
             self.stats.index_probes += 1
             self._outer_row = outer
             self._matches = iter(self.index.lookup(self.outer_key(outer)))
@@ -301,3 +327,177 @@ class FirstPerGroup(Operator):
 
     def children(self) -> List[Operator]:
         return [self.child]
+
+
+class GroupJoinIndex:
+    """Per-group position arrays for :class:`IDGJProbe`.
+
+    For one group key, :meth:`group` returns two aligned arrays with one
+    entry per pairs row of the group, in the order the group index lists
+    them: the heap position in each keyed table of the row that the
+    pairs row's probe column finds, ``-1`` where it finds none — exactly
+    what the upper two IDGJ levels' index probes would return, resolved
+    once instead of once per query.  Each keyed table is probed through
+    its primary-key index, so a probe finds at most one row.
+
+    Groups are resolved lazily, on first use.  The arrays describe one
+    version of the three tables; the owner drops the index when any of
+    them changes (``Table.data_version``).
+    """
+
+    def __init__(
+        self,
+        pairs: Table,
+        group_column: str,
+        probes: Sequence[Tuple[str, Table]],
+    ) -> None:
+        group_index = pairs.hash_index_on([group_column])
+        if group_index is None:
+            raise ExecutionError(
+                f"no hash index on {pairs.schema.name}.{group_column}"
+            )
+        self.pairs = pairs
+        self.tables = tuple(table for _, table in probes)
+        self._group_index = group_index
+        self._probes: List[Tuple[list, HashIndex]] = []
+        for column, table in probes:
+            key = table.schema.primary_key
+            index = table.hash_index_on([key]) if key is not None else None
+            if index is None:
+                raise ExecutionError(f"{table.schema.name} has no primary-key index")
+            values = pairs.store.column_values(pairs.schema.column_position(column))
+            self._probes.append((values, index))
+        self._groups: dict = {}
+
+    def group(self, key: Any) -> Tuple[Any, ...]:
+        found = self._groups.get(key)
+        if found is None:
+            rows = self._group_index.lookup(key)
+            found = tuple(
+                self._resolve(rows, values, index) for values, index in self._probes
+            )
+            self._groups[key] = found
+        return found
+
+    @staticmethod
+    def _resolve(rows: List[int], values: list, index: HashIndex) -> ColumnValues:
+        positions = [-1] * len(rows)
+        for i, row in enumerate(rows):
+            hit = index.lookup(values[row])
+            if hit:
+                positions[i] = hit[0]
+        return np.array(positions, dtype="int64") if HAVE_NUMPY else positions
+
+
+def _probe_mask(keep: ColumnValues) -> Any:
+    """Keep flags indexable by a resolved position: one trailing False,
+    so ``-1`` (no partner) reads as not kept."""
+    if not HAVE_NUMPY:
+        return list(keep) + [False]
+    mask = np.empty(len(keep) + 1, dtype=bool)
+    mask[:-1] = keep
+    mask[-1] = False
+    return mask
+
+
+class IDGJProbe(Operator):
+    """Batch-native ``FirstPerGroup(IDGJ(IDGJ(IDGJ(source, pairs), t1), t2))``.
+
+    ``source`` yields groups in the order they are to be decided (a
+    score-ordered scan of TopInfo); ``keep1`` / ``keep2`` are the
+    residual predicates of the two upper levels, each already evaluated
+    over its whole table into per-row keep flags.  For every group the
+    operator gathers the group's resolved positions from ``join_index``,
+    tests both flags a chunk at a time and stops at the first pairs row
+    that passes both — the witness the row stack would have stopped at.
+    It then returns the *source* row of that group and skips on, as
+    ``FirstPerGroup`` does.
+
+    The counters are those of the row stack, computed instead of
+    incremented: per group one probe into the pairs table; per pairs
+    row up to the witness one joined row and one probe into the first
+    table; per such row whose first partner is kept one joined row and
+    one probe into the second table; one joined row for the witness and
+    one skip per level.  The source is driven through ``next`` /
+    ``advance_to_next_group`` and charges for itself.
+    """
+
+    def __init__(
+        self,
+        source: GroupAware,
+        group_position: int,
+        join_index: GroupJoinIndex,
+        keep1: ColumnValues,
+        keep2: ColumnValues,
+    ) -> None:
+        super().__init__(source.layout, source.stats)
+        self.source = source
+        self.join_index = join_index
+        self._group_position = group_position
+        self._masks = (_probe_mask(keep1), _probe_mask(keep2))
+        self._probed_group: Any = _NO_GROUP
+        self._opened = False
+
+    def open(self) -> None:
+        self.source.open()
+        self._probed_group = _NO_GROUP
+        self._opened = True
+
+    def next(self) -> Optional[Row]:
+        if not self._opened:
+            raise ExecutionError("IDGJProbe.next() before open()")
+        stats = self.stats
+        while True:
+            row = self.source.next()
+            if row is None:
+                return None
+            group = self.source.current_group()
+            if group != self._probed_group:
+                self._probed_group = group
+                stats.groups_probed += 1
+            stats.index_probes += 1
+            if self._has_witness(row[self._group_position]):
+                stats.groups_skipped += 3
+                self.source.advance_to_next_group()
+                return row
+
+    def _has_witness(self, key: Any) -> bool:
+        first, second = self.join_index.group(key)
+        mask1, mask2 = self._masks
+        stats = self.stats
+        if not HAVE_NUMPY:
+            reached = 0  # rows whose first partner is kept
+            for done, (p1, p2) in enumerate(zip(first, second), 1):
+                if mask1[p1]:
+                    reached += 1
+                    if mask2[p2]:
+                        stats.index_probes += done + reached
+                        stats.rows_joined += done + reached + 1
+                        return True
+            stats.index_probes += len(first) + reached
+            stats.rows_joined += len(first) + reached
+            return False
+        for start in range(0, len(first), PROBE_CHUNK):
+            kept = mask1[first[start : start + PROBE_CHUNK]]
+            hits = kept & mask2[second[start : start + PROBE_CHUNK]]
+            at = int(hits.argmax())
+            if hits[at]:
+                reached = int(np.count_nonzero(kept[: at + 1]))
+                stats.index_probes += at + 1 + reached
+                stats.rows_joined += at + 2 + reached
+                return True
+            reached = int(np.count_nonzero(kept))
+            stats.index_probes += len(kept) + reached
+            stats.rows_joined += len(kept) + reached
+        return False
+
+    def close(self) -> None:
+        self.source.close()
+        self._opened = False
+
+    def describe(self) -> str:
+        first, second = (t.schema.name for t in self.join_index.tables)
+        return f"IDGJProbe({self.join_index.pairs.schema.name} -> {first}, {second})"
+
+    def children(self) -> List[Operator]:
+        return [self.source]

@@ -34,6 +34,19 @@ def _lowered_provider(
     return get
 
 
+def table_batch(table: Table) -> Batch:
+    """The whole table as one batch, without copying a column: what a
+    set-at-a-time caller evaluates a predicate over when it wants the
+    answer for every row at once (row ``i`` of the batch is heap
+    position ``i``)."""
+    store = table.store
+    columns = []
+    for position, values in enumerate(store.columns):
+        array = store.array(position)
+        columns.append(values if array is None else array)
+    return Batch(columns, store.length, lowered=store.lowered)
+
+
 class SeqScan(Operator):
     """Full scan of a table's heap."""
 

@@ -58,6 +58,7 @@ from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Se
 
 from repro.core.engine import TopologySearchSystem
 from repro.core.methods import MethodResult
+from repro.core.methods.base import TRACED_WORK
 from repro.core.plan import PlanCacheStats
 from repro.core.query import TopologyQuery
 from repro.errors import TopologyError
@@ -515,6 +516,7 @@ class ServingCore:
             plan={"choice": result.plan_choice},
             calibrator_version=self._calibrator_version(),
             spans=spans,
+            work={name: result.work.get(name, 0) for name in TRACED_WORK},
         )
 
     def _record_latency(self, name: str, seconds: float) -> None:

@@ -5,11 +5,20 @@ from __future__ import annotations
 import pytest
 
 from repro.core import RANKING_SCHEMES, Topology, WeakPathRules, score_column
-from repro.core.pathsql import chain_fragments, multi_chain_fragments, orient_signature
+from repro.core import NoConstraint, TopologyQuery
+from repro.core.methods.pruned import Endpoints
+from repro.core.pathsql import (
+    chain_fragments,
+    chain_reach,
+    chain_steps,
+    multi_chain_fragments,
+    orient_signature,
+)
 from repro.core.ranking import compute_scores, domain_score, freq_score, rare_score
 from repro.core.weak import BIOZON_WEAK_PATTERNS
 from repro.errors import TopologyError
 from repro.graph import canonical_key
+from repro.relational.column import to_pylist
 
 from tests.conftest import build_graph
 
@@ -86,6 +95,55 @@ class TestChainFragments:
         rows = fig3_system.engine.execute(sql).rows
         # Pairs with a P-U-D path: (78,215) x2 routes, (34,215), (44,742) x2.
         assert set(rows) == {(78, 215), (34, 215), (44, 742)}
+
+
+class TestChainSteps:
+    """The SQL text and the semi-join reduction are both derived from
+    ``chain_steps``: pinned for every class of every topology (pruned
+    ones included) of the Figure-3 and tiny stores."""
+
+    def test_steps_of_a_two_hop_chain(self):
+        assert chain_steps(C2[::-1]) == (
+            ("UniEncodes", "PID", "UID"),
+            ("UniContains", "UID", "DID"),
+        )
+
+    @pytest.mark.parametrize("fixture", ["fig3_system", "tiny_system"])
+    def test_sql_and_reduction_walk_the_same_steps(self, request, fixture):
+        system = request.getfixturevalue(fixture)
+        seen = set()
+        for topology in system.require_store().topologies.values():
+            es1, es2 = topology.entity_pair
+            everything = Endpoints(
+                system, TopologyQuery(es1, es2, NoConstraint(), NoConstraint())
+            )
+            for signature in topology.class_signatures:
+                oriented = orient_signature(signature, es1, es2)
+                if oriented in seen:
+                    continue
+                seen.add(oriented)
+                steps = chain_steps(oriented)
+                chain = chain_fragments(oriented, "A", "B", "c")
+
+                # The SQL text, rebuilt from the steps alone.
+                assert chain.from_items == tuple(
+                    f"{table} cr{i}" for i, (table, _, _) in enumerate(steps)
+                )
+                joins, node = [], "A.ID"
+                for i, (_, from_column, to_column) in enumerate(steps):
+                    joins.append(f"cr{i}.{from_column} = {node}")
+                    node = f"cr{i}.{to_column}"
+                joins.append(f"B.ID = {node}")
+                assert [c for c in chain.conditions if "<>" not in c] == joins
+
+                # The reduction reaches what those joins reach.
+                rows = system.engine.execute(
+                    f"SELECT DISTINCT B.ID FROM {es1} A, {es2} B, {chain.from_sql()} "
+                    f"WHERE {' AND '.join(joins)}"
+                ).rows
+                reached = chain_reach(system.database, oriented, everything.ids(0))
+                assert set(to_pylist(reached)) == {row[0] for row in rows}, oriented
+        assert len(seen) >= 3
 
 
 class TestRanking:

@@ -63,6 +63,7 @@ class TestGoldenRecord:
             plan={"choice": "et-idgj"},
             calibrator_version=3,
             spans=[make_span("server.query", "s1"), make_span("engine.plan", "s2", "s1")],
+            work={"pruned_checks": 2, "pruned_checks_proved_empty": 1, "groups_probed": 9},
         )
         assert record == {
             "event": "slow_query",
@@ -79,6 +80,7 @@ class TestGoldenRecord:
             "elapsed_seconds": 2.0,
             "threshold_seconds": 1.0,
             "plan": {"choice": "et-idgj"},
+            "work": {"pruned_checks": 2, "pruned_checks_proved_empty": 1, "groups_probed": 9},
             "calibrator_version": 3,
             "generation": 7,
             "spans": [

@@ -287,24 +287,46 @@ def test_state_digest_identical_across_modes():
     assert col_digest == row_digest
 
 
-def test_nine_methods_agree_across_modes(fig3_system):
-    from repro.core import KeywordConstraint, NoConstraint, TopologyQuery
+@pytest.mark.parametrize(
+    "fixture, dna_type, proves_empty",
+    [
+        ("fig3_system", None, False),
+        # On the tiny store the pruned (Protein, DNA) topology's check is
+        # provably empty under TYPE = 'EST': the reducer answers it in
+        # both modes, and every method must still agree.
+        ("tiny_system", "EST", True),
+    ],
+)
+def test_nine_methods_agree_across_modes(request, fixture, dna_type, proves_empty):
+    from repro.core import (
+        AttributeConstraint,
+        KeywordConstraint,
+        NoConstraint,
+        TopologyQuery,
+    )
     from repro.core.methods import METHOD_CLASSES
 
-    plain = TopologyQuery(
-        "Protein", "DNA", KeywordConstraint("DESC", "human"), NoConstraint()
-    )
-    topk = TopologyQuery(
-        "Protein", "DNA", KeywordConstraint("DESC", "human"), NoConstraint(), k=3
-    )
+    system = request.getfixturevalue(fixture)
+    first = KeywordConstraint("DESC", "human")
+    second = NoConstraint() if dna_type is None else AttributeConstraint("TYPE", dna_type)
+    plain = TopologyQuery("Protein", "DNA", first, second)
+    topk = TopologyQuery("Protein", "DNA", first, second, k=3)
+    answers = {}
     for name in ALL_METHOD_NAMES:
         query = topk if METHOD_CLASSES[name].is_topk else plain
         with row_mode():
-            expected = create_method(name, fig3_system).run(query)
+            expected = create_method(name, system).run(query)
         with columnar_mode():
-            actual = create_method(name, fig3_system).run(query)
+            actual = create_method(name, system).run(query)
         assert actual.tids == expected.tids, f"method {name}: TIDs differ"
         assert actual.scores == expected.scores, f"method {name}: scores differ"
+        if name.startswith("fast-"):
+            for result in (expected, actual):
+                proved = result.work["pruned_checks_proved_empty"]
+                assert (proved > 0) == proves_empty, f"method {name}"
+        answers[name] = actual.tids
+    assert answers["fast-top"] == answers["full-top"] == answers["sql"]
+    assert len({tuple(answers[n]) for n in ALL_METHOD_NAMES if METHOD_CLASSES[n].is_topk}) == 1
 
 
 # ----------------------------------------------------------------------

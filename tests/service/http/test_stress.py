@@ -7,7 +7,7 @@ provably disagree, so a torn half-old/half-new answer cannot pass), the
 generation stamps each thread observes must be monotone, and the
 ``GET /stats`` payload polled mid-storm must satisfy the exact counter
 invariants — the wire-visible form of the snapshot-consistency fix in
-:meth:`repro.service.facade.LatencyStats.snapshot`.
+:meth:`repro.service.core.LatencyStats.snapshot`.
 """
 
 from __future__ import annotations

@@ -14,7 +14,12 @@ from __future__ import annotations
 import pytest
 
 from difftest.gen import gen_topology_queries, make_rng
-from repro.core import ALL_METHOD_NAMES
+from repro.core import (
+    ALL_METHOD_NAMES,
+    AttributeConstraint,
+    KeywordConstraint,
+    TopologyQuery,
+)
 from repro.service import ShardCoordinator
 from repro.shard import split_system
 
@@ -59,6 +64,27 @@ def test_random_workload_matches_unsharded(
                 checked += 1
     # The sweep must have real coverage of both merge shapes.
     assert checked >= len(difftest_seeds) * len(ALL_METHOD_NAMES)
+
+
+def test_empty_pruned_check_matches_unsharded(coordinator2, tiny_system):
+    """The constraint pair whose pruned check the reducer proves empty
+    (no EST sequence encodes a protein): each shard answers it without
+    the statement, and the merge still equals the unsharded answer of
+    every method."""
+    first = KeywordConstraint("DESC", "human")
+    second = AttributeConstraint("TYPE", "EST")
+    plain = TopologyQuery("Protein", "DNA", first, second)
+    topk = TopologyQuery("Protein", "DNA", first, second, k=5, ranking="freq")
+    exhaustive = tiny_system.search(plain, method="full-top")
+    for method in ALL_METHOD_NAMES:
+        query = plain if method in EXHAUSTIVE_METHODS else topk
+        reference = tiny_system.search(query, method=method)
+        if method.startswith("fast-"):
+            assert reference.work["pruned_checks_proved_empty"] > 0, method
+        merged = coordinator2.query(query, method=method)
+        assert merged.tids == reference.tids, method
+        assert merged.scores == reference.scores, method
+        assert set(merged.tids) <= set(exhaustive.tids), method
 
 
 def test_sweep_covers_both_merge_shapes(difftest_seeds):
