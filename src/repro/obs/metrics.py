@@ -1,31 +1,36 @@
-"""Unified metrics registry with Prometheus text exposition.
+"""Event counters and the Prometheus text exposition.
 
-One process-wide :class:`MetricsRegistry` owns every metric behind a
-stable dotted name (``repro.http.requests``); rendering converts dots to
-underscores for the Prometheus name charset.  Each metric carries its
-own lock and is snapshotted in a single acquisition — the same
-torn-read discipline `/stats` follows — and *collectors* let a scrape
-derive many samples from one consistent source snapshot instead of
-locking many components one by one.
+Most numbers a server exports are *state*: one snapshot owns them
+(``ServingCore.stats()``, the admission gate, the tracer), and
+``GET /metrics`` renders them from the same payload ``GET /stats``
+serves (:mod:`repro.service.http.metricsview`) — that is what keeps
+``hits + misses == requests`` exact inside one scrape.  This module is
+for what has no snapshot owner: *events* counted where they happen,
+deep inside the engine, by code that knows nothing about serving.  One
+process-wide :class:`MetricsRegistry` hands out :class:`Counter` objects
+behind stable dotted names (``repro.engine.pruned_checks``); each
+carries its own lock and is read in a single acquisition.
 
-Only stdlib; histogram buckets are fixed at registration (bounded
-memory, O(#buckets) per observe).
+:meth:`MetricsRegistry.render` writes the text format (version 0.0.4)
+for the registry's counters plus whatever families the caller derived
+from its snapshot; rendering converts dots to underscores for the
+Prometheus name charset.  Only stdlib.
 """
 
 from __future__ import annotations
 
 import threading
 from bisect import bisect_left
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 __all__ = [
     "LATENCY_BUCKETS",
     "Counter",
-    "Gauge",
-    "Histogram",
+    "Family",
     "MetricsRegistry",
     "Sample",
     "bucket_index",
+    "histogram_samples",
     "prom_name",
     "registry",
 ]
@@ -49,8 +54,10 @@ LATENCY_BUCKETS: Tuple[float, ...] = (
     10.0,
 )
 
-# A sample is (suffix-less metric name, labels, value).
+# A sample is (metric name incl. any _bucket/_sum/_count suffix, labels, value).
 Sample = Tuple[str, Dict[str, str], float]
+# A family is (dotted name, kind, help text, samples).
+Family = Tuple[str, str, str, List[Sample]]
 
 _LabelKey = Tuple[Tuple[str, str], ...]
 
@@ -89,33 +96,40 @@ def _format_value(value: float) -> str:
     return repr(float(value))
 
 
-def _label_key(labels: Dict[str, str]) -> _LabelKey:
-    return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
+def histogram_samples(
+    name: str,
+    labels: Dict[str, str],
+    bounds: Sequence[float],
+    counts: Sequence[int],
+    total: float,
+) -> List[Sample]:
+    """One labeled histogram series, Prometheus-style: cumulative
+    ``_bucket`` samples over ``bounds`` plus ``+Inf``, then ``_sum`` and
+    ``_count``.  ``counts`` are per-bucket (not cumulative) and hold one
+    more entry than ``bounds`` — the last is the implicit +Inf bucket."""
+    out: List[Sample] = []
+    running = 0
+    for bound, count in zip(bounds, counts):
+        running += count
+        out.append((name + "_bucket", {**labels, "le": _format_value(float(bound))}, float(running)))
+    running += counts[-1]
+    out.append((name + "_bucket", {**labels, "le": "+Inf"}, float(running)))
+    out.append((name + "_sum", labels, float(total)))
+    out.append((name + "_count", labels, float(running)))
+    return out
 
 
-class _Metric:
-    """Base: name, help text, per-metric lock, labeled children."""
-
-    kind = "untyped"
+class Counter:
+    """A monotonically increasing count per label set."""
 
     def __init__(self, name: str, help_text: str) -> None:
         self.name = name
         self.help = help_text
         self._lock = threading.Lock()
-
-    def samples(self) -> List[Sample]:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class Counter(_Metric):
-    kind = "counter"
-
-    def __init__(self, name: str, help_text: str) -> None:
-        super().__init__(name, help_text)
         self._values: Dict[_LabelKey, float] = {}
 
     def inc(self, amount: float = 1.0, **labels: str) -> None:
-        key = _label_key(labels)
+        key = tuple(sorted((str(k), str(v)) for k, v in labels.items()))
         with self._lock:
             self._values[key] = self._values.get(key, 0.0) + amount
 
@@ -125,182 +139,46 @@ class Counter(_Metric):
         if not items:
             return [(self.name, {}, 0.0)]
         return [(self.name, dict(key), value) for key, value in items]
-
-
-class Gauge(_Metric):
-    kind = "gauge"
-
-    def __init__(self, name: str, help_text: str) -> None:
-        super().__init__(name, help_text)
-        self._values: Dict[_LabelKey, float] = {}
-
-    def set(self, value: float, **labels: str) -> None:
-        key = _label_key(labels)
-        with self._lock:
-            self._values[key] = float(value)
-
-    def inc(self, amount: float = 1.0, **labels: str) -> None:
-        key = _label_key(labels)
-        with self._lock:
-            self._values[key] = self._values.get(key, 0.0) + amount
-
-    def dec(self, amount: float = 1.0, **labels: str) -> None:
-        self.inc(-amount, **labels)
-
-    def samples(self) -> List[Sample]:
-        with self._lock:
-            items = list(self._values.items())
-        if not items:
-            return [(self.name, {}, 0.0)]
-        return [(self.name, dict(key), value) for key, value in items]
-
-
-class Histogram(_Metric):
-    """Fixed-bound histogram exporting cumulative ``_bucket``/``_sum``/
-    ``_count`` series, Prometheus-style."""
-
-    kind = "histogram"
-
-    def __init__(
-        self,
-        name: str,
-        help_text: str,
-        buckets: Sequence[float] = LATENCY_BUCKETS,
-    ) -> None:
-        super().__init__(name, help_text)
-        bounds = tuple(sorted(float(b) for b in buckets))
-        if not bounds:
-            raise ValueError("histogram needs at least one bucket bound")
-        self.bounds = bounds
-        self._counts: Dict[_LabelKey, List[int]] = {}
-        self._sums: Dict[_LabelKey, float] = {}
-
-    def observe(self, value: float, **labels: str) -> None:
-        key = _label_key(labels)
-        index = bucket_index(self.bounds, value)
-        with self._lock:
-            counts = self._counts.get(key)
-            if counts is None:
-                counts = [0] * (len(self.bounds) + 1)
-                self._counts[key] = counts
-            counts[index] += 1
-            self._sums[key] = self._sums.get(key, 0.0) + value
-
-    def samples(self) -> List[Sample]:
-        with self._lock:
-            items = [
-                (key, list(counts), self._sums.get(key, 0.0))
-                for key, counts in self._counts.items()
-            ]
-        if not items:
-            items = [((), [0] * (len(self.bounds) + 1), 0.0)]
-        out: List[Sample] = []
-        for key, counts, total in items:
-            labels = dict(key)
-            running = 0
-            for bound, count in zip(self.bounds, counts):
-                running += count
-                out.append(
-                    (self.name + "_bucket", {**labels, "le": _format_value(bound)}, float(running))
-                )
-            running += counts[-1]
-            out.append((self.name + "_bucket", {**labels, "le": "+Inf"}, float(running)))
-            out.append((self.name + "_sum", labels, total))
-            out.append((self.name + "_count", labels, float(running)))
-        return out
 
 
 class MetricsRegistry:
-    """Process-wide registry: get-or-create metrics, pluggable
-    collectors, and a single :meth:`render` to Prometheus text."""
+    """Process-wide registry: get-or-create counters, and a single
+    :meth:`render` to Prometheus text."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._metrics: "Dict[str, _Metric]" = {}
-        self._collectors: List[Callable[[], Iterable[Tuple[str, str, str, Sample]]]] = []
-
-    # -- registration ------------------------------------------------
-
-    def _get_or_create(
-        self, cls: type, name: str, help_text: str, **kwargs: Any
-    ) -> _Metric:
-        with self._lock:
-            existing = self._metrics.get(name)
-            if existing is not None:
-                if not isinstance(existing, cls):
-                    raise ValueError(
-                        f"metric {name!r} already registered as {existing.kind}"
-                    )
-                return existing
-            metric = cls(name, help_text, **kwargs)
-            self._metrics[name] = metric
-            return metric
+        self._counters: Dict[str, Counter] = {}
 
     def counter(self, name: str, help_text: str = "") -> Counter:
-        return self._get_or_create(Counter, name, help_text)
-
-    def gauge(self, name: str, help_text: str = "") -> Gauge:
-        return self._get_or_create(Gauge, name, help_text)
-
-    def histogram(
-        self,
-        name: str,
-        help_text: str = "",
-        buckets: Sequence[float] = LATENCY_BUCKETS,
-    ) -> Histogram:
-        return self._get_or_create(Histogram, name, help_text, buckets=buckets)
-
-    def add_collector(
-        self, fn: Callable[[], Iterable[Tuple[str, str, str, Sample]]]
-    ) -> None:
-        """Register a scrape-time callback yielding
-        ``(name, kind, help, sample)`` tuples derived from one
-        consistent snapshot of some component."""
         with self._lock:
-            self._collectors.append(fn)
-
-    def names(self) -> List[str]:
-        with self._lock:
-            return sorted(self._metrics)
+            counter = self._counters.get(name)
+            if counter is None:
+                counter = self._counters[name] = Counter(name, help_text)
+            return counter
 
     def reset(self) -> None:
+        """Forget every counter: a forked worker process starts from
+        zero, not from its parent's counts."""
         with self._lock:
-            self._metrics.clear()
-            self._collectors.clear()
+            self._counters.clear()
 
-    # -- rendering ---------------------------------------------------
-
-    def gather(self) -> "List[Tuple[str, str, str, List[Sample]]]":
-        """All families as ``(dotted_name, kind, help, samples)``."""
+    def gather(self) -> List[Family]:
+        """All counters as families, sorted by name."""
         with self._lock:
-            metrics = list(self._metrics.values())
-            collectors = list(self._collectors)
-        families: Dict[str, Tuple[str, str, List[Sample]]] = {}
-        for metric in metrics:
-            families[metric.name] = (metric.kind, metric.help, metric.samples())
-        for collect in collectors:
-            for name, kind, help_text, sample in collect():
-                kind0, help0, samples = families.setdefault(name, (kind, help_text, []))
-                samples.append(sample)
-        return [
-            (name, kind, help_text, samples)
-            for name, (kind, help_text, samples) in sorted(families.items())
-        ]
+            counters = sorted(self._counters.items())
+        return [(name, "counter", c.help, c.samples()) for name, c in counters]
 
-    def render(
-        self, extra_families: Optional[Iterable[Tuple[str, str, str, Any]]] = None
-    ) -> str:
-        """Prometheus text exposition (format version 0.0.4)."""
+    def render(self, extra_families: Iterable[Family] = ()) -> str:
+        """Prometheus text exposition (format version 0.0.4): the
+        registry's counters, then ``extra_families`` in the order given.
+        Families that share a name render once, under the first one's
+        header with every one's samples — a coordinator's per-shard
+        samples of a counter this process also bumps stay one family."""
+        merged: Dict[str, Tuple[str, str, List[Sample]]] = {}
+        for dotted, kind, help_text, samples in [*self.gather(), *extra_families]:
+            merged.setdefault(prom_name(dotted), (kind, help_text, []))[2].extend(samples)
         lines: List[str] = []
-        families = self.gather()
-        if extra_families:
-            families = families + list(extra_families)
-        seen: set = set()
-        for dotted, kind, help_text, samples in families:
-            base = prom_name(dotted)
-            if base in seen:
-                continue
-            seen.add(base)
+        for base, (kind, help_text, samples) in merged.items():
             if help_text:
                 lines.append(f"# HELP {base} {help_text}")
             lines.append(f"# TYPE {base} {kind}")

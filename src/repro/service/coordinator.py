@@ -548,10 +548,12 @@ class ShardCoordinator(ServingCore):
 
     def shard_obs_sections(self) -> List[Dict[str, Any]]:
         """Best-effort per-shard observability sections for `/metrics`:
-        plan-cache counters and calibrator state scraped from each live
-        worker.  A dead or slow shard reports ``{"up": False}`` instead
-        of failing the scrape — metrics must stay readable exactly when
-        shards are in trouble."""
+        generation, plan-cache counters, calibrator state and event
+        counters scraped from each live worker (the shape is
+        ``replica._shard_obs_stats``'s, plus ``index`` and ``up``).  A
+        dead or slow shard reports ``{"up": False}`` instead of failing
+        the scrape — metrics must stay readable exactly when shards are
+        in trouble."""
         with self._rw.read_locked():
             backends = list(self._backends)
         calls: List[Tuple[int, Any]] = []

@@ -415,52 +415,57 @@ class TopologyHttpApp:
         log.generation = generation
         await self._send_json(send, {"status": "ok", "generation": generation}, log)
 
-    async def _handle_stats(
-        self, scope: Scope, receive: Receive, send: Send, log: RequestLog
-    ) -> None:
-        # ONE ServingStats snapshot feeds every counter in the payload;
-        # a second read of the live server mid-traffic could break the
-        # hits+misses==requests invariant the stress suite asserts.
+    def _stats_payload(self) -> Dict[str, Any]:
+        """The ``GET /stats`` body, and the part of the ``/metrics``
+        payload that is cheap enough for the event loop.
+
+        ONE ServingStats snapshot feeds every server counter in it; a
+        second read of the live server mid-traffic could break the
+        hits+misses==requests invariant the stress suite asserts.  A
+        sharded backend (ShardCoordinator) adds its per-shard sections
+        (already in the snapshot) and the routing-skew block; a plain
+        TopologyServer has neither."""
         stats = self.server.stats()
         payload = server_stats_to_wire(stats, self.server.latency_stats())
-        # Sharded backend (ShardCoordinator): surface the per-shard
-        # sections and the routing-skew block alongside the shared
-        # counter shape.  A plain TopologyServer has neither.
         if stats.shards is not None:
-            payload["shards"] = stats.shards
-            payload["uptime_seconds"] = stats.uptime_seconds
-            payload["started_generation"] = stats.started_generation
             payload["sharding"] = self.server.skew_report()
         with self._stats_lock:
-            http_section = {
+            payload["http"] = {
                 "requests_total": self._requests_total,
                 "responses_by_class": dict(self._responses_by_class),
             }
-        http_section["admission"] = self.gate.stats()
-        payload["http"] = http_section
-        log.generation = stats.generation
+        payload["http"]["admission"] = self.gate.stats()
+        return payload
+
+    def _scrape_payload(self) -> Dict[str, Any]:
+        """What ``/metrics`` renders (see :mod:`.metricsview`): the
+        ``/stats`` payload plus the sections only a scrape pays for —
+        the calibrator (behind a coordinator it lives shard-side), the
+        tracer, and the shard workers' own sections, which cost a
+        cross-process round trip per shard."""
+        payload = self._stats_payload()
+        if "shards" in payload:
+            payload["shard_obs"] = self.server.shard_obs_sections()
+        else:
+            payload["calibrator"] = self.server.calibration_stats()
+        payload["tracer"] = obs_tracer().stats()
+        return payload
+
+    async def _handle_stats(
+        self, scope: Scope, receive: Receive, send: Send, log: RequestLog
+    ) -> None:
+        payload = self._stats_payload()
+        log.generation = payload["generation"]
         await self._send_json(send, payload, log)
 
     async def _handle_metrics(
         self, scope: Scope, receive: Receive, send: Send, log: RequestLog
     ) -> None:
-        with self._stats_lock:
-            http_section = {
-                "requests_total": self._requests_total,
-                "responses_by_class": dict(self._responses_by_class),
-            }
-        gate_stats = self.gate.stats()
-        tracer_stats = obs_tracer().stats()
-        # The server snapshot (and, behind a coordinator, the worker
-        # scrape) happens off the event loop: shard_obs_sections does
-        # cross-process round trips.  No admission slot — the scrape
-        # must answer exactly when the gate is saturated.
+        # Off the event loop — the worker scrape blocks on IPC — and
+        # with no admission slot: the scrape must answer exactly when
+        # the gate is saturated.
         text = await self._run_blocking(
-            lambda: obs_registry().render(
-                extra_families=metrics_families(
-                    self.server, http_section, gate_stats, tracer_stats
-                )
-            ),
+            lambda: obs_registry().render(metrics_families(self._scrape_payload())),
             self.request_timeout,
         )
         body = text.encode("utf-8")

@@ -1,321 +1,153 @@
-"""Build the ``GET /metrics`` exposition from ONE stats snapshot.
+"""``GET /metrics`` as a table over the payload ``GET /stats`` serves.
 
-The scattered counters this system already keeps — result-cache and
-plan-cache hit rates, calibrator state, admission gate, per-shard
-routing and failure-domain counters, latency histograms, tracer ring
-occupancy — are folded into Prometheus *families* behind stable dotted
-names (``repro.cache.hits`` → ``repro_cache_hits``).  Everything is
-derived from a single ``server.stats()`` snapshot plus one read of each
-independent component, the same torn-read discipline ``/stats`` follows:
-a scrape must never show ``hits + misses != requests`` because the two
-numbers came from different instants.
+Every exported family is one row of :data:`METRIC_TABLE`: a stable
+dotted name (``repro.cache.hits`` → ``repro_cache_hits``), its kind and
+help text, and the *path* of its value in the payload
+:meth:`TopologyHttpApp._scrape_payload
+<repro.service.http.app.TopologyHttpApp>` builds — the ``/stats`` body
+plus the calibrator, tracer and (behind a
+:class:`~repro.service.coordinator.ShardCoordinator`) per-shard worker
+sections.  Nothing here reads a live component, so a scrape shows the
+numbers of one ``ServingStats`` snapshot and can never report
+``hits + misses != requests``.
 
-Against a :class:`~repro.service.coordinator.ShardCoordinator` the
-scrape also merges the shard workers' own observability sections
-(plan-cache counters, calibrator version, generation) labeled by shard
-index, with ``repro_shard_up`` marking workers that answered — a dead
-shard flips its gauge to 0 instead of failing the scrape.
+A path is ``/``-separated keys.  One ``*`` fans out over the dict or
+list it lands on — one sample per element, labeled (the row's fifth
+field names the label) with the dict key or the list element's
+``index`` — and the rest of the path is followed inside each element.
+An element the rest does not resolve in yields no sample, which is how
+a dead shard worker (its section is ``{"index", "up": False}``) shows
+as ``repro_shard_up{shard="N"} 0`` and nothing else.  A row whose path
+resolves nowhere is not rendered: a coordinator has no ``calibrator``
+section, a plain server no ``shards``.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.obs import LATENCY_BUCKETS
-from repro.obs.metrics import Sample, _format_value
+from repro.obs.metrics import Family, Sample, histogram_samples
 
-__all__ = ["metrics_families"]
+__all__ = ["METRIC_TABLE", "metrics_families"]
 
-Family = Tuple[str, str, str, List[Sample]]
+#: ``(dotted name, kind, help, path[, label])``, one family per row, in
+#: exposition order.  relint R8 reads this table: every row leads with a
+#: dotted-lowercase string literal.
+# fmt: off
+METRIC_TABLE: Tuple[Tuple[str, ...], ...] = (
+    ("repro.server.generation", "gauge", "Serving generation.", "generation"),
+    ("repro.server.requests", "counter", "Query requests served.", "requests"),
+    ("repro.server.executions", "counter", "Engine executions dispatched.", "executions"),
+    ("repro.server.coalesced", "counter", "Requests coalesced onto an in-flight execution.", "coalesced"),
+    ("repro.server.failures", "counter", "Failed executions.", "failures"),
+    ("repro.server.rebuilds", "counter", "Committed rebuilds.", "rebuilds"),
+    ("repro.server.restores", "counter", "Snapshot restores.", "restores"),
+    ("repro.server.in_flight", "gauge", "Executions in flight.", "in_flight"),
+    ("repro.cache.hits", "counter", "Result cache hits.", "result_cache/hits"),
+    ("repro.cache.misses", "counter", "Result cache misses.", "result_cache/misses"),
+    ("repro.cache.size", "gauge", "Result cache entries.", "result_cache/size"),
+    ("repro.cache.capacity", "gauge", "Result cache capacity.", "result_cache/capacity"),
+    ("repro.plan_cache.hits", "counter", "Plan cache hits.", "plan_cache/hits"),
+    ("repro.plan_cache.misses", "counter", "Plan cache misses.", "plan_cache/misses"),
+    ("repro.plan_cache.invalidations", "counter", "Plan cache invalidations (rebuild/calibration).", "plan_cache/invalidations"),
+    ("repro.plan_cache.size", "gauge", "Plan cache entries.", "plan_cache/size"),
+    ("repro.plan_cache.capacity", "gauge", "Plan cache capacity.", "plan_cache/capacity"),
+    ("repro.query.latency_seconds", "histogram", "Engine execution latency by method.", "latency/*", "method"),
+    # Plain server only: behind a coordinator, calibration lives shard-side.
+    ("repro.calibrator.version", "gauge", "Cost calibrator version (bumps on refit).", "calibrator/version"),
+    ("repro.calibrator.observations", "counter", "Calibration observations per strategy.", "calibrator/strategies/*/count", "strategy"),
+    ("repro.calibrator.factor", "gauge", "Learned cost factor per strategy.", "calibrator/strategies/*/factor", "strategy"),
+    # Coordinator only: process age, the coordinator's own view of each shard
+    # (`shards`), then what each shard worker reported about itself (`shard_obs`).
+    ("repro.server.uptime_seconds", "gauge", "Seconds serving.", "uptime_seconds"),
+    ("repro.server.started_generation", "gauge", "Generation this process started on.", "started_generation"),
+    ("repro.shard.routed_rows", "gauge", "Rows routed to each shard.", "shards/*/routed_rows", "shard"),
+    ("repro.shard.calls", "counter", "Scatter calls per shard.", "shards/*/calls", "shard"),
+    ("repro.shard.failures", "counter", "Failed scatter calls per shard.", "shards/*/failures", "shard"),
+    ("repro.shard.timeouts", "counter", "Timed-out scatter calls per shard.", "shards/*/timeouts", "shard"),
+    ("repro.shard.skew", "gauge", "Routing skew (max/mean routed rows; 1.0 = balanced).", "sharding/skew"),
+    ("repro.shard.up", "gauge", "1 if the shard worker answered the scrape.", "shard_obs/*/up", "shard"),
+    ("repro.shard.generation", "gauge", "Serving generation per worker.", "shard_obs/*/generation", "shard"),
+    ("repro.shard.plan_cache.hits", "counter", "Worker-side plan cache hits per shard.", "shard_obs/*/plan_cache/hits", "shard"),
+    ("repro.shard.plan_cache.misses", "counter", "Worker-side plan cache misses per shard.", "shard_obs/*/plan_cache/misses", "shard"),
+    ("repro.shard.plan_cache.invalidations", "counter", "Worker-side plan cache invalidations per shard.", "shard_obs/*/plan_cache/invalidations", "shard"),
+    ("repro.shard.plan_cache.size", "gauge", "Worker-side plan cache size per shard.", "shard_obs/*/plan_cache/size", "shard"),
+    ("repro.shard.calibrator.version", "gauge", "Worker-side cost calibrator version per shard.", "shard_obs/*/calibrator/version", "shard"),
+    # The workers' event counter.  (This process's, if it runs an engine too,
+    # comes from the registry and renders in the same family.)
+    ("repro.engine.pruned_checks", "counter", "Online checks of pruned topologies, by outcome.", "shard_obs/*/counters/repro.engine.pruned_checks", "shard"),
+    # The HTTP layer and the tracer of this process.
+    ("repro.http.requests", "counter", "HTTP requests received.", "http/requests_total"),
+    ("repro.http.responses", "counter", "HTTP responses by status class.", "http/responses_by_class/*", "class"),
+    ("repro.http.admission.active", "gauge", "Requests holding an admission slot.", "http/admission/active"),
+    ("repro.http.admission.waiting", "gauge", "Requests queued at the admission gate.", "http/admission/waiting"),
+    ("repro.http.admission.max_concurrency", "gauge", "Admission concurrency limit.", "http/admission/max_concurrency"),
+    ("repro.http.admission.max_queue", "gauge", "Admission queue limit.", "http/admission/max_queue"),
+    ("repro.http.admission.admitted", "counter", "Requests admitted.", "http/admission/admitted"),
+    ("repro.http.admission.rejected_queue_full", "counter", "Requests shed: queue full.", "http/admission/rejected_queue_full"),
+    ("repro.http.admission.rejected_timeout", "counter", "Requests shed: queue timeout.", "http/admission/rejected_timeout"),
+    ("repro.trace.enabled", "gauge", "1 if tracing is enabled in this process.", "tracer/enabled"),
+    ("repro.trace.buffered_traces", "gauge", "Traces held in the ring buffer.", "tracer/traces"),
+    ("repro.trace.spans_recorded", "counter", "Spans recorded since start.", "tracer/spans_recorded"),
+    ("repro.trace.spans_dropped", "counter", "Spans dropped (per-trace cap).", "tracer/spans_dropped"),
+)
+# fmt: on
 
 
-def _single(name: str, kind: str, help_text: str, value: float) -> Family:
-    return (name, kind, help_text, [(name, {}, float(value))])
+def _at(node: Any, path: str) -> Any:
+    """The value ``path`` leads to under ``node``, or ``None``."""
+    for key in filter(None, path.split("/")):
+        if not isinstance(node, dict) or key not in node:
+            return None
+        node = node[key]
+    return node
 
 
-def _labeled(
-    name: str, kind: str, help_text: str, samples: List[Tuple[Dict[str, str], float]]
-) -> Family:
-    return (name, kind, help_text, [(name, labels, float(v)) for labels, v in samples])
+def _scalar(name: str, labels: Dict[str, str], leaf: Any) -> List[Sample]:
+    """A number is one sample.  A list is registry samples shipped from
+    another process, ``(labels, value)`` each, which keep their labels."""
+    if isinstance(leaf, list):
+        return [(name, {**labels, **own}, float(value)) for own, value in leaf]
+    return [(name, labels, float(leaf))]
 
 
-def _latency_family(latency: Dict[str, Dict[str, Any]]) -> Family:
-    """Per-method engine-latency histogram from the count-preserving
-    buckets ``LatencyStats.snapshot()`` carries (cumulative ``le``
-    series + ``_sum`` + ``_count``, Prometheus-style)."""
-    name = "repro.query.latency_seconds"
+def _histogram(name: str, labels: Dict[str, str], leaf: Any) -> List[Sample]:
+    """A ``LatencyStats.snapshot()`` is one cumulative-bucket series."""
+    buckets = leaf["buckets"]
+    return histogram_samples(name, labels, buckets["le"], buckets["counts"], leaf["total_seconds"])
+
+
+def _samples(
+    payload: Dict[str, Any], name: str, kind: str, path: str, label: str = ""
+) -> Optional[List[Sample]]:
+    """The row's samples, or ``None`` when the payload has no such
+    family.  Where the path ends at the ``*`` the container's entries
+    *are* the series, and an empty one is a family with no series yet
+    (header only).  Where a value is picked out of each element, a
+    family needs one element that has it: no calibrated strategy yet,
+    or every worker down, is no family at all."""
+    render = _histogram if kind == "histogram" else _scalar
+    head, star, rest = path.partition("*")
+    node = _at(payload, head)
+    if node is None:
+        return None
+    if not star:
+        return render(name, {}, node)
+    elements = sorted(node.items()) if isinstance(node, dict) else [(e["index"], e) for e in node]
     samples: List[Sample] = []
-    for method, snap in sorted(latency.items()):
-        buckets = snap.get("buckets") or {}
-        bounds = buckets.get("le") or list(LATENCY_BUCKETS)
-        counts = buckets.get("counts") or [0] * (len(bounds) + 1)
-        running = 0
-        for bound, count in zip(bounds, counts):
-            running += count
-            samples.append(
-                (
-                    name + "_bucket",
-                    {"method": method, "le": _format_value(float(bound))},
-                    float(running),
-                )
-            )
-        running += counts[-1] if len(counts) > len(bounds) else 0
-        samples.append((name + "_bucket", {"method": method, "le": "+Inf"}, float(running)))
-        samples.append((name + "_sum", {"method": method}, float(snap.get("total_seconds", 0.0))))
-        samples.append((name + "_count", {"method": method}, float(snap.get("count", 0))))
-    if not samples:
-        return (name, "histogram", "Engine execution latency by method.", [])
-    return (name, "histogram", "Engine execution latency by method.", samples)
+    for key, element in elements:
+        leaf = _at(element, rest)
+        if leaf is not None:
+            samples.extend(render(name, {label: str(key)}, leaf))
+    return samples if samples or not rest else None
 
 
-def _shard_families(stats: Any, server: Any) -> List[Family]:
-    """What only a ShardCoordinator reports: uptime, per-shard
-    routing/health gauges, and the merged worker-side observability
-    sections (best-effort: a dead worker is ``up 0``)."""
-    shards = stats.shards
-    if shards is None:
-        return []
-    families: List[Family] = [
-        _single("repro.server.uptime_seconds", "gauge", "Seconds serving.", stats.uptime_seconds),
-        _single(
-            "repro.server.started_generation",
-            "gauge",
-            "Generation this process started on.",
-            stats.started_generation,
-        ),
-    ]
-    routed: List[Tuple[Dict[str, str], float]] = []
-    calls: List[Tuple[Dict[str, str], float]] = []
-    failures: List[Tuple[Dict[str, str], float]] = []
-    timeouts: List[Tuple[Dict[str, str], float]] = []
-    for section in shards:
-        label = {"shard": str(section.get("index"))}
-        routed.append((label, section.get("routed_rows", 0)))
-        calls.append((label, section.get("calls", 0)))
-        failures.append((label, section.get("failures", 0)))
-        timeouts.append((label, section.get("timeouts", 0)))
-    families.append(
-        _labeled("repro.shard.routed_rows", "gauge", "Rows routed to each shard.", routed)
-    )
-    families.append(_labeled("repro.shard.calls", "counter", "Scatter calls per shard.", calls))
-    families.append(
-        _labeled("repro.shard.failures", "counter", "Failed scatter calls per shard.", failures)
-    )
-    families.append(
-        _labeled(
-            "repro.shard.timeouts", "counter", "Timed-out scatter calls per shard.", timeouts
-        )
-    )
-    families.append(
-        _single(
-            "repro.shard.skew",
-            "gauge",
-            "Routing skew (max/mean routed rows; 1.0 = balanced).",
-            server.partition_skew(),
-        )
-    )
-    up: List[Tuple[Dict[str, str], float]] = []
-    generation: List[Tuple[Dict[str, str], float]] = []
-    plan_cache: Dict[str, List[Tuple[Dict[str, str], float]]] = {
-        "hits": [],
-        "misses": [],
-        "invalidations": [],
-        "size": [],
-    }
-    calibrator_version: List[Tuple[Dict[str, str], float]] = []
-    for section in server.shard_obs_sections():
-        label = {"shard": str(section.get("index"))}
-        alive = bool(section.get("up"))
-        up.append((label, 1.0 if alive else 0.0))
-        if not alive:
-            continue
-        generation.append((label, section.get("generation", 0)))
-        pc = section.get("plan_cache") or {}
-        for key in plan_cache:
-            plan_cache[key].append((label, pc.get(key, 0)))
-        cal = section.get("calibrator") or {}
-        calibrator_version.append((label, cal.get("version", 0)))
-    families.append(
-        _labeled("repro.shard.up", "gauge", "1 if the shard worker answered the scrape.", up)
-    )
-    if generation:
-        families.append(
-            _labeled(
-                "repro.shard.generation", "gauge", "Serving generation per worker.", generation
-            )
-        )
-    for key, kind in (
-        ("hits", "counter"),
-        ("misses", "counter"),
-        ("invalidations", "counter"),
-        ("size", "gauge"),
-    ):
-        if plan_cache[key]:
-            families.append(
-                _labeled(
-                    f"repro.shard.plan_cache.{key}",
-                    kind,
-                    f"Worker-side plan cache {key} per shard.",
-                    plan_cache[key],
-                )
-            )
-    if calibrator_version:
-        families.append(
-            _labeled(
-                "repro.shard.calibrator.version",
-                "gauge",
-                "Worker-side cost calibrator version per shard.",
-                calibrator_version,
-            )
-        )
-    return families
-
-
-def metrics_families(
-    server: Any,
-    http_section: Dict[str, Any],
-    gate_stats: Dict[str, int],
-    tracer_stats: Dict[str, Any],
-) -> List[Family]:
-    """Every `/metrics` family, from one ``server.stats()`` snapshot."""
-    stats = server.stats()
-    latency = server.latency_stats()
-    families: List[Family] = [
-        _single("repro.server.generation", "gauge", "Serving generation.", stats.generation),
-        _single("repro.server.requests", "counter", "Query requests served.", stats.requests),
-        _single(
-            "repro.server.executions", "counter", "Engine executions dispatched.", stats.executions
-        ),
-        _single(
-            "repro.server.coalesced",
-            "counter",
-            "Requests coalesced onto an in-flight execution.",
-            stats.coalesced,
-        ),
-        _single("repro.server.failures", "counter", "Failed executions.", stats.failures),
-        _single("repro.server.rebuilds", "counter", "Committed rebuilds.", stats.rebuilds),
-        _single("repro.server.restores", "counter", "Snapshot restores.", stats.restores),
-        _single("repro.server.in_flight", "gauge", "Executions in flight.", stats.in_flight),
-        _single("repro.cache.hits", "counter", "Result cache hits.", stats.result_cache.hits),
-        _single("repro.cache.misses", "counter", "Result cache misses.", stats.result_cache.misses),
-        _single("repro.cache.size", "gauge", "Result cache entries.", stats.result_cache.size),
-        _single(
-            "repro.cache.capacity", "gauge", "Result cache capacity.", stats.result_cache.capacity
-        ),
-        _single("repro.plan_cache.hits", "counter", "Plan cache hits.", stats.plan_cache.hits),
-        _single(
-            "repro.plan_cache.misses", "counter", "Plan cache misses.", stats.plan_cache.misses
-        ),
-        _single(
-            "repro.plan_cache.invalidations",
-            "counter",
-            "Plan cache invalidations (rebuild/calibration).",
-            stats.plan_cache.invalidations,
-        ),
-        _single("repro.plan_cache.size", "gauge", "Plan cache entries.", stats.plan_cache.size),
-        _single(
-            "repro.plan_cache.capacity", "gauge", "Plan cache capacity.", stats.plan_cache.capacity
-        ),
-        _latency_family(latency),
-    ]
-    if stats.shards is None:  # behind a coordinator, calibration lives shard-side
-        snap = server.calibration_stats()
-        families.append(
-            _single(
-                "repro.calibrator.version",
-                "gauge",
-                "Cost calibrator version (bumps on refit).",
-                snap.get("version", 0),
-            )
-        )
-        strategies = snap.get("strategies") or {}
-        if strategies:
-            families.append(
-                _labeled(
-                    "repro.calibrator.observations",
-                    "counter",
-                    "Calibration observations per strategy.",
-                    [
-                        ({"strategy": name}, fit.get("count", 0))
-                        for name, fit in sorted(strategies.items())
-                    ],
-                )
-            )
-            families.append(
-                _labeled(
-                    "repro.calibrator.factor",
-                    "gauge",
-                    "Learned cost factor per strategy.",
-                    [
-                        ({"strategy": name}, fit.get("factor", 1.0))
-                        for name, fit in sorted(strategies.items())
-                    ],
-                )
-            )
-    families.extend(_shard_families(stats, server))
-    families.append(
-        _single(
-            "repro.http.requests",
-            "counter",
-            "HTTP requests received.",
-            http_section.get("requests_total", 0),
-        )
-    )
-    families.append(
-        _labeled(
-            "repro.http.responses",
-            "counter",
-            "HTTP responses by status class.",
-            [
-                ({"class": cls}, count)
-                for cls, count in sorted(
-                    (http_section.get("responses_by_class") or {}).items()
-                )
-            ],
-        )
-    )
-    for key, kind, help_text in (
-        ("active", "gauge", "Requests holding an admission slot."),
-        ("waiting", "gauge", "Requests queued at the admission gate."),
-        ("max_concurrency", "gauge", "Admission concurrency limit."),
-        ("max_queue", "gauge", "Admission queue limit."),
-        ("admitted", "counter", "Requests admitted."),
-        ("rejected_queue_full", "counter", "Requests shed: queue full."),
-        ("rejected_timeout", "counter", "Requests shed: queue timeout."),
-    ):
-        families.append(
-            _single(f"repro.http.admission.{key}", kind, help_text, gate_stats.get(key, 0))
-        )
-    families.append(
-        _single(
-            "repro.trace.enabled",
-            "gauge",
-            "1 if tracing is enabled in this process.",
-            1.0 if tracer_stats.get("enabled") else 0.0,
-        )
-    )
-    families.append(
-        _single(
-            "repro.trace.buffered_traces",
-            "gauge",
-            "Traces held in the ring buffer.",
-            tracer_stats.get("traces", 0),
-        )
-    )
-    families.append(
-        _single(
-            "repro.trace.spans_recorded",
-            "counter",
-            "Spans recorded since start.",
-            tracer_stats.get("spans_recorded", 0),
-        )
-    )
-    families.append(
-        _single(
-            "repro.trace.spans_dropped",
-            "counter",
-            "Spans dropped (per-trace cap).",
-            tracer_stats.get("spans_dropped", 0),
-        )
-    )
+def metrics_families(payload: Dict[str, Any]) -> List[Family]:
+    """Every `/metrics` family the payload has a value for, in table
+    order."""
+    families: List[Family] = []
+    for name, kind, help_text, *where in METRIC_TABLE:
+        samples = _samples(payload, name, kind, *where)
+        if samples is not None:
+            families.append((name, kind, help_text, samples))
     return families

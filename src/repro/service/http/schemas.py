@@ -493,8 +493,10 @@ def server_stats_to_wire(stats: Any, latency: Dict[str, Dict[str, float]]) -> Di
     of the live server — that is what keeps ``hits + misses ==
     requests`` exact in the face of concurrent traffic (the stress suite
     polls this endpoint mid-hammer and asserts the invariants on every
-    payload it sees)."""
-    return {
+    payload it sees).  A coordinator's snapshot also carries its
+    per-shard sections and process age; a plain server's has neither,
+    and the keys are then absent (not null)."""
+    wire = {
         "generation": stats.generation,
         "requests": stats.requests,
         "executions": stats.executions,
@@ -507,3 +509,8 @@ def server_stats_to_wire(stats: Any, latency: Dict[str, Dict[str, float]]) -> Di
         "plan_cache": _plan_cache_stats_to_wire(stats.plan_cache),
         "latency": latency,
     }
+    if stats.shards is not None:
+        wire["shards"] = stats.shards
+        wire["uptime_seconds"] = stats.uptime_seconds
+        wire["started_generation"] = stats.started_generation
+    return wire

@@ -46,6 +46,7 @@ from repro.core.methods import MethodResult
 from repro.core.query import TopologyQuery
 from repro.errors import ReproError, ShardUnavailableError, TopologyError
 from repro.obs import current_wire as obs_current_wire
+from repro.obs import registry as obs_registry
 from repro.obs import span as obs_span
 from repro.obs import tracer as obs_tracer
 
@@ -110,14 +111,19 @@ def _init_shard(snapshot_path: str, shard_index: int, generation: int) -> None:
 
     _REPLICA = load_system(snapshot_path)
     _SHARD_STAMP = (shard_index, generation)
-    # Forked workers inherit the parent's span buffer; drop it so a
-    # worker only ever ships spans it recorded itself.
+    # Forked workers inherit the parent's span buffer and event
+    # counters; drop both so a worker only ever ships what it recorded
+    # itself.
     obs_tracer().reset()
+    obs_registry().reset()
 
 
 def _shard_obs_stats() -> dict:
-    """This worker's per-shard observability section, scraped by the
-    coordinator's `/metrics` merge."""
+    """This worker's section of the coordinator's `/metrics` payload.
+    ``generation`` / ``plan_cache`` / ``calibrator`` sit where the
+    serving payload of a plain server has them, so one metrics table
+    renders both; ``counters`` is this process's event-counter registry,
+    ``{dotted name: [(labels, value), ...]}``."""
     system = _REPLICA
     plan_cache = system.plan_cache_stats()
     return {
@@ -130,6 +136,10 @@ def _shard_obs_stats() -> dict:
             "size": plan_cache.size,
         },
         "calibrator": system.calibrator.snapshot(),
+        "counters": {
+            name: [(labels, value) for _, labels, value in samples]
+            for name, _, _, samples in obs_registry().gather()
+        },
     }
 
 

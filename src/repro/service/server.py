@@ -76,7 +76,6 @@ class TopologyServer(ServingCore):
         system: TopologySearchSystem,
         cache_size: int = 4096,
         default_method: str = DEFAULT_METHOD,
-        max_workers: Optional[int] = None,
         slow_query_seconds: Optional[float] = None,
     ) -> None:
         if system.store is None:
@@ -85,13 +84,12 @@ class TopologyServer(ServingCore):
                 "or restore from a snapshot"
             )
         super().__init__(cache_size, default_method, slow_query_seconds, source="server")
-        self.max_workers = max_workers
         self._system = system
         # One rebuild/restore at a time; the heavy build work happens
         # under this mutex but *outside* the write lock, so traffic
         # keeps flowing while the next generation is prepared.
         self._writer_mutex = threading.Lock()
-        self._pools: Dict[int, ThreadPoolExecutor] = {}
+        self._pool: Optional[ThreadPoolExecutor] = None  # created lazily
         self._pool_lock = threading.Lock()
         self._replica_pool: Optional[ReplicaPool] = None  # created lazily
         # One process-mode fan-out at a time: a second caller with a
@@ -110,7 +108,6 @@ class TopologyServer(ServingCore):
         path: str,
         cache_size: int = 4096,
         default_method: str = DEFAULT_METHOD,
-        max_workers: Optional[int] = None,
         slow_query_seconds: Optional[float] = None,
     ) -> "TopologyServer":
         """Cold-start a server from a :mod:`repro.persist` snapshot."""
@@ -118,7 +115,6 @@ class TopologyServer(ServingCore):
             TopologySearchSystem.from_snapshot(path),
             cache_size=cache_size,
             default_method=default_method,
-            max_workers=max_workers,
             slow_query_seconds=slow_query_seconds,
         )
 
@@ -129,11 +125,10 @@ class TopologyServer(ServingCore):
         finish first (terminating the pool under its consumer would
         strand it waiting on results that never arrive)."""
         with self._pool_lock:
-            pools = list(self._pools.values())
-            self._pools.clear()
+            pool, self._pool = self._pool, None
             replicas, self._replica_pool = self._replica_pool, None
             self._closed = True
-        for pool in pools:
+        if pool is not None:
             pool.shutdown(wait=True)
         if replicas is not None:
             with self._replica_mutex:  # drain the in-flight batch
@@ -256,7 +251,7 @@ class TopologyServer(ServingCore):
     def _query_many_threads(
         self, batch: List[TopologyQuery], name: str, workers: int
     ) -> List[MethodResult]:
-        pool = self._thread_pool(workers)
+        pool = self._thread_pool()
         if pool is None:  # closed while we were getting ready
             return [self.query(q, method=name) for q in batch]
         groups = self._plan_class_groups(batch, name)
@@ -264,47 +259,44 @@ class TopologyServer(ServingCore):
         followers = [index for group in groups for index in group[1:]]
         results: List[Optional[MethodResult]] = [None] * len(batch)
 
-        def run(index: int) -> Tuple[int, MethodResult]:
-            return index, self.query(batch[index], method=name)
+        def run(share: List[int]) -> None:
+            for index in share:
+                results[index] = self.query(batch[index], method=name)
 
         # Two waves: leaders warm the plan cache (and the result cache
         # for exact duplicates), then the rest fan out as cache hits.
-        # Each submission carries its own copy of the caller's context:
-        # a Context can only be entered by one thread at a time, so the
-        # copy happens here, per task, not once for the whole wave.
+        # A wave is dealt round-robin into at most ``workers`` shares,
+        # one pool task each — that, not the pool's width, is the
+        # batch's parallelism.  Each task carries its own copy of the
+        # caller's context: a Context can only be entered by one thread
+        # at a time, so the copy happens here, per task, not once for
+        # the whole wave.
         for wave in (leaders, followers):
-            if not wave:
-                continue
-            submitted: List[Tuple[int, Any]] = []
+            width = min(workers, len(wave))
+            futures = []
             try:
-                for index in wave:
+                for at in range(width):
                     context = contextvars.copy_context()
-                    submitted.append((index, pool.submit(context.run, run, index)))
+                    futures.append(pool.submit(context.run, run, wave[at::width]))
             except RuntimeError:  # pool shut down mid-batch (close())
                 pass
-            for index, future in submitted:
-                results[index] = future.result()[1]
+            for future in futures:
+                future.result()
             for index in wave:  # anything unsubmitted: caller's thread
                 if results[index] is None:
                     results[index] = self.query(batch[index], method=name)
         return results  # type: ignore[return-value]  # every index was assigned
 
-    def _thread_pool(self, workers: int) -> Optional[ThreadPoolExecutor]:
-        """A pool of the requested width, or ``None`` once closed (the
-        caller then degrades to the serial loop)."""
-        capped = workers if self.max_workers is None else min(workers, self.max_workers)
-        capped = max(1, capped)
+    def _thread_pool(self) -> Optional[ThreadPoolExecutor]:
+        """The server's one batch pool (stdlib-default width, created
+        on first use), or ``None`` once closed (the caller then degrades
+        to the serial loop)."""
         with self._pool_lock:
             if self._closed:
                 return None
-            pool = self._pools.get(capped)
-            if pool is None:
-                pool = ThreadPoolExecutor(
-                    max_workers=capped,
-                    thread_name_prefix=f"topology-server-{capped}",
-                )
-                self._pools[capped] = pool
-        return pool
+            if self._pool is None:
+                self._pool = ThreadPoolExecutor(thread_name_prefix="topology-server")
+            return self._pool
 
     def _query_many_replicas(
         self, batch: List[TopologyQuery], name: str, workers: int

@@ -64,54 +64,61 @@ def _canonical_pair(pair: Dict[str, Any]) -> Dict[str, Any]:
     }
 
 
+#: Components every shard carries a full copy of (``truncated_pairs``,
+#: a plain counter, is replicated too and compared without a canonical
+#: form); the rest are routed by E1 bucket.
+_REPLICATED = ("topologies", "excptops_rows", "pruned_tids")
+_ROUTED_ROWS = ("alltops_rows", "lefttops_rows")
+
+
+def _canonical_component(state: Dict[str, Any], key: str) -> Any:
+    """The canonical form of ONE component of a store state — the unit
+    of work here: sorting every row of a store under a repr key is what
+    verification costs, so callers canonicalise exactly the components
+    they compare."""
+    value = state[key]
+    if key == "topologies":
+        return sorted((_canonical_topology(t) for t in value), key=lambda t: t["tid"])
+    if key.endswith("_rows"):
+        return [[repr(e1), repr(e2), tid] for e1, e2, tid in sorted(value, key=_row_key)]
+    if key == "pruned_tids":
+        return sorted(value)
+    if key == "pairs":
+        return sorted(
+            (_canonical_pair(p) for p in value),
+            key=lambda p: (p["e1"], p["e2"], p["entity_pair"]),
+        )
+    return value  # truncated_pairs
+
+
 def canonical_state(state: Dict[str, Any]) -> Dict[str, Any]:
     """An order-free, JSON-ready canonical form of a store state: rows
     sorted under stable keys, node ids rendered via ``repr``.  Equal
     canonical forms mean equal stores up to row order."""
     return {
-        "topologies": sorted(
-            (_canonical_topology(t) for t in state["topologies"]),
-            key=lambda t: t["tid"],
-        ),
-        "alltops_rows": [
-            [repr(e1), repr(e2), tid]
-            for e1, e2, tid in sorted(state["alltops_rows"], key=_row_key)
-        ],
-        "lefttops_rows": [
-            [repr(e1), repr(e2), tid]
-            for e1, e2, tid in sorted(state["lefttops_rows"], key=_row_key)
-        ],
-        "excptops_rows": [
-            [repr(e1), repr(e2), tid]
-            for e1, e2, tid in sorted(state["excptops_rows"], key=_row_key)
-        ],
-        "pruned_tids": sorted(state["pruned_tids"]),
-        "pairs": sorted(
-            (_canonical_pair(p) for p in state["pairs"]),
-            key=lambda p: (p["e1"], p["e2"], p["entity_pair"]),
-        ),
-        "truncated_pairs": state["truncated_pairs"],
+        key: _canonical_component(state, key)
+        for key in (*_REPLICATED, *_ROUTED_ROWS, "pairs", "truncated_pairs")
     }
+
+
+def _digest(canonical: Dict[str, Any]) -> str:
+    text = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def state_digest(state: Dict[str, Any]) -> str:
     """SHA-256 over the canonical form.  Unlike
     :meth:`TopologyStore.state_digest` this is row-order-insensitive —
     use it when comparing a union of shards to a reference."""
-    text = json.dumps(
-        canonical_state(state), sort_keys=True, separators=(",", ":")
-    )
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return _digest(canonical_state(state))
 
 
 def _require_replicated_equal(
     states: Sequence[Dict[str, Any]], key: str
 ) -> None:
-    first = json.dumps(
-        canonical_state(states[0])[key], sort_keys=True
-    )
+    first = json.dumps(_canonical_component(states[0], key), sort_keys=True)
     for index, state in enumerate(states[1:], start=1):
-        if json.dumps(canonical_state(state)[key], sort_keys=True) != first:
+        if json.dumps(_canonical_component(state, key), sort_keys=True) != first:
             raise ShardError(
                 f"replicated component {key!r} differs between shard 0 "
                 f"and shard {index}"
@@ -130,7 +137,7 @@ def union_state(states: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
     """
     if not states:
         raise ShardError("cannot union an empty shard-state list")
-    for key in ("topologies", "excptops_rows", "pruned_tids"):
+    for key in _REPLICATED:
         _require_replicated_equal(states, key)
     truncated = {state["truncated_pairs"] for state in states}
     if len(truncated) != 1:
@@ -138,7 +145,12 @@ def union_state(states: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
             f"replicated component 'truncated_pairs' differs across "
             f"shards: {sorted(truncated)}"
         )
+    return _merge(states)
 
+
+def _merge(states: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
+    """:func:`union_state` once the replicated components are known to
+    agree: shard 0's copy of those, the routed ones concatenated."""
     merged: Dict[str, Any] = {
         "topologies": list(states[0]["topologies"]),
         "alltops_rows": [],
@@ -148,7 +160,7 @@ def union_state(states: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
         "pairs": [],
         "truncated_pairs": states[0]["truncated_pairs"],
     }
-    for kind in ("alltops_rows", "lefttops_rows"):
+    for kind in _ROUTED_ROWS:
         seen: Dict[Tuple[str, str, int], int] = {}
         for index, state in enumerate(states):
             for row in state[kind]:
@@ -188,13 +200,20 @@ def verify_split(
     Checks, per shard ``i`` of ``n``: routed rows equal the reference
     rows with ``shard_of(e1) == i`` in reference order; replicated
     parts equal the reference's.  Then the union digest must equal the
-    reference's canonical digest."""
+    reference's canonical digest.
+
+    Each state is canonicalised at most once — the reference and the
+    union whole (for their digests), a shard only in its replicated
+    components — and no two whole canonical forms are alive together."""
     num_shards = len(shard_states)
     if num_shards < 1:
         raise ShardError("cannot verify an empty shard-state list")
     ref_canonical = canonical_state(reference_state)
+    ref_digest = _digest(ref_canonical)
+    ref_replicated = {key: ref_canonical[key] for key in _REPLICATED}
+    del ref_canonical
     for index, state in enumerate(shard_states):
-        for kind in ("alltops_rows", "lefttops_rows"):
+        for kind in _ROUTED_ROWS:
             expected = [
                 row
                 for row in reference_state[kind]
@@ -217,9 +236,8 @@ def verify_split(
                 f"shard {index} pair catalog does not match the "
                 f"E1-bucket filter of the reference"
             )
-        shard_canonical = canonical_state(state)
-        for key in ("topologies", "excptops_rows", "pruned_tids"):
-            if shard_canonical[key] != ref_canonical[key]:
+        for key in _REPLICATED:
+            if _canonical_component(state, key) != ref_replicated[key]:
                 raise ShardError(
                     f"shard {index} replicated component {key!r} "
                     f"differs from the reference"
@@ -230,7 +248,9 @@ def verify_split(
                 f"{state['truncated_pairs']} differs from reference "
                 f"{reference_state['truncated_pairs']}"
             )
-    if union_digest(shard_states) != state_digest(reference_state):
+    # Every shard's replicated parts equal the reference's, hence each
+    # other's: the union needs no second comparison of them.
+    if state_digest(_merge(shard_states)) != ref_digest:
         raise ShardError(
             "shard union digest does not match the reference digest"
         )

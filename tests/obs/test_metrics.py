@@ -1,9 +1,10 @@
-"""The metrics registry and its Prometheus text exposition.
+"""The event-counter registry and its Prometheus text exposition.
 
 The property tests pin the exposition contract `/metrics` relies on:
-whatever gets registered, the rendered text parses line by line under
-the 0.0.4 grammar and every registered metric family appears exactly
-once (one ``# TYPE`` header, samples grouped under it)."""
+whatever counters get registered and whatever snapshot-derived families
+ride along, the rendered text parses line by line under the 0.0.4
+grammar and every family appears exactly once (one ``# TYPE`` header,
+samples grouped under it)."""
 
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs import LATENCY_BUCKETS, MetricsRegistry, bucket_index, prom_name
+from repro.obs.metrics import histogram_samples
 
 _NAME_RE = r"[a-zA-Z_:][a-zA-Z0-9_:]*"
 _SAMPLE_RE = re.compile(
@@ -83,12 +85,6 @@ class TestRegistry:
         registry = MetricsRegistry()
         assert registry.counter("a.b") is registry.counter("a.b")
 
-    def test_kind_mismatch_is_an_error(self):
-        registry = MetricsRegistry()
-        registry.counter("a.b")
-        with pytest.raises(ValueError, match="already registered"):
-            registry.gauge("a.b")
-
     def test_counter_accumulates_per_label_set(self):
         registry = MetricsRegistry()
         counter = registry.counter("hits")
@@ -100,25 +96,30 @@ class TestRegistry:
         assert by_labels[()] == 1
         assert by_labels[(("shard", "0"),)] == 5
 
-    def test_gauge_set_inc_dec(self):
+    def test_reset_forgets_every_counter(self):
         registry = MetricsRegistry()
-        gauge = registry.gauge("depth")
-        gauge.set(10)
-        gauge.inc(5)
-        gauge.dec(2)
-        _, samples = parse_exposition(registry.render())
-        assert samples["depth"] == [({}, 13.0)]
+        registry.counter("a.b").inc(4)
+        registry.reset()
+        assert registry.gather() == []
+        assert registry.counter("a.b").samples() == [("a.b", {}, 0.0)]
 
     def test_histogram_buckets_are_cumulative(self):
-        registry = MetricsRegistry()
-        hist = registry.histogram("lat", buckets=(0.1, 1.0))
-        for value in (0.05, 0.5, 0.5, 5.0):
-            hist.observe(value)
-        _, samples = parse_exposition(registry.render())
+        # per-bucket counts of the observations 0.05, 0.5, 0.5, 5.0
+        family = ("lat", "histogram", "", histogram_samples("lat", {}, (0.1, 1.0), [1, 2, 1], 6.05))
+        _, samples = parse_exposition(MetricsRegistry().render([family]))
         buckets = {l["le"]: v for l, v in samples["lat_bucket"]}
         assert buckets == {"0.1": 1, "1": 3, "+Inf": 4}
         assert samples["lat_count"] == [({}, 4.0)]
         assert samples["lat_sum"][0][1] == pytest.approx(6.05)
+
+    def test_histogram_series_keep_their_labels(self):
+        series = histogram_samples("lat", {"method": "sql"}, (0.1,), [0, 2], 9.0)
+        assert [labels for _, labels, _ in series] == [
+            {"method": "sql", "le": "0.1"},
+            {"method": "sql", "le": "+Inf"},
+            {"method": "sql"},
+            {"method": "sql"},
+        ]
 
     def test_label_values_are_escaped(self):
         registry = MetricsRegistry()
@@ -127,22 +128,18 @@ class TestRegistry:
         ((labels, _),) = samples["odd"]
         assert labels["path"] == 'a\\"b\\\\c\\nd'
 
-    def test_collectors_merge_into_families(self):
+    def test_extra_family_with_a_registered_name_merges_under_its_header(self):
+        """A coordinator's per-shard samples of a counter this process
+        also bumps: one family, the registry's kind and help, both
+        sets of samples."""
         registry = MetricsRegistry()
-        registry.add_collector(
-            lambda: [("derived.x", "gauge", "help", ("derived.x", {}, 7.0))]
-        )
-        types, samples = parse_exposition(registry.render())
-        assert types["derived_x"] == "gauge"
-        assert samples["derived_x"] == [({}, 7.0)]
-
-    def test_extra_families_do_not_shadow_registered(self):
-        registry = MetricsRegistry()
-        registry.counter("a.b").inc(4)
-        extra = [("a.b", "gauge", "impostor", [("a.b", {}, 99.0)])]
-        types, samples = parse_exposition(registry.render(extra_families=extra))
+        registry.counter("a.b", "the registry's").inc(4)
+        extra = [("a.b", "gauge", "the extra's", [("a.b", {"shard": "0"}, 99.0)])]
+        text = registry.render(extra_families=extra)
+        types, samples = parse_exposition(text)
         assert types["a_b"] == "counter"
-        assert samples["a_b"] == [({}, 4.0)]
+        assert "# HELP a_b the registry's" in text and "the extra's" not in text
+        assert samples["a_b"] == [({}, 4.0), ({"shard": "0"}, 99.0)]
 
     def test_bucket_index_is_le_inclusive(self):
         assert bucket_index((0.1, 1.0), 0.1) == 0
@@ -184,18 +181,23 @@ class TestExpositionProperty:
     @settings(max_examples=50, deadline=None)
     @given(specs=_specs)
     def test_render_parses_and_covers_every_metric_exactly_once(self, specs):
+        """Counters live in the registry; gauges and histograms are
+        snapshot-derived families handed to ``render`` (the histogram
+        through the shared ``histogram_samples``)."""
         registry = MetricsRegistry()
+        extra = []
         for name, kind, value, labels in specs:
             if kind == "counter":
                 registry.counter(name).inc(value, **labels)
             elif kind == "gauge":
-                registry.gauge(name).set(value, **labels)
+                extra.append((name, kind, "", [(name, labels, value)]))
             else:
-                registry.histogram(name, buckets=LATENCY_BUCKETS).observe(
-                    value, **labels
-                )
-        types, samples = parse_exposition(registry.render())
-        assert len(registry.names()) == len(specs)
+                counts = [0] * (len(LATENCY_BUCKETS) + 1)
+                counts[bucket_index(LATENCY_BUCKETS, value)] = 1
+                series = histogram_samples(name, labels, LATENCY_BUCKETS, counts, value)
+                extra.append((name, kind, "", series))
+        types, samples = parse_exposition(registry.render(extra))
+        assert len(types) == len(specs)
         for name, kind, value, labels in specs:
             base = prom_name(name)
             # exactly once: one # TYPE line of the right kind (parse

@@ -9,3 +9,11 @@ def record(registry, tracer, method):
         pass
     with tracer.span("server.query", route="/query"):
         pass
+
+
+METRIC_TABLE = (
+    ("server.requests", "counter", "Query requests served.", "requests"),
+    ("http.admission.active", "gauge", "Slots held.", "http/admission/active"),
+    ("http.admission.waiting", "gauge", "Requests queued.", "http/admission/waiting"),
+    ("shard.up", "gauge", "Shard liveness.", "shard_obs/*/up", "shard"),
+)

@@ -5,9 +5,11 @@ stack: every ``POST /query`` answer must match *one* generation's
 single-threaded oracle exactly (the alternating build configurations
 provably disagree, so a torn half-old/half-new answer cannot pass), the
 generation stamps each thread observes must be monotone, and the
-``GET /stats`` payload polled mid-storm must satisfy the exact counter
-invariants — the wire-visible form of the snapshot-consistency fix in
-:meth:`repro.service.core.LatencyStats.snapshot`.
+``GET /stats`` payload and the ``GET /metrics`` exposition polled
+mid-storm must each satisfy the exact counter invariants — the
+wire-visible form of the snapshot-consistency fix in
+:meth:`repro.service.core.LatencyStats.snapshot`, and of ``/metrics``
+being rendered from the one payload ``/stats`` serves.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ from repro.core import (
 )
 from repro.service import TopologyServer
 from repro.service.http import TestClient, create_app
+
+from tests.obs.test_metrics import parse_exposition
 
 THREADS = 8
 REBUILD_ROUNDS = 2
@@ -94,9 +98,10 @@ class TestRebuildUnderHttpLoad:
                 stop = threading.Event()
                 observed = []  # (thread, generation, workload key, tids)
                 stats_payloads = []
+                scrapes = []
                 failures = []
                 lock = threading.Lock()
-                barrier = threading.Barrier(THREADS + 2)
+                barrier = threading.Barrier(THREADS + 3)
 
                 def reader(offset: int) -> None:
                     try:
@@ -122,16 +127,16 @@ class TestRebuildUnderHttpLoad:
                         with lock:
                             failures.append(error)
 
-                def stats_poller() -> None:
+                def poller(path: str, decode, into: list) -> None:
                     try:
                         barrier.wait()
                         local = []
                         while not stop.is_set():
-                            response = client.get("/stats")
+                            response = client.get(path)
                             assert response.status == 200
-                            local.append(response.json())
+                            local.append(decode(response))
                         with lock:
-                            stats_payloads.extend(local)
+                            into.extend(local)
                     except Exception as error:  # pragma: no cover
                         stop.set()
                         with lock:
@@ -140,7 +145,18 @@ class TestRebuildUnderHttpLoad:
                 threads = [
                     threading.Thread(target=reader, args=(n,), name=f"reader-{n}")
                     for n in range(THREADS)
-                ] + [threading.Thread(target=stats_poller, name="stats-poller")]
+                ] + [
+                    threading.Thread(
+                        target=poller,
+                        args=("/stats", lambda r: r.json(), stats_payloads),
+                        name="stats-poller",
+                    ),
+                    threading.Thread(
+                        target=poller,
+                        args=("/metrics", lambda r: parse_exposition(r.text)[1], scrapes),
+                        name="metrics-poller",
+                    ),
+                ]
                 for thread in threads:
                     thread.start()
 
@@ -199,6 +215,19 @@ class TestRebuildUnderHttpLoad:
                 if snap["count"]:
                     assert snap["min_seconds"] <= snap["p50_seconds"]
                     assert snap["p99_seconds"] <= snap["max_seconds"]
+
+        # --- ...and in every /metrics scrape, which renders that payload
+        assert scrapes, "metrics poller never completed a scrape"
+        for samples in scrapes:
+            value = {name: series[0][1] for name, series in samples.items()}
+            assert (
+                value["repro_cache_hits"] + value["repro_cache_misses"]
+                == value["repro_server_requests"]
+            )
+            assert (
+                value["repro_cache_misses"]
+                == value["repro_server_executions"] + value["repro_server_coalesced"]
+            )
 
         # --- the server agrees with what went over the wire
         stats = server.stats()

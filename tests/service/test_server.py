@@ -482,6 +482,33 @@ class TestQueryMany:
         assert len(query_spans) == len(batch)
         assert all(s.parent_id == root.span_id for s in query_spans)
 
+    def test_every_parallel_width_shares_one_pool(self, server, monkeypatch):
+        """A remote client picks ``parallel`` (2..64 over /query_many):
+        the widths must not each leave an executor behind.  One pool
+        serves them all, and a wave becomes at most ``parallel`` tasks."""
+        submitted = []
+        batch = self.workload()
+        server.query_many(batch, parallel=2)
+        pool = server._pool
+
+        def recording_submit(fn, *args):
+            submitted.append(args)
+            return type(pool).submit(pool, fn, *args)
+
+        monkeypatch.setattr(pool, "submit", recording_submit)
+        for width in (3, 5, 64):
+            server.invalidate()
+            del submitted[:]
+            results = server.query_many(batch, parallel=width)
+            assert [r.query for r in results] == batch
+            assert server._pool is pool
+            # Two waves (plan-class leaders, then followers), each dealt
+            # into at most `width` shares that together cover the wave.
+            assert len(submitted) <= 2 * min(width, len(batch))
+            assert sorted(i for *_, share in submitted for i in share) == list(
+                range(len(batch))
+            )
+
     def test_unknown_mode_rejected(self, server):
         with pytest.raises(TopologyError, match="mode"):
             server.query_many([make_query()], parallel=2, mode="carrier-pigeon")

@@ -136,8 +136,26 @@ class TestShardMetrics:
         ((_, skew),) = samples["repro_shard_skew"]
         assert skew >= 1.0
 
+    def test_worker_event_counters_carry_the_shard_label(self, traced_client):
+        """``repro.engine.pruned_checks`` is bumped inside the engine,
+        i.e. in the worker processes: the scrape must show each
+        worker's count under its ``shard`` label, and they must add up
+        to what the merged result says the query cost."""
+        client, coordinator = traced_client
+        result = coordinator.query(query_for("fast-top"), method="fast-top")
+        assert result.work["pruned_checks"] >= 1
+        _, samples = parse_exposition(client.get("/metrics").text)
+        by_shard = {}
+        for labels, value in samples["repro_engine_pruned_checks"]:
+            if "shard" in labels:
+                assert labels["outcome"] in ("executed", "proved_empty")
+                by_shard[labels["shard"]] = by_shard.get(labels["shard"], 0) + value
+        assert set(by_shard) == {str(n) for n in range(coordinator.num_shards)}
+        assert sum(by_shard.values()) == result.work["pruned_checks"]
+
     def test_dead_shard_reports_up_zero_not_a_failed_scrape(self, traced_client):
         client, coordinator = traced_client
+        coordinator.query(query_for("fast-top"), method="fast-top")
         coordinator._backends[1].close()
         response = client.get("/metrics")
         assert response.status == 200
@@ -145,6 +163,17 @@ class TestShardMetrics:
         up = {labels["shard"]: value for labels, value in samples["repro_shard_up"]}
         assert up["1"] == 0
         assert up["0"] == 1
+        # ...and nothing else of what a worker reports about itself.
+        worker_side = [
+            name
+            for name in samples
+            if name.startswith(("repro_shard_generation", "repro_shard_plan_cache"))
+            or name in ("repro_shard_calibrator_version", "repro_engine_pruned_checks")
+        ]
+        assert len(worker_side) == 7
+        for name in worker_side:
+            shards = {labels.get("shard") for labels, _ in samples[name]}
+            assert "0" in shards and "1" not in shards, name
 
 
 class TestCoordinatorSatellites:

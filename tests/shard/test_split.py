@@ -28,6 +28,7 @@ from repro.shard import (
     verify_split,
     write_manifest,
 )
+from repro.shard import verify as shard_verify
 from repro.shard.build import _warn_on_skew
 
 NUM_SHARDS = 4  # matches the session split in conftest.py
@@ -144,6 +145,48 @@ class TestVerifySplit:
             shards[0]["excptops_rows"] = [("ghost", "ghost", 0)]
         with pytest.raises(ShardError, match="excptops_rows|does not match"):
             verify_split(reference_state, shards)
+
+    def test_detects_reordered_shard(self, reference_state):
+        shards = split_state(reference_state, NUM_SHARDS)
+        donor = next(s for s in shards if len(set(s["alltops_rows"])) > 1)
+        donor["alltops_rows"] = donor["alltops_rows"][::-1]
+        with pytest.raises(ShardError, match="does not match"):
+            verify_split(reference_state, shards)
+
+    def test_detects_duplicated_row(self, reference_state):
+        shards = split_state(reference_state, NUM_SHARDS)
+        donor = next(s for s in shards if s["lefttops_rows"])
+        donor["lefttops_rows"] = donor["lefttops_rows"] + donor["lefttops_rows"][:1]
+        with pytest.raises(ShardError, match="does not match"):
+            verify_split(reference_state, shards)
+
+    def test_canonicalises_each_state_at_most_once(self, reference_state, monkeypatch):
+        """Sorting a store's rows under a repr key is what verification
+        costs, so it happens once per component of the reference and of
+        the union, once per *replicated* component of a shard — and
+        never for a shard's routed rows, which are compared as they
+        stand.  (Before: the reference twice, and every shard whole
+        four times — eleven whole-state passes for a 2-shard split.)"""
+        passes = []
+        canonical_component = shard_verify._canonical_component
+
+        def counting(state, key):
+            passes.append((id(state), key))
+            return canonical_component(state, key)
+
+        monkeypatch.setattr(shard_verify, "_canonical_component", counting)
+        shards = split_state(reference_state, 2)
+        verify_split(reference_state, shards)
+        assert len(passes) == len(set(passes))  # no (state, component) twice
+        by_state = {}
+        for state_id, key in passes:
+            by_state.setdefault(state_id, set()).add(key)
+        assert len(by_state) == len(shards) + 2  # reference, shards, union
+        assert by_state.pop(id(reference_state)) == set(reference_state)
+        for shard in shards:
+            assert by_state.pop(id(shard)) == {"topologies", "excptops_rows", "pruned_tids"}
+        (union_components,) = by_state.values()
+        assert union_components == set(reference_state)
 
 
 # ----------------------------------------------------------------------

@@ -552,6 +552,8 @@ class MetricNameRule(Rule):
 
     def check(self, tree: ast.AST, path: str, source: str) -> Iterator["_Finding"]:
         for node in ast.walk(tree):
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                yield from self._check_table(node)
             if not isinstance(node, ast.Call) or not node.args:
                 continue
             final = _final_segment(_dotted(node.func))
@@ -561,27 +563,46 @@ class MetricNameRule(Rule):
             is_span = final in _SPAN_CALLS
             if not (is_metric or is_span):
                 continue
-            name_arg = node.args[0]
-            kind = "metric" if is_metric else "span"
-            if isinstance(name_arg, (ast.JoinedStr, ast.BinOp)) or (
-                isinstance(name_arg, ast.Call)
-                and isinstance(name_arg.func, ast.Attribute)
-                and name_arg.func.attr == "format"
-            ):
+            yield from self._check_name(node.args[0], "metric" if is_metric else "span")
+
+    def _check_table(self, node: ast.AST) -> Iterator["_Finding"]:
+        """Rows of a ``*METRIC_TABLE``: literal tuples, each leading
+        with its name as a string literal — nothing computed, so the
+        exported names can be read (and grepped) off the source."""
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        if not any(
+            isinstance(t, ast.Name) and t.id.endswith("METRIC_TABLE") for t in targets
+        ) or not isinstance(node.value, (ast.Tuple, ast.List)):
+            return
+        for row in node.value.elts:
+            name = row.elts[0] if isinstance(row, ast.Tuple) and row.elts else None
+            if isinstance(name, ast.Constant) and isinstance(name.value, str):
+                yield from self._check_name(name, "metric")
+            else:
+                yield _make(
+                    self, name or row,
+                    "metric table row does not lead with a string literal: "
+                    "names must be stable — put variation in labels, not the name",
+                )
+
+    def _check_name(self, name_arg: ast.AST, kind: str) -> Iterator["_Finding"]:
+        if isinstance(name_arg, (ast.JoinedStr, ast.BinOp)) or (
+            isinstance(name_arg, ast.Call)
+            and isinstance(name_arg.func, ast.Attribute)
+            and name_arg.func.attr == "format"
+        ):
+            yield _make(
+                self, name_arg,
+                f"dynamic {kind} name: names must be stable string "
+                "literals — put variation in labels/tags, not the name",
+            )
+        elif isinstance(name_arg, ast.Constant) and isinstance(name_arg.value, str):
+            if not _METRIC_NAME_RE.match(name_arg.value):
                 yield _make(
                     self, name_arg,
-                    f"dynamic {kind} name: names must be stable string "
-                    "literals — put variation in labels/tags, not the name",
+                    f"{kind} name {name_arg.value!r} is not "
+                    "dotted-lowercase ([a-z0-9_.])",
                 )
-            elif isinstance(name_arg, ast.Constant) and isinstance(
-                name_arg.value, str
-            ):
-                if not _METRIC_NAME_RE.match(name_arg.value):
-                    yield _make(
-                        self, name_arg,
-                        f"{kind} name {name_arg.value!r} is not "
-                        "dotted-lowercase ([a-z0-9_.])",
-                    )
 
 
 # ----------------------------------------------------------------------
