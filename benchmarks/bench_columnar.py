@@ -8,8 +8,10 @@ below is apples-to-apples on identical plans.
 
 Two sections land in ``BENCH_columnar.json``:
 
-* ``columnar_operators`` — isolated operator drains (scan, filter,
-  project, hash join, sort/top-n, distinct) timed in both modes.
+* ``columnar_operators`` — isolated operator drains (scan — all columns
+  and two of five —, filter, project, hash join — unique build keys and
+  many-to-many —, index nested-loops join, sort/top-n, distinct) timed
+  in both modes.
 * ``columnar_end_to_end`` — a mixed SQL workload through ``Engine``
   (parse + plan + execute in row mode vs plan-cache + batch execution
   in columnar mode) with the headline queries/sec ratio.
@@ -53,6 +55,7 @@ from repro.relational.operators import (
     Distinct,
     Filter,
     HashJoin,
+    IndexNestedLoopJoin,
     Project,
     SeqScan,
     Sort,
@@ -61,6 +64,7 @@ from repro.relational.operators import (
 
 FACT_ROWS = {"tiny": 1_000, "small": 40_000, "medium": 150_000}[bench_scale()]
 DIM_ROWS = max(FACT_ROWS // 40, 10)
+DIM_COPIES = 4  # rows per key in the many-to-many build side
 WORDS = (
     "kinase", "membrane", "nuclear", "receptor", "conserved",
     "domain", "signal", "transport", "repair", "ribosomal",
@@ -107,6 +111,20 @@ def db() -> Database:
     )
     for i in range(DIM_ROWS):
         dim.insert([i, rng.randrange(100)])
+    # DIM_COPIES rows per key: the build side of the many-to-many join.
+    dim_many = database.create_table(
+        TableSchema(
+            "dim_many",
+            [
+                Column("ID", DataType.INT, True),
+                Column("GRP", DataType.INT, True),
+                Column("WEIGHT", DataType.INT, True),
+            ],
+            primary_key="ID",
+        )
+    )
+    for i in range(DIM_ROWS * DIM_COPIES):
+        dim_many.insert([i, i % DIM_ROWS, rng.randrange(100)])
     return database
 
 
@@ -127,11 +145,16 @@ def _operator_trees(db: Database) -> Dict[str, Callable[[], object]]:
     """
     fact = db.table("fact")
     dim = db.table("dim")
+    dim_many = db.table("dim_many")
     grp = ColumnRef("f", "GRP")
     val = ColumnRef("f", "VAL")
 
     def scan():
         return SeqScan(fact, "f", db.stats)
+
+    def scan_two_columns():
+        # What a statement reading only the key and one measure scans.
+        return SeqScan(fact, "f", db.stats, ["ID", "GRP"])
 
     def filter_():
         pred = And(
@@ -155,6 +178,15 @@ def _operator_trees(db: Database) -> Dict[str, Callable[[], object]]:
     def hash_join():
         return HashJoin(scan(), SeqScan(dim, "d", db.stats), [1], [0])
 
+    def hash_join_many():
+        # Every outer row meets DIM_COPIES build rows.
+        return HashJoin(scan_two_columns(), SeqScan(dim_many, "m", db.stats), [1], [1])
+
+    def index_join():
+        return IndexNestedLoopJoin(
+            scan_two_columns(), dim, "d", dim.hash_index_on(["ID"]), [1]
+        )
+
     def sort():
         return Sort(scan(), [(val, False)])
 
@@ -166,10 +198,13 @@ def _operator_trees(db: Database) -> Dict[str, Callable[[], object]]:
 
     return {
         "seq_scan": scan,
+        "seq_scan_2_of_5": scan_two_columns,
         "filter": filter_,
         "project": project,
         "contains_filter": contains,
         "hash_join": hash_join,
+        "hash_join_many": hash_join_many,
+        "index_join": index_join,
         "sort": sort,
         "top_n": topn,
         "distinct": distinct,

@@ -65,12 +65,25 @@ def to_pylist(values: ColumnValues) -> list:
     return values
 
 
-def take_column(values: ColumnValues, indices: Sequence[int]) -> ColumnValues:
-    """Gather ``values[i]`` for each index, staying numpy-backed when the
-    input is."""
-    if is_ndarray(values):
-        return values[np.asarray(indices, dtype="int64")] if len(indices) else values[:0]
-    return [values[i] for i in indices]
+def take_columns(columns: Sequence[ColumnValues], indices: Sequence[int]) -> List[ColumnValues]:
+    """Gather ``values[i]`` for each index out of every column, each
+    staying numpy-backed when it is.  ``indices`` — a list of ints or an
+    int array — is converted at most once per representation: to an
+    int64 array for the numpy-backed columns, to a list of Python ints
+    for the list ones (iterating an array yields numpy scalars, three
+    times slower as list subscripts)."""
+    as_array = as_list = None
+    out: List[ColumnValues] = []
+    for values in columns:
+        if is_ndarray(values):
+            if as_array is None:
+                as_array = np.asarray(indices, dtype="int64")
+            out.append(values[as_array])
+        else:
+            if as_list is None:
+                as_list = to_pylist(indices)
+            out.append([values[i] for i in as_list])
+    return out
 
 
 def compact_column(values: ColumnValues, keep: ColumnValues) -> ColumnValues:
@@ -113,8 +126,27 @@ class Batch:
             return cls([[] for _ in range(arity)], 0)
         return cls([list(col) for col in zip(*rows)], len(rows))
 
+    @classmethod
+    def concat(cls, batches: Sequence["Batch"], arity: int) -> "Batch":
+        """All rows of ``batches`` as one batch.  A column stays
+        numpy-backed only when every piece is an array of one dtype
+        (joining bool with int64 would turn ``True`` into ``1``)."""
+        if not batches:
+            return cls([[] for _ in range(arity)], 0)
+        if len(batches) == 1:
+            return batches[0]
+        columns: List[ColumnValues] = []
+        for pieces in zip(*(batch.columns for batch in batches)):
+            if all(is_ndarray(p) for p in pieces) and len({p.dtype for p in pieces}) == 1:
+                columns.append(np.concatenate(pieces))
+            else:
+                columns.append([v for piece in pieces for v in to_pylist(piece)])
+        return cls(columns, sum(batch.length for batch in batches))
+
     def to_rows(self) -> List[Tuple[Any, ...]]:
         """Materialize row tuples of plain Python values."""
+        if not self.columns:
+            return [()] * self.length
         if self.length == 0:
             return []
         return list(zip(*(to_pylist(col) for col in self.columns)))
@@ -125,7 +157,7 @@ class Batch:
         return Batch([compact_column(col, keep) for col in self.columns], kept)
 
     def take(self, indices: Sequence[int]) -> "Batch":
-        return Batch([take_column(col, indices) for col in self.columns], len(indices))
+        return Batch(take_columns(self.columns, indices), len(indices))
 
     def __len__(self) -> int:
         return self.length
@@ -215,35 +247,49 @@ class ColumnStore:
     def column_values(self, position: int) -> list:
         return self.columns[position]
 
-    def slice_columns(self, start: int, stop: int) -> List[ColumnValues]:
-        """One batch worth of columns; numpy-backed columns are sliced
-        as (zero-copy) array views."""
+    def slice_columns(
+        self, start: int, stop: int, positions: Optional[Sequence[int]] = None
+    ) -> List[ColumnValues]:
+        """One batch worth of columns (all of them, or those at
+        ``positions``); numpy-backed columns are sliced as (zero-copy)
+        array views."""
         out: List[ColumnValues] = []
-        for position, values in enumerate(self.columns):
+        for position in range(len(self.columns)) if positions is None else positions:
             array = self.array(position)
             if array is not None:
                 out.append(array[start:stop])
             else:
-                out.append(values[start:stop])
+                out.append(self.columns[position][start:stop])
         return out
 
-    def take_columns(self, row_positions: Sequence[int]) -> List[ColumnValues]:
-        """Gather the given rows (by position) as one batch worth of
-        columns; numpy-cached columns gather via fancy indexing."""
-        out: List[ColumnValues] = []
-        for position, values in enumerate(self.columns):
+    def take_columns(
+        self, rows: Sequence[int], positions: Optional[Sequence[int]] = None
+    ) -> List[ColumnValues]:
+        """Gather the given rows (a list of heap positions or an int
+        array) as one batch worth of columns (all of them, or those at
+        ``positions``); numpy-cached columns gather via fancy indexing."""
+        columns: List[ColumnValues] = []
+        for position in range(len(self.columns)) if positions is None else positions:
             array = self.array(position)
-            if array is not None:
-                out.append(take_column(array, row_positions))
-            else:
-                out.append([values[i] for i in row_positions])
-        return out
+            columns.append(self.columns[position] if array is None else array)
+        return take_columns(columns, rows)
 
-    def row_at(self, position: int) -> Tuple[Any, ...]:
-        return tuple(column[position] for column in self.columns)
+    def row_at(
+        self, position: int, positions: Optional[Sequence[int]] = None
+    ) -> Tuple[Any, ...]:
+        """One row as a tuple — of every column, or of those at
+        ``positions``."""
+        if positions is None:
+            return tuple(column[position] for column in self.columns)
+        columns = self.columns
+        return tuple(columns[p][position] for p in positions)
 
-    def iter_rows(self):
-        return zip(*self.columns) if self.columns else iter(())
+    def iter_rows(self, positions: Optional[Sequence[int]] = None):
+        if positions is None:
+            return zip(*self.columns) if self.columns else iter(())
+        if not positions:
+            return iter([()] * self.length)
+        return zip(*(self.columns[p] for p in positions))
 
 
 class RowsView(Sequence):

@@ -14,16 +14,89 @@ updates arrive "in bulk every few weeks" per Section 3.2).
 from __future__ import annotations
 
 import bisect
+from itertools import chain
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+
+from repro.relational.column import HAVE_NUMPY, np
+
+_UNSET = object()
+
+
+def is_null_key(key: Any) -> bool:
+    """Is a join key NULL, or a composite with a NULL part?  Such a key
+    equals nothing, itself included: NULL never joins."""
+    return key is None or (type(key) is tuple and None in key)
+
+
+class CsrKeys:
+    """Sorted-key / offsets / positions (CSR) view of an equality index
+    over one INT key: the probe kernel every array-native equi-join
+    shares.
+
+    ``keys`` holds the distinct keys ascending, ``positions`` the
+    payload of every entry grouped by key — within a key in insertion
+    order — and ``offsets[i]:offsets[i + 1]`` delimits key ``i``'s group.
+    :meth:`probe` answers a whole batch of outer keys at once and emits
+    the matching pairs in the order the per-key loop over a dict of
+    buckets would: outer order, then bucket insertion order.
+    """
+
+    __slots__ = ("keys", "offsets", "positions")
+
+    def __init__(
+        self, keys: "np.ndarray", positions: Optional["np.ndarray"] = None
+    ) -> None:
+        """``keys``: one int64 key per entry, in insertion order;
+        ``positions``: each entry's payload (default: its ordinal)."""
+        order = np.argsort(keys, kind="stable")
+        ordered = keys[order]
+        boundary = np.empty(ordered.size, dtype=bool)
+        boundary[:1] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=boundary[1:])
+        starts = np.flatnonzero(boundary)
+        self.keys = ordered[starts]
+        self.offsets = np.append(starts, ordered.size)
+        self.positions = order if positions is None else positions[order]
+
+    def probe(self, probe: "np.ndarray") -> Tuple["np.ndarray", "np.ndarray"]:
+        """(outer position, payload) of every match of an int/bool key
+        array, as two parallel int64 arrays."""
+        keys = self.keys
+        if keys.size == 0 or probe.size == 0:
+            return _NO_PAIRS
+        at = np.searchsorted(keys, probe)
+        np.minimum(at, keys.size - 1, out=at)
+        hit = np.flatnonzero(keys[at] == probe)
+        if hit.size == 0:
+            return _NO_PAIRS
+        at = at[hit]
+        starts = self.offsets[at]
+        counts = self.offsets[at + 1] - starts
+        ends = np.cumsum(counts)
+        total = int(ends[-1])
+        if total == hit.size:  # every hit bucket holds one entry
+            return hit, self.positions[starts]
+        within = np.arange(total) - np.repeat(ends - counts - starts, counts)
+        return np.repeat(hit, counts), self.positions[within]
+
+
+_NO_PAIRS = (
+    (np.empty(0, dtype="int64"), np.empty(0, dtype="int64")) if HAVE_NUMPY else None
+)
 
 
 class HashIndex:
-    """Equality index: key value -> list of row positions."""
+    """Equality index: key value -> list of row positions.
+
+    A single-column index over INT keys additionally hands out a
+    :class:`CsrKeys` view of its buckets (:meth:`key_arrays`), built on
+    the first array probe and dropped by every mutation."""
 
     def __init__(self, name: str, column_positions: Sequence[int]) -> None:
         self.name = name
         self.column_positions: Tuple[int, ...] = tuple(column_positions)
         self._buckets: Dict[Any, List[int]] = {}
+        self._csr: Any = _UNSET
 
     def key_of(self, row: Sequence[Any]) -> Any:
         if len(self.column_positions) == 1:
@@ -32,6 +105,7 @@ class HashIndex:
 
     def insert(self, row: Sequence[Any], position: int) -> None:
         self._buckets.setdefault(self.key_of(row), []).append(position)
+        self._csr = _UNSET
 
     def bulk_build(self, rows: Sequence[Sequence[Any]]) -> None:
         """Rebuild from scratch in one pass (bulk-load / restore path);
@@ -47,6 +121,7 @@ class HashIndex:
                 key = tuple(row[p] for p in positions)
                 buckets.setdefault(key, []).append(position)
         self._buckets = buckets
+        self._csr = _UNSET
 
     def bulk_build_columns(self, store) -> None:
         """Rebuild straight from a table's column store, touching only
@@ -61,9 +136,49 @@ class HashIndex:
             for position, key in enumerate(zip(*key_columns)):
                 buckets.setdefault(key, []).append(position)
         self._buckets = buckets
+        self._csr = _UNSET
 
     def lookup(self, key: Any) -> List[int]:
+        """Positions of the rows whose key *equals* ``key`` — none for a
+        NULL key (or a composite with a NULL part), although such rows
+        are stored: NULL equals nothing, so it never joins."""
+        if is_null_key(key):
+            return []
         return self._buckets.get(key, [])
+
+    def buckets(self) -> Dict[Any, List[int]]:
+        """The key -> row positions dict itself, NULL bucket included
+        (read-only to callers): what a per-key probe loop binds ``.get``
+        of once per batch, and what tells whether a key is stored."""
+        return self._buckets
+
+    def key_arrays(self) -> Optional[CsrKeys]:
+        """The CSR view of the buckets, or None when they cannot be one:
+        numpy absent, a composite key, or a key that is not an int64
+        (TEXT, FLOAT, a Python int beyond 64 bits).  The NULL bucket is
+        left out — NULL never joins."""
+        view = self._csr
+        if view is _UNSET:
+            view = self._csr = self._build_key_arrays()
+        return view
+
+    def _build_key_arrays(self) -> Optional[CsrKeys]:
+        if not HAVE_NUMPY or len(self.column_positions) != 1:
+            return None
+        buckets = [(k, b) for k, b in self._buckets.items() if k is not None]
+        # bool keys pass: hash(True) == hash(1), so the dict already
+        # treats them as the ints int64 equality compares.
+        if not all(isinstance(k, int) for k, _ in buckets):
+            return None
+        try:
+            keys = np.array([k for k, _ in buckets], dtype="int64")
+        except OverflowError:
+            return None
+        counts = np.array([len(b) for _, b in buckets], dtype="int64")
+        positions = np.fromiter(
+            chain.from_iterable(b for _, b in buckets), "int64", int(counts.sum())
+        )
+        return CsrKeys(np.repeat(keys, counts), positions)
 
     def distinct_keys(self) -> int:
         return len(self._buckets)

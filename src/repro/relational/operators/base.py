@@ -69,23 +69,35 @@ class Operator:
             return None
         return Batch.from_rows(rows, self.layout.arity)
 
-    def drain_rows(self) -> List[Row]:
-        """Open, drain via the mode-appropriate protocol, close; return
-        all rows as plain tuples.  Used by materializing operators
-        (sort, hash build, nested-loop inner) for their internal drains."""
-        if not columnar_enabled():
-            return list(self)
-        out: List[Row] = []
+    def _batches(self) -> Iterator[Batch]:
+        """The batch-protocol sibling of :meth:`__iter__`."""
         self.open()
         try:
             while True:
                 batch = self.next_batch()
                 if batch is None:
                     break
-                out.extend(batch.to_rows())
+                yield batch
         finally:
             self.close()
+
+    def drain_rows(self) -> List[Row]:
+        """Open, drain via the mode-appropriate protocol, close; return
+        all rows as plain tuples.  Used by materializing operators
+        (sort, nested-loop inner) for their internal drains."""
+        if not columnar_enabled():
+            return list(self)
+        out: List[Row] = []
+        for batch in self._batches():
+            out.extend(batch.to_rows())
         return out
+
+    def drain_batch(self) -> Batch:
+        """Open, drain through :meth:`next_batch`, close; return all rows
+        as one batch.  What a columnar-mode consumer that keeps its
+        input as columns (a hash build) calls instead of
+        :meth:`drain_rows`."""
+        return Batch.concat(list(self._batches()), self.layout.arity)
 
     # -- Convenience -------------------------------------------------------
     def __iter__(self) -> Iterator[Row]:

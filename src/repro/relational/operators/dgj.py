@@ -37,7 +37,7 @@ from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 from repro.errors import ExecutionError
 from repro.relational.column import HAVE_NUMPY, ColumnValues, np
 from repro.relational.expressions import Expression, Row, is_truthy
-from repro.relational.index import HashIndex
+from repro.relational.index import HashIndex, is_null_key
 from repro.relational.operators.base import GroupAware, Operator
 from repro.relational.operators.scan import table_layout
 from repro.relational.table import Table
@@ -209,8 +209,11 @@ class HDGJ(GroupAware):
                 return False
             group = self.outer.current_group()
         bucket: dict = {}
-        bucket.setdefault(self.outer_key(first), []).append(first)
+        row = first
         while True:
+            key = self.outer_key(row)
+            if not is_null_key(key):  # NULL never joins
+                bucket.setdefault(key, []).append(row)
             row = self.outer.next()
             if row is None:
                 break
@@ -218,7 +221,6 @@ class HDGJ(GroupAware):
             if row_group != group:
                 self._pending = (row, row_group)
                 break
-            bucket.setdefault(self.outer_key(row), []).append(row)
         self._group = group
         self._bucket = bucket
         self._inner = self.inner_factory()

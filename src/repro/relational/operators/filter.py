@@ -18,10 +18,31 @@ class Filter(Operator):
     mask and compacts survivors; all-pass batches are forwarded intact
     (preserving the scan's lowered-text alignment), all-fail batches are
     skipped without materializing anything.
+
+    ``columns`` names the child columns still read above the filter
+    (default: all); the rest — read by the predicate alone — are dropped
+    with the rows, before anything is compacted.  Names are matched
+    without their alias: this is for the filter of a single relation's
+    access path.
     """
 
-    def __init__(self, child: Operator, predicate: Expression) -> None:
-        super().__init__(child.layout, child.stats)
+    def __init__(
+        self,
+        child: Operator,
+        predicate: Expression,
+        columns: Optional[Sequence[str]] = None,
+    ) -> None:
+        entries = child.layout.entries
+        self._emit: Optional[List[int]] = None
+        if columns is not None:
+            wanted = {name.lower() for name in columns}
+            emit = [i for i, (_, name) in enumerate(entries) if name in wanted]
+            if len(emit) < len(entries):
+                self._emit = emit
+                entries = [entries[i] for i in emit]
+        super().__init__(
+            child.layout if self._emit is None else RowLayout(entries), child.stats
+        )
         self.child = child
         self.predicate = predicate
         self._fn = predicate.bind(child.layout)
@@ -31,27 +52,33 @@ class Filter(Operator):
         self.child.open()
 
     def next(self) -> Optional[Row]:
+        emit = self._emit
         while True:
             row = self.child.next()
             if row is None:
                 return None
             if is_truthy(self._fn(row)):
-                return row
+                return row if emit is None else tuple(row[i] for i in emit)
 
     def next_batch(self) -> Optional[Batch]:
+        emit = self._emit
         while True:
             batch = self.child.next_batch()
             if batch is None:
                 return None
             result = self._batch_fn(batch)
             if result.kind == "const":
-                if result.data is True:
-                    return batch
-                continue
-            keep = result.as_keep()
-            kept = sum(keep) if isinstance(keep, list) else int(keep.sum())
-            if kept == 0:
-                continue
+                if result.data is not True:
+                    continue
+                keep, kept = None, batch.length
+            else:
+                keep = result.as_keep()
+                kept = sum(keep) if isinstance(keep, list) else int(keep.sum())
+                if kept == 0:
+                    continue
+            if emit is not None:
+                # The lowered-text provider is keyed by child position.
+                batch = Batch([batch.columns[i] for i in emit], batch.length)
             if kept == batch.length:
                 return batch
             return batch.compact(keep, kept)

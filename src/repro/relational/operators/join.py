@@ -2,35 +2,47 @@
 nested-loops, and sort-merge — the System-R repertoire the optimizer
 enumerates (Section 5.4.1).
 
-Batch paths: the hash and index joins probe per *outer batch*, gathering
-matching (outer position, inner row) pairs and assembling the combined
-batch with one column gather per side — build order, probe order, and
-residual filtering mirror the row engine exactly, so emission order is
-identical.  Nested-loops stays row-at-a-time (it is the rare theta-join
-fallback); sort-merge materializes anyway, so only its input drains are
-batched.
+Batch paths: the hash and index joins probe per *outer batch* through
+one function, :func:`probe_pairs`, which yields the matching (outer
+position, inner position) pairs — from the sorted-key kernel
+(:class:`~repro.relational.index.CsrKeys`) when the outer key is one
+int/bool array column, from the per-key loop otherwise — and assemble
+the combined batch with one column gather per side.  Build order, probe
+order, and residual filtering mirror the row engine exactly, so emission
+order is identical.  Nested-loops stays row-at-a-time (it is the rare
+theta-join fallback); sort-merge materializes anyway, so only its input
+drains are batched.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ExecutionError
 from repro.relational.column import (
-    HAVE_NUMPY,
     Batch,
     is_ndarray,
     np,
-    take_column,
+    take_columns,
     to_pylist,
 )
 from repro.relational.database import ExecStats
 from repro.relational.expressions import Expression, Row, RowLayout, is_truthy
-from repro.relational.index import HashIndex
+from repro.relational.index import CsrKeys, HashIndex, is_null_key
 from repro.relational.operators.base import Operator
-from repro.relational.operators.scan import table_layout
+from repro.relational.operators.scan import emitted_positions, table_layout
 from repro.relational.runtime import columnar_enabled
 from repro.relational.table import Table
+
+# Outer batches shorter than this probe key by key.  The kernel answers
+# a batch with a dozen array operations whatever its length, which a
+# handful of dict lookups undercuts (the one-row outer of a point query
+# is the extreme case) — the join-side sibling of
+# ``sort.LIMIT_ROW_PULL_MAX``: the path follows from the size of the
+# work at hand, never from an option.
+ARRAY_PROBE_MIN_ROWS = 32
+
+_UNSET = object()
 
 
 def _key_fn(positions: Sequence[int]):
@@ -47,6 +59,98 @@ def _batch_keys(batch: Batch, positions: Sequence[int]) -> list:
         return to_pylist(batch.columns[positions[0]])
     key_columns = [to_pylist(batch.columns[p]) for p in positions]
     return list(zip(*key_columns))
+
+
+def probe_pairs(batch: Batch, key_positions: Sequence[int], inner) -> Tuple[Any, Any]:
+    """(outer position, inner position) of every equi-join match of an
+    outer batch, as two parallel sequences in outer order, then the
+    inner's insertion order.
+
+    ``inner`` is a :class:`~repro.relational.index.HashIndex` or a
+    :class:`_BuildSide`: ``key_arrays()`` is its sorted-key kernel (or
+    None), ``buckets()`` its dict of key -> inner positions.  The kernel
+    takes a batch whose key is a single int/bool array column of at
+    least ``ARRAY_PROBE_MIN_ROWS`` rows; everything else — TEXT, FLOAT,
+    NULL-bearing (hence list-backed) and composite keys, an inner that
+    has no key arrays — goes through the per-key loop, with the same
+    pairs in the same order.  NULL never joins."""
+    if len(key_positions) == 1 and batch.length >= ARRAY_PROBE_MIN_ROWS:
+        keys = batch.columns[key_positions[0]]
+        if is_ndarray(keys) and keys.dtype.kind in "ib":
+            view = inner.key_arrays()
+            if view is not None:
+                return view.probe(keys)
+    outer_positions: List[int] = []
+    inner_positions: List[int] = []
+    lookup = inner.buckets().get
+    for i, key in enumerate(_batch_keys(batch, key_positions)):
+        bucket = lookup(key)
+        if bucket and not is_null_key(key):
+            if len(bucket) == 1:
+                outer_positions.append(i)
+                inner_positions.append(bucket[0])
+            else:
+                outer_positions.extend([i] * len(bucket))
+                inner_positions.extend(bucket)
+    return outer_positions, inner_positions
+
+
+class _BuildSide:
+    """A hash join's materialized inner input, probed like a
+    :class:`~repro.relational.index.HashIndex`: ``key_arrays`` /
+    ``buckets`` answer with *ordinals* of its rows.
+
+    Columnar executions hand it the drained input as one batch and it
+    stays columns: the kernel is built from the key column itself, and
+    the dict of buckets and the row tuples only if the per-key loop or
+    the row protocol ask for them.  Row-mode executions hand it rows.
+    """
+
+    def __init__(
+        self,
+        key_positions: Sequence[int],
+        batch: Optional[Batch] = None,
+        rows: Optional[List[Row]] = None,
+    ) -> None:
+        self.key_positions = tuple(key_positions)
+        self.batch = batch
+        self._rows = rows
+        self._buckets: Optional[Dict[Any, List[int]]] = None
+        self._csr: Any = _UNSET
+
+    @property
+    def rows(self) -> List[Row]:
+        if self._rows is None:
+            self._rows = self.batch.to_rows()
+        return self._rows
+
+    def key_arrays(self) -> Optional[CsrKeys]:
+        if self._csr is _UNSET:
+            self._csr = None
+            if self.batch is not None and len(self.key_positions) == 1:
+                keys = self.batch.columns[self.key_positions[0]]
+                if is_ndarray(keys) and keys.dtype.kind in "ib":
+                    self._csr = CsrKeys(keys.astype("int64", copy=False))
+        return self._csr
+
+    def buckets(self) -> Dict[Any, List[int]]:
+        buckets = self._buckets
+        if buckets is None:
+            buckets = self._buckets = {}
+            if self.batch is not None:
+                keys = _batch_keys(self.batch, self.key_positions)
+            else:
+                keys = map(_key_fn(self.key_positions), self._rows)
+            for ordinal, key in enumerate(keys):
+                if not is_null_key(key):  # NULL never joins
+                    buckets.setdefault(key, []).append(ordinal)
+        return buckets
+
+
+def _build_side(right: Operator, key_positions: Sequence[int]) -> _BuildSide:
+    if columnar_enabled():
+        return _BuildSide(key_positions, batch=right.drain_batch())
+    return _BuildSide(key_positions, rows=list(right))
 
 
 def _apply_residual(batch: Batch, batch_fn) -> Optional[Batch]:
@@ -82,64 +186,32 @@ class HashJoin(Operator):
         self.left = left
         self.right = right
         self.left_key_positions = tuple(left_key_positions)
+        self.right_key_positions = tuple(right_key_positions)
         self.left_key = _key_fn(left_key_positions)
-        self.right_key = _key_fn(right_key_positions)
         self.residual = residual
         self._residual_fn = residual.bind(self.layout) if residual is not None else None
         self._residual_batch_fn = (
             residual.bind_batch(self.layout) if residual is not None else None
         )
-        self._hash: Optional[dict] = None
-        self._matches: Optional[Iterator[Row]] = None
+        self._build: Optional[_BuildSide] = None
+        self._matches: Optional[Iterator[int]] = None
         self._outer_row: Optional[Row] = None
-        self._probe_fast = None
 
     def open(self) -> None:
-        self._hash = {}
-        build_side = self.right.drain_rows() if columnar_enabled() else self.right
-        for row in build_side:
-            key = self.right_key(row)
-            if key is None or (isinstance(key, tuple) and any(k is None for k in key)):
-                continue  # NULL never joins
-            self._hash.setdefault(key, []).append(row)
-        self._probe_fast = self._prepare_fast_probe() if columnar_enabled() else None
+        self._build = _build_side(self.right, self.right_key_positions)
         self.left.open()
         self._matches = None
         self._outer_row = None
 
-    def _prepare_fast_probe(self):
-        """Sorted-key arrays for a vectorized single-int-key probe.
-
-        Only when every build key is a Python int (bool included —
-        ``hash(True) == hash(1)``, so dict and int64 equality agree)
-        and every bucket holds exactly one row: then each probe value
-        matches at most one inner row, and emitting matches in probe
-        order is exactly the row engine's emission order.  Returns
-        (sorted key array, sorted-pos → build row index, build columns)
-        or None."""
-        if not HAVE_NUMPY or len(self.left_key_positions) != 1 or not self._hash:
-            return None
-        rows = []
-        for key, bucket in self._hash.items():
-            if len(bucket) != 1 or not isinstance(key, int):
-                return None
-            rows.append(bucket[0])
-        try:
-            keys = np.array(list(self._hash), dtype="int64")
-        except OverflowError:
-            return None
-        order = np.argsort(keys, kind="stable")
-        right_columns = [list(col) for col in zip(*rows)]
-        return keys[order], order, right_columns
-
     def next(self) -> Optional[Row]:
-        if self._hash is None:
+        if self._build is None:
             raise ExecutionError("HashJoin.next() before open()")
+        build = self._build
         while True:
             if self._matches is not None:
-                inner = next(self._matches, None)
-                if inner is not None:
-                    combined = self._outer_row + inner
+                ordinal = next(self._matches, None)
+                if ordinal is not None:
+                    combined = self._outer_row + build.rows[ordinal]
                     if self._residual_fn is not None and not is_truthy(
                         self._residual_fn(combined)
                     ):
@@ -150,54 +222,27 @@ class HashJoin(Operator):
             outer = self.left.next()
             if outer is None:
                 return None
-            key = self.left_key(outer)
-            bucket = self._hash.get(key)
+            bucket = build.buckets().get(self.left_key(outer))
             if bucket:
                 self._outer_row = outer
                 self._matches = iter(bucket)
 
     def next_batch(self) -> Optional[Batch]:
-        if self._hash is None:
+        if self._build is None:
             raise ExecutionError("HashJoin.next_batch() before open()")
+        build = self._build
         while True:
             batch = self.left.next_batch()
             if batch is None:
                 return None
-            probe = batch.columns[self.left_key_positions[0]] if batch.columns else None
-            if (
-                self._probe_fast is not None
-                and is_ndarray(probe)
-                and probe.dtype.kind in "ib"
-            ):
-                sorted_keys, order, build_columns = self._probe_fast
-                at = np.minimum(
-                    np.searchsorted(sorted_keys, probe), sorted_keys.size - 1
-                )
-                matched = sorted_keys[at] == probe
-                if not matched.any():
-                    continue
-                out_positions = np.nonzero(matched)[0]
-                inner_at = order[at[matched]].tolist()
-                left_columns = [take_column(col, out_positions) for col in batch.columns]
-                right_columns = [
-                    [col[i] for i in inner_at] for col in build_columns
-                ]
-                combined = Batch(left_columns + right_columns, len(out_positions))
-            else:
-                out_positions = []
-                inner_rows: List[Row] = []
-                get = self._hash.get
-                for i, key in enumerate(_batch_keys(batch, self.left_key_positions)):
-                    bucket = get(key)
-                    if bucket:
-                        for inner in bucket:
-                            out_positions.append(i)
-                            inner_rows.append(inner)
-                if not out_positions:
-                    continue
-                left_columns = [take_column(col, out_positions) for col in batch.columns]
-                right_columns = [list(col) for col in zip(*inner_rows)]
-                combined = Batch(left_columns + right_columns, len(out_positions))
+            outer_at, inner_at = probe_pairs(batch, self.left_key_positions, build)
+            if not len(outer_at):
+                continue
+            combined = Batch(
+                take_columns(batch.columns, outer_at)
+                + take_columns(build.batch.columns, inner_at),
+                len(outer_at),
+            )
             if self._residual_batch_fn is not None:
                 combined = _apply_residual(combined, self._residual_batch_fn)
                 if combined is None:
@@ -207,9 +252,8 @@ class HashJoin(Operator):
 
     def close(self) -> None:
         self.left.close()
-        self._hash = None
+        self._build = None
         self._matches = None
-        self._probe_fast = None
 
     def describe(self) -> str:
         return "HashJoin"
@@ -219,7 +263,8 @@ class HashJoin(Operator):
 
 
 class IndexNestedLoopJoin(Operator):
-    """For each outer row, probe a hash index on the inner *table*.
+    """For each outer row, probe a hash index on the inner *table*,
+    emitting ``columns`` (default: all) of the matching inner rows.
 
     Preserves outer order; this is the regular (non-group-aware) sibling
     of the paper's IDGJ operator.
@@ -233,8 +278,13 @@ class IndexNestedLoopJoin(Operator):
         index: HashIndex,
         outer_key_positions: Sequence[int],
         residual: Optional[Expression] = None,
+        columns: Optional[Sequence[str]] = None,
     ) -> None:
-        super().__init__(outer.layout.concat(table_layout(table, alias)), outer.stats)
+        self.inner_positions = emitted_positions(table, columns)
+        super().__init__(
+            outer.layout.concat(table_layout(table, alias, self.inner_positions)),
+            outer.stats,
+        )
         self.outer = outer
         self.table = table
         self.alias = alias
@@ -259,11 +309,12 @@ class IndexNestedLoopJoin(Operator):
     def next(self) -> Optional[Row]:
         if not self._opened:
             raise ExecutionError("IndexNestedLoopJoin.next() before open()")
+        store = self.table.store
         while True:
             if self._matches is not None:
                 pos = next(self._matches, None)
                 if pos is not None:
-                    combined = self._outer_row + self.table.rows[pos]
+                    combined = self._outer_row + store.row_at(pos, self.inner_positions)
                     if self._residual_fn is not None and not is_truthy(
                         self._residual_fn(combined)
                     ):
@@ -281,23 +332,19 @@ class IndexNestedLoopJoin(Operator):
     def next_batch(self) -> Optional[Batch]:
         if not self._opened:
             raise ExecutionError("IndexNestedLoopJoin.next_batch() before open()")
-        lookup = self.index.lookup
         while True:
             batch = self.outer.next_batch()
             if batch is None:
                 return None
             self.stats.index_probes += batch.length
-            out_positions: List[int] = []
-            inner_positions: List[int] = []
-            for i, key in enumerate(_batch_keys(batch, self.outer_key_positions)):
-                for pos in lookup(key):
-                    out_positions.append(i)
-                    inner_positions.append(pos)
-            if not out_positions:
+            outer_at, inner_at = probe_pairs(batch, self.outer_key_positions, self.index)
+            if not len(outer_at):
                 continue
-            outer_columns = [take_column(col, out_positions) for col in batch.columns]
-            inner_columns = self.table.store.take_columns(inner_positions)
-            combined = Batch(outer_columns + inner_columns, len(out_positions))
+            combined = Batch(
+                take_columns(batch.columns, outer_at)
+                + self.table.store.take_columns(inner_at, self.inner_positions),
+                len(outer_at),
+            )
             if self._residual_batch_fn is not None:
                 combined = _apply_residual(combined, self._residual_batch_fn)
                 if combined is None:
@@ -472,47 +519,44 @@ class HashSemiJoin(Operator):
         self.left = left
         self.right = right
         self.left_key_positions = tuple(left_key_positions)
+        self.right_key_positions = tuple(right_key_positions)
         self.left_key = _key_fn(left_key_positions)
-        self.right_key = _key_fn(right_key_positions)
         self.negated = negated
-        self._keys: Optional[set] = None
+        self._build: Optional[_BuildSide] = None
 
     def open(self) -> None:
-        self._keys = set()
-        build_side = self.right.drain_rows() if columnar_enabled() else self.right
-        for row in build_side:
-            key = self.right_key(row)
-            if key is None or (isinstance(key, tuple) and any(k is None for k in key)):
-                continue
-            self._keys.add(key)
+        self._build = _build_side(self.right, self.right_key_positions)
         self.left.open()
 
     def next(self) -> Optional[Row]:
-        if self._keys is None:
+        if self._build is None:
             raise ExecutionError("HashSemiJoin.next() before open()")
         while True:
             row = self.left.next()
             if row is None:
                 return None
-            found = self.left_key(row) in self._keys
+            found = self.left_key(row) in self._build.buckets()
             if found != self.negated:
                 self.stats.rows_joined += 1
                 return row
 
     def next_batch(self) -> Optional[Batch]:
-        if self._keys is None:
+        if self._build is None:
             raise ExecutionError("HashSemiJoin.next_batch() before open()")
-        keys = self._keys
-        negated = self.negated
         while True:
             batch = self.left.next_batch()
             if batch is None:
                 return None
-            keep = [
-                (key in keys) != negated
-                for key in _batch_keys(batch, self.left_key_positions)
-            ]
-            kept = sum(keep)
+            matched, _ = probe_pairs(batch, self.left_key_positions, self._build)
+            if is_ndarray(matched):
+                keep = np.full(batch.length, self.negated)
+                keep[matched] = not self.negated
+                kept = int(keep.sum())
+            else:
+                keep = [self.negated] * batch.length
+                for i in matched:
+                    keep[i] = not self.negated
+                kept = sum(keep)
             if kept == 0:
                 continue
             self.stats.rows_joined += kept
@@ -522,7 +566,7 @@ class HashSemiJoin(Operator):
 
     def close(self) -> None:
         self.left.close()
-        self._keys = None
+        self._build = None
 
     def describe(self) -> str:
         return "HashAntiJoin" if self.negated else "HashSemiJoin"

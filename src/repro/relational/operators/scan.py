@@ -9,7 +9,7 @@ cache instead of lowering per row.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, List, Optional, Sequence
+from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ExecutionError
 from repro.relational.column import BATCH_SIZE, Batch, ColumnStore
@@ -20,15 +20,35 @@ from repro.relational.operators.base import GroupAware, Operator
 from repro.relational.table import Table
 
 
-def table_layout(table: Table, alias: str) -> RowLayout:
-    return RowLayout([(alias, c.name) for c in table.schema.columns])
+def emitted_positions(
+    table: Table, columns: Optional[Sequence[str]]
+) -> Optional[Tuple[int, ...]]:
+    """Schema positions of the columns an access path emits, in schema
+    order; None stands for every column (``columns`` is None or names
+    them all), which keeps the whole-row fast paths."""
+    if columns is None:
+        return None
+    wanted = {name.lower() for name in columns}
+    positions = tuple(
+        i for i, c in enumerate(table.schema.columns) if c.name.lower() in wanted
+    )
+    return None if len(positions) == len(table.schema.columns) else positions
+
+
+def table_layout(
+    table: Table, alias: str, positions: Optional[Sequence[int]] = None
+) -> RowLayout:
+    columns = table.schema.columns
+    if positions is not None:
+        columns = [columns[p] for p in positions]
+    return RowLayout([(alias, c.name) for c in columns])
 
 
 def _lowered_provider(
-    store: ColumnStore, start: int, stop: int
+    store: ColumnStore, start: int, stop: int, positions: Optional[Sequence[int]]
 ) -> Callable[[int], Optional[list]]:
     def get(position: int) -> Optional[list]:
-        lowered = store.lowered(position)
+        lowered = store.lowered(position if positions is None else positions[position])
         return None if lowered is None else lowered[start:stop]
 
     return get
@@ -48,17 +68,24 @@ def table_batch(table: Table) -> Batch:
 
 
 class SeqScan(Operator):
-    """Full scan of a table's heap."""
+    """Full scan of a table's heap, emitting ``columns`` (default: all)."""
 
-    def __init__(self, table: Table, alias: str, stats: Optional[ExecStats] = None) -> None:
-        super().__init__(table_layout(table, alias), stats)
+    def __init__(
+        self,
+        table: Table,
+        alias: str,
+        stats: Optional[ExecStats] = None,
+        columns: Optional[Sequence[str]] = None,
+    ) -> None:
+        self.positions = emitted_positions(table, columns)
+        super().__init__(table_layout(table, alias, self.positions), stats)
         self.table = table
         self.alias = alias
         self._iter: Optional[Iterator[Row]] = None
         self._cursor = 0
 
     def open(self) -> None:
-        self._iter = iter(self.table.rows)
+        self._iter = self.table.store.iter_rows(self.positions)
         self._cursor = 0
 
     def next(self) -> Optional[Row]:
@@ -80,9 +107,9 @@ class SeqScan(Operator):
         self._cursor = stop
         self.stats.rows_scanned += stop - start
         return Batch(
-            store.slice_columns(start, stop),
+            store.slice_columns(start, stop, self.positions),
             stop - start,
-            lowered=_lowered_provider(store, start, stop),
+            lowered=_lowered_provider(store, start, stop, self.positions),
         )
 
     def close(self) -> None:
@@ -93,7 +120,8 @@ class SeqScan(Operator):
 
 
 class HashIndexScan(Operator):
-    """Probe a hash index with a constant key."""
+    """Probe a hash index with a constant key, emitting ``columns``
+    (default: all) of the matching rows."""
 
     def __init__(
         self,
@@ -102,8 +130,10 @@ class HashIndexScan(Operator):
         index: HashIndex,
         key: Any,
         stats: Optional[ExecStats] = None,
+        columns: Optional[Sequence[str]] = None,
     ) -> None:
-        super().__init__(table_layout(table, alias), stats)
+        self.positions = emitted_positions(table, columns)
+        super().__init__(table_layout(table, alias, self.positions), stats)
         self.table = table
         self.alias = alias
         self.index = index
@@ -125,7 +155,7 @@ class HashIndexScan(Operator):
         if pos is None:
             return None
         self.stats.rows_scanned += 1
-        return self.table.rows[pos]
+        return self.table.store.row_at(pos, self.positions)
 
     def next_batch(self) -> Optional[Batch]:
         if self._positions is None:
@@ -135,7 +165,9 @@ class HashIndexScan(Operator):
         self._batch_done = True
         positions = self._position_list
         self.stats.rows_scanned += len(positions)
-        return Batch(self.table.store.take_columns(positions), len(positions))
+        return Batch(
+            self.table.store.take_columns(positions, self.positions), len(positions)
+        )
 
     def close(self) -> None:
         self._positions = None
@@ -145,12 +177,14 @@ class HashIndexScan(Operator):
 
 
 class OrderedIndexScan(GroupAware):
-    """Full scan in sorted-index key order (asc or desc).
+    """Full scan in sorted-index key order (asc or desc), emitting
+    ``columns`` (default: all).
 
     This is the "idxScan TopoInfo (score order)" leaf of the paper's DGJ
     plans (Figure 15).  It is group-aware with each *key run* — or, when
     ``group_positions`` is given, each distinct combination of those
-    column positions — forming a group.
+    table column positions — forming a group; the group key is read
+    from the heap, so it need not be among the emitted columns.
     """
 
     def __init__(
@@ -161,8 +195,10 @@ class OrderedIndexScan(GroupAware):
         descending: bool = False,
         group_positions: Optional[Sequence[int]] = None,
         stats: Optional[ExecStats] = None,
+        columns: Optional[Sequence[str]] = None,
     ) -> None:
-        super().__init__(table_layout(table, alias), stats)
+        self.positions = emitted_positions(table, columns)
+        super().__init__(table_layout(table, alias, self.positions), stats)
         self.table = table
         self.alias = alias
         self.index = index
@@ -172,12 +208,13 @@ class OrderedIndexScan(GroupAware):
         )
         self._positions: Optional[Iterator[int]] = None
         self._current_group: Any = None
-        self._pending: Optional[Row] = None
+        self._pending: Optional[int] = None
 
-    def _group_of(self, row: Row) -> Any:
+    def _group_at(self, pos: int) -> Any:
+        columns = self.table.store.columns
         if len(self.group_positions) == 1:
-            return row[self.group_positions[0]]
-        return tuple(row[p] for p in self.group_positions)
+            return columns[self.group_positions[0]][pos]
+        return tuple(columns[p][pos] for p in self.group_positions)
 
     def open(self) -> None:
         self._positions = self.index.scan(descending=self.descending)
@@ -188,17 +225,14 @@ class OrderedIndexScan(GroupAware):
         if self._positions is None:
             raise ExecutionError("OrderedIndexScan.next() before open()")
         if self._pending is not None:
-            row, self._pending = self._pending, None
-            self._current_group = self._group_of(row)
-            self.stats.rows_scanned += 1
-            return row
-        pos = next(self._positions, None)
-        if pos is None:
-            return None
-        row = self.table.rows[pos]
-        self._current_group = self._group_of(row)
+            pos, self._pending = self._pending, None
+        else:
+            pos = next(self._positions, None)
+            if pos is None:
+                return None
+        self._current_group = self._group_at(pos)
         self.stats.rows_scanned += 1
-        return row
+        return self.table.store.row_at(pos, self.positions)
 
     def advance_to_next_group(self) -> None:
         """Skip forward until the group key changes; the first row of the
@@ -213,10 +247,9 @@ class OrderedIndexScan(GroupAware):
             pos = next(self._positions, None)
             if pos is None:
                 return
-            row = self.table.rows[pos]
             self.stats.rows_scanned += 1
-            if self._group_of(row) != self._current_group:
-                self._pending = row
+            if self._group_at(pos) != self._current_group:
+                self._pending = pos
                 return
 
     def current_group(self) -> Any:

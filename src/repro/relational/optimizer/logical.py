@@ -10,7 +10,7 @@ output order (an "interesting order", Section 5.4.1) to avoid sorting.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import OptimizerError
 from repro.relational.expressions import (
@@ -25,11 +25,16 @@ from repro.relational.expressions import (
 @dataclass
 class BaseRelation:
     """One FROM-list entry: a stored table under an alias, with the local
-    (single-relation) predicates that apply to it."""
+    (single-relation) predicates that apply to it, the columns the
+    statement reads from it — what its scan emits — and those of them
+    still read once the local predicates are applied — what its access
+    path hands on (``None``: all columns, both times)."""
 
     table: str
     alias: str
     local_predicates: List[Expression] = field(default_factory=list)
+    columns: Optional[Tuple[str, ...]] = None
+    carried: Optional[Tuple[str, ...]] = None
 
     def __post_init__(self) -> None:
         self.alias = self.alias.lower()
@@ -64,6 +69,7 @@ class SPJBlock:
 def build_block(
     relations: Sequence[Tuple[str, str]],
     where_conjuncts: Sequence[Expression],
+    read_above: Optional[Iterable[Tuple[Optional[str], str]]] = None,
 ) -> SPJBlock:
     """Distribute WHERE conjuncts over a FROM list.
 
@@ -72,6 +78,14 @@ def build_block(
     relation could own them, which the binder guarantees) becomes a
     local predicate; conjuncts spanning two or more aliases become join
     conjuncts.
+
+    ``read_above`` lists the (alias, column) references of everything
+    evaluated over the block's output (select list, EXISTS correlations,
+    ORDER BY).  When given, each relation records the columns the
+    statement reads from it: ``carried`` — those, plus the ones the join
+    conjuncts name — and ``columns`` — ``carried`` plus the ones only
+    its local predicates name.  Left out, every relation keeps all its
+    columns.
     """
     base = [BaseRelation(table=t, alias=a) for t, a in relations]
     by_alias = {r.alias: r for r in base}
@@ -89,7 +103,33 @@ def build_block(
             base[0].local_predicates.append(conjunct)
         else:
             block.join_conjuncts.append(conjunct)
+    if read_above is not None:
+        _record_columns(block, read_above)
     return block
+
+
+def _record_columns(
+    block: SPJBlock, read_above: Iterable[Tuple[Optional[str], str]]
+) -> None:
+    def by_alias(refs: Iterable[Tuple[Optional[str], str]]) -> Dict[Optional[str], Set[str]]:
+        names: Dict[Optional[str], Set[str]] = {}
+        for qualifier, name in refs:
+            names.setdefault(qualifier, set()).add(name.lower())
+        return names
+
+    carried = by_alias(
+        [*read_above, *(ref for c in block.join_conjuncts for ref in c.column_refs())]
+    )
+    local = {
+        rel.alias: by_alias(ref for p in rel.local_predicates for ref in p.column_refs())
+        for rel in block.relations
+    }
+    if None in carried or any(None in names for names in local.values()):
+        return  # an unqualified reference could be anyone's: keep everything
+    for rel in block.relations:
+        kept = carried.get(rel.alias, set())
+        rel.carried = tuple(sorted(kept))
+        rel.columns = tuple(sorted(kept | local[rel.alias].get(rel.alias, set())))
 
 
 @dataclass(frozen=True)

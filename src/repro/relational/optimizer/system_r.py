@@ -5,7 +5,10 @@ Dynamic programming over alias subsets, keeping the least-cost plan per
 the paper) that Section 5.4 extends.  Physical alternatives considered:
 
 * access paths: heap scan, hash-index probe (constant equality), and
-  ordered-index scan (which *creates* an interesting order);
+  ordered-index scan (which *creates* an interesting order) — each, like
+  the inner side of index nested-loops, emitting only the columns the
+  block's relation records as read (``BaseRelation.columns``), which
+  changes no cost input;
 * joins: hash join, index nested-loops, sort-merge (which creates the
   join-key order), and block nested-loops for predicate-less or theta
   splits.
@@ -158,13 +161,13 @@ class SystemROptimizer:
         out: List[PhysicalCandidate] = []
 
         def with_filter(op: Operator, predicate: Optional[Expression]) -> Operator:
-            return Filter(op, predicate) if predicate is not None else op
+            return Filter(op, predicate, rel.carried) if predicate is not None else op
 
         # 1. Sequential scan.
         scan_cost = n * C.ROW_COST + n * len(preds) * C.PRED_COST
 
         def build_seq(table=table, alias=alias, pred=pred) -> Operator:
-            return with_filter(SeqScan(table, alias, db.stats), pred)
+            return with_filter(SeqScan(table, alias, db.stats, rel.columns), pred)
 
         out.append(
             PhysicalCandidate(scan_cost, est, None, build_seq, f"SeqScan({rel.table})")
@@ -195,7 +198,7 @@ class SystemROptimizer:
                 remaining=tuple(remaining),
             ) -> Operator:
                 return with_filter(
-                    HashIndexScan(table, alias, index, key_val, db.stats),
+                    HashIndexScan(table, alias, index, key_val, db.stats, rel.columns),
                     conjoin(remaining),
                 )
 
@@ -226,7 +229,12 @@ class SystemROptimizer:
                 ) -> Operator:
                     return with_filter(
                         OrderedIndexScan(
-                            table, alias, sorted_index, descending, stats=db.stats
+                            table,
+                            alias,
+                            sorted_index,
+                            descending,
+                            stats=db.stats,
+                            columns=rel.columns,
                         ),
                         pred,
                     )
@@ -545,7 +553,7 @@ class SystemROptimizer:
                         )
                     ]
                     return IndexNestedLoopJoin(
-                        left_op, tab, alias, index, lpos, combined_residual
+                        left_op, tab, alias, index, lpos, combined_residual, rel.columns
                     )
 
                 out.append(

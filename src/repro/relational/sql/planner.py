@@ -4,7 +4,9 @@ The pipeline for one statement:
 
 1. expand ``*`` items and qualify every unqualified column reference
    (binder role),
-2. split WHERE into conjuncts; pull out ``[NOT] EXISTS`` conjuncts,
+2. split WHERE into conjuncts; pull out ``[NOT] EXISTS`` conjuncts;
+   record per relation the columns the statement reads (select list,
+   conjuncts, EXISTS correlations) — all its access path will emit,
 3. optimize the select-project-join block with the System-R enumerator
    (exploiting an ORDER BY column as a desired interesting order),
 4. decorrelate each EXISTS into a hash semi/anti join on top (the
@@ -235,19 +237,34 @@ class Planner:
             if _contains_exists(conjunct):
                 raise SqlError("EXISTS is only supported as a top-level conjunct")
             conjuncts.append(self._qualify(conjunct, alias_schemas))
-
-        block = build_block(
-            [(t.table, t.alias) for t in core.tables],
-            conjuncts,
-        )
-        candidate = self.optimizer.optimize(block, desired_order=desired_order)
-        appliers = [
+        items = [
+            None if item.star else self._qualify(item.expr, alias_schemas)
+            for item in core.items
+        ]
+        prepared_exists = [
             self._prepare_exists(exists, alias_schemas) for exists in exists_nodes
         ]
+        appliers = [applier for applier, _ in prepared_exists]
+
+        # Everything evaluated over the block's output: with the
+        # conjuncts, every column the statement reads.  ORDER BY keys
+        # bind to the select list's output, so beyond it they name at
+        # most the column of an index order the plan may deliver.
+        read_above: Optional[set] = None
+        if None not in items:  # ``*`` reads every column
+            read_above = {ref for _, outer in prepared_exists for ref in outer}
+            for expr in items:
+                read_above |= expr.column_refs()
+            if desired_order is not None:
+                read_above.add(desired_order[:2])
+        block = build_block(
+            [(t.table, t.alias) for t in core.tables], conjuncts, read_above
+        )
+        candidate = self.optimizer.optimize(block, desired_order=desired_order)
         # Probe build purely for the layout (operator construction has
         # no side effects); EXISTS appliers never change the layout.
         layout = candidate.build().layout
-        entries, exprs = self._projection(core, layout, alias_schemas)
+        entries, exprs = self._projection(core, items, layout)
 
         def build_core() -> Operator:
             op = candidate.build()
@@ -260,18 +277,19 @@ class Planner:
     def _projection(
         self,
         core: SelectCore,
+        items: List[Optional[Expression]],
         layout: RowLayout,
-        alias_schemas: Dict[str, Any],
     ) -> Tuple[List[Tuple[str, str]], List[Expression]]:
+        """Output (alias, name) entries and expressions of the select
+        list; ``items`` holds its qualified expressions, None for ``*``."""
         entries: List[Tuple[str, str]] = []
         exprs: List[Expression] = []
-        for i, item in enumerate(core.items):
-            if item.star:
+        for i, (item, expr) in enumerate(zip(core.items, items)):
+            if expr is None:
                 for alias, name in layout.entries:
                     entries.append((alias, name))
                     exprs.append(ColumnRef(alias, name))
                 continue
-            expr = self._qualify(item.expr, alias_schemas)
             if item.alias is not None:
                 name = item.alias.lower()
             elif isinstance(expr, ColumnRef):
@@ -289,10 +307,13 @@ class Planner:
         self,
         exists: ExistsExpr,
         outer_schemas: Dict[str, Any],
-    ) -> Callable[[Operator], Operator]:
+    ) -> Tuple[Callable[[Operator], Operator], List[Tuple[str, str]]]:
         """Bind and optimize one ``[NOT] EXISTS`` conjunct, returning an
         applier that wraps the per-execution decorrelation around a
-        freshly built outer operator tree."""
+        freshly built outer operator tree, and the outer (alias, column)
+        references its correlation reads.  The subquery's own select
+        list is never evaluated, so its block reads only what its
+        conjuncts and the correlation name."""
         sub = exists.subquery
         sub_schemas = self._alias_schemas(sub)
         overlap = set(sub_schemas) & set(outer_schemas)
@@ -323,9 +344,14 @@ class Planner:
             else:
                 raise SqlError("correlation must relate an outer and an inner column")
 
-        sub_block = build_block([(t.table, t.alias) for t in sub.tables], local)
+        sub_block = build_block(
+            [(t.table, t.alias) for t in sub.tables],
+            local,
+            [(inner.qualifier, inner.name) for _, inner in corr],
+        )
         sub_candidate = self.optimizer.optimize(sub_block)
         negated = exists.negated
+        outer_refs = [(outer.qualifier, outer.name) for outer, _ in corr]
 
         if not corr:
             # Uncorrelated: evaluated per execution (the result is a
@@ -339,7 +365,7 @@ class Planner:
                     return op
                 return RowsSource([], op.layout, self.database.stats)
 
-            return apply_uncorrelated
+            return apply_uncorrelated, outer_refs
 
         def apply_correlated(op: Operator) -> Operator:
             sub_op = sub_candidate.build()
@@ -352,7 +378,7 @@ class Planner:
             self.database.stats.subqueries_run += 1
             return HashSemiJoin(op, sub_op, left_positions, right_positions, negated)
 
-        return apply_correlated
+        return apply_correlated, outer_refs
 
     # ------------------------------------------------------------------
     # Statement planning

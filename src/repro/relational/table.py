@@ -92,7 +92,7 @@ class Table:
             row = self.schema.validate_row(values)
         if self.schema.primary_key is not None:
             pk_index = self._hash_indexes["pk"]
-            if pk_index.lookup(pk_index.key_of(row)):
+            if pk_index.key_of(row) in pk_index.buckets():
                 raise SchemaError(
                     f"duplicate primary key {pk_index.key_of(row)!r} in "
                     f"{self.schema.name!r}"

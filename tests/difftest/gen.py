@@ -64,6 +64,7 @@ WORDS = (
 INT_LO, INT_HI = -10_000, 10_000
 LIT_LO, LIT_HI = -100, 100
 NULL_PROB = 0.15
+LINK_VALUES = 12  # distinct non-NULL values of the nullable LINK join column
 
 #: column metadata the expression generator works from:
 #: (alias, column name, DataType, nullable)
@@ -99,9 +100,13 @@ def gen_database(
 
     Every table gets an ``ID`` primary key; tables after the first get a
     ``REF`` column drawn from the first table's ID range so equi-joins
-    have realistic selectivity.  Secondary hash/sorted indexes are
-    rolled randomly so the optimizer can pick index scans and
-    index-nested-loop joins, not just heap scans.
+    have realistic selectivity.  Every table also gets a *nullable*
+    ``LINK`` column over a dozen values, usually hash-indexed: a
+    many-to-many join column on which NULL meets NULL, so a join that
+    pairs them shows up as a difference between join methods.
+    Secondary hash/sorted indexes are rolled randomly so the optimizer
+    can pick index scans and index-nested-loop joins, not just heap
+    scans.
     """
     db = Database("difftest")
     tables: Dict[str, List[ColumnInfo]] = {}
@@ -112,6 +117,7 @@ def gen_database(
         columns = [Column("ID", DataType.INT, True)]
         if t > 0:
             columns.append(Column("REF", DataType.INT, True))
+        columns.append(Column("LINK", DataType.INT, False))
         for c in range(rng.randint(2, 4)):
             columns.append(
                 Column(f"C{c}", rng.choice(dtypes), rng.random() < 0.5)
@@ -126,10 +132,13 @@ def gen_database(
             row = [rid]
             if t > 0:
                 row.append(rng.randrange(max(first_rows, 1)))
+            row.append(None if rng.random() < NULL_PROB else rng.randrange(LINK_VALUES))
             for col in columns[len(row):]:
                 row.append(_gen_value(rng, col.dtype, not col.not_null))
             table.insert(tuple(row))
 
+        if rng.random() < 0.7:
+            table.create_hash_index(f"hx_{name}_link", ["LINK"])
         # Random secondary indexes over non-null scalar columns.
         for col in columns[1:]:
             if col.not_null and col.dtype is DataType.INT and rng.random() < 0.5:
@@ -313,9 +322,10 @@ def gen_queries(
     """Random SELECT statements over the generated tables.
 
     Mixes single-table scans, equi-joins on the generated REF -> ID
-    relationship (plus a random residual predicate), DISTINCT,
-    ORDER BY, and FETCH FIRST — enough surface to reach every batch
-    operator through the real planner.
+    relationship or on the nullable many-to-many LINK columns (plus a
+    random residual predicate), DISTINCT, ORDER BY, and FETCH FIRST —
+    enough surface to reach every batch operator through the real
+    planner.
     """
     names = sorted(tables)
     queries: List[str] = []
@@ -326,7 +336,8 @@ def gen_queries(
             t_inner = names[0]
             cols = tables[t_outer] + tables[t_inner]
             from_clause = f"{t_outer}, {t_inner}"
-            conds = [f"{t_outer}.ref = {t_inner}.id"]
+            key = ("link", "link") if rng.random() < 0.4 else ("ref", "id")
+            conds = [f"{t_outer}.{key[0]} = {t_inner}.{key[1]}"]
         else:
             t_outer = rng.choice(names)
             cols = tables[t_outer]

@@ -174,3 +174,44 @@ class TestDatabase:
         assert db.stats.total_work() == 7
         db.stats.reset()
         assert db.stats.total_work() == 0
+
+
+class TestColumnGathers:
+    """``take_columns`` / ``ColumnStore`` gathers and
+    slices: list or int-array indices, all columns or a subset — always
+    plain Python values out of list columns."""
+
+    def _store(self):
+        from repro.relational.column import ColumnStore
+
+        store = ColumnStore([DataType.INT, DataType.TEXT, DataType.INT])
+        store.extend_rows([(i, f"r{i}", None if i == 2 else -i) for i in range(6)])
+        return store
+
+    def test_array_indices_over_list_columns(self):
+        from repro.relational.column import HAVE_NUMPY, np, take_columns
+
+        values = ["a", "b", "c", "d"]
+        indices = np.array([3, 0, 3]) if HAVE_NUMPY else [3, 0, 3]
+        assert take_columns([values], indices) == [["d", "a", "d"]]
+        assert take_columns([values], [3, 0, 3]) == [["d", "a", "d"]]
+        ints = np.array([10, 20, 30, 40]) if HAVE_NUMPY else [10, 20, 30, 40]
+        text, numbers = take_columns([values, ints], indices)
+        assert text == ["d", "a", "d"] and list(numbers) == [40, 10, 40]
+        assert [list(c) for c in take_columns([values, ints], [])] == [[], []]
+
+    def test_store_take_and_slice_subsets(self):
+        from repro.relational.column import HAVE_NUMPY, np, to_pylist
+
+        store = self._store()
+        rows = np.array([4, 1]) if HAVE_NUMPY else [4, 1]
+        everything = [to_pylist(c) for c in store.take_columns(rows)]
+        assert everything == [[4, 1], ["r4", "r1"], [-4, -1]]
+        assert type(everything[2][0]) is int  # NULL-bearing INT column: a list
+        subset = [to_pylist(c) for c in store.take_columns(rows, (2, 0))]
+        assert subset == [[-4, -1], [4, 1]]
+        sliced = [to_pylist(c) for c in store.slice_columns(1, 3, (1,))]
+        assert sliced == [["r1", "r2"]]
+        assert store.row_at(2, (1, 2)) == ("r2", None)
+        assert list(store.iter_rows((0,))) == [(i,) for i in range(6)]
+        assert list(store.iter_rows(())) == [()] * 6
