@@ -1,21 +1,17 @@
-"""Concurrent serving benchmark: throughput scaling + rebuild under load.
+"""Concurrent serving benchmark: ``query_many`` throughput by mode.
 
-Two claims about :class:`~repro.service.TopologyServer` are measured:
-
-* **Throughput scales with workers on a read-heavy mix.**  The same
-  cache-busting workload (every query distinct, so engine executions
-  dominate — the hard case for scaling) runs single-threaded, over the
-  thread pool, and over warm replica processes.  The >= 2x floor at 4
-  workers is enforced where 2x is physically reachable: a machine with
-  >= 4 cores, using the replica-process path on a GIL interpreter (GIL
-  threads *interleave* pure-Python work — they provide concurrency, not
-  speedup — so on a stock build the floor additionally applies to
-  thread mode only when the interpreter is free-threaded).
-
-* **Hot rebuilds never produce torn results.**  Readers hammer the
-  server while generations with *provably different answers* swap in
-  under them; every observed result must match exactly one generation's
-  single-threaded oracle.  Enforced everywhere, at every scale.
+The one measurement anywhere of :meth:`TopologyServer.query_many
+<repro.service.TopologyServer.query_many>`'s ``mode="thread"`` and
+``mode="process"`` (no ``python3 -m bench`` workload covers them yet;
+ROADMAP item 5(c) decides which mode stays from this number).  The same
+cache-busting workload (every query distinct, so engine executions
+dominate — the hard case for scaling) runs single-threaded, over the
+thread pool, and over warm replica processes.  The >= 2x floor at 4
+workers is enforced where 2x is physically reachable: a machine with
+>= 4 cores, using the replica-process path on a GIL interpreter (GIL
+threads *interleave* pure-Python work — they provide concurrency, not
+speedup — so on a stock build the floor additionally applies to
+thread mode only when the interpreter is free-threaded).
 
 Machine-readable results land in ``BENCH_concurrent.json`` at the repo
 root so the trajectory is tracked across PRs.
@@ -25,9 +21,8 @@ from __future__ import annotations
 
 import os
 import sys
-import threading
 import time
-from typing import Dict, List, Tuple
+from typing import List
 
 from repro.analysis import render_table
 from repro.core import KeywordConstraint, NoConstraint, TopologyQuery
@@ -38,7 +33,6 @@ from benchmarks.common import emit, emit_json, private_system
 WORKERS = 4
 THROUGHPUT_SCALING_FLOOR = 2.0
 THREAD_OVERHEAD_FLOOR = 0.3  # GIL thread mode must stay within 1/0.3x of serial
-READERS = 8
 
 KEYWORDS = [
     "kinase", "binding", "human", "putative", "conserved", "receptor",
@@ -195,108 +189,3 @@ def test_read_heavy_throughput_scales(benchmark):
             f"thread-pool coordination overhead too high: "
             f"{thread_scaling:.2f}x of serial throughput"
         )
-
-
-def test_rebuild_under_load_returns_only_consistent_results():
-    workload = _workload()[:6]
-    configs = [{"per_pair_path_limit": 1}, {"per_pair_path_limit": None}]
-
-    with _fresh_server() as server:
-        oracles: Dict[int, Dict[TopologyQuery, Tuple[int, ...]]] = {}
-
-        def snapshot_oracle() -> None:
-            oracles[server.generation] = {
-                q: tuple(server.system.search(q).tids) for q in workload
-            }
-
-        snapshot_oracle()
-        observed: List[Tuple[int, TopologyQuery, Tuple[int, ...]]] = []
-        errors: List[BaseException] = []
-        lock = threading.Lock()
-        stop = threading.Event()
-
-        def reader(offset: int) -> None:
-            try:
-                i = 0
-                while not stop.is_set():
-                    query = workload[(offset + i) % len(workload)]
-                    result = server.query(query)
-                    with lock:
-                        observed.append(
-                            (result.generation, query, tuple(result.tids))
-                        )
-                    i += 1
-            except BaseException as error:  # pragma: no cover
-                with lock:
-                    errors.append(error)
-
-        threads = [
-            threading.Thread(target=reader, args=(n,)) for n in range(READERS)
-        ]
-        for thread in threads:
-            thread.start()
-        rebuild_seconds = []
-        try:
-            for round_number in range(2):
-                start = time.perf_counter()
-                server.rebuild(**configs[round_number % 2])
-                rebuild_seconds.append(time.perf_counter() - start)
-                snapshot_oracle()
-        finally:
-            stop.set()
-            for thread in threads:
-                thread.join()
-
-        stats = server.stats()
-
-    assert errors == []
-    assert oracles[1] != oracles[2], "configs must disagree for a real check"
-    inconsistent = sum(
-        1
-        for generation, query, tids in observed
-        if oracles[generation][query] != tids
-    )
-    per_generation = {
-        generation: sum(1 for g, _, _ in observed if g == generation)
-        for generation in sorted(oracles)
-    }
-    emit(
-        "concurrent_rebuild",
-        render_table(
-            ["metric", "value"],
-            [
-                ["reader threads", str(READERS)],
-                ["results observed", str(len(observed))],
-                ["generations served", str(len(per_generation))],
-                ["per-generation counts", str(per_generation)],
-                ["rebuilds (hot swaps)", str(len(rebuild_seconds))],
-                ["mean rebuild wall", f"{sum(rebuild_seconds) / len(rebuild_seconds):.2f} s"],
-                ["generation-inconsistent results", str(inconsistent)],
-            ],
-            title="Rebuild under load: traffic keeps flowing, results stay consistent",
-        ),
-    )
-    emit_json(
-        "concurrent",
-        {
-            "rebuild_under_load": {
-                "cores": os.cpu_count() or 1,
-                "reader_threads": READERS,
-                "results_observed": len(observed),
-                "generations": len(per_generation),
-                "per_generation_counts": {
-                    str(k): v for k, v in per_generation.items()
-                },
-                "inconsistent_results": inconsistent,
-                "requests": stats.requests,
-                "executions": stats.executions,
-                "coalesced": stats.coalesced,
-                "cache_hits": stats.result_cache.hits,
-            }
-        },
-    )
-    assert inconsistent == 0, f"{inconsistent} results mixed generations"
-    assert len(observed) > 0
-    # Counter invariants hold even across swaps.
-    assert stats.result_cache.hits + stats.result_cache.misses == stats.requests
-    assert stats.result_cache.misses == stats.executions + stats.coalesced

@@ -1,7 +1,7 @@
 """Observability overhead benchmark: what tracing + metrics cost.
 
 The observability layer is only free if nobody pays for it on the hot
-path, so this harness drives the ``bench_http`` socket workload with
+path, so this harness drives a closed-loop socket workload with
 tracing enabled (the default) and disabled and pins the closed-loop
 throughput regression at ≤5%.
 
@@ -36,7 +36,9 @@ repo root.
 
 from __future__ import annotations
 
+import http.client
 import itertools
+import json
 import threading
 import time
 from typing import Dict, List, Tuple
@@ -47,7 +49,6 @@ from repro.service import TopologyServer
 from repro.service.http import HttpServerThread, create_app
 
 from benchmarks.common import bench_scale, emit, emit_json, private_system
-from benchmarks.bench_http import WORKLOAD, _Client
 
 PAIRS = 320
 MISS_EVERY = 8  # every 8th pair busts the result cache
@@ -57,7 +58,35 @@ CONCURRENT_CLIENTS = 4
 CONCURRENT_REQUESTS_PER_CLIENT = 40
 SCRAPES = 20
 
+KEYWORDS = ["kinase", "binding", "human", "receptor", "membrane", "conserved"]
+WORKLOAD = [
+    {
+        "entity1": "Protein",
+        "entity2": "DNA",
+        "constraint1": {"kind": "keyword", "column": "DESC", "keyword": keyword},
+        "constraint2": {"kind": "none"},
+        "k": 2 + i % 4,
+        "ranking": ("freq", "rare")[i % 2],
+    }
+    for i, keyword in enumerate(KEYWORDS)
+]
+
 _uncached = itertools.count()
+
+
+def _connect(base_url: str) -> http.client.HTTPConnection:
+    """One keep-alive connection."""
+    return http.client.HTTPConnection(base_url.split("//", 1)[1], timeout=60.0)
+
+
+def _post(conn: http.client.HTTPConnection, payload: dict) -> Tuple[int, float]:
+    """``POST /query``; the status and the wall time to the last byte."""
+    body = json.dumps(payload).encode()
+    start = time.perf_counter()
+    conn.request("POST", "/query", body=body, headers={"Content-Type": "application/json"})
+    response = conn.getresponse()
+    response.read()
+    return response.status, time.perf_counter() - start
 
 
 def _fresh_server() -> TopologyServer:
@@ -80,11 +109,11 @@ def _busting_body() -> dict:
 
 def _paired_overhead(base_url: str) -> Dict[str, float]:
     """Run the paired traced/untraced loop; see the module docstring."""
-    client = _Client(base_url)
+    client = _connect(base_url)
     tracer = obs_tracer()
     try:
         def post(body: dict) -> float:
-            status, _, seconds = client.post("/query", body)
+            status, seconds = _post(client, body)
             assert status == 200
             return seconds
 
@@ -134,15 +163,12 @@ def _concurrent_wall(base_url: str) -> float:
     barrier = threading.Barrier(CONCURRENT_CLIENTS + 1)
 
     def client_thread(offset: int) -> None:
-        client = _Client(base_url)
+        client = _connect(base_url)
         try:
             barrier.wait()
             local = []
             for i in range(CONCURRENT_REQUESTS_PER_CLIENT):
-                status, _, _ = client.post(
-                    "/query", WORKLOAD[(offset + i) % len(WORKLOAD)]
-                )
-                local.append(status)
+                local.append(_post(client, WORKLOAD[(offset + i) % len(WORKLOAD)])[0])
             with lock:
                 statuses.extend(local)
         finally:
@@ -230,19 +256,18 @@ def test_metrics_scrape_cost():
     with _fresh_server() as server:
         with create_app(server) as app:
             with HttpServerThread(app) as base_url:
-                client = _Client(base_url)
+                client = _connect(base_url)
                 try:
                     # Populate every family the scrape will render.
                     for body in WORKLOAD:
-                        status, _, _ = client.post("/query", body)
-                        assert status == 200
+                        assert _post(client, body)[0] == 200
 
                     timings: List[Tuple[int, float]] = []
                     sizes: List[int] = []
                     for _ in range(SCRAPES):
                         start = time.perf_counter()
-                        client.conn.request("GET", "/metrics")
-                        response = client.conn.getresponse()
+                        client.request("GET", "/metrics")
+                        response = client.getresponse()
                         data = response.read()
                         timings.append(
                             (response.status, time.perf_counter() - start)

@@ -1,15 +1,13 @@
 """The SQL method (Section 3.1): no precomputation at all.
 
 For every candidate topology, issue SQL to check whether some satisfying
-entity pair is related by it.  Two candidate sources, as discussed in
-the paper:
-
-* ``possible`` — enumerate every possible topology from the schema (the
-  88453-for-l=3 blow-up; bounded here by ``max_candidates``), or
-* ``observed`` — "restrict our queries to topologies that have at least
-  some corresponding entities (using some priori knowledge)", the
-  paper's ~200; we read the candidate list from TopInfo, which plays the
-  role of that prior knowledge.
+entity pair is related by it.  Of the paper's two candidate sources —
+every possible topology of the schema (the 88453-for-l=3 blow-up, which
+:func:`repro.graph.schema_enum.enumerate_possible_topologies` counts)
+or only the observed ones — this is the second: "restrict our queries
+to topologies that have at least some corresponding entities (using
+some priori knowledge)", the paper's ~200; we read the candidate list
+from TopInfo, which plays the role of that prior knowledge.
 
 Checking a candidate runs its path-condition chain joins through SQL to
 fetch candidate pairs; the "complicated" remainder of the per-topology
@@ -20,7 +18,7 @@ dominant cost (many complex queries, no reuse across topologies).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.methods.base import Method
 from repro.core.model import Topology
@@ -28,53 +26,22 @@ from repro.core.pathsql import multi_chain_fragments
 from repro.core.plan import STRATEGY_PER_TOPOLOGY, QueryPlan
 from repro.core.query import TopologyQuery
 from repro.core.topologies import topologies_for_pair
-from repro.errors import TopologyError
-from repro.graph.schema_enum import enumerate_possible_topologies
+
+MAX_CANDIDATES = 2000
+MAX_PAIRS_PER_TOPOLOGY = 500
 
 
 class SqlMethod(Method):
     name = "sql"
     plan_strategies = (STRATEGY_PER_TOPOLOGY,)
 
-    def __init__(
-        self,
-        system,
-        candidate_source: str = "observed",
-        max_candidates: int = 2000,
-        max_pairs_per_topology: int = 500,
-    ) -> None:
-        super().__init__(system)
-        if candidate_source not in ("observed", "possible"):
-            raise TopologyError("candidate_source must be 'observed' or 'possible'")
-        self.candidate_source = candidate_source
-        self.max_candidates = max_candidates
-        self.max_pairs_per_topology = max_pairs_per_topology
-
-    # ------------------------------------------------------------------
     def _candidates(self, query: TopologyQuery) -> List[Topology]:
         store = self.system.require_store()
         pair = self.system.store_entity_pair(query)
         observed = [
             t for t in store.topologies.values() if t.entity_pair == pair
         ]
-        if self.candidate_source == "observed":
-            return sorted(observed, key=lambda t: t.tid)[: self.max_candidates]
-        # 'possible': schema-level enumeration; observed ones that the
-        # cap missed are appended so results stay comparable.
-        from repro.biozon.schema import biozon_schema_graph
-
-        schema = biozon_schema_graph()
-        enumerate_possible_topologies(
-            schema,
-            pair[0],
-            pair[1],
-            query.max_length,
-            max_results=self.max_candidates,
-        )
-        # The enumeration realistically models the cost of considering
-        # every possible topology; the verification loop below only needs
-        # the ones that can have instances, which are the observed ones.
-        return sorted(observed, key=lambda t: t.tid)[: self.max_candidates]
+        return sorted(observed, key=lambda t: t.tid)[:MAX_CANDIDATES]
 
     def candidate_pairs_sql(self, query: TopologyQuery, topology: Topology) -> str:
         """The existence query's cheap part: pairs satisfying the path
@@ -94,7 +61,7 @@ class SqlMethod(Method):
             f"SELECT DISTINCT {end1_alias}.ID, {end2_alias}.ID\n"
             f"FROM {from_clause}\n"
             f"WHERE " + " AND ".join(conditions) + "\n"
-            f"FETCH FIRST {self.max_pairs_per_topology} ROWS ONLY"
+            f"FETCH FIRST {MAX_PAIRS_PER_TOPOLOGY} ROWS ONLY"
         )
 
     def _topology_has_witness(self, query: TopologyQuery, topology: Topology) -> bool:

@@ -74,6 +74,7 @@ from repro.service.http.metricsview import metrics_families
 from repro.service.http.reqlog import RequestLog, RequestLogger
 from repro.service.http.schemas import (
     RequestValidationError,
+    error_to_wire,
     parse_query_many_request,
     parse_query_request,
     parse_rebuild_request,
@@ -123,15 +124,7 @@ def _dumps(payload: Any) -> bytes:
 
 
 def _error_body(error: _HttpError) -> bytes:
-    return _dumps(
-        {
-            "error": {
-                "code": error.code,
-                "message": error.message,
-                "details": error.details,
-            }
-        }
-    )
+    return _dumps(error_to_wire(error.code, error.message, error.details))
 
 
 class TopologyHttpApp:

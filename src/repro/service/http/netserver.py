@@ -11,7 +11,11 @@ and the end-to-end socket tests run against this.
 
 It is deliberately minimal: ``Content-Length`` request bodies only (no
 request chunking, no trailers, no TLS), HTTP/1.0 and 1.1.  Everything a
-stdlib ``http.client`` or ``curl`` sends.
+stdlib ``http.client`` or ``curl`` sends.  The server owns framing: it
+writes the one ``content-length`` (or ``transfer-encoding``) and
+``connection`` header of every response, hands a request body to the
+app in bounded frames so the app's size limit fires before the rest is
+read, and answers a request it cannot frame with ``400`` and a close.
 
 >>> server = HttpServerThread(app)           # port 0 = ephemeral
 >>> with server as base_url:
@@ -21,12 +25,17 @@ stdlib ``http.client`` or ``curl`` sends.
 from __future__ import annotations
 
 import asyncio
+import json
 import threading
 from typing import Any, Dict, List, Optional, Tuple
+
+from repro.service.http.schemas import error_to_wire
 
 __all__ = ["AsgiHttpServer", "HttpServerThread", "serve_uvicorn"]
 
 _MAX_HEADER_BYTES = 64 * 1024
+#: Most of a request body one ``receive()`` hands to the app.
+_BODY_FRAME_BYTES = 64 * 1024
 _REASONS = {
     200: "OK",
     400: "Bad Request",
@@ -37,6 +46,10 @@ _REASONS = {
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
+
+
+class _BadRequest(Exception):
+    """A request head that cannot be framed; answered ``400`` + close."""
 
 
 class AsgiHttpServer:
@@ -69,12 +82,18 @@ class AsgiHttpServer:
     ) -> None:
         try:
             while True:
-                request = await self._read_request(reader)
+                try:
+                    request = await self._read_request(reader)
+                except _BadRequest as error:
+                    await self._write_bad_request(writer, str(error))
+                    break
                 if request is None:
                     break
-                verb, path, version, headers, body = request
+                verb, path, version, headers, length = request
                 keep_alive = self._keep_alive(version, headers)
-                await self._dispatch(writer, verb, path, version, headers, body, keep_alive)
+                await self._dispatch(
+                    reader, writer, verb, path, version, headers, length, keep_alive
+                )
                 if not keep_alive:
                     break
         except (ConnectionError, asyncio.IncompleteReadError, asyncio.LimitOverrunError):
@@ -88,7 +107,9 @@ class AsgiHttpServer:
 
     async def _read_request(
         self, reader: asyncio.StreamReader
-    ) -> Optional[Tuple[str, str, str, List[Tuple[str, str]], bytes]]:
+    ) -> Optional[Tuple[str, str, str, List[Tuple[str, str]], int]]:
+        """One request head and its declared body length; the body
+        itself stays on the socket for ``receive()``."""
         try:
             head = await reader.readuntil(b"\r\n\r\n")
         except asyncio.IncompleteReadError as error:
@@ -100,7 +121,7 @@ class AsgiHttpServer:
         lines = head.decode("latin-1").split("\r\n")
         parts = lines[0].split(" ")
         if len(parts) != 3:
-            raise ConnectionError(f"malformed request line: {lines[0]!r}")
+            raise _BadRequest(f"malformed request line: {lines[0]!r}")
         verb, target, version = parts
         headers: List[Tuple[str, str]] = []
         for line in lines[1:]:
@@ -111,14 +132,13 @@ class AsgiHttpServer:
         length = 0
         for name, value in headers:
             if name == "content-length":
-                try:
-                    length = int(value)
-                except ValueError:
-                    raise ConnectionError(f"bad content-length {value!r}") from None
+                # ``int()`` alone would take "-5", "+5" and "1_000".
+                if not (value.isascii() and value.isdigit()):
+                    raise _BadRequest(f"bad content-length: {value!r}")
+                length = int(value)
             elif name == "transfer-encoding":
-                raise ConnectionError("request transfer-encoding not supported")
-        body = await reader.readexactly(length) if length else b""
-        return verb, target, version, headers, body
+                raise _BadRequest("request transfer-encoding is not supported")
+        return verb, target, version, headers, length
 
     @staticmethod
     def _keep_alive(version: str, headers: List[Tuple[str, str]]) -> bool:
@@ -129,12 +149,13 @@ class AsgiHttpServer:
 
     async def _dispatch(
         self,
+        reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
         verb: str,
         target: str,
         version: str,
         headers: List[Tuple[str, str]],
-        body: bytes,
+        length: int,
         keep_alive: bool,
     ) -> None:
         path, _, query_string = target.partition("?")
@@ -156,14 +177,24 @@ class AsgiHttpServer:
             "server": writer.get_extra_info("sockname"),
         }
 
+        # The body is read as the app asks for it, one bounded frame per
+        # ``receive()``: the app's size check sees the running total and
+        # can answer 413 while the rest is still on the socket.
+        unread = length
         delivered = False
 
         async def receive() -> dict:
-            nonlocal delivered
-            if not delivered:
-                delivered = True
-                return {"type": "http.request", "body": body, "more_body": False}
-            return {"type": "http.disconnect"}
+            nonlocal unread, delivered
+            if delivered:
+                return {"type": "http.disconnect"}
+            try:
+                body = await reader.readexactly(min(unread, _BODY_FRAME_BYTES))
+            except asyncio.IncompleteReadError:  # client left mid-body
+                delivered, unread = True, 0
+                return {"type": "http.disconnect"}
+            unread -= len(body)
+            delivered = unread == 0
+            return {"type": "http.request", "body": body, "more_body": not delivered}
 
         # Response state machine: buffer the start message until the
         # first body frame decides between content-length (single
@@ -200,6 +231,17 @@ class AsgiHttpServer:
                 await writer.drain()
 
         await self.app(scope, receive, send)
+        # Whatever the app left unread (a 413, a 404) is dropped frame
+        # by frame, so the next request starts at a request line.
+        while unread:
+            unread -= len(await reader.readexactly(min(unread, _BODY_FRAME_BYTES)))
+
+    async def _write_bad_request(self, writer: asyncio.StreamWriter, message: str) -> None:
+        body = json.dumps(error_to_wire("invalid_request", message), sort_keys=True).encode()
+        start = {"status": 400, "headers": [(b"content-type", b"application/json")]}
+        await self._write_head(writer, start, len(body), keep_alive=False, chunked=False)
+        writer.write(body)
+        await writer.drain()
 
     @staticmethod
     async def _write_head(
@@ -213,7 +255,8 @@ class AsgiHttpServer:
         reason = _REASONS.get(status, "Unknown")
         lines = [f"HTTP/1.1 {status} {reason}".encode("latin-1")]
         for name, value in start.get("headers", []):
-            lines.append(name + b": " + value)
+            if name != b"content-length":  # framing is written below
+                lines.append(name + b": " + value)
         if chunked:
             lines.append(b"transfer-encoding: chunked")
         else:

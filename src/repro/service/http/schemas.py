@@ -42,6 +42,7 @@ __all__ = [
     "RequestValidationError",
     "ValidationIssue",
     "constraint_to_wire",
+    "error_to_wire",
     "parse_query_many_request",
     "parse_query_request",
     "parse_rebuild_request",
@@ -423,6 +424,14 @@ def parse_rebuild_request(payload: Any) -> Dict[str, Any]:
 # ----------------------------------------------------------------------
 # Responses
 # ----------------------------------------------------------------------
+def error_to_wire(
+    code: str, message: str, details: Optional[List[Dict[str, str]]] = None
+) -> Dict[str, Any]:
+    """The one error body shape, for the app's error responses and the
+    socket server's ``400`` on a request it cannot frame."""
+    return {"error": {"code": code, "message": message, "details": details or []}}
+
+
 def result_to_wire(result: Any, include_work: bool = False) -> Dict[str, Any]:
     """:class:`MethodResult` -> JSON-native dict (the ``/query`` body)."""
     wire: Dict[str, Any] = {

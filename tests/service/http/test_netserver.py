@@ -1,0 +1,201 @@
+"""The stdlib socket server over raw sockets: what is asserted is the
+bytes on the wire, not a client library's reading of them, and every
+test ends with the event loop's exception handler having seen nothing.
+"""
+
+from __future__ import annotations
+
+import json
+import socket
+from typing import BinaryIO, List, NamedTuple, Tuple
+
+import pytest
+
+from repro.service.http import HttpServerThread, TestClient, create_app
+
+from tests.service.http.conftest import valid_query
+
+EXHAUSTIVE = {"entity1": "Protein", "entity2": "DNA", "method": "fast-top"}
+
+
+class WireResponse(NamedTuple):
+    status: int
+    headers: List[Tuple[str, str]]
+    body: bytes
+
+    def values(self, name: str) -> List[str]:
+        return [value for header, value in self.headers if header == name]
+
+
+def read_response(stream: BinaryIO) -> WireResponse:
+    """Parse one response off the wire, de-chunking when it is chunked."""
+    status = int(stream.readline().split(b" ")[1])
+    headers: List[Tuple[str, str]] = []
+    while True:
+        line = stream.readline().rstrip(b"\r\n")
+        if not line:
+            break
+        name, _, value = line.decode("latin-1").partition(":")
+        headers.append((name.strip().lower(), value.strip()))
+    if ("transfer-encoding", "chunked") not in headers:
+        length = next(int(value) for name, value in headers if name == "content-length")
+        return WireResponse(status, headers, stream.read(length))
+    parts = []
+    while True:
+        size = int(stream.readline().strip(), 16)
+        parts.append(stream.read(size))
+        assert stream.read(2) == b"\r\n"
+        if size == 0:
+            return WireResponse(status, headers, b"".join(parts))
+
+
+def request_bytes(verb: str, path: str, body: bytes = b"", version="HTTP/1.1"):
+    lines = [f"{verb} {path} {version}", "Host: test"]
+    if body:
+        lines.append(f"Content-Length: {len(body)}")
+    return "\r\n".join(lines).encode("latin-1") + b"\r\n\r\n" + body
+
+
+@pytest.fixture()
+def serve():
+    """``serve(app)`` starts a server and returns ``connect() -> (socket,
+    buffered reader)``."""
+    threads: list = []
+    sockets: list = []
+    unhandled: list = []
+
+    def serve(app):
+        thread = HttpServerThread(app)
+        thread._loop.set_exception_handler(lambda loop, context: unhandled.append(context))
+        threads.append(thread)
+        host, port = thread.start().split("//", 1)[1].split(":")
+
+        def connect():
+            sock = socket.create_connection((host, int(port)), timeout=10)
+            sockets.append(sock)
+            return sock, sock.makefile("rb")
+
+        return connect
+
+    try:
+        yield serve
+    finally:
+        for sock in sockets:
+            sock.close()
+        for thread in threads:
+            thread.stop()
+    assert unhandled == []
+
+
+@pytest.fixture()
+def wire(serve, app):
+    return serve(app)
+
+
+class TestConnections:
+    def test_two_requests_on_one_keep_alive_connection(self, wire):
+        sock, stream = wire()
+        sock.sendall(request_bytes("GET", "/healthz"))
+        first = read_response(stream)
+        body = json.dumps(valid_query()).encode()
+        sock.sendall(request_bytes("POST", "/query", body))
+        second = read_response(stream)
+        assert (first.status, second.status) == (200, 200)
+        assert first.values("connection") == ["keep-alive"]
+        assert second.values("connection") == ["keep-alive"]
+        assert json.loads(first.body)["status"] == "ok"
+        assert json.loads(second.body)["count"] == len(json.loads(second.body)["tids"])
+
+    def test_http_1_0_without_keep_alive_closes(self, wire):
+        sock, stream = wire()
+        sock.sendall(request_bytes("GET", "/healthz", version="HTTP/1.0"))
+        response = read_response(stream)
+        assert response.status == 200
+        assert response.values("connection") == ["close"]
+        assert stream.read(1) == b""  # the server closed
+
+
+class TestFraming:
+    def test_plain_response_has_exactly_one_content_length(self, wire):
+        sock, stream = wire()
+        sock.sendall(request_bytes("GET", "/healthz"))
+        response = read_response(stream)
+        assert response.values("content-length") == [str(len(response.body))]
+        assert response.values("transfer-encoding") == []
+        sock.sendall(request_bytes("GET", "/nope"))
+        error = read_response(stream)
+        assert error.status == 404
+        assert error.values("content-length") == [str(len(error.body))]
+
+    def test_streamed_query_dechunks_to_the_test_client_body(self, wire, app):
+        with TestClient(app) as client:
+            reference = client.post("/query", json=EXHAUSTIVE)
+        assert len(reference.chunks) >= 3  # the app did stream it
+        sock, stream = wire()
+        sock.sendall(request_bytes("POST", "/query", json.dumps(EXHAUSTIVE).encode()))
+        response = read_response(stream)
+        assert response.status == 200
+        assert response.values("transfer-encoding") == ["chunked"]
+        assert response.values("content-length") == []
+        # Byte for byte the same document, but for the per-request id.
+        mine = response.values("x-trace-id")[0].encode()
+        theirs = reference.headers["x-trace-id"].encode()
+        assert response.body.replace(mine, b"ID") == reference.body.replace(theirs, b"ID")
+
+
+class TestBodyLimit:
+    def test_over_limit_body_is_413_before_it_is_all_sent(self, server, serve):
+        """The client declares 2 MB, sends 128 KB and stops: the 413 must
+        arrive anyway — a server that buffers the declared body first
+        would wait for the rest forever."""
+        with create_app(server, max_body_bytes=1024) as small_app:
+            sock, stream = serve(small_app)()
+            head = b"POST /query HTTP/1.1\r\nContent-Length: 2000000\r\n\r\n"
+            sock.sendall(head + b"x" * (128 * 1024))
+            response = read_response(stream)
+        assert response.status == 413
+        assert json.loads(response.body)["error"]["code"] == "body_too_large"
+
+    def test_unread_body_is_dropped_and_the_connection_stays_in_step(self, wire):
+        sock, stream = wire()
+        sock.sendall(request_bytes("POST", "/nope", b"y" * 200_000))
+        assert read_response(stream).status == 404
+        sock.sendall(request_bytes("GET", "/healthz"))
+        assert read_response(stream).status == 200
+
+    def test_client_leaving_mid_body_is_the_apps_disconnect(self, wire):
+        sock, stream = wire()
+        sock.sendall(b"POST /query HTTP/1.1\r\nContent-Length: 100\r\n\r\n{")
+        sock.shutdown(socket.SHUT_WR)
+        response = read_response(stream)
+        assert response.status == 400
+        assert json.loads(response.body)["error"]["code"] == "invalid_request"
+
+
+class TestRequestsThatCannotBeFramed:
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b"GET /healthz HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+            b"GET /healthz HTTP/1.1\r\nContent-Length: abc\r\n\r\n",
+            b"GET /healthz HTTP/1.1\r\nContent-Length: 1_0\r\n\r\n",
+            b"POST /query HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
+            b"GARBAGE\r\n\r\n",
+        ],
+        ids=["negative-length", "non-numeric-length", "underscore-length",
+             "chunked-request", "no-request-line"],
+    )
+    def test_400_in_the_apps_error_shape_then_close(self, wire, client, raw):
+        sock, stream = wire()
+        sock.sendall(raw)
+        response = read_response(stream)
+        assert response.status == 400
+        assert response.values("connection") == ["close"]
+        assert response.values("content-type") == ["application/json"]
+        assert response.values("content-length") == [str(len(response.body))]
+        error = json.loads(response.body)["error"]
+        assert error["code"] == "invalid_request" and error["message"]
+        # Same keys as an error the app itself produces.
+        app_error = client.get("/nope").json()["error"]
+        assert set(error) == set(app_error)
+        assert stream.read(1) == b""  # the server closed

@@ -17,6 +17,7 @@ from repro.core import (
 from repro.errors import ShardUnavailableError, TopologyError
 from repro.persist import load_system
 from repro.service import ShardCoordinator
+from repro.service.http import TestClient, create_app
 
 EXHAUSTIVE_METHODS = ("sql", "full-top", "fast-top")
 NUM_SHARDS = 4  # matches the session split in conftest.py
@@ -270,33 +271,71 @@ class TestRebuild:
         again = coord.query(query, method="fast-top-k")
         assert again.tids == before.tids  # old backends still serving
 
-    def test_rebuild_overlaps_with_live_queries(self, fresh_coordinator):
-        """Readers keep getting answers while the writer rebuilds; every
-        answer is stamped with a single generation (no torn reads)."""
+    def test_rebuild_overlaps_with_live_queries(self, fresh_coordinator, tiny_system):
+        """Readers keep getting answers while the writer commits a
+        generation with *different* answers; every answer equals the
+        unsharded oracle of the generation it is stamped with, so a
+        merge of one old and one new shard cannot pass."""
         coord = fresh_coordinator
-        query = query_for("fast-top-k-opt", keyword="binding")
+        workload = [
+            query_for("fast-top-k-opt", keyword=keyword)
+            for keyword in ("kinase", "binding", "human", "receptor")
+        ]
+        successor = tiny_system.clone_base()
+        successor.build(
+            list(tiny_system.built_pairs),
+            max_length=tiny_system.max_length,
+            per_pair_path_limit=1,
+        )
+        oracles = {
+            generation: [(r.tids, r.scores) for r in map(system.search, workload)]
+            for generation, system in ((1, tiny_system), (2, successor))
+        }
+        # The two configurations genuinely disagree — otherwise a
+        # mixed-generation merge could masquerade as a valid answer.
+        assert oracles[1] != oracles[2]
+
         stop = threading.Event()
         seen: list = []
         failures: list = []
 
+        def ask(index):
+            result = coord.query(workload[index])
+            seen.append((result.generation, index, (result.tids, result.scores)))
+
         def reader():
+            i = 0
             while not stop.is_set():
                 try:
-                    seen.append(coord.query(query).generation)
+                    ask(i % len(workload))
                 except Exception as exc:  # pragma: no cover - fails test
                     failures.append(exc)
                     return
+                i += 1
 
         thread = threading.Thread(target=reader)
-        thread.start()
-        try:
-            coord.rebuild()
-        finally:
-            stop.set()
-            thread.join()
+        with create_app(coord) as app, TestClient(app) as client:
+            thread.start()
+            try:  # the commit goes through the wire's /rebuild
+                response = client.post("/rebuild", json={"per_pair_path_limit": 1})
+            finally:
+                stop.set()
+                thread.join(timeout=120)
+        assert not thread.is_alive()
+        assert response.status == 200, response.body
         assert not failures
-        assert set(seen) <= {1, 2}
         assert coord.generation == 2
+        for index in range(len(workload)):
+            ask(index)
+        assert {generation for generation, _, _ in seen} == {1, 2}
+        torn = [(g, i) for g, i, answer in seen if oracles[g][i] != answer]
+        assert torn == []
+        # Counter invariants hold across the commit.
+        stats = coord.stats()
+        assert stats.requests == len(seen)
+        cache = stats.result_cache
+        assert cache.hits + cache.misses == stats.requests
+        assert cache.misses == stats.executions + stats.coalesced
 
     def test_closed_coordinator_rejects_work(self, split4):
         coord = ShardCoordinator(split4.manifest_path, start_method="fork")
