@@ -3,7 +3,7 @@
 The one measurement anywhere of :meth:`TopologyServer.query_many
 <repro.service.TopologyServer.query_many>`'s ``mode="thread"`` and
 ``mode="process"`` (no ``python3 -m bench`` workload covers them yet;
-ROADMAP item 5(c) decides which mode stays from this number).  The same
+ROADMAP item 6(c) decides which mode stays from this number).  The same
 cache-busting workload (every query distinct, so engine executions
 dominate — the hard case for scaling) runs single-threaded, over the
 thread pool, and over warm replica processes.  The >= 2x floor at 4
@@ -11,7 +11,10 @@ workers is enforced where 2x is physically reachable: a machine with
 >= 4 cores, using the replica-process path on a GIL interpreter (GIL
 threads *interleave* pure-Python work — they provide concurrency, not
 speedup — so on a stock build the floor additionally applies to
-thread mode only when the interpreter is free-threaded).
+thread mode only when the interpreter is free-threaded).  The server
+sizes the replica pool from the machine — ``min(WORKERS, max(2,
+cores))`` processes — so below 4 cores ``WORKERS`` is only the thread
+width.
 
 Machine-readable results land in ``BENCH_concurrent.json`` at the repo
 root so the trajectory is tracked across PRs.

@@ -1,16 +1,14 @@
-"""Shared infrastructure for the benchmark harnesses.
+"""Shared infrastructure for the three benchmark instruments
+(``bench_columnar``, ``bench_concurrent``, ``bench_observability``).
 
-Each harness regenerates one paper table/figure.  Rendered output goes
-both to stdout (visible with ``pytest -s``) and to
-``benchmarks/results/<name>.txt`` so the teed benchmark run leaves the
-reproduced tables on disk.
+Rendered tables go to stdout (visible with ``pytest -s``); the numbers
+go to ``BENCH_<name>.json`` at the repo root.
 
 Scale: ``REPRO_BENCH_SCALE`` ∈ {tiny, small, medium} (default small)
-controls the synthetic dataset size.  All claims checked here are shape
-claims (who wins, what distribution looks like), never absolute times.
+controls the synthetic dataset size.
 
 Snapshot reuse: the offline build dominates harness start-up, so
-``built_system`` persists each built system under
+``private_system`` persists each built system under
 ``benchmarks/.snapshots/`` (via :mod:`repro.persist`) and restores it on
 later runs instead of rebuilding.  Set ``REPRO_BENCH_SNAPSHOTS=0`` to
 force a fresh build (e.g. after changing the generator or the offline
@@ -24,8 +22,7 @@ import json
 import os
 import pathlib
 import time
-from functools import lru_cache
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, Tuple
 
 import repro
 from repro.biozon import BiozonConfig, generate
@@ -33,19 +30,10 @@ from repro.core import TopologySearchSystem
 from repro.errors import TopologyError
 from repro.persist import SCHEMA_VERSION, load_system, save_system
 
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 SNAPSHOT_DIR = pathlib.Path(__file__).parent / ".snapshots"
 # Machine-readable benchmark output lands at the repo root as
 # BENCH_<name>.json so the perf trajectory is tracked across PRs.
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-
-# Figure 11's four curves: PD, DU, PI, PU.
-FIG11_PAIRS: Tuple[Tuple[str, str], ...] = (
-    ("Protein", "DNA"),
-    ("DNA", "Unigene"),
-    ("Protein", "Interaction"),
-    ("Protein", "Unigene"),
-)
 
 
 def bench_scale() -> str:
@@ -57,11 +45,6 @@ def bench_scale() -> str:
 
 def bench_config(seed: int = 7) -> BiozonConfig:
     return getattr(BiozonConfig, bench_scale())(seed=seed)
-
-
-@lru_cache(maxsize=4)
-def dataset(seed: int = 7):
-    return generate(bench_config(seed))
 
 
 def snapshots_enabled() -> bool:
@@ -89,14 +72,10 @@ def private_system(
     max_length: int = 3,
     seed: int = 7,
 ) -> TopologySearchSystem:
-    """A *new* system instance for this configuration (same snapshot
-    reuse as :func:`built_system`, but never the shared object) — for
-    harnesses that mutate engine state such as calibration factors.
-
-    The no-snapshot path generates a *fresh* dataset rather than using
-    the lru-cached one: two systems over one shared ``Database`` would
-    re-materialize each other's derived tables and share executor
-    counters."""
+    """A *new* system instance for this configuration, restored from
+    a disk snapshot when one exists (see module docstring) — never a
+    shared object, so a harness may mutate engine state such as
+    calibration factors."""
     path = snapshot_path(pairs, max_length, seed)
     if snapshots_enabled() and path.exists():
         try:
@@ -111,23 +90,9 @@ def private_system(
     return system
 
 
-@lru_cache(maxsize=4)
-def built_system(
-    pairs: Tuple[Tuple[str, str], ...] = (("Protein", "DNA"), ("Protein", "Interaction")),
-    max_length: int = 3,
-    seed: int = 7,
-) -> TopologySearchSystem:
-    """A built system for this configuration, restored from a disk
-    snapshot when one exists (see module docstring)."""
-    return private_system(pairs, max_length, seed)
-
-
 def emit(name: str, text: str) -> None:
-    """Print a harness's rendered output and persist it."""
-    RESULTS_DIR.mkdir(exist_ok=True)
-    banner = f"\n===== {name} =====\n"
-    print(banner + text)
-    (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
+    """Print a harness's rendered output."""
+    print(f"\n===== {name} =====\n" + text)
 
 
 def emit_json(name: str, payload: Dict[str, Any]) -> pathlib.Path:

@@ -189,10 +189,3 @@ def database_to_graph(db: Database) -> LabeledGraph:
                 spec.edge_type,
             )
     return graph
-
-
-def relationship_by_edge_type(edge_type: str) -> RelationshipSpec:
-    for spec in RELATIONSHIPS:
-        if spec.edge_type == edge_type:
-            return spec
-    raise KeyError(edge_type)

@@ -202,13 +202,6 @@ class QueryPlan:
         return calibration_key(self.pairs_table, self.strategy)
 
     @property
-    def et_flavor(self) -> Optional[str]:
-        """DGJ flavor ('idgj'/'hdgj') when an ET strategy was chosen."""
-        if self.strategy.startswith("et-"):
-            return self.strategy[3:]
-        return None
-
-    @property
     def chosen(self) -> Optional[PlanAlternative]:
         for alternative in self.alternatives:
             if alternative.strategy == self.strategy:

@@ -45,7 +45,7 @@ import itertools
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.model import ClassSignature, PairTopologies
-from repro.graph.canonical import canonical_form_and_order, canonical_key
+from repro.graph.canonical import canonical_form_and_order, render_key
 from repro.graph.labeled_graph import LabeledGraph, NodeId, Path, union_all
 from repro.graph.paths import path_set
 
@@ -114,7 +114,7 @@ def topologies_from_classes(
             break
         union = union_all([p.as_graph() for p in combo])
         form, order = canonical_form_and_order(union)
-        key = canonical_key(union)
+        key = render_key(form)
         if key not in out:
             position = {nid: i for i, nid in enumerate(order)}
             out[key] = (position[a], position[b])

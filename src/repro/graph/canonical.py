@@ -141,7 +141,12 @@ def canonical_key(graph: LabeledGraph) -> str:
     Suitable as a storage key (the ``details`` column of the paper's
     TopInfo table stores exactly this structural description).
     """
-    node_types, edges = canonical_form(graph)
+    return render_key(canonical_form(graph))
+
+
+def render_key(form: CanonicalForm) -> str:
+    """The key of a canonical form already in hand (no search)."""
+    node_types, edges = form
     nodes_part = ",".join(node_types)
     edges_part = ";".join(f"{i}-{j}:{t}" for i, j, t in edges)
     return f"[{nodes_part}]|[{edges_part}]"

@@ -59,10 +59,6 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=lambda: _rng.seed(os.urandom(16)))
 
 
-def _new_trace_id() -> str:
-    return "%016x" % _rng.getrandbits(8 * _TRACE_ID_BYTES)
-
-
 def _new_span_id() -> str:
     return "%08x" % _rng.getrandbits(8 * _SPAN_ID_BYTES)
 

@@ -107,12 +107,6 @@ class ParallelBuildReport:
             counts[task.partition_index] += task.pairs_related
         return tuple(counts)
 
-    def partition_row_skew(self) -> float:
-        """Max/mean of :meth:`partition_row_histogram` (1.0 = balanced)."""
-        from repro.parallel.partition import histogram_skew
-
-        return histogram_skew(self.partition_row_histogram())
-
 
 def _pick_start_method(requested: Optional[str]) -> str:
     """``fork`` where available (cheap, the graph is shared copy-on-write

@@ -229,8 +229,5 @@ class Database:
             table.load_rows_unchecked(dump.rows)
         return table
 
-    def total_bytes(self) -> int:
-        return sum(t.estimated_bytes() for t in self._tables.values())
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Database({self.name}, tables={sorted(self._tables)})"

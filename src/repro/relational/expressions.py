@@ -184,13 +184,6 @@ class Expression:
         """All (qualifier, column) pairs referenced, lowercased."""
         raise NotImplementedError
 
-    # Convenience combinators -------------------------------------------------
-    def and_(self, other: "Expression") -> "Expression":
-        return And([self, other])
-
-    def evaluate_single(self, layout: RowLayout, row: Row) -> Any:
-        return self.bind(layout)(row)
-
 
 class Literal(Expression):
     def __init__(self, value: Any) -> None:

@@ -35,9 +35,3 @@ def sort_cost(rows: float) -> float:
     """Comparison-sort cost for ``rows`` input rows."""
     rows = max(rows, 1.0)
     return 1.2 * rows * math.log2(rows + 1.0)
-
-
-def topn_cost(rows: float, n: int) -> float:
-    """Heap-based top-N over ``rows`` input rows."""
-    rows = max(rows, 1.0)
-    return rows * (1.0 + 0.2 * math.log2(max(n, 2)))

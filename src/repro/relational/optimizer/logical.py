@@ -161,25 +161,3 @@ def equi_edges(block: SPJBlock) -> List[EquiJoinEdge]:
             )
         )
     return edges
-
-
-def connected_subsets(block: SPJBlock) -> bool:
-    """Is the join graph connected (no cartesian products required)?"""
-    aliases = set(block.aliases)
-    if len(aliases) <= 1:
-        return True
-    adjacency: Dict[str, Set[str]] = {a: set() for a in aliases}
-    for conjunct in block.join_conjuncts:
-        refs = referenced_aliases(conjunct) & aliases
-        refs = set(refs)
-        for a in refs:
-            adjacency[a] |= refs - {a}
-    seen = set()
-    stack = [next(iter(aliases))]
-    while stack:
-        a = stack.pop()
-        if a in seen:
-            continue
-        seen.add(a)
-        stack.extend(adjacency[a] - seen)
-    return seen == aliases

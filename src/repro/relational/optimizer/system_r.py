@@ -104,11 +104,6 @@ class SystemROptimizer:
             return ordered
         return best_any
 
-    def candidates_for_block(self, block: SPJBlock) -> Dict[Optional[OrderSpec], PhysicalCandidate]:
-        """All retained candidates for the full block, keyed by order."""
-        table = self._enumerate(block)
-        return table[frozenset(block.aliases)]
-
     # ------------------------------------------------------------------
     # Estimation helpers
     # ------------------------------------------------------------------

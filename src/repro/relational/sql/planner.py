@@ -596,9 +596,6 @@ class Engine:
         self.plan_cache_hits = 0
         self.plan_cache_misses = 0
 
-    def refresh_statistics(self) -> None:
-        self.stats.refresh()
-
     def clear_plan_cache(self) -> None:
         with self._plan_cache_lock:
             self._plan_cache.clear()

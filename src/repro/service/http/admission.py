@@ -23,7 +23,7 @@ from __future__ import annotations
 import asyncio
 import threading
 from collections import deque
-from typing import Deque, Dict
+from typing import Any, Deque, Dict
 
 __all__ = ["AdmissionGate", "AdmissionRejected"]
 

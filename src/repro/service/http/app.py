@@ -62,7 +62,7 @@ import contextvars
 import json
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ShardUnavailableError, TopologyError
@@ -300,27 +300,31 @@ class TopologyHttpApp:
         except ValueError as error:
             raise _HttpError(400, "invalid_json", f"body is not valid JSON: {error}") from None
 
-    async def _run_blocking(self, fn: Callable[[], Any], timeout: float) -> Any:
+    async def _run_blocking(
+        self,
+        fn: Callable[[], Any],
+        timeout: float,
+        slot: Optional["_Admission"] = None,
+    ) -> Any:
         """Run ``fn`` on the worker pool, bounded by ``timeout``.
 
         On timeout the engine call keeps running on its pool thread —
-        a synchronous engine call cannot be interrupted — but its
-        admission slot is released only when it finishes, so a pile-up
-        of timed-out work still sheds load at the gate instead of
-        oversubscribing the pool.
+        a synchronous engine call cannot be interrupted — so the
+        caller's admission ``slot`` is handed to the call and released
+        only when it finishes: a pile-up of timed-out work still sheds
+        load at the gate instead of oversubscribing the pool.
 
         The call runs under a copy of the caller's ``contextvars``
-        context: ``run_in_executor`` does not propagate context on its
-        own, and without it the engine's spans would detach from the
+        context: an executor does not propagate context on its own, and
+        without it the engine's spans would detach from the
         ``http.request`` trace."""
-        loop = asyncio.get_running_loop()
         ctx = contextvars.copy_context()
+        call = self._executor.submit(ctx.run, fn)
         try:
-            return await asyncio.wait_for(
-                loop.run_in_executor(self._executor, lambda: ctx.run(fn)),
-                timeout=timeout,
-            )
+            return await asyncio.wait_for(asyncio.wrap_future(call), timeout=timeout)
         except asyncio.TimeoutError:
+            if slot is not None:
+                slot.hand_off(call)
             raise _HttpError(
                 503,
                 "timeout",
@@ -501,11 +505,12 @@ class TopologyHttpApp:
             query, method = parse_query_request(self._parse_json(body))
         except RequestValidationError as error:
             raise self._validation_error(error) from None
-        async with self._admitted(log):
+        async with self._admitted(log) as slot:
             try:
                 result = await self._run_blocking(
                     lambda: self.server.query(query, method=method),
                     self.request_timeout,
+                    slot,
                 )
             except TopologyError as error:
                 raise self._query_error(error) from None
@@ -565,7 +570,7 @@ class TopologyHttpApp:
         except RequestValidationError as error:
             raise self._validation_error(error) from None
         slice_rows = self.stream_chunk_rows
-        async with self._admitted(log):
+        async with self._admitted(log) as slot:
             # The first slice runs BEFORE the response starts: a store
             # that cannot answer these queries (unbuilt pair, wrong l)
             # must surface as a real 422, not a broken stream.
@@ -576,6 +581,7 @@ class TopologyHttpApp:
                         first, method=method, parallel=parallel, mode=mode
                     ),
                     self.request_timeout,
+                    slot,
                 )
             except TopologyError as error:
                 raise self._query_error(error) from None
@@ -619,6 +625,7 @@ class TopologyHttpApp:
                             c, method=method, parallel=parallel, mode=mode
                         ),
                         self.request_timeout,
+                        slot,
                     )
                 except (_HttpError, TopologyError) as error:
                     # Mid-stream failure: the status line is gone, so
@@ -656,11 +663,12 @@ class TopologyHttpApp:
             query, method = parse_query_request(self._parse_json(body))
         except RequestValidationError as error:
             raise self._validation_error(error) from None
-        async with self._admitted(log):
+        async with self._admitted(log) as slot:
             try:
                 plan = await self._run_blocking(
                     lambda: self.server.explain(query, method=method),
                     self.request_timeout,
+                    slot,
                 )
             except TopologyError as error:
                 raise self._query_error(error) from None
@@ -714,14 +722,22 @@ class TopologyHttpApp:
 
 
 class _Admission:
-    """One admission slot, taken on ``__aenter__`` and released on exit;
-    the queue wait lands in the request log."""
+    """One admission slot, taken on ``__aenter__`` and released on exit
+    — or, once handed to a call that outlived its request, when that
+    call finishes; the queue wait lands in the request log."""
 
-    __slots__ = ("_gate", "_log")
+    __slots__ = ("_gate", "_log", "_handed_off")
 
     def __init__(self, gate: AdmissionGate, log: RequestLog) -> None:
         self._gate = gate
         self._log = log
+        self._handed_off = False
+
+    def hand_off(self, call: "Future[Any]") -> None:
+        """``call`` keeps the slot until it is done (or is cancelled
+        before it ever started); ``release`` is thread-safe."""
+        self._handed_off = True
+        call.add_done_callback(lambda _: self._gate.release())
 
     async def __aenter__(self) -> "_Admission":
         start = time.perf_counter()
@@ -730,7 +746,8 @@ class _Admission:
         return self
 
     async def __aexit__(self, *exc: Any) -> None:
-        self._gate.release()
+        if not self._handed_off:
+            self._gate.release()
 
 
 def create_app(server: Any, **kwargs: Any) -> TopologyHttpApp:

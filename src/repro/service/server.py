@@ -33,6 +33,7 @@ specific to a local engine:
 from __future__ import annotations
 
 import contextvars
+import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
@@ -211,7 +212,8 @@ class TopologyServer(ServingCore):
         fans out over warm *replica processes*, each serving its own
         copy of the current generation (:mod:`repro.service.replica`):
         per-query work is then truly parallel on a GIL interpreter, at
-        the price of replica-local plan caches.  The batch still goes
+        the price of replica-local plan caches, on at most
+        ``max(2, os.cpu_count())`` replicas.  The batch still goes
         through the core's request path as one list: cached queries are
         hits, the distinct uncached ones execute once each on the
         replicas, and the results settle into this server's result
@@ -226,6 +228,10 @@ class TopologyServer(ServingCore):
         if workers <= 1 or len(batch) <= 1 or self._closed:
             return [self.query(q, method=name) for q in batch]
         if mode == "process":
+            # Every replica is a process holding the whole store, so the
+            # machine — not the caller — bounds the pool's width (two at
+            # least: process mode stays a fan-out on a 1-core box).
+            workers = min(workers, max(2, os.cpu_count() or 1))
             return self._query_many_replicas(batch, name, workers)
         return self._query_many_threads(batch, name, workers)
 

@@ -141,6 +141,9 @@ class TestPruning:
         assert 0.0 < report.space_ratio <= 1.0
         if report.pruned_tids:
             assert report.lefttops_rows < report.alltops_rows
+            # Table 1's Ratio column: the exceptions (36 rows here) do
+            # not erase what pruning saved (237).
+            assert report.excptops_rows < report.alltops_rows - report.lefttops_rows
 
     def test_threshold_suggestion_bounds(self, built):
         _, store, _ = built

@@ -21,6 +21,7 @@ from repro.graph import (
     graph_from_canonical,
     parse_canonical_key,
 )
+from repro.graph.canonical import render_key
 
 from tests.conftest import build_graph
 
@@ -181,7 +182,9 @@ class TestHypothesisInvariance:
     @settings(max_examples=40, deadline=None)
     @given(random_labeled_graphs())
     def test_key_roundtrip(self, graph):
-        assert parse_canonical_key(canonical_key(graph)) == canonical_form(graph)
+        form = canonical_form(graph)
+        assert parse_canonical_key(canonical_key(graph)) == form
+        assert render_key(form) == canonical_key(graph)
 
     @settings(max_examples=40, deadline=None)
     @given(random_labeled_graphs())

@@ -17,6 +17,8 @@ import pytest
 
 from repro.service.http import AdmissionGate, AdmissionRejected, TestClient, create_app
 
+from tests.service.test_core import wait_until
+
 
 # ----------------------------------------------------------------------
 # Gate unit tests
@@ -245,6 +247,30 @@ class TestHttp503:
         assert error["code"] == "timeout"
         assert "0.1s" in error["message"]
         assert response.headers["retry-after"] == "2"
+
+    def test_timed_out_call_keeps_its_slot_until_it_finishes(self, stub):
+        """The 503 goes out at the deadline, but the engine call is
+        still on its pool thread: the slot follows the call, so the
+        gate keeps shedding until the work is really over."""
+        with create_app(
+            stub, max_concurrency=1, max_queue=0, request_timeout=0.1
+        ) as app:
+            with TestClient(app) as client:
+                first = client.post("/query", json=QUERY)
+                second = client.post("/query", json=QUERY)
+                held, calls = app.gate.stats()["active"], stub.calls
+                stub.release.set()
+                wait_until(lambda: not app.gate.stats()["active"])
+                third = client.post("/query", json=QUERY)
+            stats = app.gate.stats()
+        assert first.status == 503
+        assert first.json()["error"]["code"] == "timeout"
+        assert second.status == 503
+        assert second.json()["error"]["code"] == "overloaded"
+        assert (held, calls) == (1, 1)  # the shed request never reached the engine
+        assert third.status == 200
+        assert stub.calls == 2
+        assert stats["active"] == 0
 
     def test_concurrent_rebuild_is_503_rebuild_in_progress(self, stub):
         with create_app(stub, rebuild_timeout=60.0) as app:

@@ -525,6 +525,35 @@ class TestQueryMany:
             assert follow_up.tids == oracle[0]
             assert server.stats().result_cache.hits >= 1
 
+    def test_process_mode_width_is_bounded_by_the_machine(self, tiny_system, monkeypatch):
+        """``parallel`` arrives from the HTTP client (up to 64); every
+        replica loads the whole store, so the core count caps it."""
+        built = []
+
+        class RecordingPool:
+            def __init__(self, system, workers, generation):
+                self.workers, self.generation = workers, generation
+                built.append(workers)
+
+            def run(self, chunks):
+                return [
+                    [(i, tiny_system.search(q, method)) for i, q in items]
+                    for method, items in chunks
+                ]
+
+            def close(self):
+                pass
+
+        monkeypatch.setattr("repro.service.server.ReplicaPool", RecordingPool)
+        batch = self.workload()
+        with TopologyServer(tiny_system) as server:
+            for cores, parallel in ((3, 64), (3, 2), (1, 64)):
+                monkeypatch.setattr("os.cpu_count", lambda cores=cores: cores)
+                server.invalidate()
+                results = server.query_many(batch, parallel=parallel, mode="process")
+                assert [r.query for r in results] == batch
+        assert built == [3, 2]  # 64 -> 3 cores; 2 as asked; 64 -> the floor of 2, pool reused
+
     def test_process_mode_goes_through_the_cache_and_counters(self, tiny_system):
         """Regression pin: the replica fan-out used to bypass the
         request path — a batch of already-cached queries moved neither
