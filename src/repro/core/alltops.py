@@ -46,12 +46,17 @@ mirrored in :mod:`repro.parallel` and called out in
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.store import TopologyStore
-from repro.core.topologies import DEFAULT_COMBINATION_CAP, topologies_from_classes
+from repro.core.topologies import (
+    DEFAULT_COMBINATION_CAP,
+    ShapeMemo,
+    topologies_from_classes,
+)
 from repro.errors import TopologyError
 from repro.graph.labeled_graph import LabeledGraph, NodeId, Path
 from repro.graph.paths import paths_from_source
@@ -68,6 +73,11 @@ class AllTopsReport:
     distinct_topologies: int = 0
     truncated_pairs: int = 0
     elapsed_seconds: float = 0.0
+    # Definition-2 combinations inspected, and how many missed the shape
+    # memo and ran the canonical-form search.  The second is larger in
+    # an N-worker build than in a serial one: one memo per process.
+    combinations: int = 0
+    canonical_searches: int = 0
 
 
 @dataclass(frozen=True)
@@ -92,12 +102,15 @@ class PairRecord:
     ``truncated``
         Whether the path limit or the combination cap cut this pair's
         enumeration short.
+    ``combinations``
+        Definition-2 combinations inspected (at most the combination cap).
     """
 
     endpoint: NodeId
     class_signatures: Tuple[Tuple[str, ...], ...]
     topology_items: Tuple[Tuple[str, Tuple[int, int]], ...]
     truncated: bool
+    combinations: int = 0
 
 
 def validate_entity_pairs(entity_pairs: Sequence[Tuple[str, str]]) -> None:
@@ -126,6 +139,7 @@ def pair_source_records(
     max_length: int,
     combination_cap: int = DEFAULT_COMBINATION_CAP,
     per_pair_path_limit: Optional[int] = None,
+    shape_memo: Optional[ShapeMemo] = None,
 ) -> List[PairRecord]:
     """Compute every :class:`PairRecord` for one source entity.
 
@@ -135,7 +149,8 @@ def pair_source_records(
     kernel shared by the serial loop (:func:`compute_alltops`) and the
     partition workers (:mod:`repro.parallel.worker`) — keeping them on
     one code path is what makes "parallel build ≡ serial build" a
-    structural guarantee rather than a test-enforced one.
+    structural guarantee rather than a test-enforced one.  Both hand in
+    a ``shape_memo`` that outlives the call (:mod:`repro.core.topologies`).
     """
     es1, es2 = entity_pair
     endpoint_paths = paths_from_source(
@@ -153,7 +168,7 @@ def pair_source_records(
             and len(paths) >= per_pair_path_limit
         )
         topology_endpoints, combo_truncated = topologies_from_classes(
-            classes, source, b, combination_cap
+            classes, source, b, combination_cap, shape_memo
         )
         records.append(
             PairRecord(
@@ -161,6 +176,9 @@ def pair_source_records(
                 class_signatures=tuple(classes),
                 topology_items=tuple(topology_endpoints.items()),
                 truncated=truncated or combo_truncated,
+                combinations=min(
+                    combination_cap, math.prod(map(len, classes.values()))
+                ),
             )
         )
     return records
@@ -189,6 +207,7 @@ def replay_source_records(
         )
         report.pairs_related += 1
         report.alltops_rows += len(record.topology_items)
+        report.combinations += record.combinations
 
 
 def compute_alltops(
@@ -219,6 +238,7 @@ def compute_alltops(
     report = AllTopsReport(tuple(entity_pairs), max_length)
     start = time.perf_counter()
     by_type = nodes_by_type(graph)
+    shape_memo: ShapeMemo = {}
 
     for es1, es2 in entity_pairs:
         for a in by_type.get(es1, []):
@@ -229,12 +249,14 @@ def compute_alltops(
                 max_length,
                 combination_cap=combination_cap,
                 per_pair_path_limit=per_pair_path_limit,
+                shape_memo=shape_memo,
             )
             replay_source_records(store, report, a, (es1, es2), records)
 
     store.finalize()
     report.distinct_topologies = len(store.topologies)
     report.truncated_pairs = store.truncated_pairs
+    report.canonical_searches = len(shape_memo)
     report.elapsed_seconds = time.perf_counter() - start
     return store, report
 

@@ -153,7 +153,9 @@ class TopologySearchSystem:
         with obs_span(
             "engine.build", ingress=True, pairs=len(entity_pairs), max_length=max_length
         ) as build_span:
-            with obs_span("build.compute_alltops", parallel=int(parallel or 0)):
+            with obs_span(
+                "build.compute_alltops", parallel=int(parallel or 0)
+            ) as alltops_span:
                 if parallel and parallel >= 2:
                     from repro.parallel import compute_alltops_parallel
 
@@ -176,6 +178,10 @@ class TopologySearchSystem:
                         combination_cap=combination_cap,
                         per_pair_path_limit=per_pair_path_limit,
                     )
+                alltops_span.tag(
+                    combinations=alltops_report.combinations,
+                    canonical_searches=alltops_report.canonical_searches,
+                )
             prune_report: Optional[PruneReport] = None
             with obs_span("build.prune", enabled=prune):
                 if prune:

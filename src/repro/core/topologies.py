@@ -36,7 +36,26 @@ walk after ``combination_cap`` combinations and reports
 ``truncated=True``.  Because the walk order is deterministic, a capped
 enumeration is still reproducible: serial and partitioned builds cap at
 the same combination and therefore agree on the (possibly partial)
-topology set.
+topology set.  The cap counts combinations inspected whether or not the
+shape memo answered them.
+
+The shape memo
+--------------
+The instances of one path-class combination have the same few shapes,
+so a build canonicalises each shape once: a dict from :func:`shape_key`
+to ``(canonical key, endpoint positions)``, one per ``compute_alltops``
+call or per :mod:`repro.parallel` worker process.  A hit builds no
+graph and runs no search; a miss is the un-memoised code, and the
+oracle the tests compare hits against.  The key must determine the
+union's *construction*, not just its isomorphism class: for a topology
+with automorphisms the order ``canonical_form_and_order`` returns —
+hence the endpoint positions, hence ``state_digest`` — depends on node
+insertion order (the search walks a cell in dict order and keeps the
+first of equal encodings).  ``union_all`` inserts nodes by first
+occurrence across the representatives, so the key relabels ids by that
+(edge orientation and order do not matter: refinement and encoding
+sort), and it says where ``a`` and ``b`` sit, because paths need not
+run ``a -> b``.
 """
 
 from __future__ import annotations
@@ -46,7 +65,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 
 from repro.core.model import ClassSignature, PairTopologies
 from repro.graph.canonical import canonical_form_and_order, render_key
-from repro.graph.labeled_graph import LabeledGraph, NodeId, Path, union_all
+from repro.graph.labeled_graph import EdgeId, LabeledGraph, NodeId, Path, union_all
 from repro.graph.paths import path_set
 
 # Safety valve for Definition 2's cross-product of representatives; the
@@ -74,11 +93,32 @@ def path_equivalence_classes(
     return grouped
 
 
+# One path of a combination: forward labels, then node ids and edge ids
+# relabelled by first occurrence across the combination.
+PathShape = Tuple[Tuple[str, ...], Tuple[int, ...], Tuple[int, ...]]
+ShapeKey = Tuple[Tuple[PathShape, ...], Optional[int], Optional[int]]
+ShapeMemo = Dict[ShapeKey, Tuple[str, Tuple[int, int]]]
+
+
+def shape_key(combo: Sequence[Path], a: NodeId, b: NodeId) -> ShapeKey:
+    """What determines the construction of ``union_all`` over ``combo``
+    (see "The shape memo" in the module docstring)."""
+    nodes: Dict[NodeId, int] = {}
+    edges: Dict[EdgeId, int] = {}
+    parts: List[PathShape] = []
+    for p in combo:
+        node_ids = tuple([nodes.setdefault(n, len(nodes)) for n in p.nodes])
+        edge_ids = tuple([edges.setdefault(e, len(edges)) for e in p.edges])
+        parts.append((p.label_sequence(), node_ids, edge_ids))
+    return tuple(parts), nodes.get(a), nodes.get(b)
+
+
 def topologies_from_classes(
     classes: Dict[ClassSignature, List[Path]],
     a: NodeId,
     b: NodeId,
     combination_cap: int = DEFAULT_COMBINATION_CAP,
+    shape_memo: Optional[ShapeMemo] = None,
 ) -> Tuple[Dict[str, Tuple[int, int]], bool]:
     """Definition 2 core: union one representative per class, over all
     choices, and canonicalize.
@@ -93,31 +133,34 @@ def topologies_from_classes(
     order, representatives in path-enumeration order); TID assignment in
     :class:`~repro.core.store.TopologyStore` replays this order, so it
     must not be re-sorted here.
+
+    ``shape_memo`` carries canonicalisations across the calls of one
+    build; without one, a fresh dict serves this call alone.
     """
     if not classes:
         return {}, False
+    if shape_memo is None:
+        shape_memo = {}
     class_lists = [classes[sig] for sig in sorted(classes)]
-    total = 1
-    truncated = False
-    for lst in class_lists:
-        total *= len(lst)
-        if total > combination_cap:
-            truncated = True
-            break
 
     out: Dict[str, Tuple[int, int]] = {}
+    truncated = False
     count = 0
     for combo in itertools.product(*class_lists):
         count += 1
         if count > combination_cap:
             truncated = True
             break
-        union = union_all([p.as_graph() for p in combo])
-        form, order = canonical_form_and_order(union)
-        key = render_key(form)
-        if key not in out:
+        shape = shape_key(combo, a, b)
+        known = shape_memo.get(shape)
+        if known is None:
+            union = union_all([p.as_graph() for p in combo])
+            form, order = canonical_form_and_order(union)
             position = {nid: i for i, nid in enumerate(order)}
-            out[key] = (position[a], position[b])
+            known = (render_key(form), (position[a], position[b]))
+            shape_memo[shape] = known
+        key, endpoints = known
+        out.setdefault(key, endpoints)
     return out, truncated
 
 

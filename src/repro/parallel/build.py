@@ -250,6 +250,9 @@ def compute_alltops_parallel(
         store.finalize()
     parallel_report.merge_seconds = time.perf_counter() - merge_start
 
+    report.canonical_searches = sum(
+        r.canonical_searches for r in results.values()
+    )
     report.distinct_topologies = len(store.topologies)
     report.truncated_pairs = store.truncated_pairs
     report.elapsed_seconds = time.perf_counter() - start

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.alltops import PairRecord, nodes_by_type, pair_source_records
+from repro.core.topologies import ShapeMemo
 from repro.graph.labeled_graph import LabeledGraph, NodeId
 from repro.parallel.partition import stable_partition
 
@@ -57,7 +58,8 @@ class PartitionResult:
     the source's local enumeration order; sources appear in graph
     insertion order (the worker walks the shared type index), though
     the merge re-derives the global order itself and only ever looks
-    buckets up by source id.
+    buckets up by source id.  ``canonical_searches`` is how much this
+    task grew the worker's shape memo.
     """
 
     pair_index: int
@@ -66,6 +68,7 @@ class PartitionResult:
     sources_scanned: int
     pairs_related: int
     elapsed_seconds: float
+    canonical_searches: int = 0
 
 
 def make_payload(context: BuildContext) -> bytes:
@@ -95,6 +98,9 @@ def install_context(
     _CONTEXT["by_type"] = (
         by_type if by_type is not None else nodes_by_type(context.graph)
     )
+    # One shape memo per process, shared by its tasks like the type
+    # index (a forked child inherits this empty dict and fills its own).
+    _CONTEXT["shape_memo"] = {}
 
 
 def clear_context() -> None:
@@ -120,6 +126,8 @@ def run_partition(task: Tuple[int, int]) -> PartitionResult:
     pair_index, partition_index = task
     context: BuildContext = _CONTEXT["context"]  # type: ignore[assignment]
     by_type: Dict[str, List[NodeId]] = _CONTEXT["by_type"]  # type: ignore[assignment]
+    shape_memo: ShapeMemo = _CONTEXT["shape_memo"]  # type: ignore[assignment]
+    searches_before = len(shape_memo)
     es1, es2 = context.entity_pairs[pair_index]
     start = time.perf_counter()
     records: Dict[NodeId, List[PairRecord]] = {}
@@ -136,6 +144,7 @@ def run_partition(task: Tuple[int, int]) -> PartitionResult:
             context.max_length,
             combination_cap=context.combination_cap,
             per_pair_path_limit=context.per_pair_path_limit,
+            shape_memo=shape_memo,
         )
         if source_records:
             records[source] = source_records
@@ -147,4 +156,5 @@ def run_partition(task: Tuple[int, int]) -> PartitionResult:
         sources_scanned=sources_scanned,
         pairs_related=pairs_related,
         elapsed_seconds=time.perf_counter() - start,
+        canonical_searches=len(shape_memo) - searches_before,
     )

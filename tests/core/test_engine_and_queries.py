@@ -120,6 +120,11 @@ class TestSystemFacade:
             assert by_name[phase]["parent_id"] == root["span_id"]
             assert by_name[phase]["trace_id"] == root["trace_id"]
             assert by_name[phase]["elapsed_seconds"] >= 0
+        # ... and how much canonicalisation the compute phase did.
+        tags = by_name["build.compute_alltops"]["tags"]
+        alltops = fig3_system.build_report.alltops
+        assert tags["combinations"] == alltops.combinations > 0
+        assert tags["canonical_searches"] == alltops.canonical_searches > 0
 
     def test_orientation(self, fig3_system):
         fwd = TopologyQuery("Protein", "DNA", NoConstraint(), NoConstraint())

@@ -138,6 +138,25 @@ class TestStoreEquivalence:
         for pair_index, (es1, _) in enumerate(STORE_PAIRS):
             assert by_pair[pair_index] == len(by_type.get(es1, []))
 
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_canonicalisation_counters(self, graph, start_method):
+        """``combinations`` is a property of the input; the number of
+        canonical searches is not — each worker process fills a shape
+        memo of its own, so they sum to between one and ``workers``
+        times the serial count."""
+        _, serial_report = compute_alltops(graph, STORE_PAIRS, MAX_LENGTH)
+        _, report, _ = compute_alltops_parallel(
+            graph, STORE_PAIRS, MAX_LENGTH, workers=2, partitions=4,
+            start_method=start_method,
+        )
+        assert 0 < serial_report.canonical_searches < serial_report.combinations
+        assert report.combinations == serial_report.combinations
+        assert (
+            serial_report.canonical_searches
+            <= report.canonical_searches
+            <= 2 * serial_report.canonical_searches
+        )
+
     def test_truncation_caps_agree(self, graph):
         """Caps bite identically in serial and partitioned builds."""
         kwargs = dict(combination_cap=2, per_pair_path_limit=3)
