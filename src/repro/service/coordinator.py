@@ -102,6 +102,8 @@ class ShardCoordinator(ServingCore):
     call :meth:`close`.
     """
 
+    _span_name = "coordinator.scatter"
+
     def __init__(
         self,
         manifest: Union[str, ShardManifest],
@@ -257,7 +259,8 @@ class ShardCoordinator(ServingCore):
     ) -> List[MethodResult]:
         """The core's request path with the scatter as ``execute``.  The
         ``coordinator.scatter`` span opens only when something executes
-        (a hit opens none) and stays open across the settle, so a
+        (a hit here opens none; a :meth:`cached` hit records one tagged
+        ``cache="hit"``) and stays open across the settle, so a
         slow-query record finds the gathered ``shard.query`` spans."""
         name = (method or self.default_method).lower()
         with self._rw.read_locked():

@@ -10,7 +10,9 @@ as a function.
   lease (:class:`ReadWriteLock`); publishing a successor generation
   (:meth:`ServingCore._swap`) and :meth:`ServingCore.invalidate` take
   the exclusive *write* lease.  Requests proceed in parallel with each
-  other, and a writer never changes state a reader is traversing.
+  other, and a writer never changes state a reader is traversing.  The
+  one exception is :meth:`ServingCore.cached`, a non-blocking hit probe
+  that needs only the flight lock (its docstring says why).
 
 * **Generation stamp** — every swap bumps :attr:`ServingCore.generation`
   and drops the result cache; every result is stamped with the
@@ -69,6 +71,7 @@ from repro.obs import (
     current_trace,
     query_summary,
 )
+from repro.obs import span as obs_span
 from repro.obs import tracer as obs_tracer
 from repro.service.cache import MISSING, CacheStats, LRUCache
 
@@ -410,6 +413,38 @@ class ServingCore:
     # ------------------------------------------------------------------
     # The request path
     # ------------------------------------------------------------------
+    #: The front end's span for one query; a :meth:`cached` hit records
+    #: it too, tagged ``cache="hit"``.
+    _span_name = "server.query"
+
+    def cached(
+        self, query: TopologyQuery, method: Optional[str] = None
+    ) -> Optional[MethodResult]:
+        """The cached answer to ``query``, or ``None`` on a miss — without
+        blocking, so an event loop can answer a hit itself and hand only
+        misses to a worker thread.  A hit counts ``requests`` and
+        ``hits`` once each, as :meth:`_serve` would; a miss counts
+        nothing, so the request path that follows counts it once.
+
+        No read lease is taken, and none is needed.  Every cache ``put``
+        (:meth:`_settle`, and only within the current epoch), every
+        ``clear`` (:meth:`_swap`, :meth:`invalidate`) and every
+        generation or epoch bump happen under the flight lock, so under
+        that lock the cache holds only results of the serving
+        generation: a probe holding it alone is generation-consistent,
+        and never waits behind a pending swap the way a lease on this
+        writer-preferring lock would.  Membership is tested before the
+        ``get``, in the same section, so a miss moves no counter and a
+        hit cannot be evicted in between."""
+        name = (method or self.default_method).lower()
+        key = (name, query)
+        with self._flight_lock:
+            if key not in self._cache:
+                return None
+            with obs_span(self._span_name, ingress=True, method=name, cache="hit"):
+                self._requests += 1
+                return self._cache.get(key)
+
     def _serve(
         self, name: str, queries: Sequence[TopologyQuery], execute: Execute
     ) -> List[MethodResult]:

@@ -32,9 +32,13 @@ the ``shard.query`` spans shipped back from the worker processes.
 Request handling is layered the same way for every endpoint: read the
 body (bounded), parse + validate (:mod:`.schemas`), pass the admission
 gate (:mod:`.admission`), run the blocking engine call on the worker
-pool under the per-request timeout, serialize.  Every failure mode maps
-to a structured error body ``{"error": {"code", "message", "details"}}``
-with the taxonomy::
+pool under the per-request timeout, serialize.  One shortcut: a
+``POST /query`` the result cache can answer is answered on the event
+loop right after validation (``server.cached``), before the gate and
+with no thread hand-off — the gate sheds *work*, not answers already in
+memory, so ``admission.admitted`` counts engine calls, not requests.
+Every failure mode maps to a structured error body
+``{"error": {"code", "message", "details"}}`` with the taxonomy::
 
     400 invalid_json / invalid_request   body is not a JSON object
     404 not_found                        unknown path
@@ -50,9 +54,10 @@ with the taxonomy::
     500 internal                         anything else (sanitized)
 
 The engine work runs on a private thread pool because the engine is
-synchronous by design; the event loop only ever parses, validates, and
-shuttles bytes.  Admission bounds how many engine calls are in flight,
-so the pool can never be oversubscribed by traffic.
+synchronous by design; the event loop only ever parses, validates,
+probes the result cache, and shuttles bytes.  Admission bounds how many
+engine calls are in flight, so the pool can never be oversubscribed by
+traffic.
 """
 
 from __future__ import annotations
@@ -131,7 +136,7 @@ class TopologyHttpApp:
     """ASGI 3 application over one :class:`TopologyServer`.
 
     ``server`` only needs the TopologyServer surface actually used
-    (``query``/``query_many``/``explain``/``rebuild``/``stats``/
+    (``cached``/``query``/``query_many``/``explain``/``rebuild``/``stats``/
     ``latency_stats``/``generation``), so tests can substitute a stub
     with controllable latency.
 
@@ -505,15 +510,19 @@ class TopologyHttpApp:
             query, method = parse_query_request(self._parse_json(body))
         except RequestValidationError as error:
             raise self._validation_error(error) from None
-        async with self._admitted(log) as slot:
-            try:
-                result = await self._run_blocking(
-                    lambda: self.server.query(query, method=method),
-                    self.request_timeout,
-                    slot,
-                )
-            except TopologyError as error:
-                raise self._query_error(error) from None
+        # A hit is answered here, on the loop: the gate sheds work, not
+        # answers already in memory.
+        result = self.server.cached(query, method)
+        if result is None:
+            async with self._admitted(log) as slot:
+                try:
+                    result = await self._run_blocking(
+                        lambda: self.server.query(query, method=method),
+                        self.request_timeout,
+                        slot,
+                    )
+                except TopologyError as error:
+                    raise self._query_error(error) from None
         wire = result_to_wire(result)
         wire["trace_id"] = log.trace_id
         log.generation = result.generation

@@ -33,6 +33,8 @@ from repro.service.http.schemas import error_to_wire
 
 __all__ = ["AsgiHttpServer", "HttpServerThread", "serve_uvicorn"]
 
+#: Longest request head (request line + headers): the stream reader's
+#: limit, so a longer one is answered ``400``.
 _MAX_HEADER_BYTES = 64 * 1024
 #: Most of a request body one ``receive()`` hands to the app.
 _BODY_FRAME_BYTES = 64 * 1024
@@ -64,7 +66,7 @@ class AsgiHttpServer:
     async def start(self) -> Tuple[str, int]:
         """Bind and start serving; returns the actual (host, port)."""
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+            self._handle_connection, self.host, self.port, limit=_MAX_HEADER_BYTES
         )
         sockname = self._server.sockets[0].getsockname()
         self.port = sockname[1]
@@ -96,7 +98,7 @@ class AsgiHttpServer:
                 )
                 if not keep_alive:
                     break
-        except (ConnectionError, asyncio.IncompleteReadError, asyncio.LimitOverrunError):
+        except (ConnectionError, asyncio.IncompleteReadError):
             pass  # client went away; nothing to answer
         finally:
             try:
@@ -116,8 +118,10 @@ class AsgiHttpServer:
             if not error.partial:
                 return None  # clean EOF between requests
             raise
-        if len(head) > _MAX_HEADER_BYTES:
-            raise ConnectionError("oversized request head")
+        except asyncio.LimitOverrunError:
+            raise _BadRequest(
+                f"request head exceeds {_MAX_HEADER_BYTES} bytes"
+            ) from None
         lines = head.decode("latin-1").split("\r\n")
         parts = lines[0].split(" ")
         if len(parts) != 3:

@@ -4,7 +4,9 @@ The gate unit tests pin the bounded-concurrency / bounded-queue / FIFO
 hand-off semantics directly.  The HTTP tests drive the full app over a
 stub server whose latency the test controls, so every 503 variant
 (``overloaded``, ``timeout``, ``rebuild_in_progress``) is reached
-deterministically — no sleeps calibrated against wall-clock luck.
+deterministically — no sleeps calibrated against wall-clock luck.  The
+stub never hits its cache (``cached`` returns ``None``); one test over
+a real server pins that a cache hit does not pass the gate at all.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import pytest
 
 from repro.service.http import AdmissionGate, AdmissionRejected, TestClient, create_app
 
+from tests.service.http.conftest import valid_query
 from tests.service.test_core import wait_until
 
 
@@ -161,6 +164,9 @@ class StubServer:
             planning_seconds=0.0,
             plan_choice="stub",
         )
+
+    def cached(self, query, method=None):
+        return None  # every request is work for the gate
 
     def query(self, query, method=None):
         with self._lock:
@@ -341,3 +347,47 @@ class TestHttp503:
         assert stats["admitted"] == 1
         assert stats["rejected_queue_full"] == 3
         assert stats["active"] == 0
+
+
+class TestHitsBypassTheGate:
+    def test_a_hit_is_answered_while_a_miss_holds_the_only_slot(
+        self, server, monkeypatch
+    ):
+        """The gate sheds work, not answers already in memory: with its
+        one slot held by a miss blocked in the engine and no queue, a
+        cache hit still gets 200 while another miss gets 503."""
+        entered, release = threading.Event(), threading.Event()
+        search = server._search
+
+        def blocking_search(generation, name, queries):
+            entered.set()
+            assert release.wait(10)
+            return search(generation, name, queries)
+
+        with create_app(
+            server, max_concurrency=1, max_queue=0, queue_timeout=3.0
+        ) as app:
+            with TestClient(app) as client:
+                warm = client.post("/query", json=valid_query())
+                monkeypatch.setattr(server, "_search", blocking_search)
+                blocker = threading.Thread(
+                    target=client.post,
+                    args=("/query",),
+                    kwargs={"json": valid_query(k=5)},
+                )
+                blocker.start()
+                assert entered.wait(5)  # the miss holds the only slot
+                try:
+                    hit = client.post("/query", json=valid_query())
+                    shed = client.post("/query", json=valid_query(k=6))
+                finally:
+                    release.set()
+                    blocker.join(timeout=10)
+            stats = app.gate.stats()
+        assert warm.status == 200
+        assert hit.status == 200
+        assert hit.json()["tids"] == warm.json()["tids"]
+        assert shed.status == 503
+        assert shed.json()["error"]["code"] == "overloaded"
+        assert stats["admitted"] == 2  # the two engine calls, not the hit
+        assert stats["rejected_queue_full"] == 1

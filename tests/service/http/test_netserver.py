@@ -199,3 +199,17 @@ class TestRequestsThatCannotBeFramed:
         app_error = client.get("/nope").json()["error"]
         assert set(error) == set(app_error)
         assert stream.read(1) == b""  # the server closed
+
+    def test_oversized_head_is_400_not_a_bare_close(self, wire):
+        """A 70 KB header overruns the 64 KiB head limit: the client is
+        told so, instead of the connection just dropping."""
+        sock, stream = wire()
+        padding = "x" * (70 * 1024)
+        sock.sendall(f"GET /healthz HTTP/1.1\r\nX-Pad: {padding}\r\n\r\n".encode("ascii"))
+        response = read_response(stream)
+        assert response.status == 400
+        assert response.values("connection") == ["close"]
+        error = json.loads(response.body)["error"]
+        assert error["code"] == "invalid_request"
+        assert "65536" in error["message"]
+        assert stream.read(1) == b""  # the server closed

@@ -64,6 +64,23 @@ class TestTracedRequest:
         assert spans["http.request"]["tags"]["path"] == "/query"
         assert spans["http.request"]["tags"]["status"] == 200
 
+    def test_a_hit_keeps_the_server_span_tagged_hit(self, client):
+        """A hit is answered on the event loop, before admission: its
+        tree is still ``http.request`` → ``server.query``, tagged
+        ``cache="hit"``, with no engine span under it; the miss before
+        it records one ``server.query`` and no tag."""
+        miss = client.post("/query", json=valid_query()).json()["trace_id"]
+        hit = client.post("/query", json=valid_query()).json()["trace_id"]
+        miss_tree = client.get(f"/trace/{miss}").json()
+        spans = span_index(client.get(f"/trace/{hit}").json())
+        assert set(spans) == {"http.request", "server.query"}
+        assert spans["server.query"]["parent_id"] == spans["http.request"]["span_id"]
+        assert spans["server.query"]["tags"] == {"method": "fast-top-k-opt", "cache": "hit"}
+        assert spans["http.request"]["tags"]["status"] == 200
+        (server_span,) = miss_tree["spans"][0]["children"]
+        assert server_span["name"] == "server.query"
+        assert "cache" not in server_span["tags"]
+
     def test_unknown_trace_is_404(self, client):
         response = client.get("/trace/deadbeef00000000")
         assert response.status == 404

@@ -135,6 +135,68 @@ class TestRequestPath:
         assert_invariants(core)
 
 
+class TestCachedProbe:
+    """``cached``: the non-blocking hit probe a front end calls before it
+    decides whether a request needs a worker thread."""
+
+    def test_a_miss_moves_no_counter_and_the_request_counts_once(self):
+        core, execute = make_core(), StubExecute()
+        a = q("a")
+        assert core.cached(a, "m") is None
+        stats = core.stats()
+        assert (stats.requests, stats.result_cache.hits, stats.result_cache.misses) == (0, 0, 0)
+        core._serve("m", [a], execute)
+        stats = core.stats()
+        assert (stats.requests, stats.result_cache.misses, stats.executions) == (1, 1, 1)
+        assert_invariants(core)
+
+    def test_a_hit_counts_requests_and_hits_once_each(self):
+        core, execute = make_core(), StubExecute()
+        a = q("a")
+        (first,) = core._serve("m", [a], execute)
+        assert core.cached(a, "m") is first
+        stats = core.stats()
+        assert (stats.requests, stats.result_cache.hits, stats.result_cache.misses) == (2, 1, 1)
+        assert core.cached(a) is first  # no method: the default one
+        assert core.cached(a, "n") is None  # the method is part of the key
+        stats = core.stats()
+        assert (stats.requests, stats.result_cache.hits) == (3, 2)
+        assert len(execute.calls) == 1
+        assert_invariants(core)
+
+    def test_a_cached_empty_answer_is_a_hit(self):
+        core = make_core()
+        a = q("a")
+
+        def empty(generation: int, name: str, queries: List[TopologyQuery]):
+            return [
+                MethodResult(method=name, query=query, tids=[], scores=None, elapsed_seconds=1e-4)
+                for query in queries
+            ]
+
+        (first,) = core._serve("m", [a], empty)
+        assert core.cached(a, "m") is first
+        assert core.stats().result_cache.hits == 1
+        assert_invariants(core)
+
+    def test_after_invalidate_or_a_swap_the_probe_misses(self):
+        core, execute = make_core(), StubExecute()
+        a = q("a")
+        core._serve("m", [a], execute)
+        core.invalidate()
+        assert core.cached(a, "m") is None
+        (again,) = core._serve("m", [a], execute)
+        assert core.cached(a, "m") is again
+        with core._swap():
+            pass
+        assert core.cached(a, "m") is None
+        (fresh,) = core._serve("m", [a], execute)
+        assert (again.generation, fresh.generation) == (1, 2)
+        assert core.cached(a, "m") is fresh
+        assert len(execute.calls) == 3
+        assert_invariants(core)
+
+
 class TestConcurrency:
     def test_mixed_singles_and_batches_keep_exact_counters(self):
         """>= 8 threads, more than cores, mixing one-element and batch

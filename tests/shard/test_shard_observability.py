@@ -82,6 +82,22 @@ class TestCrossProcessTrace:
         } <= shard_span_ids
         assert len(by_name["engine.execute"]) == coordinator.num_shards
 
+    def test_a_hit_keeps_the_scatter_span_tagged_hit(self, traced_client):
+        """A repeat is answered from the coordinator's result cache
+        before admission: its trace is ``http.request`` →
+        ``coordinator.scatter`` tagged ``cache="hit"``, and no shard is
+        asked."""
+        client, coordinator = traced_client
+        client.post("/query", json=valid_query())
+        calls = [shard["calls"] for shard in coordinator.shard_sections()]
+        trace_id = client.post("/query", json=valid_query()).json()["trace_id"]
+        spans = flatten(client.get(f"/trace/{trace_id}").json())
+        assert [s["name"] for s in spans] == ["http.request", "coordinator.scatter"]
+        http_span, scatter = spans
+        assert scatter["parent_id"] == http_span["span_id"]
+        assert scatter["tags"]["cache"] == "hit"
+        assert [shard["calls"] for shard in coordinator.shard_sections()] == calls
+
     def test_untraced_direct_query_ships_no_spans(self, traced_client):
         """A direct coordinator.query() call (no HTTP ingress) still
         opens its own coordinator.scatter ingress trace — the
