@@ -5,8 +5,8 @@ Walks the sharded serving path (:mod:`repro.shard` +
 Biozon instance:
 
 1. split — one built system becomes N self-contained shard snapshots
-   plus a manifest; the split is verified lossless (per-shard routing
-   filters + canonical union digest) before anything serves;
+   plus a manifest; the split is verified lossless (each shard equals
+   its exact E1-bucket filter of the store) before anything serves;
 2. scatter-gather — a coordinator starts one warm worker process per
    shard; every query fans out to all shards and the partial answers
    merge with the engine's own ordering, so sharded answers are

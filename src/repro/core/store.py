@@ -266,10 +266,7 @@ class TopologyStore:
         "bit-identical to a serial build" check the partitioned build
         (:mod:`repro.parallel`) is verified against, cheap enough to
         run inside benchmarks."""
-        canonical = json.dumps(
-            self.export_state(), sort_keys=True, default=repr
-        )
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        return digest_state(self.export_state())
 
     # ------------------------------------------------------------------
     # Materialization into the relational database
@@ -361,3 +358,10 @@ class TopologyStore:
             "TopInfo": len(self.topologies),
             "pruned_topologies": len(self.pruned_tids),
         }
+
+
+def digest_state(state: Dict[str, object]) -> str:
+    """:meth:`TopologyStore.state_digest` of an already exported state —
+    for callers that hold the export and must not pay for a second."""
+    canonical = json.dumps(state, sort_keys=True, default=repr)
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

@@ -153,8 +153,17 @@ def save_system(system, path, shard: Optional[Dict[str, Any]] = None) -> None:
     routing scheme, set id — see :mod:`repro.shard`) in the snapshot
     meta; a shard snapshot is otherwise a perfectly normal snapshot and
     loads with :func:`load_system` like any other."""
-    store = system.require_store()
-    state = store.export_state()
+    write_snapshot(system, system.require_store().export_state(), path, shard)
+
+
+def write_snapshot(
+    system, state: Dict[str, Any], path, shard: Optional[Dict[str, Any]] = None
+) -> None:
+    """The writer behind :func:`save_system`: ``system``'s base
+    relations and meta, with ``state`` (an exported store state) as the
+    topology store.  :func:`repro.shard.split_system` calls it with each
+    shard's routed state, so a shard file is written without building a
+    store or a database for it."""
     target = os.fspath(path)
     parent = os.path.dirname(target)
     if parent:
@@ -180,8 +189,11 @@ def _write_meta(
     state: Dict[str, Any],
     shard: Optional[Dict[str, Any]] = None,
 ) -> None:
+    # A shard restores its routed AllTops whatever the source system
+    # materialised: a coordinator serves every method from it.
     alltops_table_empty = (
-        system.database.has_table("AllTops")
+        shard is None
+        and system.database.has_table("AllTops")
         and system.database.table("AllTops").row_count == 0
         and len(state["alltops_rows"]) > 0
     )

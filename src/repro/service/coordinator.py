@@ -502,8 +502,10 @@ class ShardCoordinator(ServingCore):
 
     def shard_digests(self) -> List[str]:
         """Each live backend's order-sensitive store digest, gathered in
-        parallel — the union of these (see :mod:`repro.shard.verify`)
-        proves what the workers are actually serving."""
+        parallel — compare them with the digests of the files the
+        manifest names to prove the workers serve the verified set
+        (:mod:`repro.shard.verify` certified those files at split
+        time)."""
         with self._rw.read_locked():
             backends = self._backends
             calls = [backend.submit("digest") for backend in backends]

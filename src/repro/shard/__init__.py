@@ -24,8 +24,11 @@ Each shard is an ordinary :mod:`repro.persist` snapshot (loadable by
 ``load_system`` like any other) with shard membership recorded in its
 metadata, so a shard set degrades gracefully into N independently
 inspectable engines.  A JSON manifest (:mod:`repro.shard.manifest`)
-names the set; :mod:`repro.shard.verify` proves a split lossless by
-canonical-union digest against the unsharded reference.
+names the set; :mod:`repro.shard.verify` proves a split lossless
+against the unsharded reference: every shard must equal its exact
+E1-bucket filter of the reference, and because ``shard_of`` is total
+those filters partition the reference, so the shards' union is the
+reference up to row order.
 
 >>> from repro.shard import split_system, read_manifest
 >>> report = split_system(system, num_shards=4, directory="shards/")
@@ -49,13 +52,7 @@ from repro.shard.manifest import (
     read_manifest,
     write_manifest,
 )
-from repro.shard.verify import (
-    canonical_state,
-    state_digest,
-    union_digest,
-    union_state,
-    verify_split,
-)
+from repro.shard.verify import verify_split
 
 __all__ = [
     "MANIFEST_FORMAT",
@@ -63,14 +60,10 @@ __all__ = [
     "SKEW_WARNING_THRESHOLD",
     "ShardManifest",
     "ShardSplitReport",
-    "canonical_state",
     "read_manifest",
     "shard_of",
     "shard_set_id",
     "split_state",
     "split_system",
-    "state_digest",
-    "union_digest",
-    "union_state",
     "verify_split",
 ]

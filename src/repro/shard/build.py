@@ -13,9 +13,9 @@ LeftTops a from-scratch build over that shard's sources would produce.
 
 What is replicated rather than routed, and why, is documented on the
 package (:mod:`repro.shard`).  The split is **serving-oriented**: the
-builder process holds the full store while splitting (clone one shard
-at a time, save, drop), so the memory *budget* a shard set buys applies
-to the serving processes, not to the offline build.
+builder process holds the full system plus the shard states while
+splitting, so the memory *budget* a shard set buys applies to the
+serving processes, not to the offline build.
 """
 
 from __future__ import annotations
@@ -180,18 +180,20 @@ def split_system(
 
     Writes ``<stem>-<i>-of-<n>.topo`` for each shard and
     ``<stem>.manifest.json`` into ``directory`` (created if missing).
-    Shards are produced one at a time — clone base, adopt the shard's
-    store, save, drop — so peak builder memory is one full system plus
-    one shard, not N shards.
+    The store is exported once; each shard file is written straight
+    from its routed state and the system's own base relations — no
+    clone, store or materialised table per shard — so peak builder
+    memory is the system plus the shard states.
 
     With ``verify=True`` the saved files are read back and checked
-    against the reference state (exact per-shard row filters plus
-    canonical union digest, :func:`repro.shard.verify.verify_split`),
-    so a returned report certifies the on-disk set, not the in-memory
-    intent.
+    against the reference state (:func:`repro.shard.verify.verify_split`)
+    *before* the manifest is written: a manifest on disk names a
+    certified set, and a returned report certifies the on-disk set, not
+    the in-memory intent.
     """
-    from repro.core.store import TopologyStore
-    from repro.persist import read_store_state, save_system
+    from repro.core.store import digest_state
+    from repro.persist import read_store_state
+    from repro.persist.snapshot import write_snapshot
 
     if system.store is None:
         raise ShardError("cannot split an unbuilt system: run build() first")
@@ -204,9 +206,8 @@ def split_system(
     ) as split_span:
         with obs_span("split.state"):
             reference_state = system.store.export_state()
-            set_id = shard_set_id(system.store.state_digest(), num_shards)
+            set_id = shard_set_id(digest_state(reference_state), num_shards)
             shard_states = split_state(reference_state, num_shards)
-            calibration = system.calibrator.export_state()
 
         paths: List[str] = []
         file_bytes: List[int] = []
@@ -215,18 +216,9 @@ def split_system(
                 path = os.path.join(
                     directory, f"{stem}-{index}-of-{num_shards}.topo"
                 )
-                clone = system.clone_base()
-                clone.adopt_store(
-                    TopologyStore.from_state(state, system.weak_rules),
-                    max_length=system.max_length,
-                    built_pairs=system.built_pairs,
-                    include_alltops=True,
-                    validate=False,
-                    build_config=system.build_config,
-                )
-                clone.restore_calibration(calibration)
-                save_system(
-                    clone,
+                write_snapshot(
+                    system,
+                    state,
                     path,
                     shard={
                         "index": index,
@@ -235,16 +227,8 @@ def split_system(
                         "set_id": set_id,
                     },
                 )
-                del clone  # bound peak memory to one clone at a time
                 paths.append(path)
                 file_bytes.append(os.path.getsize(path))
-
-            manifest = write_manifest(
-                os.path.join(directory, f"{stem}.manifest.json"),
-                set_id=set_id,
-                scheme=SHARD_SCHEME,
-                shard_paths=paths,
-            )
 
         if verify:
             from repro.shard.verify import verify_split
@@ -253,6 +237,13 @@ def split_system(
                 verify_split(
                     reference_state, [read_store_state(p) for p in paths]
                 )
+
+        manifest = write_manifest(
+            os.path.join(directory, f"{stem}.manifest.json"),
+            set_id=set_id,
+            scheme=SHARD_SCHEME,
+            shard_paths=paths,
+        )
 
     split_spans: List[Dict[str, Any]] = []
     if split_span.trace_id is not None:

@@ -2,16 +2,24 @@
 
 from __future__ import annotations
 
-import copy
 import json
 import logging
 import os
 import random
+import sqlite3
 
 import pytest
 
+from repro.core.store import digest_state
 from repro.errors import ShardError
-from repro.persist import read_store_state, save_system, snapshot_info
+from repro.persist import (
+    DERIVED_TABLES,
+    load_system,
+    read_store_state,
+    save_system,
+    snapshot_info,
+)
+from repro.persist.codec import schema_to_json
 from repro.shard import (
     MANIFEST_FORMAT,
     SHARD_SCHEME,
@@ -22,9 +30,6 @@ from repro.shard import (
     shard_set_id,
     split_state,
     split_system,
-    state_digest,
-    union_digest,
-    union_state,
     verify_split,
     write_manifest,
 )
@@ -83,44 +88,58 @@ class TestSplitState:
 
 
 # ----------------------------------------------------------------------
-# Canonical digests and union
+# The union of a split: what verify_split's lemma promises
 # ----------------------------------------------------------------------
+def _union(shards):
+    """Routed rows and pairs concatenated across shards; replicated
+    components taken from the first shard."""
+    union = dict(shards[0])
+    for kind in ("alltops_rows", "lefttops_rows", "pairs"):
+        union[kind] = [item for shard in shards for item in shard[kind]]
+    return union
+
+
+def _order_free_digest(state):
+    """A state digest that ignores row and pair order."""
+    canonical = dict(state)
+    for key in (
+        "topologies", "excptops_rows", "pruned_tids", "alltops_rows", "lefttops_rows"
+    ):
+        canonical[key] = shard_verify._canonical_component(state, key)
+    canonical["pairs"] = sorted(shard_verify._canonical_pair(p) for p in state["pairs"])
+    return digest_state(canonical)
+
+
 class TestUnionDigest:
     def test_union_digest_equals_reference(self, reference_state):
+        """The lemma, checked directly: a split that verify_split accepts
+        unions to a permutation of the reference."""
         shards = split_state(reference_state, NUM_SHARDS)
-        assert union_digest(shards) == state_digest(reference_state)
-
-    def test_state_digest_is_row_order_insensitive(self, reference_state):
-        shuffled = copy.deepcopy(reference_state)
-        rng = random.Random(0)
-        rng.shuffle(shuffled["alltops_rows"])
-        rng.shuffle(shuffled["lefttops_rows"])
-        assert state_digest(shuffled) == state_digest(reference_state)
-
-    def test_union_rejects_duplicated_routed_row(self, reference_state):
-        shards = split_state(reference_state, NUM_SHARDS)
-        donor = next(i for i, s in enumerate(shards) if s["alltops_rows"])
-        row = shards[donor]["alltops_rows"][0]
-        shards[(donor + 1) % NUM_SHARDS]["alltops_rows"].append(row)
-        with pytest.raises(ShardError, match="appears in both"):
-            union_state(shards)
+        verify_split(reference_state, shards)
+        assert _order_free_digest(_union(shards)) == _order_free_digest(
+            reference_state
+        )
 
     def test_union_rejects_diverged_replica(self, reference_state):
         shards = split_state(reference_state, NUM_SHARDS)
         shards[1]["pruned_tids"] = list(shards[1]["pruned_tids"]) + [999_999]
         with pytest.raises(ShardError, match="pruned_tids"):
-            union_state(shards)
-
-    def test_union_rejects_empty_list(self):
-        with pytest.raises(ShardError):
-            union_state([])
+            verify_split(reference_state, shards)
 
 
 class TestVerifySplit:
+    """Which check catches each tamper: a dropped, misrouted, reordered
+    or duplicated routed row fails its shard's E1-bucket filter; a
+    tampered replica fails the replicated-component comparison."""
+
     def test_accepts_good_split(self, reference_state):
         verify_split(
             reference_state, split_state(reference_state, NUM_SHARDS)
         )
+
+    def test_rejects_empty_shard_list(self, reference_state):
+        with pytest.raises(ShardError, match="empty"):
+            verify_split(reference_state, [])
 
     def test_detects_dropped_row(self, reference_state):
         shards = split_state(reference_state, NUM_SHARDS)
@@ -133,6 +152,16 @@ class TestVerifySplit:
         shards = split_state(reference_state, NUM_SHARDS)
         donor = next(i for i, s in enumerate(shards) if s["alltops_rows"])
         row = shards[donor]["alltops_rows"].pop(0)
+        shards[(donor + 1) % NUM_SHARDS]["alltops_rows"].append(row)
+        with pytest.raises(ShardError, match="does not match"):
+            verify_split(reference_state, shards)
+
+    def test_detects_row_duplicated_across_shards(self, reference_state):
+        """The donor keeps its row and a second shard gains a copy: the
+        union would count it twice, and the second shard's filter fails."""
+        shards = split_state(reference_state, NUM_SHARDS)
+        donor = next(i for i, s in enumerate(shards) if s["alltops_rows"])
+        row = shards[donor]["alltops_rows"][0]
         shards[(donor + 1) % NUM_SHARDS]["alltops_rows"].append(row)
         with pytest.raises(ShardError, match="does not match"):
             verify_split(reference_state, shards)
@@ -161,32 +190,134 @@ class TestVerifySplit:
             verify_split(reference_state, shards)
 
     def test_canonicalises_each_state_at_most_once(self, reference_state, monkeypatch):
-        """Sorting a store's rows under a repr key is what verification
-        costs, so it happens once per component of the reference and of
-        the union, once per *replicated* component of a shard — and
-        never for a shard's routed rows, which are compared as they
-        stand.  (Before: the reference twice, and every shard whole
-        four times — eleven whole-state passes for a 2-shard split.)"""
+        """Sorting rows under a repr key is what verification costs, so
+        the reference and every shard are canonicalised once, and only
+        in their replicated components; routed rows are compared as they
+        stand, and no union state is built.  Each reference routed row
+        and pair is bucketed by exactly one ``shard_of`` call."""
+        shards = split_state(reference_state, 2)
         passes = []
+        bucketed = []
         canonical_component = shard_verify._canonical_component
 
         def counting(state, key):
             passes.append((id(state), key))
             return canonical_component(state, key)
 
+        def counting_shard_of(node_id, num_shards):
+            bucketed.append(node_id)
+            return shard_of(node_id, num_shards)
+
         monkeypatch.setattr(shard_verify, "_canonical_component", counting)
-        shards = split_state(reference_state, 2)
+        monkeypatch.setattr(shard_verify, "shard_of", counting_shard_of)
         verify_split(reference_state, shards)
         assert len(passes) == len(set(passes))  # no (state, component) twice
         by_state = {}
         for state_id, key in passes:
             by_state.setdefault(state_id, set()).add(key)
-        assert len(by_state) == len(shards) + 2  # reference, shards, union
-        assert by_state.pop(id(reference_state)) == set(reference_state)
-        for shard in shards:
-            assert by_state.pop(id(shard)) == {"topologies", "excptops_rows", "pruned_tids"}
-        (union_components,) = by_state.values()
-        assert union_components == set(reference_state)
+        assert set(by_state) == {id(reference_state), *map(id, shards)}
+        assert all(
+            keys == {"topologies", "excptops_rows", "pruned_tids"}
+            for keys in by_state.values()
+        )
+        assert len(bucketed) == sum(
+            len(reference_state[kind])
+            for kind in ("alltops_rows", "lefttops_rows", "pairs")
+        )
+
+
+def _tamper(shards, edit, rng):
+    """Apply one ``edit`` to a split, in place, at positions drawn from
+    ``rng``.  Records shared with the reference are replaced, never
+    mutated, and every edit changes what some shard holds."""
+
+    def pick(kind):
+        index = rng.choice([i for i, s in enumerate(shards) if s[kind]])
+        return shards[index], rng.randrange(len(shards[index][kind]))
+
+    kind = rng.choice(("alltops_rows", "lefttops_rows"))
+    if edit == "drop":
+        shard, at = pick(kind)
+        del shard[kind][at]
+    elif edit == "duplicate":
+        shard, at = pick(kind)
+        shard[kind].insert(rng.randrange(len(shard[kind]) + 1), shard[kind][at])
+    elif edit == "move":
+        shard, at = pick(kind)
+        other = rng.choice([s for s in shards if s is not shard])
+        other[kind].insert(rng.randrange(len(other[kind]) + 1), shard[kind].pop(at))
+    elif edit == "swap":
+        shard = rng.choice([s for s in shards if len(set(s[kind])) > 1])
+        rows = shard[kind]
+        i, j = rng.sample(range(len(rows)), 2)
+        while rows[i] == rows[j]:
+            i, j = rng.sample(range(len(rows)), 2)
+        rows[i], rows[j] = rows[j], rows[i]
+    elif edit == "tid":
+        shard, at = pick(kind)
+        e1, e2, tid = shard[kind][at]
+        shard[kind][at] = (e1, e2, tid + rng.randint(1, 5))
+    elif edit == "drop_pair":
+        shard, at = pick("pairs")
+        del shard["pairs"][at]
+    elif edit == "pair_signatures":
+        shard, at = pick("pairs")
+        pair = shard["pairs"][at]
+        signatures = [list(s) for s in pair["class_signatures"]]
+        if len(signatures) > 1 and rng.random() < 0.5:
+            del signatures[rng.randrange(len(signatures))]
+        else:
+            signatures.append(["Ghost", "ghost", "Ghost"])
+        shard["pairs"][at] = {**pair, "class_signatures": signatures}
+    elif edit == "score":
+        shard, at = pick("topologies")
+        record = shard["topologies"][at]
+        scores = dict(record["scores"])
+        scheme = rng.choice(sorted(scores))
+        scores[scheme] += 1.0
+        shard["topologies"][at] = {**record, "scores": scores}
+    elif edit == "pruned_tids":
+        shard = rng.choice(shards)
+        pruned = list(shard["pruned_tids"])
+        if pruned and rng.random() < 0.5:
+            del pruned[rng.randrange(len(pruned))]
+        else:
+            pruned.append(max(t["tid"] for t in shard["topologies"]) + 1)
+        shard["pruned_tids"] = pruned
+    elif edit == "excptops_rows":
+        shard, at = pick("excptops_rows")
+        del shard["excptops_rows"][at]
+    elif edit == "truncated_pairs":
+        rng.choice(shards)["truncated_pairs"] += 1
+
+
+TAMPER_EDITS = (
+    "drop",
+    "duplicate",
+    "move",
+    "swap",
+    "tid",
+    "drop_pair",
+    "pair_signatures",
+    "score",
+    "pruned_tids",
+    "excptops_rows",
+    "truncated_pairs",
+)
+
+
+@pytest.mark.parametrize("edit", TAMPER_EDITS)
+def test_tamper_sweep(reference_state, difftest_seeds, edit):
+    """Seeded sweep (``--difftest-seeds``): per seed, a split into 2-4
+    shards verifies as made and fails once one random ``edit`` lands."""
+    for seed in difftest_seeds:
+        rng = random.Random(f"{edit}:{seed}")
+        num_shards = rng.randint(2, 4)
+        verify_split(reference_state, split_state(reference_state, num_shards))
+        shards = split_state(reference_state, num_shards)
+        _tamper(shards, edit, rng)
+        with pytest.raises(ShardError):
+            verify_split(reference_state, shards)
 
 
 # ----------------------------------------------------------------------
@@ -230,9 +361,26 @@ class TestSplitSystem:
                 "set_id": split4.set_id,
             }
 
-    def test_saved_union_equals_reference(self, split4, reference_state):
-        states = [read_store_state(p) for p in split4.shard_paths]
-        assert union_digest(states) == state_digest(reference_state)
+    def test_saved_shards_verify_against_reference(self, split4, reference_state):
+        """The files as read back are the exact, in-order E1-bucket
+        filters of the reference — which implies their union is it."""
+        verify_split(
+            reference_state, [read_store_state(p) for p in split4.shard_paths]
+        )
+
+    def test_failed_verification_leaves_no_manifest(
+        self, tiny_system, tmp_path, monkeypatch
+    ):
+        """A manifest is what a coordinator opens, so one must exist
+        only for a set that passed verification."""
+
+        def reject(reference_state, shard_states):
+            raise ShardError("rejected")
+
+        monkeypatch.setattr(shard_verify, "verify_split", reject)
+        with pytest.raises(ShardError, match="rejected"):
+            split_system(tiny_system, 2, tmp_path)
+        assert not os.path.exists(tmp_path / "shard.manifest.json")
 
     def test_set_id_is_deterministic(self, split4, tiny_system):
         digest = tiny_system.require_store().state_digest()
@@ -249,6 +397,58 @@ class TestSplitSystem:
         )
         with pytest.raises(ShardError, match="unbuilt"):
             split_system(empty, 2, tmp_path)
+
+
+def _meta(path):
+    conn = sqlite3.connect(f"file:{path}?mode=ro", uri=True)
+    try:
+        meta = {k: json.loads(v) for k, v in conn.execute("SELECT key, value FROM meta")}
+    finally:
+        conn.close()
+    del meta["saved_at"]
+    return meta
+
+
+def _base_tables(database):
+    return [
+        (schema_to_json(d.schema), d.hash_indexes, d.sorted_indexes, list(d.rows))
+        for d in database.dump_tables(exclude=DERIVED_TABLES)
+    ]
+
+
+@pytest.mark.parametrize("num_shards", [2, 4])
+def test_shard_files_are_whole_snapshots_plus_membership(
+    tiny_system, tmp_path, num_shards
+):
+    """A shard file is written from the source system itself, not from a
+    per-shard clone: its meta is the whole snapshot's plus ``shard``
+    (calibration included, AllTops always restored), and its base tables
+    are the source's."""
+    from repro.core import NoConstraint, TopologyQuery
+
+    source = tiny_system.clone_base()
+    source.build(list(tiny_system.built_pairs), max_length=tiny_system.max_length)
+    query = TopologyQuery(
+        "Protein", "DNA", NoConstraint(), NoConstraint(), k=2, ranking="rare"
+    )
+    for _ in range(4):  # past MIN_OBSERVATIONS: a non-default calibrator
+        source.search(query, "fast-top-k-et")
+    assert source.calibrator.export_state()["strategies"]
+    whole = tmp_path / "whole.topo"
+    save_system(source, whole)
+    split = split_system(source, num_shards, tmp_path / "shards")
+    expected = _meta(whole)
+    assert expected["include_alltops"] is True
+    source_tables = _base_tables(source.database)
+    for index, path in enumerate(split.shard_paths):
+        shard = {
+            "index": index,
+            "count": num_shards,
+            "scheme": SHARD_SCHEME,
+            "set_id": split.set_id,
+        }
+        assert _meta(path) == {**expected, "shard": shard}
+        assert _base_tables(load_system(path).database) == source_tables
 
 
 class TestSkewWarning:
