@@ -18,7 +18,7 @@ from repro.core.plan import STRATEGY_REGULAR, QueryPlan
 from repro.core.query import TopologyQuery
 from repro.core.ranking import score_column
 from repro.obs import registry, span
-from repro.relational.sql.tokens import sql_quote
+from repro.relational.sql.tokens import SqlParams, sql_value
 
 
 #: The ``work`` counters that say how far an early-termination plan
@@ -151,14 +151,17 @@ class Method:
         """Table aliases for the two constrained entity tables."""
         return ("q1", "q2")
 
-    def _endpoint_sql(self, query: TopologyQuery) -> Tuple[str, str, str, str]:
+    def _endpoint_sql(
+        self, query: TopologyQuery, params: Optional[SqlParams] = None
+    ) -> Tuple[str, str, str, str]:
         """FROM items and WHERE fragments for the two constrained
-        entity tables."""
+        entity tables (constraint values bound into ``params`` when
+        given — see :mod:`repro.core.query`)."""
         a1, a2 = self._aliases(query)
         from1 = f"{query.entity1} {a1}"
         from2 = f"{query.entity2} {a2}"
-        cond1 = query.constraint1.to_sql(a1)
-        cond2 = query.constraint2.to_sql(a2)
+        cond1 = query.constraint1.to_sql(a1, params)
+        cond2 = query.constraint2.to_sql(a2, params)
         return from1, from2, cond1, cond2
 
     def _pair_join_sql(self, query: TopologyQuery, pairs_alias: str) -> Tuple[str, str]:
@@ -172,11 +175,13 @@ class Method:
     def _score_col(self, query: TopologyQuery) -> str:
         return score_column(query.ranking)
 
-    def _entity_pair_filter(self, query: TopologyQuery, topinfo_alias: str) -> str:
+    def _entity_pair_filter(
+        self, query: TopologyQuery, topinfo_alias: str, params: Optional[SqlParams] = None
+    ) -> str:
         es1, es2 = self.system.store_entity_pair(query)
         return (
-            f"{topinfo_alias}.ES1 = {sql_quote(es1)} "
-            f"AND {topinfo_alias}.ES2 = {sql_quote(es2)}"
+            f"{topinfo_alias}.ES1 = {sql_value(es1, params)} "
+            f"AND {topinfo_alias}.ES2 = {sql_value(es2, params)}"
         )
 
     def _rank(self, scored: Dict[int, float], k: Optional[int]) -> Tuple[List[int], List[float]]:

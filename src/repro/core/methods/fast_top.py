@@ -19,6 +19,7 @@ from repro.core.model import Topology
 from repro.core.pathsql import multi_chain_fragments
 from repro.core.plan import QueryPlan
 from repro.core.query import TopologyQuery
+from repro.relational.sql.tokens import SqlParams, sql_value
 
 
 class FastTopMethod(Method):
@@ -38,10 +39,12 @@ class FastTopMethod(Method):
             key=lambda t: t.tid,
         )
 
-    def pruned_branch_sql(self, query: TopologyQuery, topology: Topology) -> str:
+    def pruned_branch_sql(
+        self, query: TopologyQuery, topology: Topology, params: Optional[SqlParams] = None
+    ) -> str:
         """The SQL1 lower sub-query for one pruned topology."""
         a1, a2 = self._aliases(query)
-        from1, from2, cond1, cond2 = self._endpoint_sql(query)
+        from1, from2, cond1, cond2 = self._endpoint_sql(query, params)
         es1, es2 = self.system.store_entity_pair(query)
         oriented = self.system.orientation(query)
         end1_alias = a1 if oriented else a2
@@ -52,27 +55,34 @@ class FastTopMethod(Method):
         not_exists = (
             f"NOT EXISTS (SELECT 1 FROM ExcpTops X "
             f"WHERE X.E1 = {end1_alias}.ID AND X.E2 = {end2_alias}.ID "
-            f"AND X.TID = {topology.tid})"
+            f"AND X.TID = {sql_value(topology.tid, params)})"
         )
         from_clause = ", ".join([from1, from2] + list(chain.from_items))
         conditions = [cond1, cond2] + list(chain.conditions) + [not_exists]
         return (
-            f"SELECT DISTINCT {topology.tid} AS TID\n"
+            f"SELECT DISTINCT {sql_value(topology.tid, params)} AS TID\n"
             f"FROM {from_clause}\n"
             f"WHERE " + " AND ".join(conditions)
         )
 
-    def pruned_check_sql(self, query: TopologyQuery, topology: Topology) -> str:
+    def pruned_check_sql(
+        self, query: TopologyQuery, topology: Topology, params: Optional[SqlParams] = None
+    ) -> str:
         """SQL5: does some satisfying pair match this pruned topology's
         path condition and survive the exception table?"""
-        return self.pruned_branch_sql(query, topology) + "\nFETCH FIRST 1 ROWS ONLY"
+        return self.pruned_branch_sql(query, topology, params) + "\nFETCH FIRST 1 ROWS ONLY"
 
     def sql_for(self, query: TopologyQuery) -> str:
         """SQL1 as the paper writes it: every pruned topology a branch."""
         return self._union_sql(query, self.pruned_topologies(query))
 
-    def _union_sql(self, query: TopologyQuery, pruned: Sequence[Topology]) -> str:
-        from1, from2, cond1, cond2 = self._endpoint_sql(query)
+    def _union_sql(
+        self,
+        query: TopologyQuery,
+        pruned: Sequence[Topology],
+        params: Optional[SqlParams] = None,
+    ) -> str:
+        from1, from2, cond1, cond2 = self._endpoint_sql(query, params)
         join1, join2 = self._pair_join_sql(query, "LT")
         branches = [
             (
@@ -83,7 +93,7 @@ class FastTopMethod(Method):
             )
         ]
         for topology in pruned:
-            branches.append(self.pruned_branch_sql(query, topology))
+            branches.append(self.pruned_branch_sql(query, topology, params))
         return "\nUNION\n".join(branches)
 
     def execute(
@@ -91,7 +101,8 @@ class FastTopMethod(Method):
     ) -> Tuple[List[int], Optional[List[float]]]:
         checks = PrunedChecks(self, query, Endpoints(self.system, query))
         live = [t for t in self.pruned_topologies(query) if checks.may_match(t)]
-        result = self.system.engine.execute(self._union_sql(query, live))
+        params = SqlParams()
+        result = self.system.engine.execute(self._union_sql(query, live, params), params)
         tids = sorted(row[0] for row in result.rows)
         if query.k is None:
             return tids, None

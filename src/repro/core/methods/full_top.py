@@ -7,6 +7,7 @@ from typing import List, Optional, Tuple
 from repro.core.methods.base import Method
 from repro.core.plan import QueryPlan
 from repro.core.query import TopologyQuery
+from repro.relational.sql.tokens import SqlParams
 
 
 class FullTopMethod(Method):
@@ -24,8 +25,8 @@ class FullTopMethod(Method):
     name = "full-top"
     pairs_table = "AllTops"
 
-    def sql_for(self, query: TopologyQuery) -> str:
-        from1, from2, cond1, cond2 = self._endpoint_sql(query)
+    def sql_for(self, query: TopologyQuery, params: Optional[SqlParams] = None) -> str:
+        from1, from2, cond1, cond2 = self._endpoint_sql(query, params)
         join1, join2 = self._pair_join_sql(query, "AT")
         return (
             f"SELECT DISTINCT AT.TID\n"
@@ -37,7 +38,8 @@ class FullTopMethod(Method):
     def execute(
         self, plan: QueryPlan, query: TopologyQuery
     ) -> Tuple[List[int], Optional[List[float]]]:
-        result = self.system.engine.execute(self.sql_for(query))
+        params = SqlParams()
+        result = self.system.engine.execute(self.sql_for(query, params), params)
         tids = sorted(row[0] for row in result.rows)
         if query.k is None:
             return tids, None

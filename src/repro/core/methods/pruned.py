@@ -25,6 +25,7 @@ from repro.core.pathsql import chains_may_connect
 from repro.core.query import TopologyQuery
 from repro.relational.column import ColumnValues, compact_column, is_ndarray
 from repro.relational.operators import table_batch, table_layout
+from repro.relational.sql.tokens import SqlParams
 
 if TYPE_CHECKING:
     from repro.core.methods.fast_top import FastTopMethod
@@ -118,7 +119,8 @@ class PrunedChecks:
         give it."""
         if not self.may_match(topology):
             return False
+        params = SqlParams()
         check = self._system.engine.execute(
-            self._fast_top.pruned_check_sql(self._query, topology)
+            self._fast_top.pruned_check_sql(self._query, topology, params), params
         )
         return bool(check.rows)

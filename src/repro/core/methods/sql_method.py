@@ -26,6 +26,7 @@ from repro.core.pathsql import multi_chain_fragments
 from repro.core.plan import STRATEGY_PER_TOPOLOGY, QueryPlan
 from repro.core.query import TopologyQuery
 from repro.core.topologies import topologies_for_pair
+from repro.relational.sql.tokens import SqlParams
 
 MAX_CANDIDATES = 2000
 MAX_PAIRS_PER_TOPOLOGY = 500
@@ -43,11 +44,13 @@ class SqlMethod(Method):
         ]
         return sorted(observed, key=lambda t: t.tid)[:MAX_CANDIDATES]
 
-    def candidate_pairs_sql(self, query: TopologyQuery, topology: Topology) -> str:
+    def candidate_pairs_sql(
+        self, query: TopologyQuery, topology: Topology, params: Optional[SqlParams] = None
+    ) -> str:
         """The existence query's cheap part: pairs satisfying the path
         condition of every constituent class."""
         a1, a2 = self._aliases(query)
-        from1, from2, cond1, cond2 = self._endpoint_sql(query)
+        from1, from2, cond1, cond2 = self._endpoint_sql(query, params)
         es1, es2 = self.system.store_entity_pair(query)
         oriented = self.system.orientation(query)
         end1_alias = a1 if oriented else a2
@@ -65,7 +68,10 @@ class SqlMethod(Method):
         )
 
     def _topology_has_witness(self, query: TopologyQuery, topology: Topology) -> bool:
-        result = self.system.engine.execute(self.candidate_pairs_sql(query, topology))
+        params = SqlParams()
+        result = self.system.engine.execute(
+            self.candidate_pairs_sql(query, topology, params), params
+        )
         graph = self.system.graph
         for e1, e2 in result.rows:
             pair = topologies_for_pair(graph, e1, e2, query.max_length)

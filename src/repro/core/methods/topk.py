@@ -18,6 +18,7 @@ from repro.core.methods.pruned import Endpoints, PrunedChecks
 from repro.core.plan import QueryPlan
 from repro.core.query import TopologyQuery
 from repro.errors import TopologyError
+from repro.relational.sql.tokens import SqlParams, sql_value
 
 
 class FullTopKMethod(Method):
@@ -26,10 +27,10 @@ class FullTopKMethod(Method):
     estimates_costs = True
     pairs_table = "AllTops"
 
-    def sql_for(self, query: TopologyQuery) -> str:
+    def sql_for(self, query: TopologyQuery, params: Optional[SqlParams] = None) -> str:
         if query.k is None:
             raise TopologyError(f"{self.name} requires a top-k query")
-        from1, from2, cond1, cond2 = self._endpoint_sql(query)
+        from1, from2, cond1, cond2 = self._endpoint_sql(query, params)
         join1, join2 = self._pair_join_sql(query, "AT")
         score = self._score_col(query)
         return (
@@ -38,13 +39,14 @@ class FullTopKMethod(Method):
             f"WHERE {cond1} AND {cond2}\n"
             f"  AND {join1} AND {join2} AND T.TID = AT.TID\n"
             f"ORDER BY SCORE DESC, TID DESC\n"
-            f"FETCH FIRST {query.k} ROWS ONLY"
+            f"FETCH FIRST {sql_value(query.k, params)} ROWS ONLY"
         )
 
     def execute(
         self, plan: QueryPlan, query: TopologyQuery
     ) -> Tuple[List[int], Optional[List[float]]]:
-        result = self.system.engine.execute(self.sql_for(query))
+        params = SqlParams()
+        result = self.system.engine.execute(self.sql_for(query, params), params)
         tids = [row[0] for row in result.rows]
         scores = [row[1] for row in result.rows]
         return tids, scores
@@ -61,9 +63,9 @@ class FastTopKMethod(Method):
         super().__init__(system)
         self._fast_top = FastTopMethod(system)
 
-    def unpruned_sql(self, query: TopologyQuery) -> str:
+    def unpruned_sql(self, query: TopologyQuery, params: Optional[SqlParams] = None) -> str:
         """SQL4: top-k over LeftTops only."""
-        from1, from2, cond1, cond2 = self._endpoint_sql(query)
+        from1, from2, cond1, cond2 = self._endpoint_sql(query, params)
         join1, join2 = self._pair_join_sql(query, "LT")
         score = self._score_col(query)
         return (
@@ -72,7 +74,7 @@ class FastTopKMethod(Method):
             f"WHERE {cond1} AND {cond2}\n"
             f"  AND {join1} AND {join2} AND T.TID = LT.TID\n"
             f"ORDER BY SCORE DESC, TID DESC\n"
-            f"FETCH FIRST {query.k} ROWS ONLY"
+            f"FETCH FIRST {sql_value(query.k, params)} ROWS ONLY"
         )
 
     def execute(
@@ -81,7 +83,8 @@ class FastTopKMethod(Method):
         if query.k is None:
             raise TopologyError(f"{self.name} requires a top-k query")
         engine = self.system.engine
-        result = engine.execute(self.unpruned_sql(query))
+        params = SqlParams()
+        result = engine.execute(self.unpruned_sql(query, params), params)
         ranked: List[Tuple[int, float]] = [(row[0], row[1]) for row in result.rows]
 
         # Stage 2 (SQL5): check each pruned topology whose score could

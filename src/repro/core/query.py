@@ -4,7 +4,11 @@ A query is ``{(t1, con1), (t2, con2)}`` — two entity types with
 constraints.  Constraints must render both as engine
 :class:`~repro.relational.expressions.Expression` trees (for directly
 constructed plans) and as SQL text fragments (for the methods that issue
-SQL, matching the paper's SQL1–SQL5).
+SQL, matching the paper's SQL1–SQL5).  A fragment renders its values as
+parameters of a :class:`~repro.relational.sql.tokens.SqlParams` when it
+is given one — what the methods execute, so one statement text serves
+every value — and as quoted literals otherwise (what ``describe()`` and
+plan displays print).
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from repro.relational.expressions import (
     Expression,
     Literal,
 )
-from repro.relational.sql.tokens import sql_quote
+from repro.relational.sql.tokens import SqlParams, sql_value
 
 
 class Constraint:
@@ -30,7 +34,7 @@ class Constraint:
     def to_expression(self, alias: str) -> Expression:
         raise NotImplementedError
 
-    def to_sql(self, alias: str) -> str:
+    def to_sql(self, alias: str, params: Optional[SqlParams] = None) -> str:
         raise NotImplementedError
 
 
@@ -45,8 +49,8 @@ class KeywordConstraint(Constraint):
     def to_expression(self, alias: str) -> Expression:
         return Contains(ColumnRef(alias, self.column), Literal(self.keyword))
 
-    def to_sql(self, alias: str) -> str:
-        return f"CONTAINS({alias}.{self.column}, {sql_quote(self.keyword)})"
+    def to_sql(self, alias: str, params: Optional[SqlParams] = None) -> str:
+        return f"CONTAINS({alias}.{self.column}, {sql_value(self.keyword, params)})"
 
 
 @dataclass(frozen=True)
@@ -60,8 +64,8 @@ class AttributeConstraint(Constraint):
     def to_expression(self, alias: str) -> Expression:
         return Comparison(self.op, ColumnRef(alias, self.column), Literal(self.value))
 
-    def to_sql(self, alias: str) -> str:
-        return f"{alias}.{self.column} {self.op} {sql_quote(self.value)}"
+    def to_sql(self, alias: str, params: Optional[SqlParams] = None) -> str:
+        return f"{alias}.{self.column} {self.op} {sql_value(self.value, params)}"
 
 
 @dataclass(frozen=True)
@@ -73,8 +77,8 @@ class ConjunctionConstraint(Constraint):
     def to_expression(self, alias: str) -> Expression:
         return And([p.to_expression(alias) for p in self.parts])
 
-    def to_sql(self, alias: str) -> str:
-        return " AND ".join(f"({p.to_sql(alias)})" for p in self.parts)
+    def to_sql(self, alias: str, params: Optional[SqlParams] = None) -> str:
+        return " AND ".join(f"({p.to_sql(alias, params)})" for p in self.parts)
 
 
 @dataclass(frozen=True)
@@ -84,7 +88,7 @@ class NoConstraint(Constraint):
     def to_expression(self, alias: str) -> Expression:
         return Literal(True)
 
-    def to_sql(self, alias: str) -> str:
+    def to_sql(self, alias: str, params: Optional[SqlParams] = None) -> str:
         return "1 = 1"
 
 

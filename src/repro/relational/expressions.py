@@ -35,7 +35,7 @@ from __future__ import annotations
 import re
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.errors import SqlBindError
+from repro.errors import SqlBindError, SqlSyntaxError
 from repro.relational.column import Batch
 from repro.relational.types import comparable
 
@@ -867,6 +867,110 @@ class Neg(Expression):
 
     def __repr__(self) -> str:
         return f"Neg({self.value!r})"
+
+
+class Param(Expression):
+    """A named statement parameter (``:name``) whose value is not part
+    of the statement: it is planned like a literal and becomes one when
+    a plan is built for a binding (:func:`bind_params`).  It never
+    reaches an operator, so binding it to a layout is a planner bug."""
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def value(self, params: Optional[Dict[str, Any]]) -> Any:
+        """This parameter's value under ``params``."""
+        if not params or self.name not in params:
+            raise SqlSyntaxError(f"missing value for parameter :{self.name}")
+        return params[self.name]
+
+    def bind(self, layout: RowLayout) -> RowFunc:
+        raise SqlBindError(f"parameter :{self.name} was never bound to a value")
+
+    def column_refs(self) -> Set[ColumnKey]:
+        return set()
+
+    def __repr__(self) -> str:
+        return f"Param(:{self.name})"
+
+
+# ----------------------------------------------------------------------
+# Tree rewriting and parameter binding
+# ----------------------------------------------------------------------
+def rewrite(expr: Expression, fn: Callable[[Expression], Expression]) -> Expression:
+    """Rebuild an expression tree bottom-up, applying ``fn`` to each
+    node after its children were rebuilt.  A node whose children all
+    came back unchanged is handed to ``fn`` as is, so a rewrite that
+    changes nothing returns the original tree."""
+    node = expr
+    if isinstance(expr, (And, Or)):
+        items = [rewrite(item, fn) for item in expr.items]
+        if any(new is not old for new, old in zip(items, expr.items)):
+            node = And(items) if isinstance(expr, And) else Or(items)
+    elif isinstance(expr, Not):
+        item = rewrite(expr.item, fn)
+        if item is not expr.item:
+            node = Not(item)
+    elif isinstance(expr, (Comparison, Arith)):
+        left, right = rewrite(expr.left, fn), rewrite(expr.right, fn)
+        if left is not expr.left or right is not expr.right:
+            if isinstance(expr, Comparison):
+                node = Comparison(expr.op, left, right)
+            else:
+                node = Arith(expr.op, left, right)
+    elif isinstance(expr, Contains):
+        haystack, needle = rewrite(expr.haystack, fn), rewrite(expr.needle, fn)
+        if haystack is not expr.haystack or needle is not expr.needle:
+            node = Contains(haystack, needle)
+    elif isinstance(expr, (Like, InList, IsNull, Neg)):
+        value = rewrite(expr.value, fn)
+        if value is not expr.value:
+            if isinstance(expr, Like):
+                node = Like(value, expr.pattern, expr.negated)
+            elif isinstance(expr, InList):
+                node = InList(value, expr.options, expr.negated)
+            elif isinstance(expr, IsNull):
+                node = IsNull(value, expr.negated)
+            else:
+                node = Neg(value)
+    return fn(node)
+
+
+def _param_options(node: InList) -> bool:
+    return any(isinstance(option, Param) for option in node.options)
+
+
+def bind_params(expr: Expression, params: Optional[Dict[str, Any]]) -> Expression:
+    """``expr`` with every :class:`Param` (an ``IN`` list's included)
+    replaced by a :class:`Literal` of its value under ``params``; the
+    same object when it holds none."""
+
+    def bind(node: Expression) -> Expression:
+        if isinstance(node, Param):
+            return Literal(node.value(params))
+        if isinstance(node, InList) and _param_options(node):
+            options = [
+                o.value(params) if isinstance(o, Param) else o for o in node.options
+            ]
+            return InList(node.value, options, node.negated)
+        return node
+
+    return rewrite(expr, bind)
+
+
+def has_params(expr: Expression) -> bool:
+    """Does ``expr`` hold a :class:`Param` anywhere?"""
+    found = False
+
+    def spot(node: Expression) -> Expression:
+        nonlocal found
+        found = found or isinstance(node, Param) or (
+            isinstance(node, InList) and _param_options(node)
+        )
+        return node
+
+    rewrite(expr, spot)
+    return found
 
 
 # ----------------------------------------------------------------------

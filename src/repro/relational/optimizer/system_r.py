@@ -4,8 +4,9 @@ Dynamic programming over alias subsets, keeping the least-cost plan per
 *interesting order* — exactly the framework of Selinger et al. ([24] in
 the paper) that Section 5.4 extends.  Physical alternatives considered:
 
-* access paths: heap scan, hash-index probe (constant equality), and
-  ordered-index scan (which *creates* an interesting order) — each, like
+* access paths: heap scan, hash-index probe (equality with a literal
+  or a statement parameter), and ordered-index scan (which *creates*
+  an interesting order) — each, like
   the inner side of index nested-loops, emitting only the columns the
   block's relation records as read (``BaseRelation.columns``), which
   changes no cost input;
@@ -18,13 +19,19 @@ model) lives in :mod:`repro.relational.optimizer.dgj_cost` and in the
 planner's choice between a regular plan and a DGJ stack; this module is
 deliberately a faithful *regular* System-R optimizer, because the paper
 compares against exactly that baseline (Figure 14).
+
+Parameters (:class:`~repro.relational.expressions.Param`) stay in the
+plan: estimation reads the binding the plan is optimized for, and every
+``build(params)`` binds its own — the key of a hash-index probe, the
+predicates of filters and joins — so one candidate serves every binding
+it is built with.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.errors import OptimizerError
 from repro.relational.database import Database
@@ -33,6 +40,9 @@ from repro.relational.expressions import (
     Comparison,
     Expression,
     Literal,
+    Param,
+    as_equijoin,
+    bind_params,
     conjoin,
     referenced_aliases,
 )
@@ -53,16 +63,19 @@ from repro.relational.statistics import StatsCatalog
 
 # An interesting order: (alias, column, descending).
 OrderSpec = Tuple[str, str, bool]
+# A statement's parameter binding (None: the statement has none).
+Params = Optional[Dict[str, Any]]
 
 
 @dataclass
 class PhysicalCandidate:
-    """A costed physical plan for some alias subset."""
+    """A costed physical plan for some alias subset.  ``build(params)``
+    assembles a fresh operator tree with ``params`` bound into it."""
 
     cost: float
     est_rows: float
     order: Optional[OrderSpec]
-    build: Callable[[], Operator]
+    build: Callable[..., Operator]
     description: str
 
 
@@ -80,15 +93,17 @@ class SystemROptimizer:
         self,
         block: SPJBlock,
         desired_order: Optional[OrderSpec] = None,
+        params: Params = None,
     ) -> PhysicalCandidate:
-        """Return the least-cost candidate for the whole block.
+        """Return the least-cost candidate for the whole block, with
+        selectivities estimated under the binding ``params``.
 
         When ``desired_order`` is given, a candidate already producing
         that order is preferred if its cost beats the best unordered
         candidate plus the sort it would need (the planner adds the
         explicit sort in that case).
         """
-        table = self._enumerate(block)
+        table = self._enumerate(block, params)
         full = frozenset(block.aliases)
         candidates = table[full]
         if not candidates:
@@ -107,16 +122,16 @@ class SystemROptimizer:
     # ------------------------------------------------------------------
     # Estimation helpers
     # ------------------------------------------------------------------
-    def _local_selectivity(self, rel: BaseRelation) -> float:
+    def _local_selectivity(self, rel: BaseRelation, params: Params) -> float:
         if not rel.local_predicates:
             return 1.0
-        pred = conjoin(rel.local_predicates)
+        pred = bind_params(conjoin(rel.local_predicates), params)
         return self.stats.predicate_selectivity(pred, {rel.alias: rel.table})
 
-    def _conjunct_selectivity(self, conjunct: Expression, block: SPJBlock) -> float:
+    def _conjunct_selectivity(
+        self, conjunct: Expression, block: SPJBlock, params: Params
+    ) -> float:
         alias_tables = block.alias_tables()
-        from repro.relational.expressions import as_equijoin
-
         pair = as_equijoin(conjunct)
         if pair is not None:
             left, right = pair
@@ -126,10 +141,14 @@ class SystemROptimizer:
                 alias_tables[right.qualifier],
                 right.name,
             )
-        return self.stats.predicate_selectivity(conjunct, alias_tables)
+        return self.stats.predicate_selectivity(bind_params(conjunct, params), alias_tables)
 
     def _subset_rows(
-        self, subset: FrozenSet[str], block: SPJBlock, base_rows: Dict[str, float]
+        self,
+        subset: FrozenSet[str],
+        block: SPJBlock,
+        base_rows: Dict[str, float],
+        params: Params,
     ) -> float:
         rows = 1.0
         for alias in subset:
@@ -137,40 +156,43 @@ class SystemROptimizer:
         for conjunct in block.join_conjuncts:
             refs = referenced_aliases(conjunct)
             if refs and refs <= subset and len(refs) >= 2:
-                rows *= self._conjunct_selectivity(conjunct, block)
+                rows *= self._conjunct_selectivity(conjunct, block, params)
         return max(rows, 0.0)
 
     # ------------------------------------------------------------------
     # Access paths
     # ------------------------------------------------------------------
-    def _access_paths(self, rel: BaseRelation) -> List[PhysicalCandidate]:
+    def _access_paths(self, rel: BaseRelation, params: Params) -> List[PhysicalCandidate]:
         table = self.database.table(rel.table)
         alias = rel.alias
         stats = self.stats
         n = float(stats.row_count(rel.table))
-        sel = self._local_selectivity(rel)
+        sel = self._local_selectivity(rel, params)
         est = n * sel
         preds = list(rel.local_predicates)
         pred = conjoin(preds)
         db = self.database
         out: List[PhysicalCandidate] = []
 
-        def with_filter(op: Operator, predicate: Optional[Expression]) -> Operator:
+        def with_filter(
+            op: Operator, predicate: Optional[Expression], params: Params
+        ) -> Operator:
+            predicate = _bound(predicate, params)
             return Filter(op, predicate, rel.carried) if predicate is not None else op
 
         # 1. Sequential scan.
         scan_cost = n * C.ROW_COST + n * len(preds) * C.PRED_COST
 
-        def build_seq(table=table, alias=alias, pred=pred) -> Operator:
-            return with_filter(SeqScan(table, alias, db.stats, rel.columns), pred)
+        def build_seq(params: Params = None, table=table, alias=alias, pred=pred) -> Operator:
+            return with_filter(SeqScan(table, alias, db.stats, rel.columns), pred, params)
 
         out.append(
             PhysicalCandidate(scan_cost, est, None, build_seq, f"SeqScan({rel.table})")
         )
 
-        # 2. Hash-index probe for a col = literal conjunct.
+        # 2. Hash-index probe for a col = literal / parameter conjunct.
         for conjunct in preds:
-            key_col, key_val = _constant_equality(conjunct, alias)
+            key_col, key_expr = _constant_equality(conjunct, alias)
             if key_col is None:
                 continue
             index = table.hash_index_on([key_col])
@@ -186,15 +208,18 @@ class SystemROptimizer:
             )
 
             def build_probe(
+                params: Params = None,
                 table=table,
                 alias=alias,
                 index=index,
-                key_val=key_val,
+                key_expr=key_expr,
                 remaining=tuple(remaining),
             ) -> Operator:
+                key = bind_params(key_expr, params).value
                 return with_filter(
-                    HashIndexScan(table, alias, index, key_val, db.stats, rel.columns),
+                    HashIndexScan(table, alias, index, key, db.stats, rel.columns),
                     conjoin(remaining),
+                    params,
                 )
 
             out.append(
@@ -216,6 +241,7 @@ class SystemROptimizer:
             for descending in (False, True):
 
                 def build_ordered(
+                    params: Params = None,
                     table=table,
                     alias=alias,
                     sorted_index=sorted_index,
@@ -232,6 +258,7 @@ class SystemROptimizer:
                             columns=rel.columns,
                         ),
                         pred,
+                        params,
                     )
 
                 out.append(
@@ -250,20 +277,18 @@ class SystemROptimizer:
     # DP enumeration
     # ------------------------------------------------------------------
     def _enumerate(
-        self, block: SPJBlock
+        self, block: SPJBlock, params: Params
     ) -> Dict[FrozenSet[str], Dict[Optional[OrderSpec], PhysicalCandidate]]:
         aliases = block.aliases
         base_rows = {
             rel.alias: max(
-                1.0, self.stats.row_count(rel.table) * self._local_selectivity(rel)
+                1.0, self.stats.row_count(rel.table) * self._local_selectivity(rel, params)
             )
             for rel in block.relations
         }
         # Precompute per-conjunct metadata once: referenced aliases and
         # the equi-join decomposition (the DP touches these thousands of
         # times for wide chain queries).
-        from repro.relational.expressions import as_equijoin
-
         conjunct_refs: List[Tuple[Expression, FrozenSet[str], object]] = [
             (c, frozenset(referenced_aliases(c)), as_equijoin(c))
             for c in block.join_conjuncts
@@ -278,7 +303,7 @@ class SystemROptimizer:
         table: Dict[FrozenSet[str], Dict[Optional[OrderSpec], PhysicalCandidate]] = {}
         for rel in block.relations:
             per_order: Dict[Optional[OrderSpec], PhysicalCandidate] = {}
-            for cand in self._access_paths(rel):
+            for cand in self._access_paths(rel, params):
                 existing = per_order.get(cand.order)
                 if existing is None or cand.cost < existing.cost:
                     per_order[cand.order] = cand
@@ -292,7 +317,7 @@ class SystemROptimizer:
                 # cross product is unavoidable and everything is kept.
                 if overall_connected and not self._is_connected(subset, adjacency):
                     continue
-                est_rows = self._subset_rows(subset, block, base_rows)
+                est_rows = self._subset_rows(subset, block, base_rows, params)
                 per_order: Dict[Optional[OrderSpec], PhysicalCandidate] = {}
                 splits = list(_splits(subset))
                 connected = [
@@ -405,17 +430,20 @@ class SystemROptimizer:
                 )
 
                 def build_hash(
+                    params: Params = None,
                     left_cand=left_cand,
                     right_cand=best_right,
                     left_keys=tuple(left_keys),
                     right_keys=tuple(right_keys),
                     residual_pred=residual_pred,
                 ) -> Operator:
-                    left_op = left_cand.build()
-                    right_op = right_cand.build()
+                    left_op = left_cand.build(params)
+                    right_op = right_cand.build(params)
                     lpos = [left_op.layout.position(a, c) for a, c in left_keys]
                     rpos = [right_op.layout.position(a, c) for a, c in right_keys]
-                    return HashJoin(left_op, right_op, lpos, rpos, residual_pred)
+                    return HashJoin(
+                        left_op, right_op, lpos, rpos, _bound(residual_pred, params)
+                    )
 
                 out.append(
                     PhysicalCandidate(
@@ -447,17 +475,20 @@ class SystemROptimizer:
             )
 
             def build_smj(
+                params: Params = None,
                 left_cand=best_left,
                 right_cand=best_right,
                 left_keys=tuple(left_keys),
                 right_keys=tuple(right_keys),
                 residual_pred=residual_pred,
             ) -> Operator:
-                left_op = left_cand.build()
-                right_op = right_cand.build()
+                left_op = left_cand.build(params)
+                right_op = right_cand.build(params)
                 lpos = [left_op.layout.position(a, c) for a, c in left_keys]
                 rpos = [right_op.layout.position(a, c) for a, c in right_keys]
-                return SortMergeJoin(left_op, right_op, lpos, rpos, residual_pred)
+                return SortMergeJoin(
+                    left_op, right_op, lpos, rpos, _bound(residual_pred, params)
+                )
 
             out.append(
                 PhysicalCandidate(
@@ -479,11 +510,16 @@ class SystemROptimizer:
             )
 
             def build_nlj(
+                params: Params = None,
                 left_cand=best_left,
                 right_cand=best_right,
                 residual_pred=residual_pred,
             ) -> Operator:
-                return NestedLoopJoin(left_cand.build(), right_cand.build(), residual_pred)
+                return NestedLoopJoin(
+                    left_cand.build(params),
+                    right_cand.build(params),
+                    _bound(residual_pred, params),
+                )
 
             out.append(
                 PhysicalCandidate(
@@ -534,6 +570,7 @@ class SystemROptimizer:
                 )
 
                 def build_inlj(
+                    params: Params = None,
                     left_cand=left_cand,
                     tab=tab,
                     alias=alias,
@@ -541,14 +578,20 @@ class SystemROptimizer:
                     probe_edge=probe_edge,
                     combined_residual=combined_residual,
                 ) -> Operator:
-                    left_op = left_cand.build()
+                    left_op = left_cand.build(params)
                     lpos = [
                         left_op.layout.position(
                             probe_edge.left_alias, probe_edge.left_column
                         )
                     ]
                     return IndexNestedLoopJoin(
-                        left_op, tab, alias, index, lpos, combined_residual, rel.columns
+                        left_op,
+                        tab,
+                        alias,
+                        index,
+                        lpos,
+                        _bound(combined_residual, params),
+                        rel.columns,
                     )
 
                 out.append(
@@ -564,23 +607,28 @@ class SystemROptimizer:
         return out
 
 
+def _bound(predicate: Optional[Expression], params: Params) -> Optional[Expression]:
+    return None if predicate is None else bind_params(predicate, params)
+
+
 def _constant_equality(
     conjunct: Expression, alias: str
-) -> Tuple[Optional[str], Optional[object]]:
-    """If ``conjunct`` is ``alias.col = literal`` (either side), return
-    (column, value); else (None, None)."""
+) -> Tuple[Optional[str], Optional[Expression]]:
+    """If ``conjunct`` is ``alias.col = literal`` or ``alias.col =
+    :param`` (either side), return (column, the literal or parameter);
+    else (None, None)."""
     if not isinstance(conjunct, Comparison) or conjunct.op != "=":
         return None, None
     left, right = conjunct.left, conjunct.right
-    if isinstance(left, ColumnRef) and isinstance(right, Literal):
-        ref, lit = left, right
-    elif isinstance(right, ColumnRef) and isinstance(left, Literal):
-        ref, lit = right, left
+    if isinstance(left, ColumnRef) and isinstance(right, (Literal, Param)):
+        ref, key = left, right
+    elif isinstance(right, ColumnRef) and isinstance(left, (Literal, Param)):
+        ref, key = right, left
     else:
         return None, None
     if ref.qualifier not in (None, alias):
         return None, None
-    return ref.name, lit.value
+    return ref.name, key
 
 
 def _splits(subset: FrozenSet[str]):

@@ -8,9 +8,9 @@ from repro.relational.sql.ast import (
     SelectItem,
     TableRef,
 )
-from repro.relational.sql.parser import parse
-from repro.relational.sql.planner import Engine, Planner, QueryResult
-from repro.relational.sql.tokens import Token, sql_quote, tokenize
+from repro.relational.sql.parser import parse, parse_prepared
+from repro.relational.sql.planner import Engine, Planner, QueryResult, StatementCacheStats
+from repro.relational.sql.tokens import SqlParams, Token, sql_quote, sql_value, tokenize
 
 __all__ = [
     "Engine",
@@ -21,9 +21,13 @@ __all__ = [
     "QueryResult",
     "SelectCore",
     "SelectItem",
+    "SqlParams",
+    "StatementCacheStats",
     "TableRef",
     "Token",
     "parse",
+    "parse_prepared",
     "sql_quote",
+    "sql_value",
     "tokenize",
 ]

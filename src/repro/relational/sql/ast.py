@@ -9,9 +9,9 @@ queries, and (correlated) EXISTS placeholders.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Set, Tuple
+from typing import List, Optional, Set, Union
 
-from repro.relational.expressions import ColumnKey, Expression
+from repro.relational.expressions import ColumnKey, Expression, Param
 
 
 @dataclass
@@ -51,12 +51,13 @@ class OrderItem:
 @dataclass
 class Query:
     """A full statement: one or more cores combined with UNION [ALL],
-    plus optional ORDER BY and FETCH FIRST k ROWS ONLY."""
+    plus optional ORDER BY and FETCH FIRST k ROWS ONLY (``k`` a count
+    or a :class:`~repro.relational.expressions.Param`)."""
 
     cores: List[SelectCore]
     union_all: bool = False
     order_by: List[OrderItem] = field(default_factory=list)
-    fetch_first: Optional[int] = None
+    fetch_first: Union[int, Param, None] = None
 
 
 class ExistsExpr(Expression):

@@ -16,13 +16,18 @@ Supported grammar (enough for every query in the paper, SQL1-SQL6):
                   CONTAINS(expr, expr), LIKE, IN (...), IS [NOT] NULL,
                   BETWEEN, arithmetic, literals, :params
 
-Named parameters (``:name``) are substituted from the ``params`` mapping
-at parse time, becoming literals.
+Named parameters (``:name``) may stand wherever a literal may, and for
+the ``FETCH FIRST`` / ``LIMIT`` count.  :func:`parse` substitutes them
+from its ``params`` mapping, so they become literals;
+:func:`parse_prepared` keeps each one as a
+:class:`~repro.relational.expressions.Param` node, so the statement it
+returns is the same for every binding and values are bound when a plan
+is built.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro.errors import SqlSyntaxError
 from repro.relational.expressions import (
@@ -39,6 +44,7 @@ from repro.relational.expressions import (
     Neg,
     Not,
     Or,
+    Param,
 )
 from repro.relational.sql.ast import (
     ExistsExpr,
@@ -50,14 +56,22 @@ from repro.relational.sql.ast import (
 )
 from repro.relational.sql.tokens import Token, tokenize
 
+#: Parenthesised, ``NOT`` and unary-minus levels one statement may nest:
+#: deeper text is refused with :class:`SqlSyntaxError` instead of
+#: exhausting the interpreter's stack in this recursive descent.
+MAX_NESTING = 50
+
 
 class Parser:
-    """One-shot parser; use :func:`parse`."""
+    """One-shot parser; use :func:`parse` or :func:`parse_prepared`.
+    ``params`` is the mapping parameters are substituted from, or
+    ``None`` to keep them as :class:`Param` nodes."""
 
-    def __init__(self, text: str, params: Optional[Dict[str, Any]] = None) -> None:
+    def __init__(self, text: str, params: Optional[Dict[str, Any]]) -> None:
         self.tokens = tokenize(text)
         self.pos = 0
-        self.params = params or {}
+        self.params = params
+        self.depth = 0
 
     # ------------------------------------------------------------------
     # Token helpers
@@ -135,25 +149,28 @@ class Parser:
                 if not self.accept_symbol(","):
                     break
 
-        fetch_first: Optional[int] = None
+        fetch_first: Union[int, Param, None] = None
         if self.accept_keyword("fetch"):
             self.expect_keyword("first")
-            token = self.advance()
-            if token.kind != "number" or not isinstance(token.value, int):
-                raise SqlSyntaxError("FETCH FIRST expects an integer")
-            fetch_first = token.value
+            fetch_first = self._parse_count("FETCH FIRST")
             if not self.accept_keyword("rows"):
                 self.accept_keyword("row")
             self.expect_keyword("only")
         elif self.accept_keyword("limit"):
-            token = self.advance()
-            if token.kind != "number" or not isinstance(token.value, int):
-                raise SqlSyntaxError("LIMIT expects an integer")
-            fetch_first = token.value
+            fetch_first = self._parse_count("LIMIT")
 
         if self.peek().kind != "end":
             raise SqlSyntaxError(f"unexpected trailing input near {self._context()}")
         return Query(cores, union_all, order_by, fetch_first)
+
+    def _parse_count(self, clause: str) -> Union[int, Param]:
+        token = self.advance()
+        value = self._param_value(token) if token.kind == "param" else token.value
+        if isinstance(value, Param):
+            return value
+        if token.kind not in ("number", "param") or not is_count(value):
+            raise SqlSyntaxError(f"{clause} expects an integer")
+        return value
 
     def parse_core(self) -> SelectCore:
         self.expect_keyword("select")
@@ -204,8 +221,18 @@ class Parser:
         return TableRef(table=table, alias=alias.lower())
 
     # -- Expressions -------------------------------------------------------
+    def _nested(self, parse: Callable[[], Expression]) -> Expression:
+        """``parse()`` one nesting level deeper."""
+        self.depth += 1
+        try:
+            if self.depth > MAX_NESTING:
+                raise SqlSyntaxError(f"expression nested deeper than {MAX_NESTING} levels")
+            return parse()
+        finally:
+            self.depth -= 1
+
     def parse_expr(self) -> Expression:
-        return self.parse_or()
+        return self._nested(self.parse_or)
 
     def parse_or(self) -> Expression:
         items = [self.parse_and()]
@@ -223,7 +250,7 @@ class Parser:
         if self.accept_keyword("not"):
             if self.peek().is_keyword("exists"):
                 return self._parse_exists(negated=True)
-            return Not(self.parse_not())
+            return Not(self._nested(self.parse_not))
         if self.peek().is_keyword("exists"):
             return self._parse_exists(negated=False)
         return self.parse_predicate()
@@ -332,13 +359,14 @@ class Parser:
             return inner
         if token.is_symbol("-"):
             self.advance()
-            return Neg(self.parse_primary())
+            return Neg(self._nested(self.parse_primary))
         if token.kind == "number" or token.kind == "string":
             self.advance()
             return Literal(token.value)
         if token.kind == "param":
             self.advance()
-            return Literal(self._param_value(token))
+            value = self._param_value(token)
+            return value if isinstance(value, Param) else Literal(value)
         if token.is_keyword("null"):
             self.advance()
             return Literal(None)
@@ -357,12 +385,24 @@ class Parser:
         raise SqlSyntaxError(f"unexpected token near {self._context()}")
 
     def _param_value(self, token: Token) -> Any:
-        name = str(token.value)
-        if name not in self.params:
-            raise SqlSyntaxError(f"missing value for parameter :{name}")
-        return self.params[name]
+        """The substituted value, or the :class:`Param` itself when
+        parameters are bound later."""
+        param = Param(str(token.value))
+        return param if self.params is None else param.value(self.params)
+
+
+def is_count(value: Any) -> bool:
+    """Is ``value`` a valid ``FETCH FIRST`` / ``LIMIT`` count?"""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 def parse(text: str, params: Optional[Dict[str, Any]] = None) -> Query:
-    """Parse SQL text into a :class:`Query` AST."""
-    return Parser(text, params).parse_query()
+    """Parse SQL text into a :class:`Query` AST, substituting ``params``
+    for its ``:name`` parameters."""
+    return Parser(text, params or {}).parse_query()
+
+
+def parse_prepared(text: str) -> Query:
+    """Parse SQL text into a :class:`Query` AST whose parameters are
+    :class:`Param` nodes, bound when a plan is built."""
+    return Parser(text, None).parse_query()

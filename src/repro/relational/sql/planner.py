@@ -1,53 +1,56 @@
 """SQL planner: bind names, decorrelate EXISTS, optimize, assemble.
 
-The pipeline for one statement:
+The pipeline for one statement has two halves.  :meth:`Planner.bind`
+does what no parameter value can change:
 
 1. expand ``*`` items and qualify every unqualified column reference
    (binder role),
-2. split WHERE into conjuncts; pull out ``[NOT] EXISTS`` conjuncts;
-   record per relation the columns the statement reads (select list,
+2. split WHERE into conjuncts; pull out ``[NOT] EXISTS`` conjuncts and
+   sort each one's predicates into local ones and correlations.
+
+:meth:`Planner.optimize` plans the bound statement for one binding of
+its parameters:
+
+3. record per relation the columns the statement reads (select list,
    conjuncts, EXISTS correlations) — all its access path will emit,
-3. optimize the select-project-join block with the System-R enumerator
+4. optimize the select-project-join block with the System-R enumerator
    (exploiting an ORDER BY column as a desired interesting order),
-4. decorrelate each EXISTS into a hash semi/anti join on top (the
+   estimating selectivities under the binding,
+5. decorrelate each EXISTS into a hash semi/anti join on top (the
    paper's SQL1/SQL5 ``NOT EXISTS`` over ExcpTops takes this path),
-5. add projection, DISTINCT, UNION, ORDER BY (skipped when the chosen
+6. add projection, DISTINCT, UNION, ORDER BY (skipped when the chosen
    plan already delivers the order), and FETCH FIRST.
+
+Parameters survive both halves as
+:class:`~repro.relational.expressions.Param` nodes; the
+:class:`PreparedPlan` binds values when it builds an operator tree.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 
-from repro.errors import SqlBindError, SqlError
+from repro.errors import SqlBindError, SqlError, SqlSyntaxError
 from repro.relational.database import Database
 from repro.relational.expressions import (
-    And,
-    Arith,
     ColumnRef,
-    Comparison,
-    Contains,
     Expression,
-    InList,
-    IsNull,
-    Like,
-    Literal,
-    Neg,
-    Not,
-    Or,
+    Param,
     Row,
     RowLayout,
     as_equijoin,
-    conjoin,
+    bind_params,
+    has_params,
     referenced_aliases,
+    rewrite,
     split_conjuncts,
 )
 from repro.relational.operators import (
     Distinct,
-    Filter,
     HashSemiJoin,
     Limit,
     Operator,
@@ -57,11 +60,11 @@ from repro.relational.operators import (
     TopN,
     UnionAll,
 )
-from repro.relational.optimizer.logical import SPJBlock, build_block
-from repro.relational.optimizer.system_r import OrderSpec, PhysicalCandidate, SystemROptimizer
+from repro.relational.optimizer.logical import build_block
+from repro.relational.optimizer.system_r import OrderSpec, Params, SystemROptimizer
 from repro.relational.runtime import columnar_enabled
-from repro.relational.sql.ast import ExistsExpr, OrderItem, Query, SelectCore, SelectItem
-from repro.relational.sql.parser import parse
+from repro.relational.sql.ast import ExistsExpr, OrderItem, Query, SelectCore
+from repro.relational.sql.parser import is_count, parse, parse_prepared
 from repro.relational.statistics import StatsCatalog
 
 
@@ -91,60 +94,93 @@ class QueryResult:
 class PreparedPlan:
     """A parsed, bound, and optimized statement, ready to execute.
 
-    ``build()`` assembles a *fresh* operator tree each call, so one
-    prepared plan may be executed concurrently from many threads: every
-    execution gets its own operator state, and the builders resolve
-    ``Database.stats`` at build time, crediting work to the executing
-    thread's counters.  Everything expensive (parsing, binding, the
-    System-R enumeration) happened at prepare time; ``build()`` only
-    replays the cheap physical-operator construction.  Uncorrelated
-    EXISTS subqueries are deliberately (re)evaluated inside ``build()``
-    so repeated executions behave exactly like repeated plannings.
+    ``build(params)`` assembles a *fresh* operator tree each call, with
+    the parameter binding ``params`` substituted into it — the key of a
+    hash-index probe, every predicate, select-list parameters and the
+    ``FETCH FIRST`` count.  One prepared plan may therefore be executed
+    concurrently from many threads and under many bindings: every
+    execution gets its own operator state and its own values, passed
+    explicitly rather than through any shared slot, and the builders
+    resolve ``Database.stats`` at build time, crediting work to the
+    executing thread's counters.  Everything expensive (parsing,
+    binding, the System-R enumeration) happened at prepare time;
+    ``build()`` only replays the cheap physical-operator construction.
+    Uncorrelated EXISTS subqueries are deliberately (re)evaluated inside
+    ``build()`` so repeated executions behave exactly like repeated
+    plannings.
     """
 
     columns: List[str]
-    build: Callable[[], Operator]
+    build: Callable[..., Operator]
 
-    def run(self) -> List[Row]:
-        return self.build().run()
+    def run(self, params: Params = None) -> List[Row]:
+        return self.build(params).run()
 
 
 @dataclass
 class _PreparedCore:
     """One SELECT core's replayable pieces (pre-projection)."""
 
-    build: Callable[[], Operator]
+    build: Callable[[Params], Operator]
     entries: List[Tuple[str, str]]
     exprs: List[Expression]
     delivered: Optional[OrderSpec]
 
 
-def _rewrite(expr: Expression, fn) -> Expression:
-    """Rebuild an expression tree bottom-up, applying ``fn`` to each
-    node after its children were rebuilt."""
-    if isinstance(expr, And):
-        node: Expression = And([_rewrite(i, fn) for i in expr.items])
-    elif isinstance(expr, Or):
-        node = Or([_rewrite(i, fn) for i in expr.items])
-    elif isinstance(expr, Not):
-        node = Not(_rewrite(expr.item, fn))
-    elif isinstance(expr, Comparison):
-        node = Comparison(expr.op, _rewrite(expr.left, fn), _rewrite(expr.right, fn))
-    elif isinstance(expr, Contains):
-        node = Contains(_rewrite(expr.haystack, fn), _rewrite(expr.needle, fn))
-    elif isinstance(expr, Like):
-        node = Like(_rewrite(expr.value, fn), expr.pattern, expr.negated)
-    elif isinstance(expr, InList):
-        node = InList(_rewrite(expr.value, fn), sorted(expr.options, key=repr), expr.negated)
-    elif isinstance(expr, IsNull):
-        node = IsNull(_rewrite(expr.value, fn), expr.negated)
-    elif isinstance(expr, Arith):
-        node = Arith(expr.op, _rewrite(expr.left, fn), _rewrite(expr.right, fn))
-    elif isinstance(expr, Neg):
-        node = Neg(_rewrite(expr.value, fn))
-    else:
-        node = expr
-    return fn(node)
+@dataclass
+class _BoundExists:
+    """One ``[NOT] EXISTS`` conjunct, bound: its FROM list as (table,
+    alias), its local conjuncts, and its (outer, inner) correlation
+    references."""
+
+    tables: List[Tuple[str, str]]
+    local: List[Expression]
+    corr: List[Tuple[ColumnRef, ColumnRef]]
+    negated: bool
+
+
+@dataclass
+class _BoundCore:
+    """One SELECT core, bound: its FROM list as (table, alias), its
+    qualified conjuncts, its qualified select items (None for ``*``) and
+    its EXISTS conjuncts."""
+
+    core: SelectCore
+    tables: List[Tuple[str, str]]
+    conjuncts: List[Expression]
+    items: List[Optional[Expression]]
+    exists: List[_BoundExists]
+
+
+def half_decade(selectivity: float) -> Optional[int]:
+    """``floor(2 · log10(selectivity))``: the half-decade a selectivity
+    falls in (None for 0)."""
+    return math.floor(2 * math.log10(selectivity)) if selectivity > 0 else None
+
+
+@dataclass
+class BoundStatement:
+    """A parsed statement with every name resolved against the catalog:
+    everything about it that no parameter value can change.
+
+    ``slots`` are its conjuncts that hold a parameter, each with the
+    alias → table map it is estimated under — the only predicates whose
+    estimated selectivity a binding can move."""
+
+    query: Query
+    cores: List[_BoundCore]
+    desired: Optional[OrderSpec]
+    slots: List[Tuple[Expression, Dict[str, str]]]
+
+    def selectivity_class(self, stats: StatsCatalog, params: Params) -> Tuple:
+        """The class of a binding: per slot, the :func:`half_decade` of
+        its selectivity under ``params``.  The optimizer sees nothing
+        else of the values, so bindings of one class are planned alike
+        up to where in their half-decades the estimates fall."""
+        return tuple(
+            half_decade(stats.predicate_selectivity(bind_params(expr, params), tables))
+            for expr, tables in self.slots
+        )
 
 
 class Planner:
@@ -213,20 +249,26 @@ class Planner:
                     raise SqlBindError(f"ambiguous column {node.name!r}")
             raise SqlBindError(f"unknown column {node.name!r}")
 
-        return _rewrite(expr, fix)
+        return rewrite(expr, fix)
 
     # ------------------------------------------------------------------
-    # Core planning
+    # Binding
     # ------------------------------------------------------------------
-    def _prepare_core(
-        self,
-        core: SelectCore,
-        desired_order: Optional[OrderSpec] = None,
-    ) -> _PreparedCore:
-        """Bind and optimize one SELECT core, returning a replayable
-        builder for the operator tree *before projection* plus the
-        projected (alias, name) entries, projected expressions, and the
-        block order the chosen plan delivers."""
+    def bind(self, query: Query) -> BoundStatement:
+        """Resolve every name of a parsed statement — the half of
+        planning that is the same for every parameter binding."""
+        cores = [self._bind_core(core) for core in query.cores]
+        slots: List[Tuple[Expression, Dict[str, str]]] = []
+        for bound in cores:
+            scopes = [(bound.tables, bound.conjuncts)]
+            scopes += [(exists.tables, exists.local) for exists in bound.exists]
+            for tables, conjuncts in scopes:
+                alias_tables = {alias: table for table, alias in tables}
+                slots += [(c, alias_tables) for c in conjuncts if has_params(c)]
+        desired = self._desired_order(query) if len(query.cores) == 1 else None
+        return BoundStatement(query, cores, desired, slots)
+
+    def _bind_core(self, core: SelectCore) -> _BoundCore:
         alias_schemas = self._alias_schemas(core)
         conjuncts: List[Expression] = []
         exists_nodes: List[ExistsExpr] = []
@@ -241,79 +283,15 @@ class Planner:
             None if item.star else self._qualify(item.expr, alias_schemas)
             for item in core.items
         ]
-        prepared_exists = [
-            self._prepare_exists(exists, alias_schemas) for exists in exists_nodes
-        ]
-        appliers = [applier for applier, _ in prepared_exists]
+        exists = [self._bind_exists(node, alias_schemas) for node in exists_nodes]
+        tables = [(t.table, t.alias) for t in core.tables]
+        return _BoundCore(core, tables, conjuncts, items, exists)
 
-        # Everything evaluated over the block's output: with the
-        # conjuncts, every column the statement reads.  ORDER BY keys
-        # bind to the select list's output, so beyond it they name at
-        # most the column of an index order the plan may deliver.
-        read_above: Optional[set] = None
-        if None not in items:  # ``*`` reads every column
-            read_above = {ref for _, outer in prepared_exists for ref in outer}
-            for expr in items:
-                read_above |= expr.column_refs()
-            if desired_order is not None:
-                read_above.add(desired_order[:2])
-        block = build_block(
-            [(t.table, t.alias) for t in core.tables], conjuncts, read_above
-        )
-        candidate = self.optimizer.optimize(block, desired_order=desired_order)
-        # Probe build purely for the layout (operator construction has
-        # no side effects); EXISTS appliers never change the layout.
-        layout = candidate.build().layout
-        entries, exprs = self._projection(core, items, layout)
-
-        def build_core() -> Operator:
-            op = candidate.build()
-            for applier in appliers:
-                op = applier(op)
-            return op
-
-        return _PreparedCore(build_core, entries, exprs, candidate.order)
-
-    def _projection(
-        self,
-        core: SelectCore,
-        items: List[Optional[Expression]],
-        layout: RowLayout,
-    ) -> Tuple[List[Tuple[str, str]], List[Expression]]:
-        """Output (alias, name) entries and expressions of the select
-        list; ``items`` holds its qualified expressions, None for ``*``."""
-        entries: List[Tuple[str, str]] = []
-        exprs: List[Expression] = []
-        for i, (item, expr) in enumerate(zip(core.items, items)):
-            if expr is None:
-                for alias, name in layout.entries:
-                    entries.append((alias, name))
-                    exprs.append(ColumnRef(alias, name))
-                continue
-            if item.alias is not None:
-                name = item.alias.lower()
-            elif isinstance(expr, ColumnRef):
-                name = expr.name
-            else:
-                name = f"col{i + 1}"
-            alias = expr.qualifier if isinstance(expr, ColumnRef) else ""
-            entries.append((alias or "", name))
-            exprs.append(expr)
-        if not entries:
-            raise SqlError("empty select list")
-        return entries, exprs
-
-    def _prepare_exists(
-        self,
-        exists: ExistsExpr,
-        outer_schemas: Dict[str, Any],
-    ) -> Tuple[Callable[[Operator], Operator], List[Tuple[str, str]]]:
-        """Bind and optimize one ``[NOT] EXISTS`` conjunct, returning an
-        applier that wraps the per-execution decorrelation around a
-        freshly built outer operator tree, and the outer (alias, column)
-        references its correlation reads.  The subquery's own select
-        list is never evaluated, so its block reads only what its
-        conjuncts and the correlation name."""
+    def _bind_exists(
+        self, exists: ExistsExpr, outer_schemas: Dict[str, Any]
+    ) -> _BoundExists:
+        """Bind one ``[NOT] EXISTS`` conjunct: split its predicates into
+        local ones and equality correlations with the outer block."""
         sub = exists.subquery
         sub_schemas = self._alias_schemas(sub)
         overlap = set(sub_schemas) & set(outer_schemas)
@@ -343,32 +321,120 @@ class Planner:
                 corr.append((right, left))
             else:
                 raise SqlError("correlation must relate an outer and an inner column")
+        tables = [(t.table, t.alias) for t in sub.tables]
+        return _BoundExists(tables, local, corr, exists.negated)
 
+    # ------------------------------------------------------------------
+    # Core planning
+    # ------------------------------------------------------------------
+    def _optimize_core(
+        self,
+        bound: _BoundCore,
+        desired_order: Optional[OrderSpec],
+        params: Params,
+    ) -> _PreparedCore:
+        """Optimize one bound SELECT core, returning a replayable
+        builder for the operator tree *before projection* plus the
+        projected (alias, name) entries, projected expressions, and the
+        block order the chosen plan delivers."""
+        appliers = [self._optimize_exists(exists, params) for exists in bound.exists]
+
+        # Everything evaluated over the block's output: with the
+        # conjuncts, every column the statement reads.  ORDER BY keys
+        # bind to the select list's output, so beyond it they name at
+        # most the column of an index order the plan may deliver.
+        read_above: Optional[set] = None
+        if None not in bound.items:  # ``*`` reads every column
+            read_above = {
+                (outer.qualifier, outer.name)
+                for exists in bound.exists
+                for outer, _ in exists.corr
+            }
+            for expr in bound.items:
+                read_above |= expr.column_refs()
+            if desired_order is not None:
+                read_above.add(desired_order[:2])
+        block = build_block(bound.tables, bound.conjuncts, read_above)
+        candidate = self.optimizer.optimize(block, desired_order, params)
+        # Probe build purely for the layout (operator construction has
+        # no side effects); EXISTS appliers never change the layout.
+        layout = candidate.build(params).layout
+        entries, exprs = self._projection(bound.core, bound.items, layout)
+
+        def build_core(params: Params) -> Operator:
+            op = candidate.build(params)
+            for applier in appliers:
+                op = applier(op, params)
+            return op
+
+        return _PreparedCore(build_core, entries, exprs, candidate.order)
+
+    def _projection(
+        self,
+        core: SelectCore,
+        items: List[Optional[Expression]],
+        layout: RowLayout,
+    ) -> Tuple[List[Tuple[str, str]], List[Expression]]:
+        """Output (alias, name) entries and expressions of the select
+        list; ``items`` holds its qualified expressions, None for ``*``.
+        ``*`` lists the tables in FROM order whatever order the plan
+        joins them in, so the columns never depend on the plan."""
+        entries: List[Tuple[str, str]] = []
+        exprs: List[Expression] = []
+        for i, (item, expr) in enumerate(zip(core.items, items)):
+            if expr is None:
+                for ref in core.tables:
+                    for alias, name in layout.entries:
+                        if alias == ref.alias:
+                            entries.append((alias, name))
+                            exprs.append(ColumnRef(alias, name))
+                continue
+            if item.alias is not None:
+                name = item.alias.lower()
+            elif isinstance(expr, ColumnRef):
+                name = expr.name
+            else:
+                name = f"col{i + 1}"
+            alias = expr.qualifier if isinstance(expr, ColumnRef) else ""
+            entries.append((alias or "", name))
+            exprs.append(expr)
+        if not entries:
+            raise SqlError("empty select list")
+        return entries, exprs
+
+    def _optimize_exists(
+        self, exists: _BoundExists, params: Params
+    ) -> Callable[[Operator, Params], Operator]:
+        """Optimize one bound ``[NOT] EXISTS`` conjunct, returning an
+        applier that wraps the per-execution decorrelation around a
+        freshly built outer operator tree.  The subquery's own select
+        list is never evaluated, so its block reads only what its
+        conjuncts and the correlation name."""
+        corr = exists.corr
         sub_block = build_block(
-            [(t.table, t.alias) for t in sub.tables],
-            local,
+            exists.tables,
+            exists.local,
             [(inner.qualifier, inner.name) for _, inner in corr],
         )
-        sub_candidate = self.optimizer.optimize(sub_block)
+        sub_candidate = self.optimizer.optimize(sub_block, params=params)
         negated = exists.negated
-        outer_refs = [(outer.qualifier, outer.name) for outer, _ in corr]
 
         if not corr:
             # Uncorrelated: evaluated per execution (the result is a
             # constant for that execution, so the whole outer tree is
             # either kept or replaced by an empty source).
-            def apply_uncorrelated(op: Operator) -> Operator:
-                sub_op = Limit(sub_candidate.build(), 1)
+            def apply_uncorrelated(op: Operator, params: Params) -> Operator:
+                sub_op = Limit(sub_candidate.build(params), 1)
                 self.database.stats.subqueries_run += 1
                 non_empty = bool(sub_op.run())
                 if non_empty != negated:
                     return op
                 return RowsSource([], op.layout, self.database.stats)
 
-            return apply_uncorrelated, outer_refs
+            return apply_uncorrelated
 
-        def apply_correlated(op: Operator) -> Operator:
-            sub_op = sub_candidate.build()
+        def apply_correlated(op: Operator, params: Params) -> Operator:
+            sub_op = sub_candidate.build(params)
             left_positions = [
                 op.layout.position(o.qualifier, o.name) for o, _ in corr
             ]
@@ -378,7 +444,7 @@ class Planner:
             self.database.stats.subqueries_run += 1
             return HashSemiJoin(op, sub_op, left_positions, right_positions, negated)
 
-        return apply_correlated, outer_refs
+        return apply_correlated
 
     # ------------------------------------------------------------------
     # Statement planning
@@ -389,28 +455,30 @@ class Planner:
         prepared = self.prepare(query)
         return prepared.build(), prepared.columns
 
-    def prepare(self, query: Query) -> PreparedPlan:
+    def prepare(self, query: Query, params: Params = None) -> PreparedPlan:
         """Bind and optimize a statement once; the returned
         :class:`PreparedPlan` builds fresh executable trees on demand."""
-        single = len(query.cores) == 1
-        desired = self._desired_order(query) if single else None
+        return self.optimize(self.bind(query), params)
 
+    def optimize(self, statement: BoundStatement, params: Params = None) -> PreparedPlan:
+        """Optimize a bound statement with its selectivities estimated
+        under the binding ``params``."""
+        query = statement.query
         prepared_cores = [
-            self._prepare_core(
-                core, desired_order=desired if core is query.cores[0] else None
-            )
-            for core in query.cores
+            self._optimize_core(bound, statement.desired if i == 0 else None, params)
+            for i, bound in enumerate(statement.cores)
         ]
         first_entries = prepared_cores[0].entries
         columns = [name for _, name in first_entries]
 
-        if single:
+        if len(prepared_cores) == 1:
             pc = prepared_cores[0]
             core = query.cores[0]
 
-            def build_single() -> Operator:
+            def build_single(params: Params = None) -> Operator:
                 return self._assemble_single(
-                    query, core, pc.build(), pc.entries, pc.exprs, pc.delivered
+                    query, core, pc.build(params), pc.entries,
+                    _bound_all(pc.exprs, params), pc.delivered, params,
                 )
 
             return PreparedPlan(columns, build_single)
@@ -422,21 +490,22 @@ class Planner:
                 raise SqlError("UNION inputs must have the same number of columns")
         names = [n for _, n in first_entries]
 
-        def build_union() -> Operator:
+        def build_union(params: Params = None) -> Operator:
             projected = [
-                Project(pc.build(), pc.exprs, names, alias="")
+                Project(pc.build(params), _bound_all(pc.exprs, params), names, alias="")
                 for pc in prepared_cores
             ]
             combined: Operator = UnionAll(projected)
             if not query.union_all:
                 combined = Distinct(combined)
+            fetch = _fetch_count(query, params)
             if query.order_by:
-                keys = self._order_keys(query.order_by, combined.layout)
-                if query.fetch_first is not None:
-                    return TopN(combined, keys, query.fetch_first)
+                keys = self._order_keys(query.order_by, combined.layout, params)
+                if fetch is not None:
+                    return TopN(combined, keys, fetch)
                 return Sort(combined, keys)
-            if query.fetch_first is not None:
-                return Limit(combined, query.fetch_first)
+            if fetch is not None:
+                return Limit(combined, fetch)
             return combined
 
         return PreparedPlan(columns, build_union)
@@ -449,6 +518,7 @@ class Planner:
         entries: List[Tuple[str, str]],
         exprs: List[Expression],
         delivered: Optional[OrderSpec],
+        params: Params,
     ) -> Operator:
         names = [n for _, n in entries]
         # Keep the originating table alias on pass-through columns so
@@ -458,20 +528,21 @@ class Planner:
         if core.distinct:
             result = Distinct(result)
 
+        fetch = _fetch_count(query, params)
         if query.order_by:
             order_satisfied = self._order_satisfied(
                 query.order_by, exprs, entries, delivered
             ) and not core.distinct
             if order_satisfied:
-                if query.fetch_first is not None:
-                    return Limit(result, query.fetch_first)
+                if fetch is not None:
+                    return Limit(result, fetch)
                 return result
-            keys = self._order_keys(query.order_by, result.layout)
-            if query.fetch_first is not None:
-                return TopN(result, keys, query.fetch_first)
+            keys = self._order_keys(query.order_by, result.layout, params)
+            if fetch is not None:
+                return TopN(result, keys, fetch)
             return Sort(result, keys)
-        if query.fetch_first is not None:
-            return Limit(result, query.fetch_first)
+        if fetch is not None:
+            return Limit(result, fetch)
         return result
 
     # ------------------------------------------------------------------
@@ -535,7 +606,7 @@ class Planner:
             return (delivered[0], delivered[1]) in candidates
         return False
 
-    def _order_keys(self, order_by: List[OrderItem], layout: RowLayout):
+    def _order_keys(self, order_by: List[OrderItem], layout: RowLayout, params: Params):
         keys = []
         for item in order_by:
             expr = item.expr
@@ -543,11 +614,25 @@ class Planner:
                 # Resolve against output names (unqualified post-projection).
                 keys.append((ColumnRef(None, expr.name), item.descending))
             else:
-                keys.append((expr, item.descending))
+                keys.append((bind_params(expr, params), item.descending))
         # Validate now for a clear error message.
         for expr, _ in keys:
             expr.bind(layout)
         return keys
+
+
+def _bound_all(exprs: List[Expression], params: Params) -> List[Expression]:
+    return [bind_params(expr, params) for expr in exprs]
+
+
+def _fetch_count(query: Query, params: Params) -> Optional[int]:
+    """The statement's ``FETCH FIRST`` count under ``params``."""
+    fetch = query.fetch_first
+    if isinstance(fetch, Param):
+        fetch = fetch.value(params)
+        if not is_count(fetch):
+            raise SqlSyntaxError(f"FETCH FIRST expects an integer, got {fetch!r}")
+    return fetch
 
 
 def _contains_exists(expr: Expression) -> bool:
@@ -564,8 +649,62 @@ def _contains_exists(expr: Expression) -> bool:
     return False
 
 
-#: Bound on the number of prepared statements an Engine retains.
+#: Bound on the entries each level of an Engine's statement cache retains.
 PLAN_CACHE_SIZE = 256
+
+
+@dataclass(frozen=True)
+class StatementCacheStats:
+    """Counter snapshot of an :class:`Engine`'s statement cache.
+
+    ``hits`` and ``misses`` count plan lookups — every execution and
+    explain in columnar mode makes one, and a miss runs the optimizer;
+    ``texts`` is the number of bound statements held, ``classes`` the
+    number of plans held (one per statement text and selectivity
+    class), and ``size`` the bound on each of the two."""
+
+    hits: int
+    misses: int
+    texts: int
+    classes: int
+    size: int
+
+
+class _CacheLevel:
+    """One LRU level of the statement cache.  Each entry carries the
+    :meth:`Database.change_token` it was made under and is served only
+    while the token is current; ``hits`` / ``misses`` count lookups."""
+
+    def __init__(self, lock: threading.Lock) -> None:
+        self._lock = lock
+        self._entries: "OrderedDict[Hashable, Tuple[Tuple, Any]]" = OrderedDict()
+        self.hits = 0
+        self.misses = 0
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key: Hashable, token: Tuple) -> Any:
+        """The entry under ``key`` made at ``token``, else None."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None or entry[0] != token:
+                self.misses += 1
+                return None
+            self._entries.move_to_end(key)
+            self.hits += 1
+            return entry[1]
+
+    def put(self, key: Hashable, token: Tuple, value: Any) -> None:
+        with self._lock:
+            self._entries[key] = (token, value)
+            self._entries.move_to_end(key)
+            while len(self._entries) > PLAN_CACHE_SIZE:
+                self._entries.popitem(last=False)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
 
 
 class Engine:
@@ -575,75 +714,97 @@ class Engine:
     >>> result = engine.execute("SELECT id FROM protein WHERE id = 32")
     >>> result.rows
     [(32,)]
+    >>> engine.execute("SELECT id FROM protein WHERE id = :id", {"id": 32}).rows
+    [(32,)]
 
-    Repeated statements hit a prepared-statement cache keyed by the SQL
-    text and parameter bindings.  Every entry is validated against
-    :meth:`Database.change_token` before reuse, so any table create/drop
-    or data change invalidates it — a cached plan can never bind to a
-    stale catalog or skip re-running an uncorrelated EXISTS against
-    changed data.  The cache only serves the batched columnar execution
-    mode; in row mode (:func:`repro.relational.runtime.row_mode`) every
-    statement is re-planned from scratch, preserving the reference
-    engine's exact pre-cache behavior for differential testing.
+    In the batched columnar execution mode statements resolve through a
+    two-level statement cache, and ``:name`` parameters are bound late:
+    values are never part of a cache key or a plan.
+
+    * The SQL text keys a :class:`BoundStatement` — parsed with its
+      parameters kept as :class:`~repro.relational.expressions.Param`
+      nodes and name-bound — so a repeated text is never tokenized
+      again.
+    * ``(text, selectivity class)`` keys a :class:`PreparedPlan`.  The
+      class (:meth:`BoundStatement.selectivity_class`) is the
+      half-decade of the estimated selectivity of each conjunct that
+      holds a parameter, under the binding: one plan serves every
+      binding that the cost model puts in the same class, and each
+      execution builds its operator tree with its own values.
+
+    Each level holds at most :data:`PLAN_CACHE_SIZE` entries, and every
+    entry is validated against :meth:`Database.change_token` before
+    reuse, so any table create/drop or data change invalidates it — a
+    cached plan can never bind to a stale catalog or skip re-running an
+    uncorrelated EXISTS against changed data.  :meth:`explain` resolves
+    through the same cache, so it renders the plan that
+    :meth:`execute` would run for the binding.
+
+    In row mode (:func:`repro.relational.runtime.row_mode`) every
+    statement is parsed with its values substituted as literals and
+    re-planned from scratch, preserving the reference engine's exact
+    pre-cache behavior for differential testing.
     """
 
     def __init__(self, database: Database, stats: Optional[StatsCatalog] = None) -> None:
         self.database = database
         self.stats = stats if stats is not None else StatsCatalog(database)
         self.planner = Planner(database, self.stats)
-        self._plan_cache: "OrderedDict[Tuple, Tuple[Tuple, PreparedPlan]]" = OrderedDict()
-        self._plan_cache_lock = threading.Lock()
-        self.plan_cache_hits = 0
-        self.plan_cache_misses = 0
+        self._cache_lock = threading.Lock()
+        self._statements = _CacheLevel(self._cache_lock)
+        self._plans = _CacheLevel(self._cache_lock)
+
+    @property
+    def plan_cache_hits(self) -> int:
+        return self._plans.hits
+
+    @property
+    def plan_cache_misses(self) -> int:
+        return self._plans.misses
+
+    def statement_cache_stats(self) -> StatementCacheStats:
+        """Every statement-cache counter from one lock acquisition."""
+        with self._cache_lock:
+            return StatementCacheStats(
+                hits=self._plans.hits,
+                misses=self._plans.misses,
+                texts=len(self._statements),
+                classes=len(self._plans),
+                size=PLAN_CACHE_SIZE,
+            )
 
     def clear_plan_cache(self) -> None:
-        with self._plan_cache_lock:
-            self._plan_cache.clear()
+        self._statements.clear()
+        self._plans.clear()
 
-    @staticmethod
-    def _cache_key(sql: str, params: Optional[Dict[str, Any]]) -> Optional[Tuple]:
-        if not params:
-            return (sql, None)
-        try:
-            return (sql, tuple(sorted(params.items())))
-        except TypeError:
-            return None  # unhashable/unorderable bindings: skip the cache
-
-    def _prepared(self, sql: str, params: Optional[Dict[str, Any]]) -> PreparedPlan:
-        key = self._cache_key(sql, params)
+    def _prepared(self, sql: str, params: Params) -> PreparedPlan:
         # Token captured *before* planning: if data changes while we
         # plan, the entry is cached under the old token and fails
         # revalidation next time — stale in the safe direction.
         token = self.database.change_token()
-        if key is not None:
-            with self._plan_cache_lock:
-                entry = self._plan_cache.get(key)
-                if entry is not None and entry[0] == token:
-                    self._plan_cache.move_to_end(key)
-                    self.plan_cache_hits += 1
-                    return entry[1]
-        prepared = self.planner.prepare(parse(sql, params))
-        if key is not None:
-            # relint: disable=R2 (get-or-compute: each return reads under a single acquisition, the pair never assembles one value)
-            with self._plan_cache_lock:
-                self.plan_cache_misses += 1
-                self._plan_cache[key] = (token, prepared)
-                self._plan_cache.move_to_end(key)
-                while len(self._plan_cache) > PLAN_CACHE_SIZE:
-                    self._plan_cache.popitem(last=False)
+        statement = self._statements.get(sql, token)
+        if statement is None:
+            statement = self.planner.bind(parse_prepared(sql))
+            self._statements.put(sql, token, statement)
+        key = (sql, statement.selectivity_class(self.stats, params))
+        prepared = self._plans.get(key, token)
+        if prepared is None:
+            prepared = self.planner.optimize(statement, params)
+            self._plans.put(key, token, prepared)
         return prepared
 
-    def execute(self, sql: str, params: Optional[Dict[str, Any]] = None) -> QueryResult:
+    def _plan(self, sql: str, params: Params) -> PreparedPlan:
         if columnar_enabled():
-            prepared = self._prepared(sql, params)
-        else:
-            prepared = self.planner.prepare(parse(sql, params))
-        plan = prepared.build()
-        rows = plan.run()
+            return self._prepared(sql, params)
+        return self.planner.prepare(parse(sql, params))
+
+    def execute(self, sql: str, params: Params = None) -> QueryResult:
+        prepared = self._plan(sql, params)
+        rows = prepared.run(params)
         self.database.stats.rows_emitted += len(rows)
         return QueryResult(list(prepared.columns), rows)
 
-    def explain(self, sql: str, params: Optional[Dict[str, Any]] = None) -> str:
-        query = parse(sql, params)
-        plan, _ = self.planner.plan(query)
-        return plan.explain()
+    def explain(self, sql: str, params: Params = None) -> str:
+        """The operator tree :meth:`execute` runs for ``sql`` under
+        ``params``, rendered."""
+        return self._plan(sql, params).build(params).explain()

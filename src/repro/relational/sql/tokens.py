@@ -16,6 +16,9 @@ KEYWORDS = {
 
 SYMBOLS = ("<=", ">=", "<>", "!=", "=", "<", ">", "(", ")", ",", ".", "+", "-", "*", "/")
 
+# ASCII only: str.isdigit() also accepts digits int() cannot read ("¹").
+DIGITS = frozenset("0123456789")
+
 
 def sql_quote(value: object) -> str:
     """Render a Python value as a SQL literal.
@@ -23,8 +26,10 @@ def sql_quote(value: object) -> str:
     The inverse of this tokenizer's literal handling: embedded single
     quotes are escaped by doubling (``O'Brien`` -> ``'O''Brien'``), so
     any value round-trips through :func:`tokenize`.  Shared by every
-    layer that emits SQL text (constraint rendering, the methods'
-    generated statements) — never interpolate raw strings into quotes."""
+    layer that renders a value into SQL text (the display form of
+    constraints and of the methods' statements, which execute with
+    :class:`SqlParams` instead) — never interpolate raw strings into
+    quotes."""
     if value is None:
         return "NULL"
     if isinstance(value, bool):
@@ -33,6 +38,25 @@ def sql_quote(value: object) -> str:
         return repr(value)
     escaped = str(value).replace("'", "''")
     return f"'{escaped}'"
+
+
+class SqlParams(dict):
+    """The values of one generated statement's parameters.
+
+    :meth:`ref` binds the next name (``p0``, ``p1``, ...) and returns its
+    placeholder, so a generator emits the same text for every binding of
+    a statement shape and the engine prepares the shape once."""
+
+    def ref(self, value: object) -> str:
+        name = f"p{len(self)}"
+        self[name] = value
+        return f":{name}"
+
+
+def sql_value(value: object, params: Optional[SqlParams]) -> str:
+    """``value`` as a parameter of ``params``, or — ``params`` None, the
+    display form — as a :func:`sql_quote` literal."""
+    return sql_quote(value) if params is None else params.ref(value)
 
 
 @dataclass(frozen=True)
@@ -85,13 +109,13 @@ def tokenize(text: str) -> List[Token]:
             tokens.append(Token("string", "".join(buf), i))
             i = j + 1
             continue
-        if ch.isdigit():
+        if ch in DIGITS:
             j = i
             seen_dot = False
-            while j < n and (text[j].isdigit() or (text[j] == "." and not seen_dot)):
+            while j < n and (text[j] in DIGITS or (text[j] == "." and not seen_dot)):
                 if text[j] == ".":
                     # Don't swallow a trailing dot that belongs to syntax.
-                    if j + 1 >= n or not text[j + 1].isdigit():
+                    if j + 1 >= n or text[j + 1] not in DIGITS:
                         break
                     seen_dot = True
                 j += 1

@@ -64,6 +64,7 @@ from repro.core.methods.base import TRACED_WORK
 from repro.core.plan import PlanCacheStats
 from repro.core.query import TopologyQuery
 from repro.errors import TopologyError
+from repro.relational.sql import StatementCacheStats
 from repro.obs import (
     LATENCY_BUCKETS,
     SlowQueryLog,
@@ -326,6 +327,7 @@ class _Admission(NamedTuple):
 
 
 _NO_PLAN_CACHE = PlanCacheStats(hits=0, misses=0, size=0, capacity=0, invalidations=0)
+_NO_STATEMENT_CACHE = StatementCacheStats(hits=0, misses=0, texts=0, classes=0, size=0)
 
 
 @dataclass(frozen=True)
@@ -340,7 +342,8 @@ class ServingStats:
     invariants: ``result_cache.hits + result_cache.misses == requests``
     and ``result_cache.misses == executions + coalesced``.
 
-    ``plan_cache`` is zeroed behind a
+    ``plan_cache`` (the topology plan layer's) and ``statement_cache``
+    (the SQL engine's) are zeroed behind a
     :class:`~repro.service.coordinator.ShardCoordinator` (shards plan,
     the coordinator does not).  The last three fields are set only by a
     coordinator: ``shards`` carries the per-shard sections (routing
@@ -359,6 +362,7 @@ class ServingStats:
     in_flight: int
     result_cache: CacheStats
     plan_cache: PlanCacheStats = _NO_PLAN_CACHE
+    statement_cache: StatementCacheStats = _NO_STATEMENT_CACHE
     shards: Optional[List[Dict[str, Any]]] = None
     uptime_seconds: Optional[float] = None
     started_generation: Optional[int] = None

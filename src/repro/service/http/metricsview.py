@@ -52,6 +52,12 @@ METRIC_TABLE: Tuple[Tuple[str, ...], ...] = (
     ("repro.plan_cache.invalidations", "counter", "Plan cache invalidations (rebuild/calibration).", "plan_cache/invalidations"),
     ("repro.plan_cache.size", "gauge", "Plan cache entries.", "plan_cache/size"),
     ("repro.plan_cache.capacity", "gauge", "Plan cache capacity.", "plan_cache/capacity"),
+    # The SQL engine's statement cache, under the plan layer.
+    ("repro.statement_cache.hits", "counter", "SQL statement cache hits (a prepared plan served).", "statement_cache/hits"),
+    ("repro.statement_cache.misses", "counter", "SQL statement cache misses (the optimizer ran).", "statement_cache/misses"),
+    ("repro.statement_cache.texts", "gauge", "SQL statement texts held, parsed and bound.", "statement_cache/texts"),
+    ("repro.statement_cache.classes", "gauge", "Prepared plans held, one per statement text and selectivity class.", "statement_cache/classes"),
+    ("repro.statement_cache.size", "gauge", "Entries each statement cache level holds at most.", "statement_cache/size"),
     ("repro.query.latency_seconds", "histogram", "Engine execution latency by method.", "latency/*", "method"),
     # Plain server only: behind a coordinator, calibration lives shard-side.
     ("repro.calibrator.version", "gauge", "Cost calibrator version (bumps on refit).", "calibrator/version"),
@@ -72,6 +78,10 @@ METRIC_TABLE: Tuple[Tuple[str, ...], ...] = (
     ("repro.shard.plan_cache.misses", "counter", "Worker-side plan cache misses per shard.", "shard_obs/*/plan_cache/misses", "shard"),
     ("repro.shard.plan_cache.invalidations", "counter", "Worker-side plan cache invalidations per shard.", "shard_obs/*/plan_cache/invalidations", "shard"),
     ("repro.shard.plan_cache.size", "gauge", "Worker-side plan cache size per shard.", "shard_obs/*/plan_cache/size", "shard"),
+    ("repro.shard.statement_cache.hits", "counter", "Worker-side SQL statement cache hits per shard.", "shard_obs/*/statement_cache/hits", "shard"),
+    ("repro.shard.statement_cache.misses", "counter", "Worker-side SQL statement cache misses per shard.", "shard_obs/*/statement_cache/misses", "shard"),
+    ("repro.shard.statement_cache.texts", "gauge", "Worker-side SQL statement texts held per shard.", "shard_obs/*/statement_cache/texts", "shard"),
+    ("repro.shard.statement_cache.classes", "gauge", "Worker-side prepared plans held per shard.", "shard_obs/*/statement_cache/classes", "shard"),
     ("repro.shard.calibrator.version", "gauge", "Worker-side cost calibrator version per shard.", "shard_obs/*/calibrator/version", "shard"),
     # The workers' event counter.  (This process's, if it runs an engine too,
     # comes from the registry and renders in the same family.)

@@ -32,6 +32,7 @@ from repro.core.query import (
     TopologyQuery,
 )
 from repro.core.ranking import RANKING_SCHEMES
+from repro.relational.sql import StatementCacheStats
 from repro.service.cache import CacheStats
 
 __all__ = [
@@ -493,6 +494,16 @@ def _plan_cache_stats_to_wire(stats: PlanCacheStats) -> Dict[str, Any]:
     }
 
 
+def _statement_cache_stats_to_wire(stats: StatementCacheStats) -> Dict[str, Any]:
+    return {
+        "hits": stats.hits,
+        "misses": stats.misses,
+        "texts": stats.texts,
+        "classes": stats.classes,
+        "size": stats.size,
+    }
+
+
 def server_stats_to_wire(stats: Any, latency: Dict[str, Dict[str, float]]) -> Dict[str, Any]:
     """One :class:`~repro.service.core.ServingStats` snapshot (plus the
     latency snapshots) -> the ``GET /stats`` body.
@@ -516,6 +527,7 @@ def server_stats_to_wire(stats: Any, latency: Dict[str, Dict[str, float]]) -> Di
         "in_flight": stats.in_flight,
         "result_cache": _cache_stats_to_wire(stats.result_cache),
         "plan_cache": _plan_cache_stats_to_wire(stats.plan_cache),
+        "statement_cache": _statement_cache_stats_to_wire(stats.statement_cache),
         "latency": latency,
     }
     if stats.shards is not None:

@@ -120,12 +120,13 @@ def _init_shard(snapshot_path: str, shard_index: int, generation: int) -> None:
 
 def _shard_obs_stats() -> dict:
     """This worker's section of the coordinator's `/metrics` payload.
-    ``generation`` / ``plan_cache`` / ``calibrator`` sit where the
-    serving payload of a plain server has them, so one metrics table
-    renders both; ``counters`` is this process's event-counter registry,
+    ``generation`` / ``plan_cache`` / ``statement_cache`` /
+    ``calibrator`` sit where the serving payload of a plain server has
+    them, so one metrics table renders both; ``counters`` is this process's event-counter registry,
     ``{dotted name: [(labels, value), ...]}``."""
     system = _REPLICA
     plan_cache = system.plan_cache_stats()
+    statements = system.engine.statement_cache_stats()
     return {
         "pid": os.getpid(),
         "generation": _SHARD_STAMP[1] if _SHARD_STAMP else None,
@@ -134,6 +135,12 @@ def _shard_obs_stats() -> dict:
             "misses": plan_cache.misses,
             "invalidations": plan_cache.invalidations,
             "size": plan_cache.size,
+        },
+        "statement_cache": {
+            "hits": statements.hits,
+            "misses": statements.misses,
+            "texts": statements.texts,
+            "classes": statements.classes,
         },
         "calibrator": system.calibrator.snapshot(),
         "counters": {

@@ -463,7 +463,11 @@ class TopologyServer(ServingCore):
     # Instrumentation
     # ------------------------------------------------------------------
     def _backend_stats(self) -> Dict[str, Any]:
-        return {"plan_cache": self._system.plan_cache_stats()}
+        system = self._system
+        return {
+            "plan_cache": system.plan_cache_stats(),
+            "statement_cache": system.engine.statement_cache_stats(),
+        }
 
     def cache_stats(self) -> CacheStats:
         return self._cache.stats()

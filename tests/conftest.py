@@ -7,10 +7,16 @@ every consumer treats it as read-only.
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.biozon import BiozonConfig, build_figure3_database, generate
 from repro.core import TopologySearchSystem
 from repro.graph import LabeledGraph
+
+# ``--hypothesis-profile ci``: the differential-sweep CI job's deeper
+# run.  Tests that pin their own ``max_examples`` keep it; the rest (the
+# SQL parser fuzz and round-trip among them) run ten times the default.
+settings.register_profile("ci", max_examples=1000, deadline=None)
 
 
 def pytest_addoption(parser):

@@ -22,6 +22,13 @@ of the batch evaluator, see ``repro.relational.expressions``):
 Floats are unrestricted beyond being finite: IEEE-754 double arithmetic
 is performed element-wise in the same order by both engines, so results
 are bit-identical, not merely approximately equal.
+
+:func:`gen_queries` can also emit each statement with its literals as
+``:pN`` parameters plus the binding that reproduces it — the same draws,
+so the parameterised statement and its literal twin are one query.  A
+LIKE pattern stays literal (the grammar takes a string there), and so
+does a negative number: its text is ``-`` applied to a literal, which
+the estimator reads as an expression rather than a constant.
 """
 
 from __future__ import annotations
@@ -245,7 +252,17 @@ def gen_expression(
 # ----------------------------------------------------------------------
 # SQL statements (for end-to-end Engine-level differential tests)
 # ----------------------------------------------------------------------
-def _sql_literal(value) -> str:
+Binding = Dict[str, object]
+
+
+def _sql_literal(value, params: Optional[Binding] = None) -> str:
+    """``value`` as SQL text — as the next ``:pN`` parameter of
+    ``params`` when given one (see the module docstring)."""
+    negative = isinstance(value, (int, float)) and not isinstance(value, bool) and value < 0
+    if params is not None and not negative:
+        name = f"p{len(params)}"
+        params[name] = value
+        return f":{name}"
     if value is None:
         return "NULL"
     if isinstance(value, bool):
@@ -255,30 +272,37 @@ def _sql_literal(value) -> str:
     return repr(value)
 
 
-def _sql_scalar(rng: random.Random, cols: Sequence[ColumnInfo], depth: int) -> str:
+def _sql_scalar(
+    rng: random.Random,
+    cols: Sequence[ColumnInfo],
+    depth: int,
+    params: Optional[Binding] = None,
+) -> str:
     numeric = [c for c in cols if c[2] in (DataType.INT, DataType.FLOAT)]
     if depth <= 0 or not numeric or rng.random() < 0.4:
         if numeric and rng.random() < 0.7:
             alias, name, _, _ = rng.choice(numeric)
             return f"{alias}.{name}"
-        return _sql_literal(rng.randint(LIT_LO, LIT_HI))
+        return _sql_literal(rng.randint(LIT_LO, LIT_HI), params)
     op = rng.choice(("+", "-", "*", "/"))
-    left = _sql_scalar(rng, cols, depth - 1)
+    left = _sql_scalar(rng, cols, depth - 1, params)
     if op == "/":
         divisor = rng.choice([d for d in range(-9, 10) if d != 0])
         return f"({left} / {divisor})"
-    right = _sql_scalar(rng, cols, depth - 1)
+    right = _sql_scalar(rng, cols, depth - 1, params)
     return f"({left} {op} {right})"
 
 
-def _sql_leaf(rng: random.Random, cols: Sequence[ColumnInfo]) -> str:
+def _sql_leaf(
+    rng: random.Random, cols: Sequence[ColumnInfo], params: Optional[Binding] = None
+) -> str:
     texts = [c for c in cols if c[2] is DataType.TEXT]
     roll = rng.random()
     if texts and roll < 0.2:
         alias, name, _, _ = rng.choice(texts)
         word = rng.choice(WORDS)
         if rng.random() < 0.5:
-            return f"CONTAINS({alias}.{name}, {_sql_literal(word)})"
+            return f"CONTAINS({alias}.{name}, {_sql_literal(word, params)})"
         pattern = rng.choice((f"%{word}%", f"{word}%", f"%{word}"))
         neg = "NOT " if rng.random() < 0.3 else ""
         return f"{alias}.{name} {neg}LIKE {_sql_literal(pattern)}"
@@ -292,32 +316,38 @@ def _sql_leaf(rng: random.Random, cols: Sequence[ColumnInfo]) -> str:
         # The parser's IN list takes plain literals (no unary minus).
         values = [abs(v) if isinstance(v, (int, float)) and not isinstance(v, bool) else v
                   for v in values]
-        options = ", ".join(_sql_literal(v) for v in values)
+        options = ", ".join(_sql_literal(v, params) for v in values)
         neg = "NOT " if rng.random() < 0.3 else ""
         return f"{alias}.{name} {neg}IN ({options})"
     op = rng.choice(("=", "<>", "<", "<=", ">", ">="))
-    left = _sql_scalar(rng, cols, rng.randint(0, 2))
-    right = _sql_scalar(rng, cols, rng.randint(0, 1))
+    left = _sql_scalar(rng, cols, rng.randint(0, 2), params)
+    right = _sql_scalar(rng, cols, rng.randint(0, 1), params)
     return f"{left} {op} {right}"
 
 
-def _sql_predicate(rng: random.Random, cols: Sequence[ColumnInfo], depth: int) -> str:
+def _sql_predicate(
+    rng: random.Random,
+    cols: Sequence[ColumnInfo],
+    depth: int,
+    params: Optional[Binding] = None,
+) -> str:
     if depth <= 0 or rng.random() < 0.35:
-        return _sql_leaf(rng, cols)
+        return _sql_leaf(rng, cols, params)
     roll = rng.random()
     if roll < 0.45:
-        parts = [_sql_predicate(rng, cols, depth - 1) for _ in range(2)]
+        parts = [_sql_predicate(rng, cols, depth - 1, params) for _ in range(2)]
         return "(" + " AND ".join(parts) + ")"
     if roll < 0.9:
-        parts = [_sql_predicate(rng, cols, depth - 1) for _ in range(2)]
+        parts = [_sql_predicate(rng, cols, depth - 1, params) for _ in range(2)]
         return "(" + " OR ".join(parts) + ")"
-    return "NOT (" + _sql_predicate(rng, cols, depth - 1) + ")"
+    return "NOT (" + _sql_predicate(rng, cols, depth - 1, params) + ")"
 
 
 def gen_queries(
     rng: random.Random,
     tables: Dict[str, List[ColumnInfo]],
     count: int = 6,
+    bindings: Optional[List[Binding]] = None,
 ) -> List[str]:
     """Random SELECT statements over the generated tables.
 
@@ -325,11 +355,14 @@ def gen_queries(
     relationship or on the nullable many-to-many LINK columns (plus a
     random residual predicate), DISTINCT, ORDER BY, and FETCH FIRST —
     enough surface to reach every batch operator through the real
-    planner.
+    planner.  Given a ``bindings`` list, each statement comes out
+    parameterised and its binding is appended to the list; the draws
+    are the same either way.
     """
     names = sorted(tables)
     queries: List[str] = []
     for _ in range(count):
+        params: Optional[Binding] = None if bindings is None else {}
         join = len(names) > 1 and rng.random() < 0.5
         if join:
             t_outer = rng.choice(names[1:])  # has REF
@@ -344,7 +377,7 @@ def gen_queries(
             from_clause = t_outer
             conds = []
         if rng.random() < 0.85:
-            conds.append(_sql_predicate(rng, cols, rng.randint(1, 3)))
+            conds.append(_sql_predicate(rng, cols, rng.randint(1, 3), params))
         where = f" WHERE {' AND '.join(conds)}" if conds else ""
 
         if rng.random() < 0.3:
@@ -364,8 +397,10 @@ def gen_queries(
             order = f" ORDER BY {alias}.{name}{direction}"
         fetch = ""
         if rng.random() < 0.4:
-            fetch = f" FETCH FIRST {rng.randint(1, 25)} ROWS ONLY"
+            fetch = f" FETCH FIRST {_sql_literal(rng.randint(1, 25), params)} ROWS ONLY"
 
+        if params is not None:
+            bindings.append(params)
         queries.append(
             f"SELECT {distinct}{select} FROM {from_clause}{where}{order}{fetch}"
         )

@@ -417,17 +417,20 @@ class TestPlanCache:
         assert engine.plan_cache_hits == 0
         assert engine.plan_cache_misses == 0
 
-    def test_distinct_params_are_distinct_entries(self):
+    def test_bindings_of_one_class_share_one_plan(self):
+        """Equality estimates 1/ndv whatever the value, so every key is
+        one class: the second binding reuses the first's plan and still
+        gets its own rows."""
         engine, _ = self._engine()
         sql = "SELECT t0.id FROM t0 WHERE t0.id = :key"
         with columnar_mode():
             a = engine.execute(sql, {"key": 1})
             b = engine.execute(sql, {"key": 2})
-            assert engine.plan_cache_hits == 0
+            assert engine.plan_cache_hits == 1
             a2 = engine.execute(sql, {"key": 1})
-        assert a2.rows == a.rows
-        assert a.rows != b.rows or (not a.rows and not b.rows)
-        assert engine.plan_cache_hits == 1
+        assert (a.rows, b.rows, a2.rows) == ([(1,)], [(2,)], [(1,)])
+        assert engine.plan_cache_hits == 2
+        assert engine.statement_cache_stats().classes == 1
 
 
 # ----------------------------------------------------------------------

@@ -15,9 +15,12 @@ from repro.relational.expressions import (
     Like,
     Literal,
     Or,
+    Param,
 )
-from repro.relational.sql import parse, tokenize
+from repro.relational.runtime import columnar_mode, row_mode
+from repro.relational.sql import StatementCacheStats, parse, parse_prepared, tokenize
 from repro.relational.sql.ast import ExistsExpr
+from repro.relational.sql.planner import PLAN_CACHE_SIZE
 from repro.relational.types import DataType
 
 
@@ -335,3 +338,81 @@ class TestExecution:
         assert r.scalar() == 1
         assert r.column("id") == [1]
         assert len(r) == 1
+
+
+# ----------------------------------------------------------------------
+# Late-bound parameters and the statement cache
+# ----------------------------------------------------------------------
+def _small_engine() -> Engine:
+    db = Database("params")
+    table = db.create_table(
+        TableSchema("t", [Column("ID", DataType.INT, True), Column("X", DataType.TEXT)], "ID")
+    )
+    named = {1: "kinase binding", 2: "kinase", 3: "membrane"}
+    # 'kinase' in 10 % of the rows, 'binding' and 'membrane' in 5 %.
+    table.bulk_load([(i, named.get(i, "other")) for i in range(1, 21)])
+    return Engine(db)
+
+
+class TestParameters:
+    def test_cached_plan_never_serves_another_bindings_value(self):
+        """1, True and 1.0 are equal and hash equal, so a cache keyed on
+        the values served the first one's literal to the other two."""
+        engine = _small_engine()
+        sql = "SELECT ID, :v AS v FROM t WHERE ID = 1"
+        answers = [repr(engine.execute(sql, {"v": v}).rows) for v in (1, True, 1.0)]
+        assert answers == ["[(1, 1)]", "[(1, True)]", "[(1, 1.0)]"]
+
+    def test_prepared_parse_keeps_parameters(self):
+        q = parse_prepared(
+            "SELECT a.x, :tag FROM A a WHERE a.x = :v AND a.y IN (:p, 3) FETCH FIRST :k ROWS ONLY"
+        )
+        where = q.cores[0].where
+        assert isinstance(where.items[0].right, Param)
+        assert any(isinstance(o, Param) for o in where.items[1].options)
+        assert isinstance(q.cores[0].items[1].expr, Param)
+        assert isinstance(q.fetch_first, Param) and q.fetch_first.name == "k"
+
+    def test_parameters_everywhere_a_literal_goes(self):
+        engine = _small_engine()
+        sql = (
+            "SELECT ID, :tag AS TAG FROM t WHERE CONTAINS(X, :word) "
+            "AND ID IN (:a, :b) ORDER BY ID DESC LIMIT :k"
+        )
+        binding = {"tag": "hit", "word": "kinase", "a": 1, "b": 2, "k": 1}
+        assert engine.execute(sql, binding).rows == [(2, "hit")]
+        with row_mode():
+            assert engine.execute(sql, binding).rows == [(2, "hit")]
+
+    def test_missing_or_bad_binding_is_an_sql_error(self):
+        engine = _small_engine()
+        with pytest.raises(SqlSyntaxError):
+            engine.execute("SELECT ID FROM t WHERE ID = :v", {})
+        with pytest.raises(SqlSyntaxError):
+            engine.execute("SELECT ID FROM t FETCH FIRST :k ROWS ONLY", {"k": "3"})
+        with pytest.raises(SqlSyntaxError):
+            parse("SELECT a.x FROM A a LIMIT :k", {"k": -1})
+
+    def test_bindings_of_one_class_share_a_plan_but_not_values(self):
+        engine = _small_engine()
+        sql = "SELECT ID FROM t WHERE CONTAINS(X, :word)"
+        with columnar_mode():
+            assert engine.execute(sql, {"word": "kinase"}).rows == [(1,), (2,)]
+            # 'binding' is as selective as 'membrane': a second class.
+            assert engine.execute(sql, {"word": "membrane"}).rows == [(3,)]
+            assert engine.execute(sql, {"word": "binding"}).rows == [(1,)]
+        assert engine.statement_cache_stats() == StatementCacheStats(
+            hits=1, misses=2, texts=1, classes=2, size=PLAN_CACHE_SIZE
+        )
+
+    def test_explain_shows_the_plan_the_binding_executes(self):
+        engine = _small_engine()
+        sql = "SELECT ID FROM t WHERE CONTAINS(X, :word) AND ID = :id"
+        with columnar_mode():
+            first = engine.explain(sql, {"word": "membrane", "id": 3})
+            second = engine.explain(sql, {"word": "binding", "id": 1})
+            assert engine.plan_cache_misses == 1  # one class, one plan
+            assert engine.execute(sql, {"word": "binding", "id": 1}).rows == [(1,)]
+            assert engine.plan_cache_hits == 2
+        assert "'binding'" in second and "'membrane'" not in second
+        assert first.replace("'membrane'", "'binding'").replace("key=3", "key=1") == second

@@ -538,6 +538,7 @@ class TestStats:
             "in_flight",
             "result_cache",
             "plan_cache",
+            "statement_cache",
             "latency",
             "http",
         }
