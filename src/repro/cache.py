@@ -1,13 +1,20 @@
-"""A small thread-safe LRU result cache with hit/miss accounting.
+"""The one thread-safe LRU behind every cache in the repository.
 
-Online topology queries are highly repetitive (the same few entity-pair
-/ constraint combinations dominate real traffic), so a bounded
-most-recently-used cache in front of the engine removes most dispatch
-work.  The cache is deliberately dumb: it never inspects values, and
-consistency is the owner's job (:class:`~repro.service.ServingCore`
-drops the whole cache whenever a new generation is swapped in).
+Four caches are instances of :class:`LRUCache`: the service's result
+cache (:class:`~repro.service.ServingCore`), the topology plan cache
+(:class:`~repro.core.engine.TopologySearchSystem`) and the two levels
+of the SQL engine's statement cache (:class:`~repro.relational.sql.Engine`).
+The cache never inspects values; what makes an entry current is the
+owner's business, expressed through an optional *stamp*.
 
-Every operation — including the ``get`` that both reads the entry *and*
+A ``put`` records the stamp the value was made under; a ``get`` names
+the stamp that is current now.  An entry made under another stamp is
+evicted the moment a lookup finds it — a dead entry must not keep
+occupying capacity where it could push out live ones — and counted as
+one miss and one invalidation.  An owner without a validity notion
+passes no stamp at all.
+
+Every operation — including the ``get`` that reads the entry *and*
 refreshes its recency *and* bumps a counter — holds one internal lock,
 so concurrent readers never corrupt the recency list or lose counter
 updates.
@@ -23,7 +30,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Hashable, Optional
+from typing import Any, Hashable, Optional, Tuple
 
 
 class _MissingType:
@@ -46,13 +53,16 @@ MISSING = _MissingType()
 
 @dataclass(frozen=True)
 class CacheStats:
-    """Counters snapshot: hits/misses accumulate across clears (they
-    describe the service lifetime), size/capacity describe now."""
+    """Counters snapshot: hits/misses/invalidations accumulate across
+    clears (they describe the cache's lifetime), size/capacity describe
+    now.  ``invalidations`` counts stale entries found by a lookup plus
+    clears of a non-empty cache."""
 
     hits: int
     misses: int
     size: int
     capacity: int
+    invalidations: int = 0
 
     @property
     def requests(self) -> int:
@@ -66,7 +76,8 @@ class CacheStats:
 
 
 class LRUCache:
-    """Least-recently-used mapping with bounded capacity.
+    """Least-recently-used mapping with bounded capacity and optional
+    validity stamps (see the module docstring).
 
     Thread-safe: every method takes the internal lock, so the cache can
     sit in front of a shared engine with many reader threads."""
@@ -75,39 +86,49 @@ class LRUCache:
         if capacity < 1:
             raise ValueError(f"cache capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
+        self._entries: "OrderedDict[Hashable, Tuple[Any, Any]]" = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
+        self.invalidations = 0
 
-    def get(self, key: Hashable, default: Any = None) -> Optional[Any]:
-        """The cached value (refreshing its recency), or ``default``.
+    def get(self, key: Hashable, default: Any = None, stamp: Any = None) -> Optional[Any]:
+        """The value cached under ``key`` at ``stamp`` (refreshing its
+        recency), or ``default``.
 
         Pass :data:`MISSING` as ``default`` and compare with ``is`` to
         tell a miss apart from a cached falsy/``None`` value — the
-        presence of the *key* decides hit vs. miss, never the value."""
+        presence of the *key* decides hit vs. miss, never the value.  An
+        entry made under another stamp is evicted and counted as an
+        invalidation before the miss is reported."""
         with self._lock:
-            try:
-                value = self._entries[key]
-            except KeyError:
+            entry = self._entries.get(key)
+            if entry is not None and entry[0] != stamp:
+                del self._entries[key]
+                self.invalidations += 1
+                entry = None
+            if entry is None:
                 self.misses += 1
                 return default
             self._entries.move_to_end(key)
             self.hits += 1
-            return value
+            return entry[1]
 
-    def put(self, key: Hashable, value: Any) -> None:
+    def put(self, key: Hashable, value: Any, stamp: Any = None) -> None:
+        """Cache ``value`` under ``key``, made under ``stamp``."""
         with self._lock:
-            if key in self._entries:
-                self._entries.move_to_end(key)
-            self._entries[key] = value
+            self._entries[key] = (stamp, value)
+            self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
 
     def clear(self) -> None:
-        """Drop every entry (counters are preserved)."""
+        """Drop every entry (counters survive; only clearing a non-empty
+        cache counts as an invalidation)."""
         with self._lock:
-            self._entries.clear()
+            if self._entries:
+                self._entries.clear()
+                self.invalidations += 1
 
     def __len__(self) -> int:
         with self._lock:
@@ -124,4 +145,5 @@ class LRUCache:
                 misses=self.misses,
                 size=len(self._entries),
                 capacity=self.capacity,
+                invalidations=self.invalidations,
             )

@@ -23,7 +23,6 @@ from repro.core.model import ClassSignature, PairTopologies, Topology
 from repro.core.plan import (
     CostCalibrator,
     PlanAlternative,
-    PlanCacheStats,
     PlanClass,
     Planner,
     QueryPlan,
@@ -64,7 +63,6 @@ __all__ = [
     "NoConstraint",
     "PairTopologies",
     "PlanAlternative",
-    "PlanCacheStats",
     "PlanClass",
     "Planner",
     "PruneReport",

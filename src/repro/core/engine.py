@@ -27,16 +27,10 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.biozon.schema import database_to_graph
+from repro.cache import MISSING, CacheStats, LRUCache
 from repro.core.alltops import AllTopsReport, compute_alltops
 from repro.core.model import Topology
-from repro.core.plan import (
-    CostCalibrator,
-    PlanCache,
-    PlanCacheStats,
-    Planner,
-    QueryPlan,
-    work_units,
-)
+from repro.core.plan import CostCalibrator, Planner, QueryPlan, work_units
 from repro.core.pruning import PruneReport, apply_pruning
 from repro.core.query import TopologyQuery
 from repro.core.store import TopologyStore
@@ -112,13 +106,13 @@ class TopologySearchSystem:
         # The plan layer (repro.core.plan): per-strategy cost calibration
         # learned from execution feedback, the planner that applies it,
         # and a plan cache keyed by query class so repeated-shape traffic
-        # skips the optimizer.  The cache invalidates itself when
-        # build_generation moves (like the service's result cache).
+        # skips the optimizer.  Its entries are stamped with
+        # (build_generation, calibrator.version): a rebuild or a material
+        # factor drift retires every plan made before it.
         self.calibrator = CostCalibrator()
         self.planner = Planner(self)
-        self.plan_cache = PlanCache()
+        self.plan_cache = LRUCache(512)
         self.calibration_enabled = True
-        self._plan_generation = self.build_generation
 
     # ------------------------------------------------------------------
     # Offline phase
@@ -358,42 +352,45 @@ class TopologySearchSystem:
     # ------------------------------------------------------------------
     # Plan layer: caching, EXPLAIN, calibration feedback
     # ------------------------------------------------------------------
-    def plan_query(
-        self, query: TopologyQuery, method, with_costs: bool = False
-    ) -> QueryPlan:
+    def plan_query(self, query: TopologyQuery, method) -> QueryPlan:
         """The plan ``method`` should execute for ``query``, served from
         the plan cache when its query class was planned before under the
         current build and calibration state."""
-        self._check_plan_generation()
         plan_class = self.planner.classify(query, method)
-        # One version read serves both the lookup and the store: if the
+        # One stamp read serves both the lookup and the store: if the
         # calibrator drifts while we plan, re-reading at put() would tag
-        # a stale-factored plan as current and the cache's
-        # evict-on-version-mismatch could never catch it.  Tagged with
-        # the pre-planning version, such a plan is simply evicted and
-        # re-planned on the next lookup.
-        version = self.calibrator.version
-        cached = self.plan_cache.get(plan_class, version, require_costed=with_costs)
-        if cached is not None:
-            return cached
-        plan = self.planner.plan_for(method, query, with_costs=with_costs)
-        self.plan_cache.put(plan_class, version, plan)
+        # a stale-factored plan as current and the stamp check could
+        # never catch it.  Tagged with the pre-planning stamp, such a
+        # plan is simply evicted and re-planned on the next lookup.
+        stamp = (self.build_generation, self.calibrator.version)
+        plan = self.plan_cache.get(plan_class, MISSING, stamp)
+        if plan is MISSING:
+            plan = self.planner.plan_for(method, query)
+            self.plan_cache.put(plan_class, plan, stamp)
         return plan
 
     def explain(self, query: TopologyQuery, method: str = "fast-top-k-opt") -> QueryPlan:
         """The plan ``search(query, method)`` would execute, with every
         alternative's estimated and calibrated cost filled in — render
-        it with :meth:`~repro.core.plan.QueryPlan.display`."""
+        it with :meth:`~repro.core.plan.QueryPlan.display`.
+
+        A method that prices its plan on the hot path explains through
+        the plan cache.  The others (``sql``, ``full-top``, ``fast-top``)
+        run one fixed strategy, so a plan costed here, outside the
+        cache, shows what :meth:`search` runs — and no cached plan is
+        ever costed only because EXPLAIN asked."""
         self.validate_query(query)
-        return self.plan_query(query, self.method(method), with_costs=True)
+        instance = self.method(method)
+        if instance.estimates_costs:
+            return self.plan_query(query, instance)
+        return self.planner.plan_for(instance, query, with_costs=True)
 
     def record_plan_observation(self, plan: QueryPlan, work: Dict[str, int]) -> None:
         """Feed one execution's (estimated cost, observed work) pair to
         the calibrator.  Only plans from methods that price their
-        strategy on the hot path contribute — a plan that is costed
-        merely because an EXPLAIN forced estimates must not (its
-        execution regime may not match the estimate's basis)."""
-        if not self.calibration_enabled or not plan.feeds_calibration:
+        strategy on the hot path carry an estimate: EXPLAIN's forced
+        costings never reach the cache, so never an execution."""
+        if not self.calibration_enabled:
             return
         chosen = plan.chosen
         if chosen is None or chosen.estimated_cost is None:
@@ -407,20 +404,16 @@ class TopologySearchSystem:
         """Drop every cached plan (counters survive)."""
         self.plan_cache.clear()
 
-    def plan_cache_stats(self) -> PlanCacheStats:
+    def plan_cache_stats(self) -> CacheStats:
         return self.plan_cache.stats()
 
     def restore_calibration(self, state: Optional[Dict[str, object]]) -> None:
         """Install persisted calibration state (snapshot restore path)
-        and drop plans made under the previous factors."""
+        and drop plans made under the previous factors.  The clear is
+        needed: a restored calibrator can repeat the current version
+        number with different factors, which the stamp cannot see."""
         self.calibrator = CostCalibrator.from_state(state)
         self.invalidate_plans()
-
-    def _check_plan_generation(self) -> None:
-        """Drop cached plans when the store was rebuilt behind them."""
-        if self.build_generation != self._plan_generation:
-            self.plan_cache.clear()
-            self._plan_generation = self.build_generation
 
     # ------------------------------------------------------------------
     # Convenience

@@ -27,10 +27,11 @@ instead of a side effect:
     estimated ratios, so a systematically mispriced strategy stops being
     chosen.  Its ``version`` bumps when a factor drifts materially,
     which lazily invalidates cached plans.
-``PlanCache``
-    A small LRU over ``PlanClass`` keys with hit/miss counters, owned by
-    :class:`~repro.core.engine.TopologySearchSystem` and invalidated by
-    ``build_generation`` (like the result cache in :mod:`repro.service`).
+
+The plan cache itself is a :class:`repro.cache.LRUCache` over
+``PlanClass`` keys owned by
+:class:`~repro.core.engine.TopologySearchSystem`, stamped with the
+build generation and the calibrator version.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from __future__ import annotations
 import math
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.query import (
@@ -189,11 +190,6 @@ class QueryPlan:
     store_pair: Tuple[str, str] = ("", "")
     is_topk: bool = False
     include_pruned_checks: bool = False
-    costed: bool = False
-    # True only for methods that price their strategy on the hot path
-    # (never merely because an EXPLAIN forced costs): gates whether
-    # executions of this plan feed the calibrator.
-    feeds_calibration: bool = False
 
     # ------------------------------------------------------------------
     @property
@@ -435,109 +431,6 @@ class CostCalibrator:
 
 
 # ----------------------------------------------------------------------
-# Plan cache
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class PlanCacheStats:
-    """Counters snapshot for the engine's plan cache."""
-
-    hits: int
-    misses: int
-    size: int
-    capacity: int
-    invalidations: int
-
-    @property
-    def requests(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.requests
-        return self.hits / total if total else 0.0
-
-
-class PlanCache:
-    """LRU of ``PlanClass -> QueryPlan`` with calibrator versioning.
-
-    An entry made under an older calibrator version is a miss (its
-    calibrated costs — and possibly its choice — are stale) and is
-    *evicted on discovery* — a dead entry must not keep occupying LRU
-    capacity, where it could push out plans that are still live — and
-    counted as an invalidation.  The caller re-plans and ``put``\\ s the
-    replacement.
-
-    Thread-safe: one internal lock covers every entry/counter mutation,
-    so concurrent planners never corrupt the recency order or lose
-    counter updates."""
-
-    def __init__(self, capacity: int = 512) -> None:
-        if capacity < 1:
-            raise ValueError(f"plan cache capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._entries: "OrderedDict[PlanClass, Tuple[int, QueryPlan]]" = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.invalidations = 0
-
-    def get(
-        self,
-        plan_class: PlanClass,
-        version: int,
-        require_costed: bool = False,
-    ) -> Optional[QueryPlan]:
-        """The cached plan, or ``None``.  An entry from an older
-        calibrator version is evicted (and ``invalidations`` counted)
-        before reporting the miss.  An uncosted entry when the caller
-        needs costs (EXPLAIN) also misses, but stays resident: it is
-        still a perfectly good hot-path plan, and the caller's costed
-        replacement will overwrite it."""
-        with self._lock:
-            entry = self._entries.get(plan_class)
-            if entry is not None and entry[0] != version:
-                del self._entries[plan_class]
-                self.invalidations += 1
-                entry = None
-            if entry is None or (require_costed and not entry[1].costed):
-                self.misses += 1
-                return None
-            self._entries.move_to_end(plan_class)
-            self.hits += 1
-            return entry[1]
-
-    def put(self, plan_class: PlanClass, version: int, plan: QueryPlan) -> None:
-        with self._lock:
-            if plan_class in self._entries:
-                self._entries.move_to_end(plan_class)
-            self._entries[plan_class] = (version, plan)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-
-    def clear(self) -> None:
-        """Drop every plan (counters survive; only non-empty drops count
-        as invalidations)."""
-        with self._lock:
-            if self._entries:
-                self._entries.clear()
-                self.invalidations += 1
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def stats(self) -> PlanCacheStats:
-        with self._lock:
-            return PlanCacheStats(
-                hits=self.hits,
-                misses=self.misses,
-                size=len(self._entries),
-                capacity=self.capacity,
-                invalidations=self.invalidations,
-            )
-
-
-# ----------------------------------------------------------------------
 # Planner
 # ----------------------------------------------------------------------
 class Planner:
@@ -635,9 +528,6 @@ class Planner:
             store_pair=system.store_entity_pair(query),
             is_topk=bool(method.is_topk),
             include_pruned_checks=include_pruned,
-            costed=costed,
-            feeds_calibration=cost_based
-            or bool(getattr(method, "estimates_costs", False)),
         )
 
     @staticmethod

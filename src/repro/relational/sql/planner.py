@@ -29,11 +29,10 @@ Parameters survive both halves as
 from __future__ import annotations
 
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.cache import MISSING, LRUCache
 from repro.errors import SqlBindError, SqlError, SqlSyntaxError
 from repro.relational.database import Database
 from repro.relational.expressions import (
@@ -670,43 +669,6 @@ class StatementCacheStats:
     size: int
 
 
-class _CacheLevel:
-    """One LRU level of the statement cache.  Each entry carries the
-    :meth:`Database.change_token` it was made under and is served only
-    while the token is current; ``hits`` / ``misses`` count lookups."""
-
-    def __init__(self, lock: threading.Lock) -> None:
-        self._lock = lock
-        self._entries: "OrderedDict[Hashable, Tuple[Tuple, Any]]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, key: Hashable, token: Tuple) -> Any:
-        """The entry under ``key`` made at ``token``, else None."""
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None or entry[0] != token:
-                self.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return entry[1]
-
-    def put(self, key: Hashable, token: Tuple, value: Any) -> None:
-        with self._lock:
-            self._entries[key] = (token, value)
-            self._entries.move_to_end(key)
-            while len(self._entries) > PLAN_CACHE_SIZE:
-                self._entries.popitem(last=False)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
-
 class Engine:
     """Top-level query interface over a :class:`Database`.
 
@@ -732,11 +694,12 @@ class Engine:
       binding that the cost model puts in the same class, and each
       execution builds its operator tree with its own values.
 
-    Each level holds at most :data:`PLAN_CACHE_SIZE` entries, and every
-    entry is validated against :meth:`Database.change_token` before
-    reuse, so any table create/drop or data change invalidates it — a
-    cached plan can never bind to a stale catalog or skip re-running an
-    uncorrelated EXISTS against changed data.  :meth:`explain` resolves
+    Each level is a :class:`repro.cache.LRUCache` of at most
+    :data:`PLAN_CACHE_SIZE` entries stamped with
+    :meth:`Database.change_token`: a lookup evicts an entry made under
+    another token, so any table create/drop or data change invalidates
+    it — a cached plan can never bind to a stale catalog or skip
+    re-running an uncorrelated EXISTS against changed data.  :meth:`explain` resolves
     through the same cache, so it renders the plan that
     :meth:`execute` would run for the binding.
 
@@ -750,9 +713,8 @@ class Engine:
         self.database = database
         self.stats = stats if stats is not None else StatsCatalog(database)
         self.planner = Planner(database, self.stats)
-        self._cache_lock = threading.Lock()
-        self._statements = _CacheLevel(self._cache_lock)
-        self._plans = _CacheLevel(self._cache_lock)
+        self._statements = LRUCache(PLAN_CACHE_SIZE)
+        self._plans = LRUCache(PLAN_CACHE_SIZE)
 
     @property
     def plan_cache_hits(self) -> int:
@@ -763,15 +725,18 @@ class Engine:
         return self._plans.misses
 
     def statement_cache_stats(self) -> StatementCacheStats:
-        """Every statement-cache counter from one lock acquisition."""
-        with self._cache_lock:
-            return StatementCacheStats(
-                hits=self._plans.hits,
-                misses=self._plans.misses,
-                texts=len(self._statements),
-                classes=len(self._plans),
-                size=PLAN_CACHE_SIZE,
-            )
+        """The statement cache's counters, one snapshot per level.  Two
+        acquisitions cannot tear the value: no invariant links ``texts``
+        to ``classes`` — each level evicts on its own — and the lookup
+        counters all come from the plan level's one snapshot."""
+        plans = self._plans.stats()
+        return StatementCacheStats(
+            hits=plans.hits,
+            misses=plans.misses,
+            texts=len(self._statements),
+            classes=plans.size,
+            size=PLAN_CACHE_SIZE,
+        )
 
     def clear_plan_cache(self) -> None:
         self._statements.clear()
@@ -782,15 +747,15 @@ class Engine:
         # plan, the entry is cached under the old token and fails
         # revalidation next time — stale in the safe direction.
         token = self.database.change_token()
-        statement = self._statements.get(sql, token)
-        if statement is None:
+        statement = self._statements.get(sql, MISSING, token)
+        if statement is MISSING:
             statement = self.planner.bind(parse_prepared(sql))
-            self._statements.put(sql, token, statement)
+            self._statements.put(sql, statement, token)
         key = (sql, statement.selectivity_class(self.stats, params))
-        prepared = self._plans.get(key, token)
-        if prepared is None:
+        prepared = self._plans.get(key, MISSING, token)
+        if prepared is MISSING:
             prepared = self.planner.optimize(statement, params)
-            self._plans.put(key, token, prepared)
+            self._plans.put(key, prepared, token)
         return prepared
 
     def _plan(self, sql: str, params: Params) -> PreparedPlan:

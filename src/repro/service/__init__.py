@@ -26,7 +26,7 @@ table, slow-query log — and two front ends supply the execution:
 2
 """
 
-from repro.service.cache import MISSING, CacheStats, LRUCache
+from repro.cache import MISSING, CacheStats, LRUCache
 from repro.service.coordinator import ScatterPlan, ShardCoordinator
 from repro.service.core import (
     DEFAULT_METHOD,

@@ -58,10 +58,10 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
+from repro.cache import MISSING, CacheStats, LRUCache
 from repro.core.engine import TopologySearchSystem
 from repro.core.methods import MethodResult
 from repro.core.methods.base import TRACED_WORK
-from repro.core.plan import PlanCacheStats
 from repro.core.query import TopologyQuery
 from repro.errors import TopologyError
 from repro.relational.sql import StatementCacheStats
@@ -74,7 +74,6 @@ from repro.obs import (
 )
 from repro.obs import span as obs_span
 from repro.obs import tracer as obs_tracer
-from repro.service.cache import MISSING, CacheStats, LRUCache
 
 __all__ = [
     "DEFAULT_METHOD",
@@ -326,7 +325,7 @@ class _Admission(NamedTuple):
     waits: List[Tuple[int, _Flight]]
 
 
-_NO_PLAN_CACHE = PlanCacheStats(hits=0, misses=0, size=0, capacity=0, invalidations=0)
+_NO_PLAN_CACHE = CacheStats(hits=0, misses=0, size=0, capacity=0)
 _NO_STATEMENT_CACHE = StatementCacheStats(hits=0, misses=0, texts=0, classes=0, size=0)
 
 
@@ -361,7 +360,7 @@ class ServingStats:
     restores: int
     in_flight: int
     result_cache: CacheStats
-    plan_cache: PlanCacheStats = _NO_PLAN_CACHE
+    plan_cache: CacheStats = _NO_PLAN_CACHE
     statement_cache: StatementCacheStats = _NO_STATEMENT_CACHE
     shards: Optional[List[Dict[str, Any]]] = None
     uptime_seconds: Optional[float] = None

@@ -21,8 +21,9 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.cache import CacheStats
 from repro.core.methods import METHOD_CLASSES
-from repro.core.plan import PlanCacheStats, QueryPlan
+from repro.core.plan import QueryPlan
 from repro.core.query import (
     AttributeConstraint,
     ConjunctionConstraint,
@@ -33,7 +34,6 @@ from repro.core.query import (
 )
 from repro.core.ranking import RANKING_SCHEMES
 from repro.relational.sql import StatementCacheStats
-from repro.service.cache import CacheStats
 
 __all__ = [
     "MAX_BATCH",
@@ -482,16 +482,8 @@ def _cache_stats_to_wire(stats: CacheStats) -> Dict[str, Any]:
     }
 
 
-def _plan_cache_stats_to_wire(stats: PlanCacheStats) -> Dict[str, Any]:
-    return {
-        "hits": stats.hits,
-        "misses": stats.misses,
-        "requests": stats.requests,
-        "hit_rate": stats.hit_rate,
-        "size": stats.size,
-        "capacity": stats.capacity,
-        "invalidations": stats.invalidations,
-    }
+def _plan_cache_stats_to_wire(stats: CacheStats) -> Dict[str, Any]:
+    return {**_cache_stats_to_wire(stats), "invalidations": stats.invalidations}
 
 
 def _statement_cache_stats_to_wire(stats: StatementCacheStats) -> Dict[str, Any]:

@@ -47,13 +47,13 @@ from typing import (
     Tuple,
 )
 
+from repro.cache import CacheStats
 from repro.core.engine import BuildReport, TopologySearchSystem
 from repro.core.methods import MethodResult
-from repro.core.plan import PlanCacheStats, QueryPlan
+from repro.core.plan import QueryPlan
 from repro.core.query import TopologyQuery
 from repro.errors import TopologyError
 from repro.obs import span as obs_span
-from repro.service.cache import CacheStats
 from repro.service.core import DEFAULT_METHOD, ServingCore, resolve_rebuild_config
 from repro.service.replica import ReplicaPool
 
@@ -472,7 +472,7 @@ class TopologyServer(ServingCore):
     def cache_stats(self) -> CacheStats:
         return self._cache.stats()
 
-    def plan_cache_stats(self) -> PlanCacheStats:
+    def plan_cache_stats(self) -> CacheStats:
         return self._system.plan_cache_stats()
 
     def calibration_stats(self) -> Dict[str, Any]:

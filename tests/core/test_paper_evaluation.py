@@ -14,6 +14,8 @@ the nine methods' agreement (``test_methods_equivalence.py``), Table 1
 
 from __future__ import annotations
 
+import pytest
+
 from repro.analysis import fit_zipf, frequency_table, head_mass
 from repro.biozon import INTERACTION_KEYWORDS, PROTEIN_KEYWORDS
 from repro.core import (
@@ -127,6 +129,31 @@ def test_table2_regular_wins_selective_et_wins_unselective_sql_loses(tiny_system
     sql, full = (tiny_system.search(query, m) for m in ("sql", "full-top"))
     assert sql.tids == full.tids
     assert work(sql) > work(full)  # 468 vs 59
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 2: both Table-2 keywords fall in one decade "
+    "selectivity bucket, so the plan cache serves whichever plan it "
+    "cached first to both cells",
+)
+@pytest.mark.parametrize(
+    "order", [(SELECTIVE, UNSELECTIVE), (UNSELECTIVE, SELECTIVE)],
+    ids=["selective-first", "unselective-first"],
+)
+def test_table2_cached_plans_follow_the_planner_in_either_order(tiny_system, order):
+    """The plan ``fast-top-k-opt`` serves through the plan cache is the
+    one the planner picks for the query, whichever cell arrives first.
+    Today the cache serves ``regular`` to both cells when the selective
+    one comes first and ``et-idgj`` to both otherwise, while the planner
+    picks ``regular`` and ``et-idgj`` respectively."""
+    fresh = rebuilt(tiny_system, PAIRS, max_length=3)
+    fresh.calibration_enabled = False
+    opt = fresh.method("fast-top-k-opt")
+    for cell in order:
+        query = pi_query(cell, cell, k=10, ranking="freq")
+        served = fresh.search(query, "fast-top-k-opt").plan.strategy
+        assert served == fresh.planner.plan_for(opt, query).strategy, cell
 
 
 def test_vary_k_probes_grow_with_k_and_instances_with_frequency(tiny_system):

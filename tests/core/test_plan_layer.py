@@ -22,7 +22,6 @@ from repro.core.plan import (
     ET_STRATEGIES,
     STRATEGY_PER_TOPOLOGY,
     STRATEGY_REGULAR,
-    PlanCache,
     constraint_structure,
     k_bucket,
     selectivity_bucket,
@@ -132,32 +131,6 @@ class TestPlanCacheBehaviour:
         system.search(query, "fast-top-k-opt")
         assert system.plan_cache_stats().invalidations > invalidations
 
-    def test_lru_semantics(self):
-        from repro.core.plan import PlanClass, QueryPlan
-
-        def cls(tag):
-            return PlanClass(
-                method=tag, strategies=("regular",), entity1="A", entity2="B",
-                shape1=("all",), shape2=("all",), max_length=3,
-                k_bucket=0, ranking="freq",
-            )
-
-        def plan(tag):
-            return QueryPlan(
-                method=tag, strategy="regular", plan_class=cls(tag), alternatives=(),
-            )
-
-        cache = PlanCache(capacity=2)
-        cache.put(cls("a"), 0, plan("a"))
-        cache.put(cls("b"), 0, plan("b"))
-        assert cache.get(cls("a"), 0) is not None
-        cache.put(cls("c"), 0, plan("c"))      # evicts "b" (LRU)
-        assert cache.get(cls("b"), 0) is None
-        # A stale calibrator version is a miss, not a hit.
-        assert cache.get(cls("a"), 1) is None
-        with pytest.raises(ValueError):
-            PlanCache(capacity=0)
-
 
 class TestExplain:
     @pytest.mark.parametrize("method", ALL_METHOD_NAMES)
@@ -173,7 +146,8 @@ class TestExplain:
         text = plan.display(query)
         assert method in text
         assert "operator tree" in text
-        assert plan.costed  # explain always prices what it can
+        # Explain prices what it can: everything but the per-topology plan.
+        assert plan.has_costs is (method != "sql")
 
     def test_explain_shows_all_opt_alternatives(self, tiny_system):
         plan = tiny_system.explain(make_query(), "fast-top-k-opt")
@@ -276,16 +250,41 @@ class TestCalibrationFeedbackLoop:
         )
 
     def test_explain_forced_costs_do_not_feed_calibration(self, fresh_system):
-        """A costed plan cached by EXPLAIN for a non-estimating method
-        must not start contributing observations on later executions."""
+        """EXPLAIN of a method that does not price its plan on the hot
+        path costs the plan outside the cache: the plan shows costs, the
+        cache does not move, and the next execution — planned uncosted
+        — feeds the calibrator nothing."""
         query = TopologyQuery(
             "Protein", "DNA",
             KeywordConstraint("DESC", "human"), NoConstraint(),
         )
+
+        def counters():
+            stats = fresh_system.plan_cache_stats()
+            return stats.hits, stats.misses, stats.size
+
+        before = counters()
         plan = fresh_system.explain(query, "fast-top")
-        assert plan.costed and not plan.feeds_calibration
-        fresh_system.search(query, "fast-top")  # reuses the costed plan
+        assert plan.estimated_cost is not None
+        assert counters() == before
+        fresh_system.search(query, "fast-top")
         assert fresh_system.calibrator.observation_count() == 0
+
+    def test_restoring_the_same_version_still_drops_plans(self, fresh_system):
+        """A restored calibrator can repeat the current version number
+        with different factors, which the (generation, version) stamp
+        cannot tell apart: ``restore_calibration`` must clear the plan
+        cache itself."""
+        query = TopologyQuery(
+            "Protein", "DNA",
+            KeywordConstraint("DESC", "human"), NoConstraint(), k=4,
+        )
+        fresh_system.search(query, "fast-top-k-opt")
+        state = fresh_system.calibrator.export_state()
+        assert state["version"] == fresh_system.calibrator.version
+        assert fresh_system.plan_cache_stats().size == 1
+        fresh_system.restore_calibration(state)
+        assert fresh_system.plan_cache_stats().size == 0
 
     def test_calibration_can_be_disabled(self, fresh_system):
         fresh_system.calibration_enabled = False

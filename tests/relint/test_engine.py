@@ -157,7 +157,7 @@ class TestLiveTree:
 
     def test_live_tree_is_clean(self):
         violations, checked = lint_paths(
-            [str(REPO / part) for part in ("src", "tests", "benchmarks", "examples")]
+            [str(REPO / part) for part in ("src", "tests", "benchmarks", "examples", "bench")]
         )
         assert [v.render() for v in violations] == []
         assert checked > 150

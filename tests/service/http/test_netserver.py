@@ -10,6 +10,8 @@ import socket
 from typing import BinaryIO, List, NamedTuple, Tuple
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.service.http import HttpServerThread, TestClient, create_app
 
@@ -59,7 +61,8 @@ def request_bytes(verb: str, path: str, body: bytes = b"", version="HTTP/1.1"):
 @pytest.fixture()
 def serve():
     """``serve(app)`` starts a server and returns ``connect() -> (socket,
-    buffered reader)``."""
+    buffered reader)``; ``connect.unhandled`` is what the loop's
+    exception handler has recorded so far."""
     threads: list = []
     sockets: list = []
     unhandled: list = []
@@ -75,6 +78,7 @@ def serve():
             sockets.append(sock)
             return sock, sock.makefile("rb")
 
+        connect.unhandled = unhandled
         return connect
 
     try:
@@ -213,3 +217,85 @@ class TestRequestsThatCannotBeFramed:
         assert error["code"] == "invalid_request"
         assert "65536" in error["message"]
         assert stream.read(1) == b""  # the server closed
+
+
+_HEADER_NAME = st.text(
+    st.characters(min_codepoint=33, max_codepoint=126, exclude_characters=":"),
+    min_size=1, max_size=20,
+)
+_HEADER_VALUE = st.text(st.characters(min_codepoint=0, max_codepoint=255), max_size=40)
+_HEADER = st.one_of(
+    st.tuples(_HEADER_NAME, _HEADER_VALUE),
+    st.tuples(st.sampled_from(["Connection", "Transfer-Encoding", "Host"]), _HEADER_VALUE),
+    # Signs, underscores and padding are what int() accepts and a
+    # Content-Length must not.
+    st.tuples(st.just("Content-Length"), st.from_regex(r"[ +\-]?[0-9_]{1,4}", fullmatch=True)),
+)
+_REQUEST_LINE = st.sampled_from([
+    b"GET /healthz HTTP/1.1",
+    b"GET /healthz HTTP/1.0",
+    b"POST /query HTTP/1.1",
+    b"POST /query_many HTTP/1.1",
+    b"POST /explain HTTP/1.1",
+    b"GET /stats?x=1 HTTP/1.1",
+])
+
+
+@st.composite
+def _framed_request(draw) -> bytes:
+    headers = draw(st.lists(_HEADER, max_size=6))
+    head = draw(_REQUEST_LINE) + b"".join(
+        b"\r\n" + f"{name}: {value}".encode("latin-1") for name, value in headers
+    )
+    return head + b"\r\n\r\n" + draw(st.binary(max_size=300))
+
+
+# Arbitrary bytes, with the delimiters the parser splits on mixed in so
+# that heads actually end and get parsed.
+_RAW = st.lists(
+    st.one_of(st.binary(max_size=40), st.sampled_from([b"\r\n", b"\r\n\r\n", b" ", b":"])),
+    max_size=20,
+).map(b"".join)
+
+_FUZZ = settings(
+    deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+class TestWireFuzz:
+    """Crash-freedom of the request parser over untrusted bytes: whatever
+    arrives on a connection, the loop's exception handler sees nothing
+    and the same server still answers ``GET /healthz``.  Run with
+    ``--hypothesis-profile ci`` for a deeper sweep."""
+
+    @staticmethod
+    def exchange(connect, raw: bytes) -> None:
+        sock, stream = connect()
+        try:
+            sock.sendall(raw)
+            sock.shutdown(socket.SHUT_WR)
+            while stream.read(65536):
+                pass  # whatever the answer, the server must end it
+        except ConnectionError:
+            pass  # closing with request bytes unread resets the connection
+        finally:
+            stream.close()
+            sock.close()
+        sock, stream = connect()
+        try:
+            sock.sendall(request_bytes("GET", "/healthz"))
+            assert read_response(stream).status == 200
+        finally:
+            stream.close()
+            sock.close()
+        assert connect.unhandled == []
+
+    @_FUZZ
+    @given(raw=_RAW)
+    def test_raw_bytes(self, wire, raw):
+        self.exchange(wire, raw)
+
+    @_FUZZ
+    @given(raw=_framed_request())
+    def test_request_line_then_random_headers_and_body(self, wire, raw):
+        self.exchange(wire, raw)

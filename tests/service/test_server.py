@@ -1,6 +1,7 @@
 """TopologyServer: hot rebuild, single-flight, batching — plus the
-cache/stats bugfix pins (sentinel misses, plan-cache eviction,
-nearest-rank percentiles)."""
+stats bugfix pins (nearest-rank percentiles, one-acquisition
+snapshots).  The cache pins (sentinel misses, stale-entry eviction)
+are ``tests/test_cache.py``."""
 
 from __future__ import annotations
 
@@ -15,11 +16,10 @@ from repro.core import (
     TopologyQuery,
     TopologySearchSystem,
 )
-from repro.core.plan import PlanAlternative, PlanCache, PlanClass, QueryPlan
 from repro.errors import TopologyError
 from repro.obs import span as obs_span
 from repro.obs import tracer as obs_tracer
-from repro.service import MISSING, LatencyStats, LRUCache, TopologyServer
+from repro.service import LatencyStats, TopologyServer
 
 
 def make_query(keyword: str = "kinase", k: int = 4, ranking: str = "rare"):
@@ -42,97 +42,6 @@ def server(tiny_system):
 # ----------------------------------------------------------------------
 # Bugfix pins
 # ----------------------------------------------------------------------
-class TestCacheSentinel:
-    """A cached falsy/None value is a hit, not a miss (the old ``get``
-    returned ``None`` for both, so empty results were re-executed and
-    counted as misses forever)."""
-
-    def test_cached_none_is_a_hit(self):
-        cache = LRUCache(capacity=4)
-        cache.put("k", None)
-        assert cache.get("k", MISSING) is None
-        stats = cache.stats()
-        assert (stats.hits, stats.misses) == (1, 0)
-
-    def test_cached_empty_values_are_hits(self):
-        cache = LRUCache(capacity=4)
-        for i, value in enumerate(([], 0, "", ())):
-            cache.put(i, value)
-        for i, value in enumerate(([], 0, "", ())):
-            assert cache.get(i, MISSING) == value
-        assert cache.stats().hits == 4
-        assert cache.stats().misses == 0
-
-    def test_miss_returns_the_default(self):
-        cache = LRUCache(capacity=4)
-        assert cache.get("absent", MISSING) is MISSING
-        assert cache.get("absent") is None  # relint: disable=R3 (asserting the documented None default itself)
-        assert cache.stats().misses == 2
-
-    def test_sentinel_is_falsy_and_unique(self):
-        assert not MISSING
-        assert MISSING is not None
-
-
-class TestPlanCacheEviction:
-    """A stale-version entry is evicted on discovery and counted as an
-    invalidation — it must not keep occupying LRU capacity where it can
-    push out live plans."""
-
-    @staticmethod
-    def plan_class(tag: str) -> PlanClass:
-        return PlanClass(
-            method="m",
-            strategies=("regular",),
-            entity1="A",
-            entity2=tag,
-            shape1=("all", 0),
-            shape2=("all", 0),
-            max_length=3,
-            k_bucket=0,
-            ranking="rare",
-        )
-
-    @classmethod
-    def plan_for(cls, tag: str) -> QueryPlan:
-        return QueryPlan(
-            method="m",
-            strategy="regular",
-            plan_class=cls.plan_class(tag),
-            alternatives=(PlanAlternative("regular", None, 1.0),),
-        )
-
-    def test_stale_version_entry_is_evicted(self):
-        cache = PlanCache(capacity=4)
-        pc = self.plan_class("B")
-        cache.put(pc, 0, self.plan_for("B"))
-        assert cache.get(pc, 1) is None  # version moved on
-        stats = cache.stats()
-        assert stats.misses == 1
-        assert stats.invalidations == 1
-        assert stats.size == 0  # the dead entry is gone, not resident
-
-    def test_dead_entry_no_longer_evicts_live_plans(self):
-        cache = PlanCache(capacity=2)
-        stale, live = self.plan_class("stale"), self.plan_class("live")
-        cache.put(stale, 0, self.plan_for("stale"))
-        cache.put(live, 1, self.plan_for("live"))
-        assert cache.get(stale, 1) is None  # discovery evicts the corpse
-        cache.put(self.plan_class("new"), 1, self.plan_for("new"))
-        # Before the fix the resident corpse made this put evict "live".
-        assert cache.get(live, 1) is not None
-        assert cache.stats().size == 2
-
-    def test_uncosted_entry_misses_but_stays_resident(self):
-        cache = PlanCache(capacity=4)
-        pc = self.plan_class("B")
-        cache.put(pc, 3, self.plan_for("B"))  # costed=False plan
-        assert cache.get(pc, 3, require_costed=True) is None
-        assert cache.stats().invalidations == 0
-        assert cache.stats().size == 1  # still a fine hot-path plan
-        assert cache.get(pc, 3) is not None
-
-
 class TestNearestRankPercentile:
     """percentile() is the explicit nearest rank ceil(q/100 * n), not
     ``int(round(...))`` whose banker's rounding shifted p50 of an

@@ -1,5 +1,6 @@
-"""The single-caller serving contract of :class:`TopologyServer`: LRU
-caching, invalidation, batching, latency, plan visibility."""
+"""The single-caller serving contract of :class:`TopologyServer`: result
+caching, invalidation, batching, latency, plan visibility (the LRU
+itself is ``tests/test_cache.py``)."""
 
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from repro.core import (
     TopologyQuery,
     TopologySearchSystem,
 )
-from repro.service import CacheStats, LRUCache, TopologyServer
+from repro.service import TopologyServer
 
 
 def make_query(keyword: str = "kinase", k: int = 4, ranking: str = "rare"):
@@ -34,41 +35,6 @@ def mutable_system():
     system = TopologySearchSystem(ds.database, ds.graph())
     system.build([("Protein", "DNA")], max_length=3)
     return system
-
-
-class TestLRUCache:
-    def test_put_get_and_counters(self):
-        cache = LRUCache(capacity=2)
-        assert cache.get("a") is None  # relint: disable=R3 (asserting the documented None default for a fresh cache)
-        cache.put("a", 1)
-        assert cache.get("a") == 1
-        stats = cache.stats()
-        assert (stats.hits, stats.misses, stats.size) == (1, 1, 1)
-        assert stats.hit_rate == 0.5
-
-    def test_eviction_is_least_recently_used(self):
-        cache = LRUCache(capacity=2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.get("a")          # refresh "a": "b" is now LRU
-        cache.put("c", 3)
-        assert "a" in cache and "c" in cache
-        assert "b" not in cache
-
-    def test_clear_preserves_counters(self):
-        cache = LRUCache(capacity=4)
-        cache.put("a", 1)
-        cache.get("a")
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.stats().hits == 1
-
-    def test_capacity_validation(self):
-        with pytest.raises(ValueError):
-            LRUCache(capacity=0)
-
-    def test_idle_hit_rate(self):
-        assert CacheStats(hits=0, misses=0, size=0, capacity=1).hit_rate == 0.0
 
 
 class TestServiceCaching:
