@@ -1,20 +1,16 @@
-"""Concurrent serving benchmark: ``query_many`` throughput by mode.
+"""Concurrent serving benchmark: ``query_many`` throughput, serial vs
+replica processes.
 
 The one measurement anywhere of :meth:`TopologyServer.query_many
-<repro.service.TopologyServer.query_many>`'s ``mode="thread"`` and
-``mode="process"`` (no ``python3 -m bench`` workload covers them yet;
-ROADMAP item 6(c) decides which mode stays from this number).  The same
-cache-busting workload (every query distinct, so engine executions
-dominate — the hard case for scaling) runs single-threaded, over the
-thread pool, and over warm replica processes.  The >= 2x floor at 4
-workers is enforced where 2x is physically reachable: a machine with
->= 4 cores, using the replica-process path on a GIL interpreter (GIL
-threads *interleave* pure-Python work — they provide concurrency, not
-speedup — so on a stock build the floor additionally applies to
-thread mode only when the interpreter is free-threaded).  The server
-sizes the replica pool from the machine — ``min(WORKERS, max(2,
-cores))`` processes — so below 4 cores ``WORKERS`` is only the thread
-width.
+<repro.service.TopologyServer.query_many>`'s ``mode="process"`` (no
+``python3 -m bench`` workload covers it yet; ROADMAP item 5(c) decides
+from this number whether the mode stays).  The same cache-busting
+workload (every query distinct, so engine executions dominate — the
+hard case for scaling) runs serially on one thread and over warm
+replica processes.  The >= 2x floor at 4 workers is enforced where 2x
+is physically reachable: a machine with >= 4 cores.  The server sizes
+the replica pool from the machine — ``min(WORKERS, max(2, cores))``
+processes.
 
 Machine-readable results land in ``BENCH_concurrent.json`` at the repo
 root so the trajectory is tracked across PRs.
@@ -23,7 +19,6 @@ root so the trajectory is tracked across PRs.
 from __future__ import annotations
 
 import os
-import sys
 import time
 from typing import List
 
@@ -35,16 +30,11 @@ from benchmarks.common import emit, emit_json, private_system
 
 WORKERS = 4
 THROUGHPUT_SCALING_FLOOR = 2.0
-THREAD_OVERHEAD_FLOOR = 0.3  # GIL thread mode must stay within 1/0.3x of serial
 
 KEYWORDS = [
     "kinase", "binding", "human", "putative", "conserved", "receptor",
     "membrane", "transcription",
 ]
-
-
-def _gil_enabled() -> bool:
-    return getattr(sys, "_is_gil_enabled", lambda: True)()
 
 
 def _parallel_capable() -> bool:
@@ -91,16 +81,9 @@ def test_read_heavy_throughput_scales(benchmark):
     # -- Serial baseline: one thread, cold caches -----------------------
     with _fresh_server() as server:
         start = time.perf_counter()
-        serial_results = [server.query(q) for q in workload]
+        serial_results = server.query_many(workload)
         serial_seconds = time.perf_counter() - start
     oracle = [r.tids for r in serial_results]
-
-    # -- Thread pool: shared engine, 4 workers --------------------------
-    with _fresh_server() as server:
-        start = time.perf_counter()
-        thread_results = server.query_many(workload, parallel=WORKERS)
-        thread_seconds = time.perf_counter() - start
-    assert [r.tids for r in thread_results] == oracle
 
     # -- Replica processes: 4 warm replicas -----------------------------
     with _fresh_server() as server:
@@ -118,28 +101,17 @@ def test_read_heavy_throughput_scales(benchmark):
     assert [r.tids for r in process_results] == oracle
 
     serial_qps = _throughput(serial_seconds, len(workload))
-    thread_qps = _throughput(thread_seconds, len(workload))
     process_qps = _throughput(process_seconds, len(workload))
-    thread_scaling = thread_qps / serial_qps
     process_scaling = process_qps / serial_qps
 
     cores = os.cpu_count() or 1
     enforce_process = _parallel_capable()
-    enforce_thread = _parallel_capable() and not _gil_enabled()
     emit(
         "concurrent_throughput",
         render_table(
             ["mode", "queries/s", "vs serial", "floor"],
             [
                 ["serial (1 thread)", f"{serial_qps:.1f}", "1.00x", "-"],
-                [
-                    f"threads ({WORKERS})",
-                    f"{thread_qps:.1f}",
-                    f"{thread_scaling:.2f}x",
-                    f">={THROUGHPUT_SCALING_FLOOR:.0f}x"
-                    if enforce_thread
-                    else f">={THREAD_OVERHEAD_FLOOR:.1f}x (GIL interleaves)",
-                ],
                 [
                     f"replica processes ({WORKERS})",
                     f"{process_qps:.1f}",
@@ -151,7 +123,7 @@ def test_read_heavy_throughput_scales(benchmark):
             ],
             title=(
                 f"Read-heavy throughput, {len(workload)} distinct queries "
-                f"({cores} cores, GIL {'on' if _gil_enabled() else 'off'})"
+                f"({cores} cores)"
             ),
         ),
     )
@@ -162,15 +134,11 @@ def test_read_heavy_throughput_scales(benchmark):
                 "workload_queries": len(workload),
                 "workers": WORKERS,
                 "cores": cores,
-                "gil_enabled": _gil_enabled(),
                 "serial_qps": serial_qps,
-                "thread_qps": thread_qps,
                 "process_qps": process_qps,
-                "thread_scaling": thread_scaling,
                 "process_scaling": process_scaling,
                 "scaling_floor": THROUGHPUT_SCALING_FLOOR,
                 "floor_enforced_process": enforce_process,
-                "floor_enforced_thread": enforce_thread,
             }
         },
     )
@@ -179,16 +147,4 @@ def test_read_heavy_throughput_scales(benchmark):
             f"replica fan-out must reach >={THROUGHPUT_SCALING_FLOOR}x serial "
             f"throughput at {WORKERS} workers on {cores} cores; got "
             f"{process_scaling:.2f}x ({serial_qps:.1f} -> {process_qps:.1f} q/s)"
-        )
-    if enforce_thread:
-        assert thread_scaling >= THROUGHPUT_SCALING_FLOOR, (
-            f"free-threaded build: thread pool must reach "
-            f">={THROUGHPUT_SCALING_FLOOR}x; got {thread_scaling:.2f}x"
-        )
-    else:
-        # Even when the GIL forbids speedup, coordination overhead must
-        # stay bounded: threads may interleave, not collapse.
-        assert thread_scaling >= THREAD_OVERHEAD_FLOOR, (
-            f"thread-pool coordination overhead too high: "
-            f"{thread_scaling:.2f}x of serial throughput"
         )

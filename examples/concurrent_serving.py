@@ -11,8 +11,10 @@ Biozon instance:
 3. a hot rebuild — the next generation builds on a cloned base while
    traffic keeps flowing, then swaps in; results are stamped with the
    generation that produced them;
-4. a parallel batch — ``query_many(parallel=...)`` groups the workload
-   by plan class so the optimizer runs once per class, not per query.
+4. batches — ``query_many(batch)`` runs query by query on the caller's
+   thread, planning once per class through the plan cache;
+   ``query_many(batch, parallel=2, mode="process")`` deals the batch
+   over warm replica processes, the way past the GIL.
 
 Run:  python examples/concurrent_serving.py
 """
@@ -97,16 +99,27 @@ def main() -> None:
             f"{before.tids == after.tids}"
         )
 
-        # 4. Parallel batch, grouped by plan class.
+        # 4. Batches: serial on this thread, then over replica processes.
+        batch = workload * 3
+        server.invalidate()
         plan_before = server.plan_cache_stats()
-        results = server.query_many(workload * 3, parallel=4)
+        serial = server.query_many(batch)
         plan_after = server.plan_cache_stats()
-        print("\n=== query_many(parallel=4), 18 queries ===")
+        print("\n=== query_many(batch), 18 queries ===")
         print(
-            f"results={len(results)} plan lookups="
-            f"{plan_after.requests - plan_before.requests} "
-            f"(plan-class grouping amortizes the optimizer)"
+            f"results={len(serial)} plan lookups="
+            f"{plan_after.requests - plan_before.requests} plan hits="
+            f"{plan_after.hits - plan_before.hits} "
+            f"(one execution per distinct query, one plan per class)"
         )
+        server.invalidate()
+        replicated = server.query_many(batch, parallel=2, mode="process")
+        print('\n=== query_many(batch, parallel=2, mode="process") ===')
+        print(
+            f"results={len(replicated)} answers match serial: "
+            f"{[r.tids for r in replicated] == [r.tids for r in serial]}"
+        )
+        assert [r.tids for r in replicated] == [r.tids for r in serial]
         print(f"final generation: {server.generation}")
 
 

@@ -27,6 +27,18 @@ from repro.relational.sql.tokens import SqlParams, sql_value
 TRACED_WORK = ("pruned_checks", "pruned_checks_proved_empty", "groups_probed")
 
 
+def rank_scored(
+    scored: Dict[int, float], k: Optional[int]
+) -> Tuple[List[int], List[float]]:
+    """Order a tid -> score map (score desc, tid desc on ties) and cut at
+    ``k``: the ranking every scored answer follows, including a sharded
+    one merged from per-shard score maps."""
+    ordered = sorted(scored.items(), key=lambda kv: (-kv[1], -kv[0]))
+    if k is not None:
+        ordered = ordered[:k]
+    return [t for t, _ in ordered], [s for _, s in ordered]
+
+
 @dataclass
 class MethodResult:
     """One query evaluation's outcome.
@@ -183,10 +195,3 @@ class Method:
             f"{topinfo_alias}.ES1 = {sql_value(es1, params)} "
             f"AND {topinfo_alias}.ES2 = {sql_value(es2, params)}"
         )
-
-    def _rank(self, scored: Dict[int, float], k: Optional[int]) -> Tuple[List[int], List[float]]:
-        """Order (score desc, tid desc) and cut at k."""
-        ordered = sorted(scored.items(), key=lambda kv: (-kv[1], -kv[0]))
-        if k is not None:
-            ordered = ordered[:k]
-        return [t for t, _ in ordered], [s for _, s in ordered]

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from repro.core.methods.base import Method
+from repro.core.methods.base import Method, rank_scored
 from repro.core.methods.pruned import Endpoints, PrunedChecks
 from repro.core.model import Topology
 from repro.core.pathsql import multi_chain_fragments
@@ -108,4 +108,4 @@ class FastTopMethod(Method):
             return tids, None
         store = self.system.require_store()
         scored = {t: store.topology(t).scores[query.ranking] for t in tids}
-        return self._rank(scored, query.k)
+        return rank_scored(scored, query.k)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from repro.core.methods.base import Method
+from repro.core.methods.base import Method, rank_scored
 from repro.core.plan import QueryPlan
 from repro.core.query import TopologyQuery
 from repro.relational.sql.tokens import SqlParams
@@ -45,4 +45,4 @@ class FullTopMethod(Method):
             return tids, None
         store = self.system.require_store()
         scored = {t: store.topology(t).scores[query.ranking] for t in tids}
-        return self._rank(scored, query.k)
+        return rank_scored(scored, query.k)

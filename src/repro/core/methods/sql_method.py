@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from repro.core.methods.base import Method
+from repro.core.methods.base import Method, rank_scored
 from repro.core.model import Topology
 from repro.core.pathsql import multi_chain_fragments
 from repro.core.plan import STRATEGY_PER_TOPOLOGY, QueryPlan
@@ -91,4 +91,4 @@ class SqlMethod(Method):
             return found, None
         store = self.system.require_store()
         scored = {t: store.topology(t).scores[query.ranking] for t in found}
-        return self._rank(scored, query.k)
+        return rank_scored(scored, query.k)

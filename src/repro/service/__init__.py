@@ -8,8 +8,8 @@ table, slow-query log — and two front ends supply the execution:
 :class:`TopologyServer`
     The core over one shared local engine: generation hot-swap rebuilds
     (traffic keeps flowing while the next generation builds on a
-    clone) and plan-class-grouped parallel ``query_many`` over thread
-    or replica-process pools.
+    clone) and ``query_many`` batches, run serially on the caller's
+    thread or fanned out over warm replica processes.
 
 :class:`ShardCoordinator`
     The core over a *sharded* store (:mod:`repro.shard`): one warm
@@ -27,7 +27,7 @@ table, slow-query log — and two front ends supply the execution:
 """
 
 from repro.cache import MISSING, CacheStats, LRUCache
-from repro.service.coordinator import ScatterPlan, ShardCoordinator
+from repro.service.coordinator import ShardCoordinator
 from repro.service.core import (
     DEFAULT_METHOD,
     LatencyStats,
@@ -45,7 +45,6 @@ __all__ = [
     "LatencyStats",
     "MISSING",
     "ReadWriteLock",
-    "ScatterPlan",
     "ServingCore",
     "ServingStats",
     "ShardCoordinator",

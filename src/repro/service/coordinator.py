@@ -25,12 +25,9 @@ from the merge:
   scores (TopInfo is replicated), so each shard's local top-k is the
   restriction of the global top-k order to its rows; the merge unions
   the score maps, re-ranks with the engine's own ordering
-  (score desc, tid desc) and cuts at k — identical to the unsharded
-  answer, as the equality tests assert method by method.
-
-The scatter *plan* — which merge applies, driven by the method's
-declared shape — is computed once per query class and memoized; per
-query, only the fan-out and merge run.
+  (:func:`~repro.core.methods.base.rank_scored`: score desc, tid desc)
+  and cuts at k — identical to the unsharded answer, as the equality
+  tests assert method by method.
 
 **Failure modes are loud.**  A dead or wedged shard worker surfaces as
 :class:`~repro.errors.ShardUnavailableError` after its reply deadline
@@ -56,10 +53,10 @@ import shutil
 import tempfile
 import threading
 import time
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.methods import METHOD_CLASSES, MethodResult
+from repro.core.methods.base import rank_scored
 from repro.core.plan import QueryPlan
 from repro.core.query import TopologyQuery
 from repro.errors import ShardError, ShardUnavailableError, TopologyError
@@ -73,23 +70,9 @@ from repro.shard.manifest import ShardManifest, read_manifest
 if TYPE_CHECKING:  # imported lazily at runtime inside rebuild()
     from repro.core.engine import BuildReport
 
-__all__ = ["ScatterPlan", "ShardCoordinator"]
+__all__ = ["ShardCoordinator"]
 
 _LOG = logging.getLogger("repro.shard")
-
-
-@dataclass(frozen=True)
-class ScatterPlan:
-    """How answers from the shards merge for one query class.
-
-    ``ranked`` mirrors the method's declared shape (``Method.is_topk``):
-    ranked methods merge by global-score re-rank + cut, exhaustive ones
-    by sorted set union.  An exhaustive method still merges ranked for
-    an individual query that carries a top-k cut-off (see
-    :meth:`ShardCoordinator._merge`)."""
-
-    method: str
-    ranked: bool
 
 
 class ShardCoordinator(ServingCore):
@@ -124,7 +107,6 @@ class ShardCoordinator(ServingCore):
         self._start_method = start_method
         self._manifest = manifest
         self._writer_mutex = threading.Lock()
-        self._scatter_plans: Dict[str, ScatterPlan] = {}
         self._shard_counters: List[Dict[str, int]] = [
             {"calls": 0, "failures": 0, "timeouts": 0}
             for _ in range(manifest.count)
@@ -207,21 +189,6 @@ class ShardCoordinator(ServingCore):
         return self._manifest
 
     # ------------------------------------------------------------------
-    # Scatter planning
-    # ------------------------------------------------------------------
-    def scatter_plan(self, method: Optional[str] = None) -> ScatterPlan:
-        """The (memoized) merge plan for a method's query class."""
-        name = (method or self.default_method).lower()
-        plan = self._scatter_plans.get(name)
-        if plan is None:
-            cls = METHOD_CLASSES.get(name)
-            if cls is None:
-                raise TopologyError(f"unknown method {name!r}")
-            plan = ScatterPlan(method=name, ranked=cls.is_topk)
-            self._scatter_plans[name] = plan
-        return plan
-
-    # ------------------------------------------------------------------
     # Query execution
     # ------------------------------------------------------------------
     def query(
@@ -286,7 +253,8 @@ class ShardCoordinator(ServingCore):
         Any shard failing (dead worker, reply deadline) aborts the
         whole call — never a partial merge.  Runs under the request's
         read lease, so ``_backends`` is ``generation``'s set."""
-        plan = self.scatter_plan(name)
+        if name not in METHOD_CLASSES:  # before any shard sees the call
+            raise TopologyError(f"unknown method {name!r}")
         backends = self._backends
         if not backends:
             raise TopologyError("coordinator is closed")
@@ -319,54 +287,44 @@ class ShardCoordinator(ServingCore):
                     f"query {index} got {len(parts)} partial answers "
                     f"from {len(backends)} shards"
                 )
-            merged.append(self._merge(plan, queries[index], parts))
+            merged.append(self._merge(queries[index], parts))
         return merged
 
     @staticmethod
     def _merge(
-        plan: ScatterPlan,
-        query: TopologyQuery,
-        parts: Sequence[MethodResult],
+        query: TopologyQuery, parts: Sequence[MethodResult]
     ) -> MethodResult:
         """Merge per-shard partial answers into the global answer.
 
-        Ranked merge re-applies the engine's own ordering — score
-        descending, tid descending on ties, cut at k (``Method._rank``)
-        — over the union of the shards' global-score maps.  Exhaustive
-        merge unions the routed tid subsets and sorts ascending, the
-        exhaustive methods' output order.
-
-        Which merge applies follows the *result* shape, not just the
-        method class: the exhaustive methods rank-and-cut too when the
-        query carries a ``k`` (they score the found set with the same
-        global TopInfo scores), so any query with ``k`` set merges
-        ranked."""
-        if plan.ranked or query.k is not None:
+        Scored parts merge ranked: the union of the shards' global-score
+        maps, ordered and cut at ``query.k`` by the engine's own rule
+        (:func:`~repro.core.methods.base.rank_scored`).  Which merge
+        applies follows the *result* shape, not the method class: the
+        exhaustive methods score too when the query carries a ``k``.
+        Unscored parts union the routed tid subsets and sort ascending,
+        the exhaustive methods' output order.  Shards that disagree on
+        the shape are a broken set, never a merge."""
+        scored_parts = sum(part.scores is not None for part in parts)
+        if scored_parts not in (0, len(parts)):
+            raise ShardError(
+                f"{scored_parts} of {len(parts)} shards returned scores "
+                f"for one {parts[0].method} query"
+            )
+        scores: Optional[List[float]]
+        if scored_parts:
             scored: Dict[int, float] = {}
             for part in parts:
-                if part.scores is None:  # pragma: no cover - defensive
-                    raise ShardError(
-                        f"ranked method {plan.method} returned no scores"
-                    )
-                for tid, score in zip(part.tids, part.scores):
-                    scored[tid] = score
-            ordered = sorted(scored.items(), key=lambda kv: (-kv[1], -kv[0]))
-            if query.k is not None:
-                ordered = ordered[: query.k]
-            tids = [tid for tid, _ in ordered]
-            scores: Optional[List[float]] = [s for _, s in ordered]
+                scored.update(zip(part.tids, part.scores or ()))
+            tids, scores = rank_scored(scored, query.k)
         else:
-            union = set()
-            for part in parts:
-                union.update(part.tids)
-            tids = sorted(union)
+            tids = sorted({tid for part in parts for tid in part.tids})
             scores = None
         work: Dict[str, int] = {"shards": len(parts)}
         for part in parts:
             for counter, amount in part.work.items():
                 work[counter] = work.get(counter, 0) + amount
         return MethodResult(
-            method=plan.method,
+            method=parts[0].method,
             query=query,
             tids=tids,
             scores=scores,

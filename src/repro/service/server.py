@@ -20,22 +20,20 @@ specific to a local engine:
   next request sees the new one, and no request ever observes a
   half-built store.  :meth:`restore` hot-swaps a snapshot the same way.
 
-* **Parallel batches** — :meth:`query_many` fans a workload out over a
-  thread pool, *grouped by plan class* first: one leader per class runs
-  ahead and populates the engine's plan cache, then the rest of the
-  class fans out as plan-cache hits.  For CPU-bound workloads on
-  multi-core machines, ``mode="process"`` fans out over warm replica
-  processes instead (:mod:`repro.service.replica`) — the only way past
-  the GIL on a stock interpreter.  Either way every query of the batch
-  goes through the core's one request path.
+* **Batches** — :meth:`query_many` runs a workload query by query on
+  the caller's thread, so a batch is one engine call at a time and a
+  repeated-shape batch plans once per class through the engine's plan
+  cache.  For CPU-bound workloads on multi-core machines,
+  ``mode="process"`` deals it round-robin over warm replica processes
+  instead (:mod:`repro.service.replica`) — the only way past the GIL on
+  a stock interpreter.  Either way every query of the batch goes
+  through the core's one request path.
 """
 
 from __future__ import annotations
 
-import contextvars
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from typing import (
     Any,
@@ -70,7 +68,7 @@ class TopologyServer(ServingCore):
     ``system`` must already be built (or snapshot-restored): a server
     exists to serve, and every lifecycle transition afterwards goes
     through :meth:`rebuild`/:meth:`restore`.  Use it as a context
-    manager or call :meth:`close` to release the worker pools."""
+    manager or call :meth:`close` to release the replica pool."""
 
     def __init__(
         self,
@@ -90,7 +88,6 @@ class TopologyServer(ServingCore):
         # under this mutex but *outside* the write lock, so traffic
         # keeps flowing while the next generation is prepared.
         self._writer_mutex = threading.Lock()
-        self._pool: Optional[ThreadPoolExecutor] = None  # created lazily
         self._pool_lock = threading.Lock()
         self._replica_pool: Optional[ReplicaPool] = None  # created lazily
         # One process-mode fan-out at a time: a second caller with a
@@ -120,17 +117,14 @@ class TopologyServer(ServingCore):
         )
 
     def close(self) -> None:
-        """Shut down worker pools (idempotent).  Queries submitted after
-        close still work — they just run on the caller's thread.  An
+        """Shut down the replica pool (idempotent).  Queries and batches
+        submitted after close still work — on the caller's thread.  An
         in-flight ``query_many(mode="process")`` batch is allowed to
         finish first (terminating the pool under its consumer would
         strand it waiting on results that never arrive)."""
         with self._pool_lock:
-            pool, self._pool = self._pool, None
             replicas, self._replica_pool = self._replica_pool, None
             self._closed = True
-        if pool is not None:
-            pool.shutdown(wait=True)
         if replicas is not None:
             with self._replica_mutex:  # drain the in-flight batch
                 replicas.close()
@@ -197,23 +191,20 @@ class TopologyServer(ServingCore):
     ) -> List[MethodResult]:
         """Evaluate a batch, returning results in submission order.
 
-        ``parallel`` >= 2 fans the batch out over that many workers.
-        The workload is grouped by *plan class* first
-        (:class:`~repro.core.plan.PlanClass`): one leader per class runs
-        ahead of the fan-out, so by the time the bulk of a
-        repeated-shape batch hits the pool its plans are cache hits and
-        the optimizer runs once per class, not once per query.
-        Duplicates are deduplicated through the result cache and
-        single-flight exactly like :meth:`query`.
+        By default the batch runs query by query on the caller's thread,
+        each through :meth:`query`: duplicates are deduplicated through
+        the result cache and single-flight, and a repeated-shape batch
+        plans once per class through the engine's plan cache.  On a GIL
+        interpreter threads would only interleave the pure-Python engine
+        work, so ``mode="thread"`` (the default) is this serial path
+        whatever ``parallel`` says.
 
-        ``mode="thread"`` (default) shares this server's engine and
-        caches across workers — ideal when the batch is repetitive or
-        the interpreter can run threads in parallel.  ``mode="process"``
-        fans out over warm *replica processes*, each serving its own
+        ``mode="process"`` with ``parallel`` >= 2 deals the batch
+        round-robin over warm *replica processes*, each serving its own
         copy of the current generation (:mod:`repro.service.replica`):
-        per-query work is then truly parallel on a GIL interpreter, at
-        the price of replica-local plan caches, on at most
-        ``max(2, os.cpu_count())`` replicas.  The batch still goes
+        per-query work is then truly parallel, at the price of
+        replica-local plan caches, on at most ``max(2, os.cpu_count())``
+        replicas and one process batch at a time.  The batch still goes
         through the core's request path as one list: cached queries are
         hits, the distinct uncached ones execute once each on the
         replicas, and the results settle into this server's result
@@ -223,86 +214,13 @@ class TopologyServer(ServingCore):
         if mode not in ("thread", "process"):
             raise TopologyError(f"unknown query_many mode {mode!r}")
         workers = int(parallel or 0)
-        # After close() there are no pools, but batches still work —
-        # they degrade to the serial loop on the caller's thread.
-        if workers <= 1 or len(batch) <= 1 or self._closed:
-            return [self.query(q, method=name) for q in batch]
-        if mode == "process":
+        if mode == "process" and workers >= 2 and len(batch) >= 2:
             # Every replica is a process holding the whole store, so the
             # machine — not the caller — bounds the pool's width (two at
             # least: process mode stays a fan-out on a 1-core box).
             workers = min(workers, max(2, os.cpu_count() or 1))
             return self._query_many_replicas(batch, name, workers)
-        return self._query_many_threads(batch, name, workers)
-
-    def _plan_class_groups(
-        self, batch: Sequence[TopologyQuery], name: str
-    ) -> List[List[int]]:
-        """Batch indices grouped by the queries' plan class, group order
-        by first appearance.  A query whose class cannot be computed
-        (e.g. an entity pair the build does not cover) gets a singleton
-        group; the error surfaces at execution time."""
-        with self._rw.read_locked():
-            system = self._system
-            method_obj = system.method(name)
-            groups: Dict[Any, List[int]] = {}
-            for index, query in enumerate(batch):
-                try:
-                    cls_key: Any = system.planner.classify(query, method_obj)
-                except Exception:
-                    cls_key = ("unclassified", index)
-                groups.setdefault(cls_key, []).append(index)
-        return list(groups.values())
-
-    def _query_many_threads(
-        self, batch: List[TopologyQuery], name: str, workers: int
-    ) -> List[MethodResult]:
-        pool = self._thread_pool()
-        if pool is None:  # closed while we were getting ready
-            return [self.query(q, method=name) for q in batch]
-        groups = self._plan_class_groups(batch, name)
-        leaders = [group[0] for group in groups]
-        followers = [index for group in groups for index in group[1:]]
-        results: List[Optional[MethodResult]] = [None] * len(batch)
-
-        def run(share: List[int]) -> None:
-            for index in share:
-                results[index] = self.query(batch[index], method=name)
-
-        # Two waves: leaders warm the plan cache (and the result cache
-        # for exact duplicates), then the rest fan out as cache hits.
-        # A wave is dealt round-robin into at most ``workers`` shares,
-        # one pool task each — that, not the pool's width, is the
-        # batch's parallelism.  Each task carries its own copy of the
-        # caller's context: a Context can only be entered by one thread
-        # at a time, so the copy happens here, per task, not once for
-        # the whole wave.
-        for wave in (leaders, followers):
-            width = min(workers, len(wave))
-            futures = []
-            try:
-                for at in range(width):
-                    context = contextvars.copy_context()
-                    futures.append(pool.submit(context.run, run, wave[at::width]))
-            except RuntimeError:  # pool shut down mid-batch (close())
-                pass
-            for future in futures:
-                future.result()
-            for index in wave:  # anything unsubmitted: caller's thread
-                if results[index] is None:
-                    results[index] = self.query(batch[index], method=name)
-        return results  # type: ignore[return-value]  # every index was assigned
-
-    def _thread_pool(self) -> Optional[ThreadPoolExecutor]:
-        """The server's one batch pool (stdlib-default width, created
-        on first use), or ``None`` once closed (the caller then degrades
-        to the serial loop)."""
-        with self._pool_lock:
-            if self._closed:
-                return None
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(thread_name_prefix="topology-server")
-            return self._pool
+        return [self.query(q, method=name) for q in batch]
 
     def _query_many_replicas(
         self, batch: List[TopologyQuery], name: str, workers: int
@@ -332,16 +250,11 @@ class TopologyServer(ServingCore):
         name: str,
         queries: List[TopologyQuery],
     ) -> List[MethodResult]:
-        """The core's ``execute`` over replica processes.  Whole
-        plan-class groups land on one replica so each replica plans
-        each of its classes once; groups are dealt biggest-first onto
-        the emptiest bucket to balance load."""
-        buckets: List[List[int]] = [[] for _ in range(pool.workers)]
-        for group in sorted(self._plan_class_groups(queries, name), key=len, reverse=True):
-            min(buckets, key=len).extend(group)
-        chunks = [
-            (name, [(i, queries[i]) for i in bucket]) for bucket in buckets if bucket
-        ]
+        """The core's ``execute`` over replica processes: the admitted
+        queries are dealt round-robin, one chunk per replica."""
+        items = list(enumerate(queries))
+        width = min(pool.workers, len(items))
+        chunks = [(name, items[at::width]) for at in range(width)]
         results: List[Optional[MethodResult]] = [None] * len(queries)
         for pairs in pool.run(chunks):
             for index, result in pairs:

@@ -179,7 +179,8 @@ class TestRegressionPins:
     def test_server_executor_submissions_carry_context(self):
         """PR 9's defect #1: ``_query_many_threads`` submitted work
         without copying the caller's context, so engine spans detached
-        from the request trace."""
+        from the request trace.  That fan-out is deleted; the sweep
+        still guards every executor left in the serving layer."""
         r4 = [r for r in ALL_RULES if r.rule_id == "R4"]
         violations, _ = lint_paths(
             [str(REPO / "src" / "repro" / "service")], rules=r4

@@ -5,18 +5,23 @@ hand-off semantics directly.  The HTTP tests drive the full app over a
 stub server whose latency the test controls, so every 503 variant
 (``overloaded``, ``timeout``, ``rebuild_in_progress``) is reached
 deterministically — no sleeps calibrated against wall-clock luck.  The
-stub never hits its cache (``cached`` returns ``None``); one test over
-a real server pins that a cache hit does not pass the gate at all.
+stub never hits its cache (``cached`` returns ``None``); two tests over
+a real server pin that a cache hit does not pass the gate at all and
+that an admitted batch stays inside its one slot.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import threading
+import time
 from types import SimpleNamespace
 
 import pytest
 
+from repro.core import TopologySearchSystem
+from repro.service import TopologyServer
 from repro.service.http import AdmissionGate, AdmissionRejected, TestClient, create_app
 
 from tests.service.http.conftest import valid_query
@@ -391,3 +396,55 @@ class TestHitsBypassTheGate:
         assert shed.json()["error"]["code"] == "overloaded"
         assert stats["admitted"] == 2  # the two engine calls, not the hit
         assert stats["rejected_queue_full"] == 1
+
+
+class TestBatchStaysInItsSlot:
+    def test_one_admitted_batch_is_one_engine_call_at_a_time(
+        self, tiny_system, monkeypatch
+    ):
+        """Admission bounds how many engine calls are in flight — a
+        ``/query_many`` batch included, whatever ``parallel`` it asks
+        for: with one slot, a batch of distinct queries never has two
+        ``system.search`` calls running at once."""
+        lock = threading.Lock()
+        active = peak = 0
+        search = TopologySearchSystem.search
+
+        @contextlib.contextmanager
+        def in_flight():
+            nonlocal active, peak
+            with lock:
+                active += 1
+                peak = max(peak, active)
+            try:
+                yield
+            finally:
+                with lock:
+                    active -= 1
+
+        def tracked_search(self, *args, **kwargs):
+            with in_flight():
+                time.sleep(0.02)  # long enough for a fan-out to overlap
+                return search(self, *args, **kwargs)
+
+        monkeypatch.setattr(TopologySearchSystem, "search", tracked_search)
+        queries = [
+            valid_query(
+                constraint1={"kind": "keyword", "column": "DESC", "keyword": keyword},
+                k=k,
+            )
+            for keyword in ("kinase", "binding", "human", "membrane")
+            for k in (2, 4)
+        ]
+        with TopologyServer(tiny_system) as server:
+            with create_app(server, max_concurrency=1) as app:
+                with TestClient(app) as client:
+                    response = client.post(
+                        "/query_many", json={"queries": queries, "parallel": 4}
+                    )
+                stats = app.gate.stats()
+            executions = server.stats().executions
+        assert response.status == 200
+        assert executions == len(queries)
+        assert peak == 1
+        assert stats["admitted"] == 1

@@ -356,31 +356,28 @@ class TestQueryMany:
         assert len({id(r) for r in results}) == 1  # one shared result
         assert server.stats().executions == 1
 
-    def test_plan_class_grouping_amortizes_planning(self, tiny_system):
+    def test_serial_batch_amortizes_planning(self, tiny_system):
         # Same class (same shape, same k bucket), distinct result keys.
         batch = [make_query("kinase", k) for k in (3, 4)] * 2
-        # Freeze calibration: a version bump between the leader and the
-        # follower would (correctly) evict the plan and hide the hit.
+        # Freeze calibration: a version bump between the two executions
+        # would (correctly) evict the plan and hide the hit.
         tiny_system.calibration_enabled = False
         try:
             with TopologyServer(tiny_system) as server:
                 before = server.plan_cache_stats()
-                server.query_many(batch, parallel=2)
+                server.query_many(batch)
                 after = server.plan_cache_stats()
                 # 2 distinct keys -> 2 executions -> 2 plan lookups; the
-                # leader planned, the follower wave hit.
+                # second same-class query hits whatever the first did.
                 assert after.requests - before.requests == 2
                 assert after.hits - before.hits >= 1
         finally:
             tiny_system.calibration_enabled = True
 
-    def test_thread_batch_spans_join_the_callers_trace(self, server):
-        """Regression pin (relint R4's defect): the thread-pool workers
-        must run each batch slot inside a copy of the submitting
-        caller's context.  Before the fix the pool threads carried an
-        empty context, so every per-slot ``server.query`` ingress span
-        started its own orphan trace and a traced batch shattered into
-        unjoinable fragments."""
+    def test_serial_batch_spans_join_the_callers_trace(self, server):
+        """Every per-slot ``server.query`` ingress span of a batch is a
+        child of the caller's span (relint R4's defect was a batch that
+        shattered into one orphan trace per slot)."""
         batch = self.workload()
         with obs_span("test.batch", ingress=True) as root:
             server.query_many(batch, parallel=4)
@@ -391,38 +388,27 @@ class TestQueryMany:
         assert len(query_spans) == len(batch)
         assert all(s.parent_id == root.span_id for s in query_spans)
 
-    def test_every_parallel_width_shares_one_pool(self, server, monkeypatch):
-        """A remote client picks ``parallel`` (2..64 over /query_many):
-        the widths must not each leave an executor behind.  One pool
-        serves them all, and a wave becomes at most ``parallel`` tasks."""
-        submitted = []
+    def test_process_batch_spans_join_the_callers_trace(self, tiny_system):
+        """The replicas' ``shard.query`` spans travel back in their
+        replies and land in the caller's trace, under the caller's span,
+        covering every slot of the batch once."""
         batch = self.workload()
-        server.query_many(batch, parallel=2)
-        pool = server._pool
-
-        def recording_submit(fn, *args):
-            submitted.append(args)
-            return type(pool).submit(pool, fn, *args)
-
-        monkeypatch.setattr(pool, "submit", recording_submit)
-        for width in (3, 5, 64):
-            server.invalidate()
-            del submitted[:]
-            results = server.query_many(batch, parallel=width)
-            assert [r.query for r in results] == batch
-            assert server._pool is pool
-            # Two waves (plan-class leaders, then followers), each dealt
-            # into at most `width` shares that together cover the wave.
-            assert len(submitted) <= 2 * min(width, len(batch))
-            assert sorted(i for *_, share in submitted for i in share) == list(
-                range(len(batch))
-            )
+        with TopologyServer(tiny_system) as server:
+            with obs_span("test.batch", ingress=True) as root:
+                server.query_many(batch, parallel=2, mode="process")
+        if not root.recording:
+            pytest.skip("tracing disabled in this environment")
+        spans = obs_tracer().trace_spans(root.trace_id)
+        shard_spans = [s for s in spans if s.name == "shard.query"]
+        assert len(shard_spans) == 2  # one chunk per replica
+        assert all(s.parent_id == root.span_id for s in shard_spans)
+        assert sum(s.tags["items"] for s in shard_spans) == len(batch)
 
     def test_unknown_mode_rejected(self, server):
         with pytest.raises(TopologyError, match="mode"):
             server.query_many([make_query()], parallel=2, mode="carrier-pigeon")
 
-    def test_process_mode_matches_thread_mode(self, tiny_system):
+    def test_process_mode_matches_serial(self, tiny_system):
         batch = self.workload()
         oracle = [tiny_system.search(q).tids for q in batch]
         with TopologyServer(tiny_system) as server:

@@ -14,7 +14,8 @@ from repro.core import (
     NoConstraint,
     TopologyQuery,
 )
-from repro.errors import ShardUnavailableError, TopologyError
+from repro.core.methods import MethodResult
+from repro.errors import ShardError, ShardUnavailableError, TopologyError
 from repro.persist import load_system
 from repro.service import ShardCoordinator
 from repro.service.http import TestClient, create_app
@@ -131,10 +132,13 @@ class TestCachingAndStats:
         assert coordinator.query_many([]) == []
 
     def test_unknown_method_and_mode_rejected(self, coordinator):
+        calls_before = [s["calls"] for s in coordinator.shard_sections()]
         with pytest.raises(TopologyError, match="unknown method"):
             coordinator.query(query_for("sql"), method="nope")
         with pytest.raises(TopologyError, match="mode"):
             coordinator.query_many([query_for("sql")], mode="teleport")
+        # Both are rejected before any shard is called.
+        assert [s["calls"] for s in coordinator.shard_sections()] == calls_before
 
     def test_latency_stats_record_merged_results(self, fresh_coordinator):
         fresh_coordinator.query(query_for("fast-top-k"), method="fast-top-k")
@@ -215,6 +219,15 @@ class TestFailureModes:
         with pytest.raises(ShardUnavailableError):
             coord.query_many(queries, method="full-top-k")
         assert coord.stats().failures == 2
+
+    def test_scored_and_unscored_parts_never_merge(self):
+        """Shards that disagree on whether an answer is ranked are a
+        broken set: the merge refuses rather than guessing a shape."""
+        query = query_for("sql")
+        scored = MethodResult("sql", query, [7], [0.5], 0.0)
+        unscored = MethodResult("sql", query, [3], None, 0.0)
+        with pytest.raises(ShardError, match="1 of 2 shards returned scores"):
+            ShardCoordinator._merge(query, [scored, unscored])
 
     def test_generation_stamp_mismatch_is_loud(self, fresh_coordinator):
         """A backend serving a different generation than the coordinator
