@@ -6,11 +6,13 @@ Walks the network serving layer on a synthetic Biozon instance:
    front it with the framework-free ASGI app, and serve it on a real
    socket with the stdlib HTTP/1.1 server;
 2. query it with plain ``urllib`` — single queries (chunk-streamed when
-   the tid list is large), an NDJSON batch, a plan explanation;
+   the tid list is large; the same bytes sent again get the same
+   answer under a fresh trace id), an NDJSON batch, a plan explanation;
 3. trip the validation layer and read the structured, field-tagged
    error body;
 4. hot-swap a rebuild through ``POST /rebuild`` while the old
-   generation keeps serving, and watch the generation stamp advance;
+   generation keeps serving, and watch the generation stamp advance —
+   also on the first query's bytes, sent once more;
 5. read one consistent counter snapshot from ``GET /stats``.
 
 Run:  python examples/http_serving.py
@@ -31,15 +33,23 @@ from repro.service import TopologyServer
 from repro.service.http import HttpServerThread, create_app
 
 
-def post(base_url: str, path: str, payload: dict):
+def post(base_url: str, path: str, payload):
+    """POST ``payload`` (a dict to encode, or body bytes as they are)."""
+    data = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
     request = urllib.request.Request(
         base_url + path,
-        data=json.dumps(payload).encode(),
+        data=data,
         headers={"Content-Type": "application/json"},
         method="POST",
     )
     with urllib.request.urlopen(request) as response:
         return response.status, response.read()
+
+
+def without_trace_id(body: bytes):
+    """``(payload minus its trace id, the trace id)``."""
+    payload = json.loads(body)
+    return payload, payload.pop("trace_id")
 
 
 def main() -> None:
@@ -63,9 +73,7 @@ def main() -> None:
                 print("GET /healthz ->", json.loads(response.read()))
 
             print("\n== POST /query ==")
-            status, body = post(
-                base_url,
-                "/query",
+            query_bytes = json.dumps(
                 {
                     "entity1": "Protein",
                     "entity2": "DNA",
@@ -74,11 +82,20 @@ def main() -> None:
                     },
                     "k": 4,
                     "ranking": "rare",
-                },
-            )
+                }
+            ).encode()
+            status, body = post(base_url, "/query", query_bytes)
             result = json.loads(body)
             print(f"{status}: method={result['method']} gen={result['generation']}")
             print(f"top-{len(result['tids'])} topology ids: {result['tids']}")
+
+            print("\n== the same bytes again: answered from bytes ==")
+            _, again = post(base_url, "/query", query_bytes)
+            first, first_trace = without_trace_id(body)
+            repeat, repeat_trace = without_trace_id(again)
+            assert repeat == first, "a repeat must carry the same answer"
+            assert repeat_trace != first_trace, "each request has its own trace"
+            print(f"same answer, trace ids {first_trace} -> {repeat_trace}")
 
             print("\n== POST /explain (plans, never executes) ==")
             status, body = post(
@@ -119,6 +136,10 @@ def main() -> None:
             print(f"{status}:", json.loads(body))
             with urllib.request.urlopen(base_url + "/healthz") as response:
                 print("GET /healthz ->", json.loads(response.read()))
+            _, rebuilt = post(base_url, "/query", query_bytes)
+            generation = json.loads(rebuilt)["generation"]
+            assert generation > first["generation"], "stale bytes after /rebuild"
+            print(f"the first /query bytes now answer from generation {generation}")
 
             print("\n== GET /stats (one consistent snapshot) ==")
             with urllib.request.urlopen(base_url + "/stats") as response:

@@ -37,6 +37,11 @@ pool under the per-request timeout, serialize.  One shortcut: a
 loop right after validation (``server.cached``), before the gate and
 with no thread hand-off — the gate sheds *work*, not answers already in
 memory, so ``admission.admitted`` counts engine calls, not requests.
+And a ``POST /query`` whose exact bytes were seen before is answered
+from bytes: a request-bytes memo keeps the validated query and the
+encoded answer last served for it, so a repeat skips parsing and
+validation, and — while the result cache still hands back that very
+answer object — encoding too; only the trace id is spliced in.
 Every failure mode maps to a structured error body
 ``{"error": {"code", "message", "details"}}`` with the taxonomy::
 
@@ -68,8 +73,10 @@ import json
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
+from typing import Any, Awaitable, Callable, Dict, List, NamedTuple, Optional, Tuple
 
+from repro.cache import LRUCache
+from repro.core.query import TopologyQuery
 from repro.errors import ShardUnavailableError, TopologyError
 from repro.obs import registry as obs_registry
 from repro.obs import span as obs_span
@@ -101,6 +108,26 @@ _NDJSON_CONTENT = [(b"content-type", b"application/x-ndjson")]
 _PROMETHEUS_CONTENT = [
     (b"content-type", b"text/plain; version=0.0.4; charset=utf-8")
 ]
+
+#: Entries in the ``POST /query`` request-bytes memo: the default
+#: result-cache size, so every answer a default cache holds can keep its
+#: bytes beside it.
+_QUERY_MEMO_SIZE = 4096
+#: Longer ``POST /query`` bodies are parsed and encoded every time and
+#: never memoized, so one entry's key stays small whatever
+#: ``max_body_bytes`` allows.
+_QUERY_MEMO_MAX_KEY = 4096
+
+
+class _QueryMemo(NamedTuple):
+    """One memo entry, keyed by a ``POST /query`` body's raw bytes: the
+    validated request, and the answer last served for it with that
+    answer's encoding (:meth:`TopologyHttpApp._encode_answer`)."""
+
+    query: TopologyQuery
+    method: Optional[str]
+    result: Any
+    frames: Tuple[bytes, ...]
 
 
 class _HttpError(Exception):
@@ -169,6 +196,7 @@ class TopologyHttpApp:
         self._executor = ThreadPoolExecutor(
             max_workers=max_concurrency + 2, thread_name_prefix="topology-http"
         )
+        self._query_memo = LRUCache(_QUERY_MEMO_SIZE)
         self._rebuild_lock = threading.Lock()
         self._stats_lock = threading.Lock()
         self._requests_total = 0
@@ -343,16 +371,22 @@ class TopologyHttpApp:
             return []
         return [(b"x-trace-id", log.trace_id.encode("ascii"))]
 
-    async def _send_json(
-        self, send: Send, payload: Any, log: RequestLog, status: int = 200
+    async def _send_json(self, send: Send, payload: Any, log: RequestLog) -> None:
+        await self._send_body(send, _dumps(payload), log)
+
+    async def _send_body(
+        self,
+        send: Send,
+        body: bytes,
+        log: RequestLog,
+        content: List[Tuple[bytes, bytes]] = _JSON_CONTENT,
     ) -> None:
-        body = _dumps(payload)
-        log.status = status
+        log.status = 200
         await send(
             {
                 "type": "http.response.start",
-                "status": status,
-                "headers": _JSON_CONTENT
+                "status": 200,
+                "headers": content
                 + [(b"content-length", str(len(body)).encode())]
                 + self._trace_headers(log),
             }
@@ -470,18 +504,7 @@ class TopologyHttpApp:
             lambda: obs_registry().render(metrics_families(self._scrape_payload())),
             self.request_timeout,
         )
-        body = text.encode("utf-8")
-        log.status = 200
-        await send(
-            {
-                "type": "http.response.start",
-                "status": 200,
-                "headers": _PROMETHEUS_CONTENT
-                + [(b"content-length", str(len(body)).encode())]
-                + self._trace_headers(log),
-            }
-        )
-        await send({"type": "http.response.body", "body": body})
+        await self._send_body(send, text.encode("utf-8"), log, _PROMETHEUS_CONTENT)
 
     async def _handle_trace(
         self, scope: Scope, receive: Receive, send: Send, log: RequestLog
@@ -506,10 +529,15 @@ class TopologyHttpApp:
         self, scope: Scope, receive: Receive, send: Send, log: RequestLog
     ) -> None:
         body = await self._read_body(receive)
-        try:
-            query, method = parse_query_request(self._parse_json(body))
-        except RequestValidationError as error:
-            raise self._validation_error(error) from None
+        memoize = len(body) <= _QUERY_MEMO_MAX_KEY
+        memo = self._query_memo.get(body) if memoize else None
+        if memo is None:
+            try:
+                query, method = parse_query_request(self._parse_json(body))
+            except RequestValidationError as error:
+                raise self._validation_error(error) from None
+        else:
+            query, method = memo.query, memo.method
         # A hit is answered here, on the loop: the gate sheds work, not
         # answers already in memory.
         result = self.server.cached(query, method)
@@ -523,25 +551,52 @@ class TopologyHttpApp:
                     )
                 except TopologyError as error:
                     raise self._query_error(error) from None
-        wire = result_to_wire(result)
-        wire["trace_id"] = log.trace_id
+        # Identity, not generation: a result is immutable once served,
+        # so its bytes are reusable exactly while the cache hands back
+        # the same object.  A miss, a new generation, or an evicted and
+        # re-executed answer is a new object and is encoded afresh.
+        if memo is None or memo.result is not result:
+            memo = _QueryMemo(query, method, result, self._encode_answer(result))
+            if memoize:
+                self._query_memo.put(body, memo)
         log.generation = result.generation
-        if wire["scores"] is None and len(wire["tids"]) > self.stream_chunk_rows:
-            await self._stream_query_response(send, wire, log)
+        # "trace_id" sorts after every result_to_wire key, so splicing it
+        # in last yields exactly json.dumps(..., sort_keys=True).
+        tail = b', "trace_id": ' + json.dumps(log.trace_id).encode() + b"}"
+        if len(memo.frames) == 1:
+            await self._send_body(send, memo.frames[0] + tail, log)
         else:
-            await self._send_json(send, wire, log)
+            await self._stream_query_response(send, memo.frames, tail, log)
+
+    def _encode_answer(self, result: Any) -> Tuple[bytes, ...]:
+        """``result``'s ``/query`` body up to, not including, the
+        trace-id member and the closing brace — as one frame, or, for a
+        scoreless tid list longer than ``stream_chunk_rows``, as the
+        frames it is streamed in: the scalar fields opening the
+        ``tids`` array, then one frame per chunk of tids, the last one
+        closing the array.  Either way the frames concatenate to
+        ``_dumps(result_to_wire(result))`` minus its closing brace."""
+        wire = result_to_wire(result)
+        tids = wire["tids"]
+        rows = self.stream_chunk_rows
+        if wire["scores"] is not None or len(tids) <= rows:
+            return (_dumps(wire)[:-1],)
+        del wire["tids"]  # "tids" sorts last: the scalars open the document
+        frames = [_dumps(wire)[:-1] + b', "tids": [']
+        for start in range(0, len(tids), rows):
+            chunk = _dumps(tids[start : start + rows])[1:-1]
+            frames.append(b", " + chunk if start else chunk)
+        frames[-1] += b"]"
+        return tuple(frames)
 
     async def _stream_query_response(
-        self, send: Send, wire: Dict[str, Any], log: RequestLog
+        self, send: Send, frames: Tuple[bytes, ...], tail: bytes, log: RequestLog
     ) -> None:
-        """Large tid lists go out in chunks: the first frame carries the
-        scalar fields and opens the ``tids`` array, each following frame
-        is one chunk of tids, the last frame closes the JSON.  The
-        concatenation is byte-for-byte a valid JSON document equal to
-        the unstreamed response."""
-        head = dict(wire)
-        tids = head.pop("tids")
-        prefix = _dumps(head)[:-1] + b', "tids": ['
+        """Large tid lists go out in chunks: the frames from
+        :meth:`_encode_answer` (the scalar fields opening the ``tids``
+        array, then one frame per chunk of tids), then ``tail``, the
+        trace-id member and the closing brace.  The concatenation is
+        byte-for-byte the unstreamed document."""
         log.status = 200
         await send(
             {
@@ -551,22 +606,10 @@ class TopologyHttpApp:
                 "headers": _JSON_CONTENT + self._trace_headers(log),
             }
         )
-        await send({"type": "http.response.body", "body": prefix, "more_body": True})
-        log.streamed_chunks += 1
-        for start in range(0, len(tids), self.stream_chunk_rows):
-            chunk = tids[start : start + self.stream_chunk_rows]
-            text = ", ".join(str(t) for t in chunk)
-            if start:
-                text = ", " + text
-            await send(
-                {
-                    "type": "http.response.body",
-                    "body": text.encode("ascii"),
-                    "more_body": True,
-                }
-            )
+        for frame in frames:
+            await send({"type": "http.response.body", "body": frame, "more_body": True})
             log.streamed_chunks += 1
-        await send({"type": "http.response.body", "body": b"]}"})
+        await send({"type": "http.response.body", "body": tail})
 
     async def _handle_query_many(
         self, scope: Scope, receive: Receive, send: Send, log: RequestLog

@@ -9,6 +9,7 @@ one of them is a breaking protocol change and must say so.
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import pytest
@@ -28,6 +29,8 @@ from repro.service.http import (
     TestClient,
     create_app,
 )
+from repro.service.http.app import _QUERY_MEMO_MAX_KEY, _QUERY_MEMO_SIZE
+from repro.service.http.schemas import result_to_wire
 
 from tests.service.http.conftest import valid_query
 
@@ -59,6 +62,12 @@ def assert_error_body(response, status: int, code: str):
 
 def error_fields(error: dict):
     return {issue["field"] for issue in error["details"]}
+
+
+def without_trace_id(response) -> bytes:
+    """The response body with its trace id masked, for byte comparisons."""
+    trace_id = json.dumps(response.json()["trace_id"]).encode()
+    return response.body.replace(trace_id, b'"<trace>"')
 
 
 # ----------------------------------------------------------------------
@@ -598,8 +607,116 @@ class TestQueryStreaming:
             with TestClient(big_app) as big_client:
                 plain = big_client.post("/query", json=self.EXHAUSTIVE)
         assert len(streamed.chunks) > 1 and len(plain.chunks) == 1
-        streamed_payload, plain_payload = streamed.json(), plain.json()
         # Distinct requests carry distinct trace ids; everything else
         # must agree byte-for-byte between the two code paths.
-        assert streamed_payload.pop("trace_id") != plain_payload.pop("trace_id")
-        assert streamed_payload == plain_payload
+        assert streamed.json()["trace_id"] != plain.json()["trace_id"]
+        assert without_trace_id(streamed) == without_trace_id(plain)
+
+    def test_streamed_hit_repeats_its_frames(self, client):
+        first = client.post("/query", json=self.EXHAUSTIVE)
+        second = client.post("/query", json=self.EXHAUSTIVE)
+        assert len(first.chunks) == len(second.chunks) >= 3
+        assert first.chunks[:-1] == second.chunks[:-1]
+        assert without_trace_id(first) == without_trace_id(second)
+
+
+# ----------------------------------------------------------------------
+# The request-bytes memo: a repeated /query is answered from bytes
+# ----------------------------------------------------------------------
+def sorted_dumps(payload) -> bytes:
+    return json.dumps(payload, sort_keys=True).encode("utf-8")
+
+
+class TestQueryMemo:
+    BODY = sorted_dumps(valid_query())
+
+    def post(self, client, body: bytes = BODY):
+        return client.post("/query", body=body)
+
+    def test_bodies_are_the_sorted_dump_byte_for_byte(self, client, server):
+        miss, hit = self.post(client), self.post(client)
+        result = server.cached(make_query())
+        assert result is not None
+        for response in (miss, hit):
+            assert response.status == 200
+            expected = {**result_to_wire(result), "trace_id": response.headers["x-trace-id"]}
+            assert response.body == sorted_dumps(expected)
+
+    def test_each_hit_carries_its_own_trace_id(self, client):
+        self.post(client)
+        first, second = self.post(client), self.post(client)
+        ids = [r.json()["trace_id"] for r in (first, second)]
+        assert ids == [first.headers["x-trace-id"], second.headers["x-trace-id"]]
+        assert ids[0] != ids[1]
+        assert without_trace_id(first) == without_trace_id(second)
+
+    def test_key_order_and_whitespace_do_not_change_the_answer(self, client, server, app):
+        spaced = json.dumps(dict(reversed(list(valid_query().items()))), indent=2)
+        first, second = self.post(client), self.post(client, spaced.encode())
+        assert first.status == second.status == 200
+        assert without_trace_id(first) == without_trace_id(second)
+        assert server.stats().executions == 1
+        assert len(app._query_memo) == 2
+
+    def test_same_bytes_follow_rebuild_invalidate_and_restore(self, client, server, tmp_path):
+        assert self.post(client).json()["generation"] == 1
+        assert client.post("/rebuild", json={}).status == 200
+        assert self.post(client).json()["generation"] == 2
+        path = tmp_path / "memo.topo"
+        server.save(path)
+        server.restore(path)
+        assert self.post(client).json()["generation"] == 3
+        executions = server.stats().executions
+        server.invalidate()
+        body = self.post(client).json()
+        assert server.stats().executions == executions + 1
+        assert body["generation"] == 3
+        assert body["elapsed_seconds"] == server.cached(make_query()).elapsed_seconds
+
+    def test_evicted_answer_is_re_encoded(self, tiny_system):
+        other = sorted_dumps(valid_query(k=2))
+        with TopologyServer(tiny_system, cache_size=1) as small:
+            with create_app(small) as app, TestClient(app) as client:
+                self.post(client)
+                evicted = small.cached(make_query())
+                self.post(client, other)  # evicts the first answer
+                new = self.post(client)
+                result = small.cached(make_query())
+        assert small.stats().executions == 3 and result is not evicted
+        assert new.json()["elapsed_seconds"] == result.elapsed_seconds
+        assert new.body == sorted_dumps(
+            {**result_to_wire(result), "trace_id": new.headers["x-trace-id"]}
+        )
+
+    @pytest.mark.parametrize(
+        "body, status, code",
+        [
+            (b"{not json", 400, "invalid_json"),
+            (sorted_dumps(valid_query(k=-1)), 422, "validation_error"),
+            (sorted_dumps({"entity1": "Protein", "entity2": "DNA"}), 422, "unsupported_query"),
+        ],
+        ids=["invalid_json", "validation_error", "unsupported_query"],
+    )
+    def test_rejected_bytes_are_never_memoized(self, client, app, body, status, code):
+        first, second = self.post(client, body), self.post(client, body)
+        assert_error_body(first, status, code)
+        assert first.json() == second.json()
+        assert len(app._query_memo) == 0
+
+    def test_long_bodies_are_answered_but_not_memoized(self, client, app):
+        padded = self.BODY + b" " * _QUERY_MEMO_MAX_KEY
+        assert self.post(client, padded).status == 200
+        assert self.post(client, padded).status == 200
+        assert len(app._query_memo) == 0
+
+    def test_memo_is_bounded(self, client, app, server):
+        # Distinct bytes, one query: whitespace either side of the object.
+        bodies = (
+            b" " * before + self.BODY + b" " * after
+            for before in range(80)
+            for after in range(80)
+        )
+        for body in itertools.islice(bodies, _QUERY_MEMO_SIZE + 10):
+            assert self.post(client, body).status == 200
+        assert len(app._query_memo) == _QUERY_MEMO_SIZE
+        assert server.stats().executions == 1
