@@ -8,8 +8,9 @@ witness row for a topology makes the driver skip the rest of that
 group; after k topologies the query stops.
 
 Fast-Top-k-ET merges the pruned topologies into the score order: when
-the next-best score belongs to a pruned topology, its SQL5 online check
-runs before any lower-scored unpruned group is processed.
+the next-best score belongs to a pruned topology, its online check
+(SQL5's answer, by :class:`~repro.core.methods.pruned.PrunedChecks`)
+is made before any lower-scored unpruned group is processed.
 
 ``flavor`` selects the DGJ implementation per entity level: ``idgj``
 (index nested-loops) or ``hdgj`` (group-at-a-time hash join) — the

@@ -1,17 +1,18 @@
 """Fast-Top (Section 4.3): LeftTops plus online pruned-topology checks.
 
-The generated statement follows the paper's SQL1: the first branch joins
-the satisfying entities with LeftTops; one extra UNION branch per pruned
-topology re-checks its path condition online with a chain join over the
-relationship tables, subtracting the exception pairs via NOT EXISTS.
-A branch whose chains provably cannot connect the two satisfying entity
-sets (:class:`~repro.core.methods.pruned.PrunedChecks`) is left out of
-the statement that is executed.
+The paper's SQL1 (:meth:`FastTopMethod.sql_for`) has one UNION branch
+joining the satisfying entities with LeftTops and one more per pruned
+topology, re-checking its path condition online with a chain join over
+the relationship tables and subtracting the exception pairs via NOT
+EXISTS.  Each lower branch returns its topology's TID or nothing, so
+execution runs the LeftTops branch alone and adds every pruned TID whose
+check (:class:`~repro.core.methods.pruned.PrunedChecks`, the same answer
+without a statement) holds: one statement per query.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.methods.base import Method, rank_scored
 from repro.core.methods.pruned import Endpoints, PrunedChecks
@@ -74,36 +75,34 @@ class FastTopMethod(Method):
 
     def sql_for(self, query: TopologyQuery) -> str:
         """SQL1 as the paper writes it: every pruned topology a branch."""
-        return self._union_sql(query, self.pruned_topologies(query))
+        branches = [self._lefttops_sql(query)] + [
+            self.pruned_branch_sql(query, topology)
+            for topology in self.pruned_topologies(query)
+        ]
+        return "\nUNION\n".join(branches)
 
-    def _union_sql(
-        self,
-        query: TopologyQuery,
-        pruned: Sequence[Topology],
-        params: Optional[SqlParams] = None,
-    ) -> str:
+    def _lefttops_sql(self, query: TopologyQuery, params: Optional[SqlParams] = None) -> str:
+        """SQL1's first branch: the TIDs LeftTops holds for a satisfying
+        pair."""
         from1, from2, cond1, cond2 = self._endpoint_sql(query, params)
         join1, join2 = self._pair_join_sql(query, "LT")
-        branches = [
-            (
-                f"SELECT DISTINCT LT.TID\n"
-                f"FROM {from1}, {from2}, LeftTops LT\n"
-                f"WHERE {cond1} AND {cond2}\n"
-                f"  AND {join1} AND {join2}"
-            )
-        ]
-        for topology in pruned:
-            branches.append(self.pruned_branch_sql(query, topology, params))
-        return "\nUNION\n".join(branches)
+        return (
+            f"SELECT DISTINCT LT.TID\n"
+            f"FROM {from1}, {from2}, LeftTops LT\n"
+            f"WHERE {cond1} AND {cond2}\n"
+            f"  AND {join1} AND {join2}"
+        )
 
     def execute(
         self, plan: QueryPlan, query: TopologyQuery
     ) -> Tuple[List[int], Optional[List[float]]]:
-        checks = PrunedChecks(self, query, Endpoints(self.system, query))
-        live = [t for t in self.pruned_topologies(query) if checks.may_match(t)]
         params = SqlParams()
-        result = self.system.engine.execute(self._union_sql(query, live, params), params)
-        tids = sorted(row[0] for row in result.rows)
+        result = self.system.engine.execute(self._lefttops_sql(query, params), params)
+        checks = PrunedChecks(self, query, Endpoints(self.system, query))
+        tids = sorted(
+            {row[0] for row in result.rows}
+            | {t.tid for t in self.pruned_topologies(query) if checks.has_witness(t)}
+        )
         if query.k is None:
             return tids, None
         store = self.system.require_store()

@@ -6,26 +6,26 @@ is a membership test against the result — the batch DGJ probe reads the
 per-row keep flags, the pruned-check reducer reads the ids.
 
 :class:`PrunedChecks` is the one place a pruned topology is checked
-online (the paper's SQL5, and the lower branches of SQL1).  Before a
-statement is issued, a forward semi-join reduction
-(:func:`~repro.core.pathsql.chains_may_connect`) walks the topology's
-chains from the first endpoint set; when it cannot reach the second,
-the check is answered "no witness" without parsing, planning or
-executing anything.  The reduction is a necessary condition only, so a
-check it lets through runs the unchanged statement and answers cannot
-change.
+online: it gives the answer of the paper's SQL5 (and of each lower
+branch of SQL1) without executing a statement.  The check is one walk
+over the topology's chains.  Its first phase, a forward semi-join
+reduction (:func:`~repro.core.pathsql.chains_reach`), walks the chains
+from the first endpoint set; when they cannot reach the second, the
+answer is "no witness".  Otherwise an exact witness search
+(:func:`~repro.core.pathsql.chains_witness`) looks for one pair the
+statement would return — simple paths, every class connecting the same
+pair, the topology's ExcpTops pairs left out — and stops at the first.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, List
+from typing import TYPE_CHECKING, Any, List, Tuple
 
 from repro.core.model import Topology
-from repro.core.pathsql import chains_may_connect
+from repro.core.pathsql import chains_reach, chains_witness
 from repro.core.query import TopologyQuery
 from repro.relational.column import ColumnValues, compact_column, is_ndarray
 from repro.relational.operators import table_batch, table_layout
-from repro.relational.sql.tokens import SqlParams
 
 if TYPE_CHECKING:
     from repro.core.methods.fast_top import FastTopMethod
@@ -96,31 +96,30 @@ class PrunedChecks:
             key=lambda t: (-t.scores[ranking], -t.tid),
         )
 
-    def may_match(self, topology: Topology) -> bool:
-        """False when the reduction proves the check has no witness."""
+    def has_witness(self, topology: Topology) -> bool:
+        """The answer of SQL5: does some satisfying pair match the
+        topology's path condition and survive its exception pairs?"""
         database = self._system.database
         stats = database.stats
         stats.pruned_checks += 1
         es1, es2 = self._entity_pair
-        if chains_may_connect(
-            database,
-            topology.class_signatures,
-            es1,
-            es2,
-            self._endpoints.ids(self._first),
-            self._endpoints.ids(1 - self._first),
-        ):
-            return True
-        stats.pruned_checks_proved_empty += 1
-        return False
-
-    def has_witness(self, topology: Topology) -> bool:
-        """The answer of SQL5, executed only when the reduction cannot
-        give it."""
-        if not self.may_match(topology):
-            return False
-        params = SqlParams()
-        check = self._system.engine.execute(
-            self._fast_top.pruned_check_sql(self._query, topology, params), params
+        signatures = topology.class_signatures
+        end1_ids = self._endpoints.ids(self._first)
+        ends = chains_reach(
+            database, signatures, es1, es2, end1_ids, self._endpoints.ids(1 - self._first)
         )
-        return bool(check.rows)
+        if len(ends) == 0:
+            stats.pruned_checks_proved_empty += 1
+            return False
+        return chains_witness(
+            database, signatures, es1, es2, end1_ids, ends, self._exceptions(topology)
+        )
+
+    def _exceptions(self, topology: Topology) -> Tuple[ColumnValues, ColumnValues]:
+        """The (E1, E2) columns of the topology's ExcpTops rows."""
+        table = self._system.database.table("ExcpTops")
+        rows = table.equality_index("TID").lookup(topology.tid)
+        e1, e2 = table.store.take_columns(
+            rows, [table.schema.column_position(c) for c in ("E1", "E2")]
+        )
+        return e1, e2

@@ -5,7 +5,10 @@ first k rows (SQL3/SQL4 over the unpruned store).
 
 Fast-Top-k is *staged* per the paper's optimization: evaluate the
 LeftTops sub-query first (SQL4); only when a pruned topology's score
-could still make the top k does its online check (SQL5) run.
+could still make the top k is its online check made.  That check gives
+SQL5's answer by a walk over the topology's chains
+(:class:`~repro.core.methods.pruned.PrunedChecks`), so SQL4 is the one
+statement a query executes.
 """
 
 from __future__ import annotations
@@ -87,8 +90,9 @@ class FastTopKMethod(Method):
         result = engine.execute(self.unpruned_sql(query, params), params)
         ranked: List[Tuple[int, float]] = [(row[0], row[1]) for row in result.rows]
 
-        # Stage 2 (SQL5): check each pruned topology whose score could
-        # still enter the current top k, best score first.
+        # Stage 2 (SQL5's answer, by the walk): check each pruned
+        # topology whose score could still enter the current top k, best
+        # score first.
         checks = PrunedChecks(self._fast_top, query, Endpoints(self.system, query))
         for topology in checks.ranked():
             score = topology.scores[query.ranking]

@@ -1,14 +1,16 @@
-"""Set-at-a-time early termination: the pruned-check reducer and the
+"""Set-at-a-time early termination: the pruned-check walk and the
 batch IDGJ probe against their tuple-at-a-time references.
 
-* soundness — whenever the reducer says "no witness", SQL5 returns zero
-  rows (never the converse claim);
-* exactness — the batch probe returns the row stack's tids and scores
-  *and* charges its work counters;
-* a provably empty pruned check executes no SQL statement at all.
+* soundness — whenever the walk's reduction says "no witness", SQL5
+  returns zero rows (never the converse claim);
+* exactness — the walk answers exactly what SQL5 would, on the numpy
+  leg and on the set leg, including the three ways a check the
+  reduction lets through can still fail; the batch probe returns the row
+  stack's tids and scores *and* charges its work counters;
+* a pruned check executes no SQL statement at all.
 
 The numpy-free leg runs this same file under ``REPRO_NO_NUMPY=1`` (CI's
-``numpy: none`` matrix leg); the set fallback of the reducer is also
+``numpy: none`` matrix leg); the set fallback of the walk is also
 driven directly here, whichever leg runs.
 """
 
@@ -27,9 +29,12 @@ from repro.core import (
 )
 from repro.core.methods.et import FastTopKEtMethod, FullTopKEtMethod
 from repro.core.methods.fast_top import FastTopMethod
+from repro.biozon.schema import build_empty_database
+from repro.core import pathsql
 from repro.core.methods.pruned import Endpoints, PrunedChecks
-from repro.core.pathsql import chains_may_connect
-from repro.relational.column import to_pylist
+from repro.core.pathsql import chains_reach, chains_witness, multi_chain_fragments
+from repro.relational.column import HAVE_NUMPY, to_pylist
+from repro.relational.sql import Engine
 from repro.relational.operators import FirstPerGroup, dgj
 from repro.relational.runtime import columnar_mode, row_mode
 
@@ -58,33 +63,223 @@ def _queries(seeds, count=12):
 
 
 # ----------------------------------------------------------------------
-# (a) The reducer is sound
+# (a) The walk: its reduction is sound, its answer is SQL5's
 # ----------------------------------------------------------------------
+def _as_sets(*id_sets):
+    return [set(to_pylist(ids)) for ids in id_sets]
+
+
+def _check_inputs(system, fast_top, query, topology):
+    """(database, signatures, es1, es2, end1 ids, end2 ids, exception
+    columns) of one pruned check, as PrunedChecks hands them over."""
+    endpoints = Endpoints(system, query)
+    first = 0 if system.orientation(query) else 1
+    checks = PrunedChecks(fast_top, query, endpoints)
+    es1, es2 = system.store_entity_pair(query)
+    return (
+        system.database, topology.class_signatures, es1, es2,
+        endpoints.ids(first), endpoints.ids(1 - first), checks._exceptions(topology),
+    )
+
+
 def test_reducer_never_denies_a_witness(tiny_system, difftest_seeds):
     fast_top = FastTopMethod(tiny_system)
     proved_empty = let_through = 0
     for query in _queries(difftest_seeds):
-        endpoints = Endpoints(tiny_system, query)
-        checks = PrunedChecks(fast_top, query, endpoints)
-        es1, es2 = tiny_system.store_entity_pair(query)
-        first = 0 if tiny_system.orientation(query) else 1
         for topology in fast_top.pruned_topologies(query):
             rows = tiny_system.engine.execute(
                 fast_top.pruned_check_sql(query, topology)
             ).rows
-            may_match = checks.may_match(topology)
-            # The set fallback gives the numpy path's answer.
-            assert may_match == chains_may_connect(
-                tiny_system.database, topology.class_signatures, es1, es2,
-                set(to_pylist(endpoints.ids(first))),
-                set(to_pylist(endpoints.ids(1 - first))),
+            database, signatures, es1, es2, end1_ids, end2_ids, _ = _check_inputs(
+                tiny_system, fast_top, query, topology
             )
-            if may_match:
+            ends = chains_reach(database, signatures, es1, es2, end1_ids, end2_ids)
+            # The set fallback gives the numpy path's answer.
+            assert set(to_pylist(ends)) == chains_reach(
+                database, signatures, es1, es2, *_as_sets(end1_ids, end2_ids)
+            )
+            if len(ends):
                 let_through += 1
             else:
                 proved_empty += 1
                 assert rows == [], f"reducer denied a witness: {query!r} tid={topology.tid}"
     assert proved_empty and let_through  # the sweep saw both outcomes
+
+
+@pytest.fixture(scope="module")
+def pruned_system():
+    """The tiny dataset with a low pruning threshold: 18 pruned
+    topologies, 9 of them of two or three classes, 238 ExcpTops rows."""
+    data = generate(BiozonConfig.tiny(seed=3))
+    system = TopologySearchSystem(data.database, data.graph())
+    system.build(list(PAIRS), max_length=3, prune_threshold=5)
+    return system
+
+
+def _walk_matches_sql5(system, fast_top, query, topology):
+    """Assert both legs of the walk answer SQL5, with the module's
+    chunk and path bounds and with bounds of one (so every chunk step
+    and every frontier slice runs); return the answer and whether the
+    reduction let the check through."""
+    rows = system.engine.execute(fast_top.pruned_check_sql(query, topology)).rows
+    context = f"{query!r} tid={topology.tid}"
+    database, signatures, es1, es2, end1_ids, end2_ids, excluded = _check_inputs(
+        system, fast_top, query, topology
+    )
+    ends = chains_reach(database, signatures, es1, es2, end1_ids, end2_ids)
+    with pytest.MonkeyPatch.context() as patch:
+        for bounds in ("module", "one"):
+            checks = PrunedChecks(fast_top, query, Endpoints(system, query))
+            assert checks.has_witness(topology) == bool(rows), (bounds, context)
+            if len(ends):
+                sets = chains_witness(
+                    database, signatures, es1, es2, *_as_sets(end1_ids, ends),
+                    tuple(to_pylist(column) for column in excluded),
+                )
+                assert sets == bool(rows), (bounds, context)
+            for bound in ("WITNESS_FIRST_CHUNK", "WITNESS_CHUNK_GROWTH", "WITNESS_MAX_PATHS"):
+                patch.setattr(pathsql, bound, 1)
+    return bool(rows), bool(len(ends))
+
+
+def test_walk_answers_what_sql5_returns(pruned_system, difftest_seeds, monkeypatch):
+    """Every pruned topology, both orientations: the walk's answer is
+    ``bool(rows of SQL5)``."""
+    searched = []
+    arrays_leg = pathsql._witness_arrays
+    monkeypatch.setattr(
+        pathsql, "_witness_arrays", lambda *args: searched.append(1) or arrays_leg(*args)
+    )
+    fast_top = FastTopMethod(pruned_system)
+    outcomes = set()
+    for query in _queries(difftest_seeds, count=4):
+        for topology in fast_top.pruned_topologies(query):
+            outcomes.add(_walk_matches_sql5(pruned_system, fast_top, query, topology))
+    assert (True, True) in outcomes and (False, False) in outcomes
+    assert bool(searched) == HAVE_NUMPY  # PrunedChecks takes the numpy leg
+
+
+def test_fast_methods_answer_the_full_methods(pruned_system, difftest_seeds):
+    """Every Fast method on the heavily pruned store, whose answers lean
+    on the walk, against its Full counterpart."""
+    checked = 0
+    for query in _queries(difftest_seeds, count=6):
+        if query.k is None:
+            pairs = {"fast-top": "full-top"}
+        else:
+            pairs = {m: "full-top-k" for m in ("fast-top-k", "fast-top-k-et", "fast-top-k-opt")}
+        for fast, full in pairs.items():
+            result = pruned_system.search(query, fast)
+            assert result.tids == pruned_system.search(query, full).tids, (fast, query)
+            checked += result.work["pruned_checks"]
+    assert checked
+
+
+def test_exception_pair_as_point_endpoints_has_no_witness(pruned_system):
+    """(a) An ExcpTops pair satisfies its topology's path condition, so
+    the reduction lets the point check through; the pair is the only
+    one, and it is an exception."""
+    fast_top = FastTopMethod(pruned_system)
+    store = pruned_system.require_store()
+    seen = 0
+    for e1, e2, tid in pruned_system.database.table("ExcpTops").rows[::7]:
+        topology = store.topology(tid)
+        es1, es2 = topology.entity_pair
+        query = TopologyQuery(
+            es1, es2, AttributeConstraint("ID", e1), AttributeConstraint("ID", e2)
+        )
+        assert _walk_matches_sql5(pruned_system, fast_top, query, topology) == (False, True)
+        seen += 1
+    assert seen >= 10
+
+
+def _explicit_database(proteins, dnas, interactions=(), encodes=(), interacts=()):
+    """A Biozon database over explicit rows; ``interacts`` are
+    (protein, interaction, dna) triangles."""
+    db = build_empty_database("explicit")
+    db.table("Protein").bulk_load([(p, f"protein {p}") for p in proteins])
+    db.table("DNA").bulk_load([(d, "mRNA", f"dna {d}") for d in dnas])
+    db.table("Interaction").bulk_load([(i, "binds", f"interaction {i}") for i in interactions])
+    db.table("Encodes").bulk_load([(n, p, d) for n, (p, d) in enumerate(encodes)])
+    db.table("InteractsProtein").bulk_load(
+        [(n, p, i) for n, (p, i, _) in enumerate(interacts)]
+    )
+    db.table("InteractsDNA").bulk_load([(n, d, i) for n, (_, i, d) in enumerate(interacts)])
+    return db
+
+
+def _ids(values):
+    """An int64 array where numpy is present — the form PrunedChecks
+    hands the walk, so its numpy leg runs — a set otherwise."""
+    if HAVE_NUMPY:
+        import numpy as np
+
+        return np.array(values, dtype="int64")
+    return set(values)
+
+
+def _explicit_checks(db, signatures):
+    """Per (protein, dna) point pair: assert both legs of the walk
+    answer what the path condition's SQL does; return that answer and
+    whether the reduction let the pair through."""
+    engine = Engine(db)
+    chain = multi_chain_fragments(signatures, "Protein", "DNA", "A", "B")
+    no_pairs = (_ids([]), _ids([]))
+    answers = {}
+    for (p, _) in db.table("Protein").rows:
+        for (d, _, _) in db.table("DNA").rows:
+            rows = engine.execute(
+                f"SELECT 1 FROM Protein A, DNA B, {chain.from_sql()} "
+                f"WHERE A.ID = {p} AND B.ID = {d} AND {chain.where_sql()} "
+                f"FETCH FIRST 1 ROWS ONLY"
+            ).rows
+            end1_ids = _ids([p])
+            ends = chains_reach(db, signatures, "Protein", "DNA", end1_ids, _ids([d]))
+            if len(ends):
+                assert chains_witness(
+                    db, signatures, "Protein", "DNA", end1_ids, ends, no_pairs
+                ) == bool(rows), (p, d)
+                assert chains_witness(
+                    db, signatures, "Protein", "DNA", {p}, set(to_pylist(ends)), ([], [])
+                ) == bool(rows), (p, d)
+            else:
+                assert not rows, (p, d)
+            answers[p, d] = (bool(rows), bool(len(ends)))
+    return answers
+
+
+def test_revisiting_chain_instance_has_no_witness():
+    """(b) p1's only P-D-P-D instance to d1 walks back through p1 and
+    d1, so ``<>`` rules it out; p2 reaches d3 through a distinct p3."""
+    db = _explicit_database(
+        proteins=[1, 2, 3], dnas=[11, 12, 13],
+        encodes=[(1, 11), (2, 12), (3, 12), (3, 13)],
+    )
+    signature = ("Protein", "encodes", "DNA", "encodes", "Protein", "encodes", "DNA")
+    answers = _explicit_checks(db, [signature])
+    assert answers[1, 11] == (False, True)  # reduced through, no simple path
+    assert answers[2, 13] == (True, True)
+
+
+def test_classes_connecting_different_pairs_have_no_witness():
+    """(c) A two-class topology: encodes connects (1, 11) and (2, 12),
+    the interaction chain (1, 12) and (2, 11); each class reaches both
+    ends, but no pair has both.  Protein 3 and DNA 13 do."""
+    db = _explicit_database(
+        proteins=[1, 2, 3], dnas=[11, 12, 13], interactions=[21, 22, 23],
+        encodes=[(1, 11), (2, 12), (3, 13)],
+        interacts=[(1, 21, 12), (2, 22, 11), (3, 23, 13)],
+    )
+    signatures = [
+        ("Protein", "encodes", "DNA"),
+        ("Protein", "interacts_protein", "Interaction", "interacts_dna", "DNA"),
+    ]
+    ends = chains_reach(db, signatures, "Protein", "DNA", {1, 2}, {11, 12})
+    assert ends == {11, 12}
+    assert not chains_witness(db, signatures, "Protein", "DNA", {1, 2}, ends, ([], []))
+    answers = _explicit_checks(db, signatures)
+    assert answers[1, 11] == (False, False)
+    assert answers[3, 13] == (True, True)
 
 
 # ----------------------------------------------------------------------
@@ -187,8 +382,20 @@ def test_join_index_follows_table_versions():
 
 
 # ----------------------------------------------------------------------
-# (c) A provably empty check executes no statement
+# (c) A pruned check executes no statement
 # ----------------------------------------------------------------------
+# The one pruned (Protein, DNA) topology of the tiny store has a witness
+# among the human proteins.
+WITNESSED = TopologyQuery(
+    "Protein", "DNA", KeywordConstraint("DESC", "human"), NoConstraint(),
+    k=5, ranking="freq",
+)
+
+
+def _statements(engine):
+    return engine.plan_cache_hits + engine.plan_cache_misses
+
+
 def test_proved_empty_check_runs_no_sql(tiny_system):
     engine = tiny_system.engine
     with columnar_mode():
@@ -203,9 +410,44 @@ def test_proved_empty_check_runs_no_sql(tiny_system):
     assert result.work["subqueries_run"] == 0
 
 
+def test_witnessed_check_runs_no_sql(tiny_system):
+    """The witness search answers a check the reduction lets through:
+    Fast-Top-k-ET still issues no statement."""
+    engine = tiny_system.engine
+    with columnar_mode():
+        reference = tiny_system.search(WITNESSED, "full-top-k")
+        statements = _statements(engine)
+        result = tiny_system.search(WITNESSED, "fast-top-k-et")
+        assert _statements(engine) == statements
+    assert result.tids == reference.tids
+    assert result.work["pruned_checks"] == 1
+    assert result.work["pruned_checks_proved_empty"] == 0
+    assert result.work["subqueries_run"] == 0
+
+
+def test_fast_top_issues_one_statement(pruned_system, difftest_seeds):
+    """Fast-Top executes SQL1's LeftTops branch and nothing else, whatever
+    its pruned checks answer."""
+    engine = pruned_system.engine
+    answers = set()
+    with columnar_mode():
+        for query in _queries(difftest_seeds[:2], count=6):
+            exhaustive = TopologyQuery(
+                query.entity1, query.entity2, query.constraint1, query.constraint2,
+                max_length=query.max_length,
+            )
+            statements = _statements(engine)
+            result = pruned_system.search(exhaustive, "fast-top")
+            assert _statements(engine) == statements + 1, exhaustive
+            assert result.work["subqueries_run"] == 0
+            checks = result.work["pruned_checks"]
+            answers.add((checks > result.work["pruned_checks_proved_empty"], checks > 0))
+    assert answers >= {(True, True), (False, True)}
+
+
 def test_regular_methods_skip_the_proved_empty_check(tiny_system):
-    """Fast-Top-k issues SQL4 only; Fast-Top leaves the branch out of
-    its UNION (while ``sql_for`` still renders the paper's full SQL1)."""
+    """Fast-Top-k issues SQL4 only; Fast-Top its LeftTops branch only
+    (while ``sql_for`` still renders the paper's full SQL1)."""
     engine = tiny_system.engine
     fast_top = tiny_system.method("fast-top")
     with columnar_mode():
@@ -232,16 +474,12 @@ def test_engine_execute_span_and_counter_report_the_checks(tiny_system):
         return {}
 
     before = outcomes()
-    witnessed = TopologyQuery(
-        "Protein", "DNA", KeywordConstraint("DESC", "human"), NoConstraint(),
-        k=5, ranking="freq",
-    )
     was_enabled = tracer().enabled
     tracer().enabled = True
     try:
         with tracer().span("test.ingress", ingress=True) as root:
             tiny_system.search(EMPTY_CHECK, "fast-top-k-et")
-            tiny_system.search(witnessed, "fast-top-k-et")
+            tiny_system.search(WITNESSED, "fast-top-k-et")
         spans = [
             s for s in tracer().trace_spans(root.trace_id) if s.name == "engine.execute"
         ]
