@@ -24,6 +24,7 @@ from typing import TYPE_CHECKING, Any, List, Tuple
 from repro.core.model import Topology
 from repro.core.pathsql import chains_reach, chains_witness
 from repro.core.query import TopologyQuery
+from repro.errors import TopologyError
 from repro.relational.column import ColumnValues, compact_column, is_ndarray
 from repro.relational.operators import table_batch, table_layout
 
@@ -118,7 +119,10 @@ class PrunedChecks:
     def _exceptions(self, topology: Topology) -> Tuple[ColumnValues, ColumnValues]:
         """The (E1, E2) columns of the topology's ExcpTops rows."""
         table = self._system.database.table("ExcpTops")
-        rows = table.equality_index("TID").lookup(topology.tid)
+        index = table.hash_index_on(["TID"])
+        if index is None:
+            raise TopologyError("ExcpTops.TID has no hash index")
+        rows = index.lookup(topology.tid)
         e1, e2 = table.store.take_columns(
             rows, [table.schema.column_position(c) for c in ("E1", "E2")]
         )

@@ -154,19 +154,6 @@ def multi_chain_fragments(
 # An id set is a numpy integer array where the id columns are numeric
 # and numpy is present, a Python set otherwise (string ids, NULLs, the
 # no-numpy leg); both legs compute the same sets.
-
-#: End1 ids the witness search's first chunk starts from, and the
-#: factor every later chunk grows by.
-WITNESS_FIRST_CHUNK = 16
-WITNESS_CHUNK_GROWTH = 4
-#: Path tuples one hop of a chunk holds at once: a frontier that would
-#: expand past it is walked in slices (one id is never split).
-WITNESS_MAX_PATHS = 1 << 16
-#: An (end1, end2) pair packs into one int64 key when both ids are in
-#: [0, 2**31).
-_PACK_BITS = 31
-
-
 def _as_set(ids: Any) -> Any:
     return set(ids.tolist()) if is_ndarray(ids) else ids
 
@@ -176,33 +163,29 @@ def _int_array(ids: Any) -> bool:
 
 
 class _Hop:
-    """One hop of a chain: the relationship table's equality index on
-    the from-side column and the to-side column.  Both phases of the walk
-    expand ids through it — by its :class:`CsrKeys` view on the numpy
-    leg (``csr`` is None where the columns cannot take it), by its dict
-    of buckets on the set leg.  NULL never joins."""
+    """One hop of a chain: the relationship table's hash index on the
+    from-side column and the to-side column.  Both phases of the walk
+    expand ids through it — the reduction by the index's
+    :class:`CsrKeys` view when ids and columns are int arrays (``csr``
+    is None where the columns cannot take it), otherwise, like the
+    witness search, by its dict of buckets.  NULL never joins."""
 
     __slots__ = ("csr", "to_array", "buckets", "to_values")
 
     def __init__(self, database: Database, step: Tuple[str, str, str]) -> None:
         table_name, from_column, to_column = step
         table = database.table(table_name)
-        index = table.equality_index(from_column)
+        index = table.hash_index_on([from_column])
+        if index is None:
+            raise TopologyError(f"{table_name}.{from_column} has no hash index")
         to_at = table.schema.column_position(to_column)
         self.buckets = index.buckets()
         self.to_values = table.store.columns[to_at]
         self.to_array = table.store.array(to_at)
         self.csr = index.key_arrays() if _int_array(self.to_array) else None
 
-    def arrays(self, ids: Any) -> Tuple[Any, Any]:
-        """Numpy leg: (position in ``ids``, to-side id) of every row
-        whose from-side id is in the int array ``ids``."""
-        source, rows = self.csr.probe(ids)
-        return source, self.to_array[rows]
-
     def values(self, value: Any) -> List[Any]:
-        """Set leg: the to-side ids of the rows whose from-side id is
-        ``value``."""
+        """The to-side ids of the rows whose from-side id is ``value``."""
         bucket = self.buckets.get(value) if value is not None else None
         if not bucket:
             return []
@@ -215,7 +198,7 @@ def _hop(database: Database, step: Tuple[str, str, str], ids: Any) -> Any:
     of the rows whose from-side value is in ``ids``."""
     hop = _Hop(database, step)
     if hop.csr is not None and _int_array(ids):
-        return np.unique(hop.arrays(ids)[1])
+        return np.unique(hop.to_array[hop.csr.probe(ids)[1]])
     return {to for value in _as_set(ids) for to in hop.values(value)}
 
 
@@ -279,12 +262,10 @@ def chains_witness(
 
     ``ends`` is the first phase's answer (:func:`chains_reach`; no other
     end can have a witness) and ``excluded`` two parallel sequences, the
-    end1 and end2 ids of the pairs to leave out.  The search walks every
-    chain with the id at each position, from growing chunks of
-    ``end1_ids``, and stops at the first chunk that finds a pair.  It
-    packs pairs into int64 keys where every id set is an int array and
-    the ids fit (:func:`_witness_arrays`), and searches per end1 id over
-    Python sets otherwise (:func:`_witness_sets`).
+    end1 and end2 ids of the pairs to leave out.  The search takes one
+    end1 id at a time, walks every chain from it depth first with the id
+    at each position (:func:`_chain_ends`), and stops at the first id
+    that has a pair left.
     """
     chains = []
     for signature in signatures:
@@ -297,106 +278,9 @@ def chains_witness(
             for j in range(len(node_types))
         )
         chains.append((hops, earlier))
-    if (
-        all(hop.csr is not None for hops, _ in chains for hop in hops)
-        and all(_int_array(ids) for ids in (end1_ids, ends) + tuple(excluded))
-        and _packable(end1_ids)
-        and _packable(ends)
-    ):
-        return _witness_arrays(chains, end1_ids, ends, excluded)
-    return _witness_sets(chains, _as_set(end1_ids), _as_set(ends), excluded)
-
-
-def _packable(ids: Any) -> bool:
-    return ids.size == 0 or (int(ids.min()) >= 0 and int(ids.max()) < 1 << _PACK_BITS)
-
-
-def _witness_arrays(chains, starts: Any, ends: Any, excluded: Tuple[Any, Any]) -> bool:
-    """Numpy leg of :func:`chains_witness`."""
-    for hops, _ in chains:  # an end1 id without a first hop starts nothing
-        starts = starts[hops[0].csr.degrees(starts) > 0]
-    excluded_keys = None
-    size, begin = WITNESS_FIRST_CHUNK, 0
-    while begin < starts.size:
-        keys = _chunk_keys(chains, starts[begin:begin + size], ends)
-        begin, size = begin + size, size * WITNESS_CHUNK_GROWTH
-        if keys.size:
-            if excluded_keys is None:
-                excluded_keys = _packed_pairs(*excluded)
-            if not np.isin(keys, excluded_keys, assume_unique=True).all():
-                return True
-    return False
-
-
-def _packed_pairs(end1_ids: Any, end2_ids: Any) -> Any:
-    """The packed keys of the pairs whose ids fit a key (no other pair
-    can equal one)."""
-    limit = 1 << _PACK_BITS
-    fits = (end1_ids >= 0) & (end1_ids < limit) & (end2_ids >= 0) & (end2_ids < limit)
-    return np.unique((end1_ids[fits] << _PACK_BITS) | end2_ids[fits])
-
-
-def _chunk_keys(chains, starts: Any, ends: Any) -> Any:
-    """Sorted packed keys of the pairs from ``starts`` x ``ends`` that
-    every chain connects."""
-    keys = None
-    for hops, earlier in chains:
-        pieces: List[Any] = []
-        _extend(hops, earlier, [starts], ends, pieces)
-        found = np.unique(np.concatenate(pieces)) if pieces else np.empty(0, "int64")
-        keys = found if keys is None else np.intersect1d(keys, found, assume_unique=True)
-        if keys.size == 0:
-            break
-        starts = np.unique(keys >> _PACK_BITS)
-    return keys
-
-
-def _extend(hops, earlier, paths: List[Any], ends: Any, pieces: List[Any]) -> None:
-    """Extend the path tuples ``paths`` (one array per position walked
-    so far) by the next hop, depth first, and add the packed (end1,
-    end2) keys of the ones that complete the chain to ``pieces``."""
-    depth = len(paths)
-    hop = hops[depth - 1]
-    frontier = paths[-1]
-    for part in _slices(hop.csr, frontier):
-        source, reached = hop.arrays(frontier[part])
-        if depth == len(hops):
-            keep = np.isin(reached, ends)
-        else:
-            keep = np.ones(reached.size, dtype=bool)
-        extended = [column[part][source] for column in paths]
-        for i in earlier[depth]:
-            keep &= extended[i] != reached
-        extended = [column[keep] for column in extended] + [reached[keep]]
-        if extended[0].size == 0:
-            continue
-        if depth == len(hops):
-            pieces.append(np.unique((extended[0] << _PACK_BITS) | extended[-1]))
-        else:
-            _extend(hops, earlier, extended, ends, pieces)
-
-
-def _slices(csr: Any, frontier: Any) -> List[slice]:
-    """Consecutive slices of ``frontier``, each expanding over ``csr``
-    to at most :data:`WITNESS_MAX_PATHS` path tuples, or to one id's."""
-    totals = np.cumsum(csr.degrees(frontier))
-    if totals.size == 0 or int(totals[-1]) <= WITNESS_MAX_PATHS:
-        return [slice(None)]
-    slices = []
-    start = 0
-    while start < frontier.size:
-        base = int(totals[start - 1]) if start else 0
-        stop = int(np.searchsorted(totals, base + WITNESS_MAX_PATHS, side="right"))
-        stop = max(stop, start + 1)
-        slices.append(slice(start, stop))
-        start = stop
-    return slices
-
-
-def _witness_sets(chains, starts: set, ends: set, excluded: Tuple[Any, Any]) -> bool:
-    """Set leg of :func:`chains_witness`: one end1 id at a time."""
+    ends = _as_set(ends)
     excluded_pairs = None
-    for start in starts:
+    for start in _as_set(end1_ids):
         reached = ends
         for hops, earlier in chains:
             reached = _chain_ends(hops, earlier, start, reached)

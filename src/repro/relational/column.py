@@ -169,15 +169,12 @@ class Batch:
 class ColumnStore:
     """Array-of-columns storage for one table.
 
-    Appends go to the per-column Python lists; the numpy, lowercase and
-    index caches are invalidated on any append and rebuilt lazily on
-    next use (the workload is bulk-load-then-query, so rebuilds are
-    rare).
+    Appends go to the per-column Python lists; the numpy and lowercase
+    caches are invalidated on any append and rebuilt lazily on next use
+    (the workload is bulk-load-then-query, so rebuilds are rare).
     """
 
-    __slots__ = (
-        "dtypes", "columns", "length", "version", "_arrays", "_lowered", "_indexes"
-    )
+    __slots__ = ("dtypes", "columns", "length", "version", "_arrays", "_lowered")
 
     _UNSET = object()
 
@@ -190,7 +187,6 @@ class ColumnStore:
         self.version = 0
         self._arrays: List[Any] = [self._UNSET] * len(self.dtypes)
         self._lowered: List[Any] = [self._UNSET] * len(self.dtypes)
-        self._indexes: List[Any] = [self._UNSET] * len(self.dtypes)
 
     # -- Mutation ----------------------------------------------------------
     def append_row(self, row: Sequence[Any]) -> None:
@@ -215,7 +211,6 @@ class ColumnStore:
         for i in range(len(self._arrays)):
             self._arrays[i] = self._UNSET
             self._lowered[i] = self._UNSET
-            self._indexes[i] = self._UNSET
 
     # -- Caches ------------------------------------------------------------
     def array(self, position: int) -> Optional["np.ndarray"]:
@@ -247,14 +242,6 @@ class ColumnStore:
             lowered = [v if v is None else v.lower() for v in self.columns[position]]
         self._lowered[position] = lowered
         return lowered
-
-    def column_index(self, position: int, build: Callable[[], Any]) -> Any:
-        """``build()``'s index over one column, built once per version:
-        held beside the numpy cache and dropped with it on any append."""
-        cached = self._indexes[position]
-        if cached is self._UNSET:
-            cached = self._indexes[position] = build()
-        return cached
 
     # -- Access ------------------------------------------------------------
     def column_values(self, position: int) -> list:

@@ -58,29 +58,14 @@ class CsrKeys:
         self.offsets = np.append(starts, ordered.size)
         self.positions = order if positions is None else positions[order]
 
-    def _locate(self, probe: "np.ndarray") -> "np.ndarray":
-        """Per probe key, the index of the first key not below it,
-        clipped to the last key (so ``keys[at] == probe`` tells a hit)."""
-        at = np.searchsorted(self.keys, probe)
-        np.minimum(at, self.keys.size - 1, out=at)
-        return at
-
-    def degrees(self, probe: "np.ndarray") -> "np.ndarray":
-        """How many entries every key of ``probe`` matches (0 for a
-        miss): the number of pairs :meth:`probe` would emit for it."""
-        if self.keys.size == 0:
-            return np.zeros(probe.size, dtype="int64")
-        at = self._locate(probe)
-        counts = self.offsets[at + 1] - self.offsets[at]
-        return np.where(self.keys[at] == probe, counts, 0)
-
     def probe(self, probe: "np.ndarray") -> Tuple["np.ndarray", "np.ndarray"]:
         """(outer position, payload) of every match of an int/bool key
         array, as two parallel int64 arrays."""
         keys = self.keys
         if keys.size == 0 or probe.size == 0:
             return _NO_PAIRS
-        at = self._locate(probe)
+        at = np.searchsorted(keys, probe)
+        np.minimum(at, keys.size - 1, out=at)
         hit = np.flatnonzero(keys[at] == probe)
         if hit.size == 0:
             return _NO_PAIRS

@@ -67,23 +67,6 @@ class Table:
                 return index
         return None
 
-    def equality_index(self, column: str) -> HashIndex:
-        """An equality index on one column: the declared hash index, else
-        one built on first use and held by the column store until the
-        table next changes."""
-        index = self.hash_index_on([column])
-        if index is not None:
-            return index
-        position = self.schema.column_position(column)
-        store = self.store
-
-        def build() -> HashIndex:
-            built = HashIndex(f"{column}_lookup", [position])
-            built.bulk_build_columns(store)
-            return built
-
-        return store.column_index(position, build)
-
     def sorted_index_on(self, column: str) -> Optional[SortedIndex]:
         position = self.schema.column_position(column)
         for index in self._sorted_indexes.values():

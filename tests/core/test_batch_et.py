@@ -3,8 +3,8 @@ batch IDGJ probe against their tuple-at-a-time references.
 
 * soundness — whenever the walk's reduction says "no witness", SQL5
   returns zero rows (never the converse claim);
-* exactness — the walk answers exactly what SQL5 would, on the numpy
-  leg and on the set leg, including the three ways a check the
+* exactness — the walk answers exactly what SQL5 would, from int
+  arrays and from Python sets, including the three ways a check the
   reduction lets through can still fail; the batch probe returns the row
   stack's tids and scores *and* charges its work counters;
 * a pruned check executes no SQL statement at all.
@@ -30,7 +30,6 @@ from repro.core import (
 from repro.core.methods.et import FastTopKEtMethod, FullTopKEtMethod
 from repro.core.methods.fast_top import FastTopMethod
 from repro.biozon.schema import build_empty_database
-from repro.core import pathsql
 from repro.core.methods.pruned import Endpoints, PrunedChecks
 from repro.core.pathsql import chains_reach, chains_witness, multi_chain_fragments
 from repro.relational.column import HAVE_NUMPY, to_pylist
@@ -117,46 +116,35 @@ def pruned_system():
 
 
 def _walk_matches_sql5(system, fast_top, query, topology):
-    """Assert both legs of the walk answer SQL5, with the module's
-    chunk and path bounds and with bounds of one (so every chunk step
-    and every frontier slice runs); return the answer and whether the
-    reduction let the check through."""
+    """Assert the walk answers SQL5, from the arrays PrunedChecks hands
+    it and from Python sets of the same ids; return the answer and
+    whether the reduction let the check through."""
     rows = system.engine.execute(fast_top.pruned_check_sql(query, topology)).rows
     context = f"{query!r} tid={topology.tid}"
     database, signatures, es1, es2, end1_ids, end2_ids, excluded = _check_inputs(
         system, fast_top, query, topology
     )
     ends = chains_reach(database, signatures, es1, es2, end1_ids, end2_ids)
-    with pytest.MonkeyPatch.context() as patch:
-        for bounds in ("module", "one"):
-            checks = PrunedChecks(fast_top, query, Endpoints(system, query))
-            assert checks.has_witness(topology) == bool(rows), (bounds, context)
-            if len(ends):
-                sets = chains_witness(
-                    database, signatures, es1, es2, *_as_sets(end1_ids, ends),
-                    tuple(to_pylist(column) for column in excluded),
-                )
-                assert sets == bool(rows), (bounds, context)
-            for bound in ("WITNESS_FIRST_CHUNK", "WITNESS_CHUNK_GROWTH", "WITNESS_MAX_PATHS"):
-                patch.setattr(pathsql, bound, 1)
+    checks = PrunedChecks(fast_top, query, Endpoints(system, query))
+    assert checks.has_witness(topology) == bool(rows), context
+    if len(ends):
+        sets = chains_witness(
+            database, signatures, es1, es2, *_as_sets(end1_ids, ends),
+            tuple(to_pylist(column) for column in excluded),
+        )
+        assert sets == bool(rows), context
     return bool(rows), bool(len(ends))
 
 
-def test_walk_answers_what_sql5_returns(pruned_system, difftest_seeds, monkeypatch):
+def test_walk_answers_what_sql5_returns(pruned_system, difftest_seeds):
     """Every pruned topology, both orientations: the walk's answer is
     ``bool(rows of SQL5)``."""
-    searched = []
-    arrays_leg = pathsql._witness_arrays
-    monkeypatch.setattr(
-        pathsql, "_witness_arrays", lambda *args: searched.append(1) or arrays_leg(*args)
-    )
     fast_top = FastTopMethod(pruned_system)
     outcomes = set()
     for query in _queries(difftest_seeds, count=4):
         for topology in fast_top.pruned_topologies(query):
             outcomes.add(_walk_matches_sql5(pruned_system, fast_top, query, topology))
     assert (True, True) in outcomes and (False, False) in outcomes
-    assert bool(searched) == HAVE_NUMPY  # PrunedChecks takes the numpy leg
 
 
 def test_fast_methods_answer_the_full_methods(pruned_system, difftest_seeds):
@@ -210,7 +198,8 @@ def _explicit_database(proteins, dnas, interactions=(), encodes=(), interacts=()
 
 def _ids(values):
     """An int64 array where numpy is present — the form PrunedChecks
-    hands the walk, so its numpy leg runs — a set otherwise."""
+    hands the walk, so the reduction probes the CSR view — a set
+    otherwise."""
     if HAVE_NUMPY:
         import numpy as np
 
@@ -219,8 +208,8 @@ def _ids(values):
 
 
 def _explicit_checks(db, signatures):
-    """Per (protein, dna) point pair: assert both legs of the walk
-    answer what the path condition's SQL does; return that answer and
+    """Per (protein, dna) point pair: assert the walk answers what the
+    path condition's SQL does, from arrays and from sets; return that answer and
     whether the reduction let the pair through."""
     engine = Engine(db)
     chain = multi_chain_fragments(signatures, "Protein", "DNA", "A", "B")

@@ -130,18 +130,6 @@ class TestKernelAgainstLoop:
             with probe_threshold(LOOP):
                 assert pairs_of(probe_pairs(batch, (0,), inner)) == expected
 
-    @settings(max_examples=60, deadline=None)
-    @given(build=key_lists(40), probe=key_lists(60))
-    def test_degrees_count_each_probe_keys_pairs(self, build, probe):
-        view = index_over(build).key_arrays()
-        keys = column(probe)
-        if view is None or not hasattr(keys, "dtype"):
-            return
-        matches = [0] * len(probe)
-        for i, _ in brute_force(probe, build):
-            matches[i] += 1
-        assert view.degrees(keys).tolist() == matches
-
     def test_kernel_is_what_runs(self):
         """The property above is vacuous if nothing reaches the kernel."""
         index = index_over([3, 1, 3, None, True])
@@ -189,24 +177,6 @@ class TestKernelAgainstLoop:
             assert HAVE_NUMPY is False or index.key_arrays() is not first
             index.bulk_build([(9,), (9,)])
             assert pairs_of(probe_pairs(probe, (0,), index)) == [(0, 0), (0, 1)]
-
-
-def test_equality_index_is_declared_or_held_by_the_store():
-    """A declared hash index answers; on another column one is built on
-    first use, reused, and dropped by the next append."""
-    db = Database("t")
-    table = db.create_table(
-        TableSchema("R", [Column("A", DataType.INT), Column("B", DataType.INT)])
-    )
-    declared = table.create_hash_index("by_a", ["A"])
-    table.bulk_load([(1, 10), (2, 20), (1, 30)])
-    assert table.equality_index("A") is declared
-    built = table.equality_index("B")
-    assert table.equality_index("B") is built
-    assert built.lookup(20) == [1]
-    table.insert((3, 20))
-    rebuilt = table.equality_index("B")
-    assert rebuilt is not built and rebuilt.lookup(20) == [1, 3]
 
 
 # ----------------------------------------------------------------------
