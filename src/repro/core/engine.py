@@ -47,6 +47,15 @@ from repro.relational.statistics import StatsCatalog
 if TYPE_CHECKING:  # runtime import stays inside build() (cycle-free)
     from repro.parallel import ParallelBuildReport
 
+# Capacity of TopologySearchSystem.selection_cache.  An outcome entry is
+# a few hundred bytes; a selection holds one keep flag and at most one
+# id per row of its entity table, so the worst case is capacity x
+# (largest entity table rows x 9 B): 5.1 MB over the 1,100-row DNA table
+# of the benchmark's dataset.  One benchmark segment (a third of a
+# seed-7 request list on a fresh system) fills 210-333 entries, 0.3-0.8
+# MB of them selections.
+SELECTION_CACHE_SIZE = 512
+
 
 @dataclass
 class BuildReport:
@@ -71,10 +80,10 @@ class TopologySearchSystem:
 
     Concurrency contract: :meth:`search`, :meth:`explain` and the plan
     layer only *read* the built store and base tables, and every shared
-    mutable hot-path structure they touch — the plan cache, the cost
-    calibrator, the per-thread executor counters, the lazily refreshed
-    statistics — is thread-safe, so any number of threads may query one
-    system concurrently.  :meth:`build` and :meth:`adopt_store` are
+    mutable hot-path structure they touch — the plan cache, the
+    selection cache, the cost calibrator, the per-thread executor
+    counters, the lazily refreshed statistics — is thread-safe, so any
+    number of threads may query one system concurrently.  :meth:`build` and :meth:`adopt_store` are
     exclusive writers: they replace the materialized tables in place and
     must not overlap with queries (that fencing is the job of
     :class:`~repro.service.server.TopologyServer`, which hot-swaps a
@@ -113,6 +122,11 @@ class TopologySearchSystem:
         self.planner = Planner(self)
         self.plan_cache = LRUCache(512)
         self.calibration_enabled = True
+        # The online work that depends on a query's constraints alone —
+        # endpoint selections and pruned-check outcomes — kept across
+        # queries and stamped with (build_generation, change_token()); see
+        # repro.core.methods.pruned.
+        self.selection_cache = LRUCache(SELECTION_CACHE_SIZE)
 
     # ------------------------------------------------------------------
     # Offline phase
@@ -406,6 +420,11 @@ class TopologySearchSystem:
 
     def plan_cache_stats(self) -> CacheStats:
         return self.plan_cache.stats()
+
+    def selection_cache_stats(self) -> CacheStats:
+        """The selection cache's counters: endpoint selections and
+        pruned-check outcomes together."""
+        return self.selection_cache.stats()
 
     def restore_calibration(self, state: Optional[Dict[str, object]]) -> None:
         """Install persisted calibration state (snapshot restore path)

@@ -17,8 +17,9 @@ is made before any lower-scored unpruned group is processed.
 plans of Figure 15 (a) and (b).
 
 In columnar mode the IDGJ plan runs set-at-a-time: both constraints are
-evaluated once over their entity tables
-(:class:`~repro.core.methods.pruned.Endpoints`) and
+evaluated over their entity tables once per data version
+(:class:`~repro.core.methods.pruned.Endpoints`, shared across queries)
+and
 :class:`~repro.relational.operators.IDGJProbe` decides each TopInfo
 group with a vectorised probe, in the same order, to the same witness
 and for the same counters as the operator stack, which ``row_mode()``

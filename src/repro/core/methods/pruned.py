@@ -1,9 +1,10 @@
 """One query's endpoint sets and its online checks of pruned topologies.
 
 A 2-query constrains two entity sets.  :class:`Endpoints` evaluates each
-constraint once, vectorised over its entity table; everything downstream
-is a membership test against the result — the batch DGJ probe reads the
-per-row keep flags, the pruned-check reducer reads the ids.
+constraint once per data version, vectorised over its entity table;
+everything downstream is a membership test against the result — the
+batch DGJ probe reads the per-row keep flags, the pruned-check walk
+reads the ids.
 
 :class:`PrunedChecks` is the one place a pruned topology is checked
 online: it gives the answer of the paper's SQL5 (and of each lower
@@ -15,63 +16,110 @@ answer is "no witness".  Otherwise an exact witness search
 (:func:`~repro.core.pathsql.chains_witness`) looks for one pair the
 statement would return — simple paths, every class connecting the same
 pair, the topology's ExcpTops pairs left out — and stops at the first.
+
+Both results are functions of the constraints alone, so they are kept
+across queries in the system's selection cache
+(:attr:`~repro.core.engine.TopologySearchSystem.selection_cache`):
+
+* a *selection* — the keep flags and kept ids of one constraint over
+  one entity table — under ``(entity table, constraint)``;
+* a check's *outcome* — proved empty, witness, or no witness — under
+  ``(tid, end1 side, end2 side)``, the sides being the ``(entity
+  table, constraint)`` pairs in build orientation, so a reversed query
+  reads the same entry.
+
+Every entry is stamped with ``(build_generation,
+database.change_token())``, read once per query before anything is
+computed: a rebuild (which reassigns tids), a restore or any table
+write retires every entry made before it.  A cached value is exactly
+what the code computes on a miss, and a hit charges the same
+``pruned_checks`` / ``pruned_checks_proved_empty`` counters, so answers,
+``work`` and the plans fed by it do not depend on the cache.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, List, Tuple
+from typing import TYPE_CHECKING, Any, List, Optional, Tuple
 
+from repro.cache import MISSING
 from repro.core.model import Topology
 from repro.core.pathsql import chains_reach, chains_witness
-from repro.core.query import TopologyQuery
+from repro.core.query import Constraint, TopologyQuery
 from repro.errors import TopologyError
 from repro.relational.column import ColumnValues, compact_column, is_ndarray
 from repro.relational.operators import table_batch, table_layout
+from repro.relational.table import Table
 
 if TYPE_CHECKING:
     from repro.core.methods.fast_top import FastTopMethod
 
+# The outcomes of a pruned check, as the selection cache holds them.
+PROVED_EMPTY = "proved empty"
+WITNESS = "witness"
+NO_WITNESS = "no witness"
+
+
+def _read_only(values: Any, freeze: type) -> Any:
+    """``values`` made immutable in place (a numpy array) or as
+    ``freeze(values)`` (a list): a cached selection is shared by every
+    query that reads it."""
+    if is_ndarray(values):
+        values.flags.writeable = False
+        return values
+    return freeze(values)
+
+
+def _select(table: Table, constraint: Constraint) -> Tuple[ColumnValues, Any]:
+    """The keep flags of ``constraint`` over every row of ``table``
+    (unknown is not kept, as in a WHERE clause) and the ids of the kept
+    rows: a bool array or tuple, and an id array where the ID column has
+    one, a frozenset otherwise."""
+    evaluate = constraint.to_expression("q").bind_batch(table_layout(table, "q"))
+    keep = evaluate(table_batch(table)).as_keep()
+    position = table.schema.column_position("ID")
+    values = table.store.array(position)
+    if values is None:
+        values = table.store.column_values(position)
+    ids = compact_column(values, keep)
+    return _read_only(keep, tuple), _read_only(ids, frozenset)
+
 
 class Endpoints:
-    """The two endpoint constraints of one query, each evaluated at most
-    once.  Side 0 is ``(entity1, constraint1)``, side 1 the other."""
+    """The two endpoint constraints of one query, each evaluated once
+    per data version.  Side 0 is ``(entity1, constraint1)``, side 1 the
+    other."""
 
     def __init__(self, system, query: TopologyQuery) -> None:
         self._database = system.database
-        self._sides = (
+        self._cache = system.selection_cache
+        # Read before anything is computed: an entry made while the data
+        # changes is put under the older stamp and retired on its next
+        # lookup — stale in the safe direction.
+        self.stamp = (system.build_generation, system.database.change_token())
+        self.sides = (
             (query.entity1, query.constraint1),
             (query.entity2, query.constraint2),
         )
-        self._keep: List[Any] = [None, None]
-        self._ids: List[Any] = [None, None]
+        self._selections: List[Optional[Tuple[ColumnValues, Any]]] = [None, None]
 
     def keep(self, side: int) -> ColumnValues:
-        """Per-row keep flags over the side's entity table (unknown is
-        not kept, as in a WHERE clause)."""
-        flags = self._keep[side]
-        if flags is None:
-            entity, constraint = self._sides[side]
-            table = self._database.table(entity)
-            alias = f"q{side + 1}"
-            evaluate = constraint.to_expression(alias).bind_batch(
-                table_layout(table, alias)
-            )
-            flags = self._keep[side] = evaluate(table_batch(table)).as_keep()
-        return flags
+        """Per-row keep flags over the side's entity table (read-only)."""
+        return self._selection(side)[0]
 
     def ids(self, side: int) -> Any:
-        """The ids of the kept entities: a numpy array where the ID
-        column has one, a set otherwise."""
-        ids = self._ids[side]
-        if ids is None:
-            table = self._database.table(self._sides[side][0])
-            position = table.schema.column_position("ID")
-            values = table.store.array(position)
-            if values is None:
-                values = table.store.column_values(position)
-            ids = compact_column(values, self.keep(side))
-            ids = self._ids[side] = ids if is_ndarray(ids) else set(ids)
-        return ids
+        """The ids of the side's kept entities (read-only)."""
+        return self._selection(side)[1]
+
+    def _selection(self, side: int) -> Tuple[ColumnValues, Any]:
+        selection = self._selections[side]
+        if selection is None:
+            key = self.sides[side]
+            selection = self._cache.get(key, MISSING, self.stamp)
+            if selection is MISSING:
+                selection = _select(self._database.table(key[0]), key[1])
+                self._cache.put(key, selection, self.stamp)
+            self._selections[side] = selection
+        return selection
 
 
 class PrunedChecks:
@@ -100,9 +148,26 @@ class PrunedChecks:
     def has_witness(self, topology: Topology) -> bool:
         """The answer of SQL5: does some satisfying pair match the
         topology's path condition and survive its exception pairs?"""
-        database = self._system.database
-        stats = database.stats
+        stats = self._system.database.stats
         stats.pruned_checks += 1
+        cache, stamp = self._system.selection_cache, self._endpoints.stamp
+        key = self.outcome_key(topology)
+        outcome = cache.get(key, MISSING, stamp)
+        if outcome is MISSING:
+            outcome = self._check(topology)
+            cache.put(key, outcome, stamp)
+        if outcome == PROVED_EMPTY:
+            stats.pruned_checks_proved_empty += 1
+        return outcome == WITNESS
+
+    def outcome_key(self, topology: Topology) -> Tuple[int, Any, Any]:
+        """The selection-cache key of the topology's check: its tid and
+        the two sides in build orientation."""
+        sides = self._endpoints.sides
+        return (topology.tid, sides[self._first], sides[1 - self._first])
+
+    def _check(self, topology: Topology) -> str:
+        database = self._system.database
         es1, es2 = self._entity_pair
         signatures = topology.class_signatures
         end1_ids = self._endpoints.ids(self._first)
@@ -110,11 +175,11 @@ class PrunedChecks:
             database, signatures, es1, es2, end1_ids, self._endpoints.ids(1 - self._first)
         )
         if len(ends) == 0:
-            stats.pruned_checks_proved_empty += 1
-            return False
-        return chains_witness(
+            return PROVED_EMPTY
+        found = chains_witness(
             database, signatures, es1, es2, end1_ids, ends, self._exceptions(topology)
         )
+        return WITNESS if found else NO_WITNESS
 
     def _exceptions(self, topology: Topology) -> Tuple[ColumnValues, ColumnValues]:
         """The (E1, E2) columns of the topology's ExcpTops rows."""

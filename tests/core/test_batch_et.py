@@ -7,7 +7,11 @@ batch IDGJ probe against their tuple-at-a-time references.
   arrays and from Python sets, including the three ways a check the
   reduction lets through can still fail; the batch probe returns the row
   stack's tids and scores *and* charges its work counters;
-* a pruned check executes no SQL statement at all.
+* a pruned check executes no SQL statement at all;
+* the selection cache — endpoint selections and check outcomes kept
+  across queries — changes no answer and no ``work`` counter, never
+  serves an entry across a data change or a rebuild, and hands out
+  read-only values from a bounded cache.
 
 The numpy-free leg runs this same file under ``REPRO_NO_NUMPY=1`` (CI's
 ``numpy: none`` matrix leg); the set fallback of the walk is also
@@ -16,10 +20,13 @@ driven directly here, whichever leg runs.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from difftest.gen import gen_topology_queries, make_rng
 from repro.biozon import BiozonConfig, generate
+from repro.cache import MISSING
 from repro.core import (
     AttributeConstraint,
     KeywordConstraint,
@@ -30,7 +37,7 @@ from repro.core import (
 from repro.core.methods.et import FastTopKEtMethod, FullTopKEtMethod
 from repro.core.methods.fast_top import FastTopMethod
 from repro.biozon.schema import build_empty_database
-from repro.core.methods.pruned import Endpoints, PrunedChecks
+from repro.core.methods.pruned import WITNESS, Endpoints, PrunedChecks
 from repro.core.pathsql import chains_reach, chains_witness, multi_chain_fragments
 from repro.relational.column import HAVE_NUMPY, to_pylist
 from repro.relational.sql import Engine
@@ -105,14 +112,18 @@ def test_reducer_never_denies_a_witness(tiny_system, difftest_seeds):
     assert proved_empty and let_through  # the sweep saw both outcomes
 
 
+def _pruned_build(pairs=PAIRS):
+    data = generate(BiozonConfig.tiny(seed=3))
+    system = TopologySearchSystem(data.database, data.graph())
+    system.build(list(pairs), max_length=3, prune_threshold=5)
+    return system
+
+
 @pytest.fixture(scope="module")
 def pruned_system():
     """The tiny dataset with a low pruning threshold: 18 pruned
     topologies, 9 of them of two or three classes, 238 ExcpTops rows."""
-    data = generate(BiozonConfig.tiny(seed=3))
-    system = TopologySearchSystem(data.database, data.graph())
-    system.build(list(PAIRS), max_length=3, prune_threshold=5)
-    return system
+    return _pruned_build()
 
 
 def _walk_matches_sql5(system, fast_top, query, topology):
@@ -480,3 +491,191 @@ def test_engine_execute_span_and_counter_report_the_checks(tiny_system):
     after = outcomes()
     assert after.get("proved_empty", 0) - before.get("proved_empty", 0) == 1
     assert after.get("executed", 0) - before.get("executed", 0) == 1
+
+
+# ----------------------------------------------------------------------
+# (d) The selection cache: selections and check outcomes across queries
+# ----------------------------------------------------------------------
+FAST_METHODS = ("fast-top", "fast-top-k", "fast-top-k-et", "fast-top-k-opt")
+
+
+def _uncalibrated(system):
+    """No plan moves with execution feedback, so two runs of one query
+    differ only by what the selection cache holds."""
+    system.calibration_enabled = False
+    return system
+
+
+def _fresh_copy(system):
+    """A system over a copy of ``system``'s current base rows with the
+    same store adopted: the same data, nothing cached."""
+    fresh = system.clone_base()
+    fresh.adopt_store(system.require_store(), system.max_length, system.built_pairs)
+    return _uncalibrated(fresh)
+
+
+def _outcome(system, query, method):
+    result = system.search(query, method)
+    return result.tids, result.scores, result.work
+
+
+def _variant(query):
+    """The same constraints with another ``k`` and ranking."""
+    rankings = ("freq", "rare", "domain")
+    ranking = rankings[(rankings.index(query.ranking) + 1) % len(rankings)]
+    return dataclasses.replace(query, k=(query.k or 2) + 2, ranking=ranking)
+
+
+def _cached_outcomes(system, query):
+    """(topology, cached outcome) of the query's pruned checks held in
+    the selection cache now."""
+    fast_top = system.method("fast-top")
+    endpoints = Endpoints(system, query)
+    checks = PrunedChecks(fast_top, query, endpoints)
+    for topology in fast_top.pruned_topologies(query):
+        outcome = system.selection_cache.get(
+            checks.outcome_key(topology), MISSING, endpoints.stamp
+        )
+        if outcome is not MISSING:
+            yield topology, outcome
+
+
+def test_cached_selections_and_outcomes_change_nothing(difftest_seeds):
+    """Every Fast method: answers and the full ``work`` dict are the same
+    from a fresh system, a cold cache, a warm one repeating the query and
+    a warm one asked another ``k`` and ranking; each cached outcome is
+    SQL5's answer."""
+    warm = _uncalibrated(_pruned_build())
+    fast_top = warm.method("fast-top")
+    from_cache = compared = 0
+    for query in _queries(difftest_seeds, count=2):
+        fresh = _uncalibrated(_pruned_build())
+        methods = FAST_METHODS if query.k is not None else FAST_METHODS[:1]
+        for method in methods:
+            context = f"{method} {query!r}"
+            # A cached topology plan or SQL plan may have been made for
+            # another query of its class: both systems start without any.
+            for system in (fresh, warm):
+                system.invalidate_plans()
+                system.engine.clear_plan_cache()
+                system.selection_cache.clear()
+            expected = _outcome(fresh, query, method)
+            assert _outcome(warm, query, method) == expected, context
+            before = warm.selection_cache_stats()
+            assert _outcome(warm, query, method) == expected, context
+            after = warm.selection_cache_stats()
+            assert after.misses == before.misses, context
+            assert after.hits - before.hits >= expected[2]["pruned_checks"], context
+            from_cache += expected[2]["pruned_checks"]
+            variant = _variant(query)
+            fresh.selection_cache.clear()
+            expected = _outcome(fresh, variant, method)
+            assert _outcome(warm, variant, method) == expected, f"{method} {variant!r}"
+        for topology, outcome in _cached_outcomes(warm, query):
+            rows = warm.engine.execute(fast_top.pruned_check_sql(query, topology)).rows
+            assert (outcome == WITNESS) == bool(rows), f"{query!r} tid={topology.tid}"
+            compared += 1
+    assert from_cache and compared
+
+
+def _zzz_query():
+    return TopologyQuery(
+        "Protein", "DNA", KeywordConstraint("DESC", "zzzfresh"), NoConstraint(),
+        k=5, ranking="freq",
+    )
+
+
+def test_selection_follows_an_entity_row_insert():
+    """(a) A new protein matching a cached keyword, encoding a DNA: the
+    next query sees it in its selection, and the one-class ``encodes``
+    topology, whose check was proved empty, now has a witness."""
+    system = _uncalibrated(_pruned_build())
+    query = _zzz_query()
+    for method in FAST_METHODS:
+        system.search(query, method)
+    assert len(Endpoints(system, query).ids(0)) == 0
+    protein = system.database.table("Protein")
+    encodes = system.database.table("Encodes")
+    new_id = 999_999  # ids are unique across entity tables
+    protein.insert((new_id, "zzzfresh protein"))
+    dna_id = system.database.table("DNA").rows[0][0]
+    encodes.insert((max(encodes.store.column_values(0)) + 1, new_id, dna_id))
+    fresh = _fresh_copy(system)
+    assert set(to_pylist(Endpoints(system, query).ids(0))) == {new_id}
+    for method in FAST_METHODS:
+        result = system.search(query, method)
+        assert result.tids, method  # the encodes topology's check holds now
+        assert _outcome(system, query, method) == _outcome(fresh, query, method), method
+
+
+def test_witness_outcome_follows_an_exception_pair_insert():
+    """(b) A point query on one pair of a pruned topology has a witness;
+    once that pair is an ExcpTops pair of the topology, it has none."""
+    system = _uncalibrated(_pruned_build())
+    store = system.require_store()
+    fast_top = system.method("fast-top")
+    e1, e2, tid = next(row for row in store.alltops_rows if row[2] in store.pruned_tids)
+    topology = store.topology(tid)
+    es1, es2 = topology.entity_pair
+    query = TopologyQuery(
+        es1, es2, AttributeConstraint("ID", e1), AttributeConstraint("ID", e2)
+    )
+
+    def answer():
+        checks = PrunedChecks(fast_top, query, Endpoints(system, query))
+        rows = system.engine.execute(fast_top.pruned_check_sql(query, topology)).rows
+        found = checks.has_witness(topology)
+        assert found == bool(rows)
+        assert (tid in system.search(query, "fast-top").tids) == found
+        return found
+
+    assert answer() and answer()  # the second from the cache
+    system.database.table("ExcpTops").insert((e1, e2, tid))
+    assert not answer()
+
+
+def test_rebuild_in_place_serves_no_outcome_of_the_old_generation():
+    """(c) A rebuild that also covers (DNA, Interaction) reassigns the
+    tids, and three pruned tids of the old store name another pruned
+    topology of the same entity pair in the new one: the queries answer
+    what a system built that way answers."""
+    system = _uncalibrated(_pruned_build())
+    queries = [q for q in _queries([0, 1], count=6) if q.k is not None]
+    for query in queries:
+        for method in FAST_METHODS:
+            system.search(query, method)
+    filled = system.selection_cache_stats().size
+    pairs = (("DNA", "Interaction"),) + PAIRS
+    system.build(list(pairs), max_length=3, prune_threshold=5)
+    rebuilt = _uncalibrated(_pruned_build(pairs))
+    checks = 0
+    for query in queries:
+        for method in FAST_METHODS:
+            expected = _outcome(rebuilt, query, method)
+            assert _outcome(system, query, method) == expected, f"{method} {query!r}"
+            checks += expected[2]["pruned_checks"]
+    assert filled and checks
+
+
+def test_cached_selections_are_read_only(tiny_system):
+    endpoints = Endpoints(tiny_system, WITNESSED)
+    for values in (endpoints.keep(0), endpoints.ids(0), endpoints.ids(1)):
+        assert len(values)
+        with pytest.raises((ValueError, TypeError, AttributeError)):
+            if isinstance(values, frozenset):
+                values.add(0)
+            else:
+                values[0] = values[0]
+
+
+def test_selection_cache_is_bounded():
+    system = _pruned_build()
+    capacity = system.selection_cache_stats().capacity
+    for n in range(capacity + 10):
+        query = TopologyQuery(
+            "Protein", "DNA", KeywordConstraint("DESC", f"absent{n}"), NoConstraint()
+        )
+        Endpoints(system, query).ids(0)
+    stats = system.selection_cache_stats()
+    assert stats.size == capacity
+    assert stats.misses == capacity + 10
