@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
+from repro.core.methods.pruned import Endpoints, PrunedChecks
 from repro.core.plan import STRATEGY_REGULAR, QueryPlan
 from repro.core.query import TopologyQuery
 from repro.core.ranking import score_column
+from repro.errors import TopologyError
 from repro.obs import registry, span
 from repro.relational.sql.tokens import SqlParams, sql_value
 
@@ -96,7 +98,10 @@ class Method:
         execution feeds the calibrator (all top-k methods).
     ``pairs_table`` / ``use_pruned_store``
         Which materialized pairs table the plan joins, and whether it is
-        the pruned one (LeftTops + online SQL5 checks).
+        the pruned one (LeftTops + online pruned-topology checks).
+
+    Each Fast method is its Full method over LeftTops with its answers
+    passed through :class:`~repro.core.methods.pruned.PrunedChecks`.
     """
 
     name = "abstract"
@@ -159,39 +164,62 @@ class Method:
         raise NotImplementedError
 
     # -- Shared helpers ------------------------------------------------------
-    def _aliases(self, query: TopologyQuery) -> Tuple[str, str]:
-        """Table aliases for the two constrained entity tables."""
-        return ("q1", "q2")
+    def pairs_sql(self, query: TopologyQuery, params: Optional[SqlParams] = None) -> str:
+        """The satisfying pairs joined with :attr:`pairs_table`: the TIDs
+        (Full-Top's join, SQL1's LeftTops branch), or for a top-k method
+        the best k by the TopInfo score (SQL3 over AllTops, SQL4 over
+        LeftTops)."""
+        from1, from2, cond1, cond2 = self._endpoint_sql(query, params)
+        alias = "AT" if self.pairs_table == "AllTops" else "LT"
+        join1, join2 = self._pair_join_sql(query, alias)
+        if not self.is_topk:
+            return (
+                f"SELECT DISTINCT {alias}.TID\n"
+                f"FROM {from1}, {from2}, {self.pairs_table} {alias}\n"
+                f"WHERE {cond1} AND {cond2}\n"
+                f"  AND {join1} AND {join2}"
+            )
+        if query.k is None:
+            raise TopologyError(f"{self.name} requires a top-k query")
+        score = self._score_col(query)
+        return (
+            f"SELECT DISTINCT {alias}.TID, T.{score} AS SCORE\n"
+            f"FROM {from1}, {from2}, {self.pairs_table} {alias}, TopInfo T\n"
+            f"WHERE {cond1} AND {cond2}\n"
+            f"  AND {join1} AND {join2} AND T.TID = {alias}.TID\n"
+            f"ORDER BY SCORE DESC, TID DESC\n"
+            f"FETCH FIRST {sql_value(query.k, params)} ROWS ONLY"
+        )
+
+    def pruned_checks(
+        self, query: TopologyQuery, endpoints: Optional[Endpoints] = None
+    ) -> Optional[PrunedChecks]:
+        """The online checks of the query's pruned topologies; None over
+        AllTops, which holds every topology."""
+        if not self.use_pruned_store:
+            return None
+        if endpoints is None:
+            endpoints = Endpoints(self.system, query)
+        return PrunedChecks(self.system, query, endpoints)
 
     def _endpoint_sql(
         self, query: TopologyQuery, params: Optional[SqlParams] = None
     ) -> Tuple[str, str, str, str]:
         """FROM items and WHERE fragments for the two constrained
-        entity tables (constraint values bound into ``params`` when
-        given — see :mod:`repro.core.query`)."""
-        a1, a2 = self._aliases(query)
-        from1 = f"{query.entity1} {a1}"
-        from2 = f"{query.entity2} {a2}"
-        cond1 = query.constraint1.to_sql(a1, params)
-        cond2 = query.constraint2.to_sql(a2, params)
+        entity tables, aliased ``q1`` and ``q2`` (constraint values
+        bound into ``params`` when given — see :mod:`repro.core.query`)."""
+        from1 = f"{query.entity1} q1"
+        from2 = f"{query.entity2} q2"
+        cond1 = query.constraint1.to_sql("q1", params)
+        cond2 = query.constraint2.to_sql("q2", params)
         return from1, from2, cond1, cond2
 
     def _pair_join_sql(self, query: TopologyQuery, pairs_alias: str) -> Tuple[str, str]:
         """Join conditions tying the pairs table (AllTops/LeftTops) to the
         two entity aliases, respecting the build orientation."""
-        a1, a2 = self._aliases(query)
         if self.system.orientation(query):
-            return (f"{a1}.ID = {pairs_alias}.E1", f"{a2}.ID = {pairs_alias}.E2")
-        return (f"{a1}.ID = {pairs_alias}.E2", f"{a2}.ID = {pairs_alias}.E1")
+            return (f"q1.ID = {pairs_alias}.E1", f"q2.ID = {pairs_alias}.E2")
+        return (f"q1.ID = {pairs_alias}.E2", f"q2.ID = {pairs_alias}.E1")
 
     def _score_col(self, query: TopologyQuery) -> str:
         return score_column(query.ranking)
-
-    def _entity_pair_filter(
-        self, query: TopologyQuery, topinfo_alias: str, params: Optional[SqlParams] = None
-    ) -> str:
-        es1, es2 = self.system.store_entity_pair(query)
-        return (
-            f"{topinfo_alias}.ES1 = {sql_value(es1, params)} "
-            f"AND {topinfo_alias}.ES2 = {sql_value(es2, params)}"
-        )

@@ -7,8 +7,9 @@ with the query predicates as residual filters inside the stack.  A
 witness row for a topology makes the driver skip the rest of that
 group; after k topologies the query stops.
 
-Fast-Top-k-ET merges the pruned topologies into the score order: when
-the next-best score belongs to a pruned topology, its online check
+Fast-Top-k-ET merges the pruned topologies into the score order
+(:func:`~repro.core.methods.pruned.merge_ranked`, Fast-Top-k's merge):
+when the next-best score belongs to a pruned topology, its online check
 (SQL5's answer, by :class:`~repro.core.methods.pruned.PrunedChecks`)
 is made before any lower-scored unpruned group is processed.
 
@@ -31,8 +32,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.methods.base import Method
-from repro.core.methods.fast_top import FastTopMethod
-from repro.core.methods.pruned import Endpoints, PrunedChecks
+from repro.core.methods.pruned import Endpoints, merge_ranked
 from repro.core.plan import QueryPlan
 from repro.core.query import TopologyQuery
 from repro.errors import TopologyError
@@ -63,7 +63,6 @@ class _EtBase(Method):
     estimates_costs = True
     pairs_table = "LeftTops"
     use_pruned_store = True
-    include_pruned_checks = True
 
     def __init__(self, system, flavor: str = "idgj") -> None:
         super().__init__(system)
@@ -71,7 +70,6 @@ class _EtBase(Method):
             raise TopologyError("flavor must be 'idgj' or 'hdgj'")
         self.flavor = flavor
         self.plan_strategies = (f"et-{flavor}",)
-        self._fast_top = FastTopMethod(system)
         # (entity1, entity2) -> (table versions, GroupJoinIndex): the
         # per-group position arrays of IDGJProbe, one set per version of
         # the pairs table and the two entity tables.
@@ -103,9 +101,9 @@ class _EtBase(Method):
             Comparison("=", ColumnRef("t", "es1"), Literal(es1)),
             Comparison("=", ColumnRef("t", "es2"), Literal(es2)),
         ]
-        if self.include_pruned_checks:
+        if self.use_pruned_store:
             # Pruned topologies have no LeftTops rows; they are merged
-            # in by score via their SQL5 checks instead.
+            # in by score via their online checks instead.
             filters.append(Comparison("=", ColumnRef("t", "pruned"), Literal(False)))
         return GroupFilter(scan, And(filters))
 
@@ -198,41 +196,12 @@ class _EtBase(Method):
             stream = FirstPerGroup(self.build_stack(query), None)
         tid_pos = stream.layout.position("t", "tid")
         score_pos = stream.layout.position("t", self._score_col(query).lower())
-
-        checks = PrunedChecks(self._fast_top, query, endpoints)
-        pruned = checks.ranked() if self.include_pruned_checks else []
-        pruned_idx = 0
-
-        results: List[Tuple[int, float]] = []
         stream.open()
         try:
-            pending = stream.next()
-            while len(results) < query.k:
-                stream_key = (
-                    (pending[score_pos], pending[tid_pos]) if pending is not None else None
-                )
-                pruned_key = None
-                if pruned_idx < len(pruned):
-                    candidate = pruned[pruned_idx]
-                    pruned_key = (candidate.scores[query.ranking], candidate.tid)
-                if stream_key is None and pruned_key is None:
-                    break
-                if pruned_key is not None and (
-                    stream_key is None or pruned_key > stream_key
-                ):
-                    topology = pruned[pruned_idx]
-                    pruned_idx += 1
-                    if checks.has_witness(topology):
-                        results.append((topology.tid, pruned_key[0]))
-                else:
-                    results.append((pending[tid_pos], pending[score_pos]))
-                    pending = stream.next()
+            rows = ((row[tid_pos], row[score_pos]) for row in iter(stream.next, None))
+            return merge_ranked(rows, self.pruned_checks(query, endpoints), query)
         finally:
             stream.close()
-
-        tids = [t for t, _ in results]
-        scores = [s for _, s in results]
-        return tids, scores
 
 
 class FullTopKEtMethod(_EtBase):
@@ -241,12 +210,9 @@ class FullTopKEtMethod(_EtBase):
     name = "full-top-k-et"
     pairs_table = "AllTops"
     use_pruned_store = False
-    include_pruned_checks = False
 
 
 class FastTopKEtMethod(_EtBase):
     """DGJ stack over LeftTops with pruned topologies merged by score."""
 
     name = "fast-top-k-et"
-    pairs_table = "LeftTops"
-    include_pruned_checks = True

@@ -5,51 +5,38 @@ joining the satisfying entities with LeftTops and one more per pruned
 topology, re-checking its path condition online with a chain join over
 the relationship tables and subtracting the exception pairs via NOT
 EXISTS.  Each lower branch returns its topology's TID or nothing, so
-execution runs the LeftTops branch alone and adds every pruned TID whose
-check (:class:`~repro.core.methods.pruned.PrunedChecks`, the same answer
+execution is Full-Top's over LeftTops — the LeftTops branch alone — and
+adds every pruned TID whose check
+(:class:`~repro.core.methods.pruned.PrunedChecks`, the same answer
 without a statement) holds: one statement per query.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional
 
-from repro.core.methods.base import Method, rank_scored
-from repro.core.methods.pruned import Endpoints, PrunedChecks
+from repro.core.methods.full_top import FullTopMethod
+from repro.core.methods.pruned import pruned_topologies
 from repro.core.model import Topology
 from repro.core.pathsql import multi_chain_fragments
-from repro.core.plan import QueryPlan
 from repro.core.query import TopologyQuery
 from repro.relational.sql.tokens import SqlParams, sql_value
 
 
-class FastTopMethod(Method):
+class FastTopMethod(FullTopMethod):
     name = "fast-top"
     pairs_table = "LeftTops"
     use_pruned_store = True
-
-    def pruned_topologies(self, query: TopologyQuery) -> List[Topology]:
-        store = self.system.require_store()
-        pair = self.system.store_entity_pair(query)
-        return sorted(
-            (
-                store.topology(tid)
-                for tid in store.pruned_tids
-                if store.topology(tid).entity_pair == pair
-            ),
-            key=lambda t: t.tid,
-        )
 
     def pruned_branch_sql(
         self, query: TopologyQuery, topology: Topology, params: Optional[SqlParams] = None
     ) -> str:
         """The SQL1 lower sub-query for one pruned topology."""
-        a1, a2 = self._aliases(query)
         from1, from2, cond1, cond2 = self._endpoint_sql(query, params)
         es1, es2 = self.system.store_entity_pair(query)
         oriented = self.system.orientation(query)
-        end1_alias = a1 if oriented else a2
-        end2_alias = a2 if oriented else a1
+        end1_alias = "q1" if oriented else "q2"
+        end2_alias = "q2" if oriented else "q1"
         chain = multi_chain_fragments(
             topology.class_signatures, es1, es2, end1_alias, end2_alias
         )
@@ -75,36 +62,8 @@ class FastTopMethod(Method):
 
     def sql_for(self, query: TopologyQuery) -> str:
         """SQL1 as the paper writes it: every pruned topology a branch."""
-        branches = [self._lefttops_sql(query)] + [
+        branches = [self.pairs_sql(query)] + [
             self.pruned_branch_sql(query, topology)
-            for topology in self.pruned_topologies(query)
+            for topology in pruned_topologies(self.system, query)
         ]
         return "\nUNION\n".join(branches)
-
-    def _lefttops_sql(self, query: TopologyQuery, params: Optional[SqlParams] = None) -> str:
-        """SQL1's first branch: the TIDs LeftTops holds for a satisfying
-        pair."""
-        from1, from2, cond1, cond2 = self._endpoint_sql(query, params)
-        join1, join2 = self._pair_join_sql(query, "LT")
-        return (
-            f"SELECT DISTINCT LT.TID\n"
-            f"FROM {from1}, {from2}, LeftTops LT\n"
-            f"WHERE {cond1} AND {cond2}\n"
-            f"  AND {join1} AND {join2}"
-        )
-
-    def execute(
-        self, plan: QueryPlan, query: TopologyQuery
-    ) -> Tuple[List[int], Optional[List[float]]]:
-        params = SqlParams()
-        result = self.system.engine.execute(self._lefttops_sql(query, params), params)
-        checks = PrunedChecks(self, query, Endpoints(self.system, query))
-        tids = sorted(
-            {row[0] for row in result.rows}
-            | {t.tid for t in self.pruned_topologies(query) if checks.has_witness(t)}
-        )
-        if query.k is None:
-            return tids, None
-        store = self.system.require_store()
-        scored = {t: store.topology(t).scores[query.ranking] for t in tids}
-        return rank_scored(scored, query.k)

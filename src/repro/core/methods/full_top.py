@@ -25,24 +25,17 @@ class FullTopMethod(Method):
     name = "full-top"
     pairs_table = "AllTops"
 
-    def sql_for(self, query: TopologyQuery, params: Optional[SqlParams] = None) -> str:
-        from1, from2, cond1, cond2 = self._endpoint_sql(query, params)
-        join1, join2 = self._pair_join_sql(query, "AT")
-        return (
-            f"SELECT DISTINCT AT.TID\n"
-            f"FROM {from1}, {from2}, {self.pairs_table} AT\n"
-            f"WHERE {cond1} AND {cond2}\n"
-            f"  AND {join1} AND {join2}"
-        )
-
     def execute(
         self, plan: QueryPlan, query: TopologyQuery
     ) -> Tuple[List[int], Optional[List[float]]]:
         params = SqlParams()
-        result = self.system.engine.execute(self.sql_for(query, params), params)
-        tids = sorted(row[0] for row in result.rows)
+        result = self.system.engine.execute(self.pairs_sql(query, params), params)
+        tids = {row[0] for row in result.rows}
+        checks = self.pruned_checks(query)
+        if checks is not None:
+            tids.update(checks.witnessed())
         if query.k is None:
-            return tids, None
+            return sorted(tids), None
         store = self.system.require_store()
         scored = {t: store.topology(t).scores[query.ranking] for t in tids}
         return rank_scored(scored, query.k)

@@ -44,18 +44,16 @@ class _OptBase(Method):
 
     def __init__(self, system) -> None:
         super().__init__(system)
-        if self.use_pruned_store:
-            self._delegates = {
-                STRATEGY_REGULAR: FastTopKMethod(system),
-                STRATEGY_ET_IDGJ: FastTopKEtMethod(system, flavor="idgj"),
-                STRATEGY_ET_HDGJ: FastTopKEtMethod(system, flavor="hdgj"),
-            }
-        else:
-            self._delegates = {
-                STRATEGY_REGULAR: FullTopKMethod(system),
-                STRATEGY_ET_IDGJ: FullTopKEtMethod(system, flavor="idgj"),
-                STRATEGY_ET_HDGJ: FullTopKEtMethod(system, flavor="hdgj"),
-            }
+        regular, et = (
+            (FastTopKMethod, FastTopKEtMethod)
+            if self.use_pruned_store
+            else (FullTopKMethod, FullTopKEtMethod)
+        )
+        self._delegates: Dict[str, Method] = {
+            STRATEGY_REGULAR: regular(system),
+            STRATEGY_ET_IDGJ: et(system, flavor="idgj"),
+            STRATEGY_ET_HDGJ: et(system, flavor="hdgj"),
+        }
 
     def execute(
         self, plan: QueryPlan, query: TopologyQuery
@@ -68,8 +66,6 @@ class _OptBase(Method):
 
 class FastTopKOptMethod(_OptBase):
     name = "fast-top-k-opt"
-    pairs_table = "LeftTops"
-    use_pruned_store = True
 
 
 class FullTopKOptMethod(_OptBase):

@@ -16,6 +16,8 @@ answer is "no witness".  Otherwise an exact witness search
 (:func:`~repro.core.pathsql.chains_witness`) looks for one pair the
 statement would return — simple paths, every class connecting the same
 pair, the topology's ExcpTops pairs left out — and stops at the first.
+:func:`merge_ranked` merges the checks into a top-k method's best-first
+stream, the SQL3/SQL4 rows or the DGJ stack's groups.
 
 Both results are functions of the constraints alone, so they are kept
 across queries in the system's selection cache
@@ -39,7 +41,7 @@ what the code computes on a miss, and a hit charges the same
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, List, Optional, Tuple
+from typing import Any, Iterator, List, Optional, Tuple
 
 from repro.cache import MISSING
 from repro.core.model import Topology
@@ -49,9 +51,6 @@ from repro.errors import TopologyError
 from repro.relational.column import ColumnValues, compact_column, is_ndarray
 from repro.relational.operators import table_batch, table_layout
 from repro.relational.table import Table
-
-if TYPE_CHECKING:
-    from repro.core.methods.fast_top import FastTopMethod
 
 # The outcomes of a pruned check, as the selection cache holds them.
 PROVED_EMPTY = "proved empty"
@@ -122,28 +121,29 @@ class Endpoints:
         return selection
 
 
+def pruned_topologies(system, query: TopologyQuery) -> List[Topology]:
+    """The pruned topologies of the query's entity pair, by tid."""
+    store = system.require_store()
+    pair = system.store_entity_pair(query)
+    topologies = (store.topology(tid) for tid in sorted(store.pruned_tids))
+    return [t for t in topologies if t.entity_pair == pair]
+
+
 class PrunedChecks:
     """The online checks of one query's pruned topologies."""
 
-    def __init__(
-        self, fast_top: "FastTopMethod", query: TopologyQuery, endpoints: Endpoints
-    ) -> None:
-        self._fast_top = fast_top
-        self._query = query
+    def __init__(self, system, query: TopologyQuery, endpoints: Endpoints) -> None:
+        self._system = system
         self._endpoints = endpoints
-        system = self._system = fast_top.system
         self._entity_pair = system.store_entity_pair(query)
         # Chains are stored in build orientation: they start at the side
         # whose entity set is the store's first.
         self._first = 0 if system.orientation(query) else 1
+        self.topologies = pruned_topologies(system, query)
 
-    def ranked(self) -> List[Topology]:
-        """The query's pruned topologies, best score first."""
-        ranking = self._query.ranking
-        return sorted(
-            self._fast_top.pruned_topologies(self._query),
-            key=lambda t: (-t.scores[ranking], -t.tid),
-        )
+    def witnessed(self) -> List[int]:
+        """The tids of the topologies whose check holds, each checked."""
+        return [t.tid for t in self.topologies if self.has_witness(t)]
 
     def has_witness(self, topology: Topology) -> bool:
         """The answer of SQL5: does some satisfying pair match the
@@ -192,3 +192,45 @@ class PrunedChecks:
             rows, [table.schema.column_position(c) for c in ("E1", "E2")]
         )
         return e1, e2
+
+
+def merge_ranked(
+    stream: Iterator[Tuple[int, float]],
+    checks: Optional[PrunedChecks],
+    query: TopologyQuery,
+) -> Tuple[List[int], List[float]]:
+    """The best ``query.k`` answers of a best-first ``(tid, score)``
+    stream with the checked pruned topologies merged in by score
+    (Section 5.3); ``checks`` is None over AllTops.
+
+    The stream is read one answer ahead.  A pruned topology is checked,
+    best score first, only while fewer than k answers are in and its
+    (score, tid) beats the stream's next answer — the checks that could
+    still change the top k.
+    """
+    ranking = query.ranking
+    pruned = iter(
+        sorted(
+            checks.topologies if checks is not None else (),
+            key=lambda t: (-t.scores[ranking], -t.tid),
+        )
+    )
+    topology = next(pruned, None)
+    pending = next(stream, None)
+    tids: List[int] = []
+    scores: List[float] = []
+    while len(tids) < query.k:
+        if topology is not None and checks is not None:
+            score = topology.scores[ranking]
+            if pending is None or (score, topology.tid) > (pending[1], pending[0]):
+                if checks.has_witness(topology):
+                    tids.append(topology.tid)
+                    scores.append(score)
+                topology = next(pruned, None)
+                continue
+        if pending is None:
+            break
+        tids.append(pending[0])
+        scores.append(pending[1])
+        pending = next(stream, None)
+    return tids, scores

@@ -49,12 +49,11 @@ class SqlMethod(Method):
     ) -> str:
         """The existence query's cheap part: pairs satisfying the path
         condition of every constituent class."""
-        a1, a2 = self._aliases(query)
         from1, from2, cond1, cond2 = self._endpoint_sql(query, params)
         es1, es2 = self.system.store_entity_pair(query)
         oriented = self.system.orientation(query)
-        end1_alias = a1 if oriented else a2
-        end2_alias = a2 if oriented else a1
+        end1_alias = "q1" if oriented else "q2"
+        end2_alias = "q2" if oriented else "q1"
         chain = multi_chain_fragments(
             topology.class_signatures, es1, es2, end1_alias, end2_alias
         )

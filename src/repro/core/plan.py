@@ -278,7 +278,7 @@ class QueryPlan:
                 f"            └─ OrderedIndexScan(TopInfo.{score} desc)",
             ]
             if self.include_pruned_checks:
-                lines.append("[pruned topologies merged by score via SQL5 checks]")
+                lines.append("[pruned topologies merged by score via online checks]")
             return lines
         # Regular strategy (Figure 14): System-R over the join block.
         tables = [
@@ -296,9 +296,9 @@ class QueryPlan:
         lines.extend(f"     {t}" for t in tables)
         if self.include_pruned_checks:
             if self.is_topk:
-                lines.append("[staged SQL5 checks for pruned topologies that can reach the top k]")
+                lines.append("[online checks for pruned topologies that can reach the top k]")
             else:
-                lines.append("[one UNION branch (SQL1) per pruned topology]")
+                lines.append("[one online check per pruned topology]")
         return lines
 
 
@@ -484,9 +484,6 @@ class Planner:
         strategies = tuple(method.plan_strategies)
         pairs_table = getattr(method, "pairs_table", None)
         use_pruned_store = bool(getattr(method, "use_pruned_store", False))
-        include_pruned = (
-            bool(getattr(method, "include_pruned_checks", False)) or use_pruned_store
-        )
         cost_based = bool(getattr(method, "cost_based", False))
         costed = cost_based or bool(getattr(method, "estimates_costs", False)) or with_costs
 
@@ -527,7 +524,7 @@ class Planner:
             oriented=system.orientation(query),
             store_pair=system.store_entity_pair(query),
             is_topk=bool(method.is_topk),
-            include_pruned_checks=include_pruned,
+            include_pruned_checks=use_pruned_store,
         )
 
     @staticmethod

@@ -8,6 +8,9 @@ batch IDGJ probe against their tuple-at-a-time references.
   reduction lets through can still fail; the batch probe returns the row
   stack's tids and scores *and* charges its work counters;
 * a pruned check executes no SQL statement at all;
+* the merge of a best-first stream with the pruned checks: Fast-Top-k
+  and both Fast-Top-k-ET flavors make the same checks, and the ET
+  drivers read their stream one answer ahead;
 * the selection cache — endpoint selections and check outcomes kept
   across queries — changes no answer and no ``work`` counter, never
   serves an entry across a data change or a rebuild, and hands out
@@ -37,7 +40,7 @@ from repro.core import (
 from repro.core.methods.et import FastTopKEtMethod, FullTopKEtMethod
 from repro.core.methods.fast_top import FastTopMethod
 from repro.biozon.schema import build_empty_database
-from repro.core.methods.pruned import WITNESS, Endpoints, PrunedChecks
+from repro.core.methods.pruned import WITNESS, Endpoints, PrunedChecks, pruned_topologies
 from repro.core.pathsql import chains_reach, chains_witness, multi_chain_fragments
 from repro.relational.column import HAVE_NUMPY, to_pylist
 from repro.relational.sql import Engine
@@ -75,12 +78,12 @@ def _as_sets(*id_sets):
     return [set(to_pylist(ids)) for ids in id_sets]
 
 
-def _check_inputs(system, fast_top, query, topology):
+def _check_inputs(system, query, topology):
     """(database, signatures, es1, es2, end1 ids, end2 ids, exception
     columns) of one pruned check, as PrunedChecks hands them over."""
     endpoints = Endpoints(system, query)
     first = 0 if system.orientation(query) else 1
-    checks = PrunedChecks(fast_top, query, endpoints)
+    checks = PrunedChecks(system, query, endpoints)
     es1, es2 = system.store_entity_pair(query)
     return (
         system.database, topology.class_signatures, es1, es2,
@@ -92,12 +95,12 @@ def test_reducer_never_denies_a_witness(tiny_system, difftest_seeds):
     fast_top = FastTopMethod(tiny_system)
     proved_empty = let_through = 0
     for query in _queries(difftest_seeds):
-        for topology in fast_top.pruned_topologies(query):
+        for topology in pruned_topologies(tiny_system, query):
             rows = tiny_system.engine.execute(
                 fast_top.pruned_check_sql(query, topology)
             ).rows
             database, signatures, es1, es2, end1_ids, end2_ids, _ = _check_inputs(
-                tiny_system, fast_top, query, topology
+                tiny_system, query, topology
             )
             ends = chains_reach(database, signatures, es1, es2, end1_ids, end2_ids)
             # The set fallback gives the numpy path's answer.
@@ -133,10 +136,10 @@ def _walk_matches_sql5(system, fast_top, query, topology):
     rows = system.engine.execute(fast_top.pruned_check_sql(query, topology)).rows
     context = f"{query!r} tid={topology.tid}"
     database, signatures, es1, es2, end1_ids, end2_ids, excluded = _check_inputs(
-        system, fast_top, query, topology
+        system, query, topology
     )
     ends = chains_reach(database, signatures, es1, es2, end1_ids, end2_ids)
-    checks = PrunedChecks(fast_top, query, Endpoints(system, query))
+    checks = PrunedChecks(system, query, Endpoints(system, query))
     assert checks.has_witness(topology) == bool(rows), context
     if len(ends):
         sets = chains_witness(
@@ -153,15 +156,29 @@ def test_walk_answers_what_sql5_returns(pruned_system, difftest_seeds):
     fast_top = FastTopMethod(pruned_system)
     outcomes = set()
     for query in _queries(difftest_seeds, count=4):
-        for topology in fast_top.pruned_topologies(query):
+        for topology in pruned_topologies(pruned_system, query):
             outcomes.add(_walk_matches_sql5(pruned_system, fast_top, query, topology))
     assert (True, True) in outcomes and (False, False) in outcomes
 
 
-def test_fast_methods_answer_the_full_methods(pruned_system, difftest_seeds):
+def test_fast_methods_answer_the_full_methods(pruned_system, difftest_seeds, monkeypatch):
     """Every Fast method on the heavily pruned store, whose answers lean
-    on the walk, against its Full counterpart."""
+    on the walk, against its Full counterpart.  Fast-Top-k's SQL4 rows
+    and both Fast-Top-k-ET streams feed one merge, so the three check
+    the same pruned topologies, in the same order, with the same
+    outcomes."""
+    log = []
+    has_witness = PrunedChecks.has_witness
+
+    def logged(checks, topology):
+        found = has_witness(checks, topology)
+        log.append((topology.tid, found))
+        return found
+
+    monkeypatch.setattr(PrunedChecks, "has_witness", logged)
+    et_drivers = [FastTopKEtMethod(pruned_system, flavor=f) for f in ("idgj", "hdgj")]
     checked = 0
+    outcomes = set()
     for query in _queries(difftest_seeds, count=6):
         if query.k is None:
             pairs = {"fast-top": "full-top"}
@@ -171,7 +188,17 @@ def test_fast_methods_answer_the_full_methods(pruned_system, difftest_seeds):
             result = pruned_system.search(query, fast)
             assert result.tids == pruned_system.search(query, full).tids, (fast, query)
             checked += result.work["pruned_checks"]
-    assert checked
+        if query.k is None:
+            continue
+        del log[:]
+        pruned_system.search(query, "fast-top-k")
+        staged = list(log)
+        outcomes.update(found for _, found in staged)
+        for driver in et_drivers:
+            del log[:]
+            driver.run(query)
+            assert log == staged, (driver.flavor, query)
+    assert checked and outcomes == {True, False}
 
 
 def test_exception_pair_as_point_endpoints_has_no_witness(pruned_system):
@@ -464,6 +491,18 @@ def test_regular_methods_skip_the_proved_empty_check(tiny_system):
     assert fast_top.sql_for(EMPTY_CHECK).count("UNION") == 1
 
 
+def test_et_drivers_read_one_answer_ahead(tiny_system):
+    """The merge reads the DGJ stream one answer past the last one it
+    takes: Full-Top-k-ET probes k + 1 groups of a stream that holds more
+    than k answers, and Fast-Top-k-ET, whose one pruned topology takes a
+    place of the top k, probes k."""
+    assert len(tiny_system.search(dataclasses.replace(WITNESSED, k=50), "full-top-k-et").tids) > 5
+    assert tiny_system.search(WITNESSED, "full-top-k-et").work["groups_probed"] == 6
+    fast = tiny_system.search(WITNESSED, "fast-top-k-et")
+    assert fast.work["pruned_checks"] == 1
+    assert fast.work["groups_probed"] == 5
+
+
 def test_engine_execute_span_and_counter_report_the_checks(tiny_system):
     from repro.obs import registry, tracer
 
@@ -529,10 +568,9 @@ def _variant(query):
 def _cached_outcomes(system, query):
     """(topology, cached outcome) of the query's pruned checks held in
     the selection cache now."""
-    fast_top = system.method("fast-top")
     endpoints = Endpoints(system, query)
-    checks = PrunedChecks(fast_top, query, endpoints)
-    for topology in fast_top.pruned_topologies(query):
+    checks = PrunedChecks(system, query, endpoints)
+    for topology in checks.topologies:
         outcome = system.selection_cache.get(
             checks.outcome_key(topology), MISSING, endpoints.stamp
         )
@@ -622,7 +660,7 @@ def test_witness_outcome_follows_an_exception_pair_insert():
     )
 
     def answer():
-        checks = PrunedChecks(fast_top, query, Endpoints(system, query))
+        checks = PrunedChecks(system, query, Endpoints(system, query))
         rows = system.engine.execute(fast_top.pruned_check_sql(query, topology)).rows
         found = checks.has_witness(topology)
         assert found == bool(rows)

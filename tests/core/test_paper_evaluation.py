@@ -92,7 +92,7 @@ def test_fig12_most_frequent_topologies_are_structurally_simple(tiny_system):
 # Figures 14-15, Table 2, Section 6.2.4: regular plans vs early termination
 def test_fig14_15_regular_and_dgj_plan_shapes(tiny_system):
     query = pi_query(MEDIUM, MEDIUM, k=10, ranking="freq")
-    sql4 = FastTopKMethod(tiny_system).unpruned_sql(query)
+    sql4 = FastTopKMethod(tiny_system).pairs_sql(query)
     regular = tiny_system.engine.planner.plan(parse(sql4))[0].explain()
     # Figure 14: joins under one final top-k sort, every topology touched.
     assert "Join" in regular

@@ -332,12 +332,3 @@ class TestSqlQuoting:
         # The escaped literal round-trips through the tokenizer.
         tokens = tokenize(f"SELECT {sql_quote(chr(39) + 'start')}")
         assert tokens[1].value == "'start"
-
-    def test_entity_pair_filter_quotes_values(self, tiny_system):
-        method = tiny_system.method("fast-top")
-        query = TopologyQuery(
-            "Protein", "DNA",
-            KeywordConstraint("DESC", "human"), NoConstraint(),
-        )
-        rendered = method._entity_pair_filter(query, "T")
-        assert rendered == "T.ES1 = 'Protein' AND T.ES2 = 'DNA'"

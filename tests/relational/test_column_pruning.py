@@ -22,6 +22,7 @@ import pytest
 
 from repro.core import AttributeConstraint, KeywordConstraint, TopologyQuery
 from repro.core.methods import create_method
+from repro.core.methods.pruned import pruned_topologies
 from repro.relational import columnar_mode, row_mode
 from repro.relational.operators import Operator, Project
 from repro.relational.sql.parser import parse
@@ -41,13 +42,12 @@ def statements(system) -> Dict[str, str]:
         k=4,
         ranking="freq",
     )
-    fast_top = create_method("fast-top", system)
-    assert fast_top.pruned_topologies(query), "fixture lost its pruned topology"
+    assert pruned_topologies(system, query), "fixture lost its pruned topology"
     return {
-        "full-top": create_method("full-top", system).sql_for(query),
-        "fast-top-union": fast_top.sql_for(query),
-        "sql3": create_method("full-top-k", system).sql_for(query),
-        "sql4": create_method("fast-top-k", system).unpruned_sql(query),
+        "full-top": create_method("full-top", system).pairs_sql(query),
+        "fast-top-union": create_method("fast-top", system).sql_for(query),
+        "sql3": create_method("full-top-k", system).pairs_sql(query),
+        "sql4": create_method("fast-top-k", system).pairs_sql(query),
         STAR: (
             "SELECT * FROM Protein q1, LeftTops LT "
             "WHERE CONTAINS(q1.DESC, 'kinase') AND q1.ID = LT.E1"
