@@ -10,8 +10,8 @@ Two sections land in ``BENCH_columnar.json``:
 
 * ``columnar_operators`` — isolated operator drains (scan — all columns
   and two of five —, filter, project, hash join — unique build keys and
-  many-to-many —, index nested-loops join, sort/top-n, distinct) timed
-  in both modes.
+  many-to-many —, index nested-loops join, sort/top-n, distinct of one
+  column and of an (int, float) pair) timed in both modes.
 * ``columnar_end_to_end`` — a mixed SQL workload through ``Engine``
   (parse + plan + execute in row mode vs plan-cache + batch execution
   in columnar mode) with the headline queries/sec ratio.
@@ -196,6 +196,12 @@ def _operator_trees(db: Database) -> Dict[str, Callable[[], object]]:
     def distinct():
         return Distinct(Project(scan(), [grp], ["grp"]))
 
+    def distinct_pair():
+        # The (TID, SCORE) shape of SQL3/SQL4: an int and a float derived
+        # from it, one distinct row per DIM_ROWS group (2.5 %).
+        score = Arith("*", grp, Literal(0.5))
+        return Distinct(Project(scan(), [grp, score], ["grp", "score"]))
+
     return {
         "seq_scan": scan,
         "seq_scan_2_of_5": scan_two_columns,
@@ -208,6 +214,7 @@ def _operator_trees(db: Database) -> Dict[str, Callable[[], object]]:
         "sort": sort,
         "top_n": topn,
         "distinct": distinct,
+        "distinct_pair": distinct_pair,
     }
 
 

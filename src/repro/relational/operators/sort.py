@@ -3,7 +3,9 @@
 Sorting is inherently row-ordered, so the batch path batches the
 *drains*: inputs are consumed via ``next_batch`` and the ordered output
 is re-emitted in column chunks.  Distinct and limit operate directly on
-batches.
+batches: a batch whose columns are all NaN-free numpy bool/int/float
+arrays is deduplicated by one sort kernel at any arity, and only its
+first occurrences become tuples; any other batch takes the tuple loop.
 """
 
 from __future__ import annotations
@@ -175,6 +177,30 @@ def _fast_order(keys: Sequence[SortKey], layout: RowLayout, batch: Batch):
     return sorted(range(batch.length), key=key_of.__getitem__)
 
 
+def _first_occurrences(columns: Sequence[Any]):
+    """Input positions of the first occurrence of each distinct row,
+    ascending — or None unless every column is a numpy bool/int/float
+    array without NaN (within one such column numpy ``!=`` and Python
+    ``==`` agree, ``-0.0 == 0.0`` included)."""
+    if not columns or not all(
+        is_ndarray(col)
+        and col.dtype.kind in "biuf"
+        and not (col.dtype.kind == "f" and bool(np.isnan(col).any()))
+        for col in columns
+    ):
+        return None
+    if len(columns) == 1:
+        order = np.argsort(columns[0], kind="stable")
+    else:
+        order = np.lexsort(tuple(reversed(columns)))
+    boundary = np.zeros(len(order), dtype=bool)
+    boundary[:1] = True
+    for col in columns:
+        ordered = col[order]
+        boundary[1:] |= ordered[1:] != ordered[:-1]
+    return np.sort(order[boundary])
+
+
 class Sort(Operator):
     """Full materializing sort."""
 
@@ -294,7 +320,8 @@ class TopN(Operator):
 
 class Distinct(Operator):
     """Duplicate elimination on the whole row (hash-based, preserves
-    first-seen order)."""
+    first-seen order).  ``seen`` holds row tuples on every path, so one
+    execution may mix numpy and list-backed batches (a ``UnionAll``)."""
 
     def __init__(self, child: Operator) -> None:
         super().__init__(child.layout, child.stats)
@@ -324,11 +351,16 @@ class Distinct(Operator):
             batch = self.child.next_batch()
             if batch is None:
                 return None
-            if len(batch.columns) == 1:
-                result = self._distinct_single(batch, seen)
-                if result is None:
+            first = _first_occurrences(batch.columns)
+            if first is not None:
+                rows = list(zip(*(col[first].tolist() for col in batch.columns)))
+                fresh_at = [i for i, row in zip(first.tolist(), rows) if row not in seen]
+                seen.update(rows)
+                if not fresh_at:
                     continue
-                return result
+                if len(fresh_at) == batch.length:
+                    return batch
+                return batch.take(fresh_at)
             keep: List[bool] = []
             fresh = 0
             for row in batch.to_rows():
@@ -343,49 +375,6 @@ class Distinct(Operator):
             if fresh == batch.length:
                 return batch
             return batch.compact(keep, fresh)
-
-    @staticmethod
-    def _distinct_single(batch: Batch, seen: set) -> Optional[Batch]:
-        """Arity-1 fast path: dedup on scalars, no row tuples.
-
-        ``seen`` holds 1-tuples on the row path and bare scalars here;
-        the set is private to one execution and the two paths are never
-        mixed within one, so the representations cannot collide.  NaN
-        floats fall back to the scalar loop (never the numpy unique,
-        which collapses distinct NaN objects where ``set`` keeps them).
-        """
-        col = batch.columns[0]
-        if is_ndarray(col) and not (
-            col.dtype.kind == "f" and bool(np.isnan(col).any())
-        ):
-            # First-occurrence index per unique value, emitted in input
-            # order — identical to the row-at-a-time seen-set semantics.
-            unique, first_at = np.unique(col, return_index=True)
-            fresh_at = sorted(
-                int(i)
-                for v, i in zip(unique.tolist(), first_at.tolist())
-                if v not in seen
-            )
-            if not fresh_at:
-                return None
-            seen.update(col[fresh_at].tolist())
-            if len(fresh_at) == batch.length:
-                return batch
-            return batch.take(fresh_at)
-        keep: List[bool] = []
-        fresh = 0
-        for value in to_pylist(col):
-            if value in seen:
-                keep.append(False)
-            else:
-                seen.add(value)
-                keep.append(True)
-                fresh += 1
-        if fresh == 0:
-            return None
-        if fresh == batch.length:
-            return batch
-        return batch.compact(keep, fresh)
 
     def close(self) -> None:
         self.child.close()

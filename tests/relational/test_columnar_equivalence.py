@@ -21,6 +21,7 @@ drives them through real method plans.
 
 from __future__ import annotations
 
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -31,7 +32,16 @@ from difftest.gen import gen_database, gen_expression, gen_queries, make_rng
 from repro.biozon import build_figure3_database
 from repro.core import TopologySearchSystem
 from repro.core.methods import ALL_METHOD_NAMES, create_method
-from repro.relational import Engine, columnar_mode, row_mode
+from repro.relational import (
+    Column,
+    Database,
+    DataType,
+    Engine,
+    TableSchema,
+    columnar_mode,
+    row_mode,
+)
+from repro.relational.column import BATCH_SIZE, HAVE_NUMPY, Batch
 from repro.relational.expressions import ColumnRef, Comparison, Literal, RowLayout
 from repro.relational.operators import (
     Distinct,
@@ -228,6 +238,136 @@ class TestOperatorEquivalence:
                 Comparison("=", ColumnRef("x", "a"), Literal(99)),
             )
         )
+
+
+# ----------------------------------------------------------------------
+# Multi-column DISTINCT: the columnar kernel against the row engine
+# ----------------------------------------------------------------------
+_DISTINCT_COLUMNS = [
+    Column("ID", DataType.INT, True),
+    Column("G", DataType.INT, True),  # eight groups: heavy duplicates
+    Column("F", DataType.FLOAT, True),  # mostly G * 0.5
+    Column("B", DataType.BOOL, True),
+    Column("Z", DataType.FLOAT, True),  # 0.0, -0.0 and 2.0
+    Column("N", DataType.FLOAT, True),  # NaN-bearing
+    Column("T", DataType.TEXT, False),  # TEXT with NULLs
+]
+
+
+def _distinct_db(seed):
+    """A table over two batches and more, numpy-backed on G/F/B/Z/N."""
+    rng = make_rng(seed)
+    db = Database("distinct")
+    table = db.create_table(TableSchema("d", _DISTINCT_COLUMNS, primary_key="ID"))
+    for i in range(2 * BATCH_SIZE + rng.randint(1, 500)):
+        g = rng.randrange(8)
+        table.insert((
+            i,
+            g,
+            g * 0.5 if rng.random() < 0.9 else -1.0,
+            rng.random() < 0.5,
+            rng.choice((0.0, -0.0, 2.0)),
+            float("nan") if i == 0 or rng.random() < 0.01 else float(rng.randrange(3)),
+            rng.choice(("a", "b", None)),
+        ))
+    return db
+
+
+def _distinct_of(db, names, extra_rows=None):
+    """``Distinct(Project(scan, names))``, unioned with a list-backed
+    ``RowsSource`` of ``extra_rows`` when given."""
+
+    def build():
+        source = Project(
+            SeqScan(db.table("d"), "d", db.stats),
+            [ColumnRef("d", n) for n in names],
+            list(names),
+        )
+        if extra_rows is not None:
+            layout = RowLayout([("x", n) for n in names])
+            source = UnionAll([source, RowsSource(list(extra_rows), layout, db.stats)])
+        return Distinct(source)
+
+    return build
+
+
+def _run_both_exact(build, seed):
+    """``run_both`` compared by ``repr``: tells ``-0.0`` from ``0.0``
+    and matches NaN rows, which ``==`` cannot."""
+    with row_mode():
+        expected = build().run()
+    with columnar_mode():
+        actual = build().run()
+    assert repr(actual) == repr(expected), f"seed={seed}"
+    return expected
+
+
+def test_multi_column_distinct_matches_row_engine(difftest_seeds):
+    for seed in difftest_seeds:
+        db = _distinct_db(seed)
+        if HAVE_NUMPY:
+            store = db.table("d").store
+            assert all(store.array(p) is not None for p in range(1, 6))
+            assert store.array(6) is None
+        for names in (("g", "f"), ("f", "b"), ("g", "f", "b"), ("b", "z", "g")):
+            rows = _run_both_exact(_distinct_of(db, names), seed)
+            assert len(rows) < 50, f"seed={seed}: duplicates must collapse"
+        # -0.0 and 0.0 are one value: the first occurrence's sign stays.
+        _run_both_exact(_distinct_of(db, ("z",)), seed)
+        _run_both_exact(_distinct_of(db, ("g", "z")), seed)
+        # A NaN-bearing column and a TEXT/NULL column stand down.
+        _run_both_exact(_distinct_of(db, ("g", "n")), seed)
+        _run_both_exact(_distinct_of(db, ("g", "t")), seed)
+        # One execution mixing a numpy child and a list-backed child.
+        extra = [(3, 1.5), (99, 0.0), (3, 1.5), (0, -0.0), (99, 0.0)]
+        rows = _run_both_exact(_distinct_of(db, ("g", "f"), extra), seed)
+        assert rows[-1] == (99, 0.0), f"seed={seed}"
+
+    def empty():
+        scan = SeqScan(db.table("d"), "d", db.stats)
+        negative = Filter(scan, Comparison("<", ColumnRef("d", "id"), Literal(0)))
+        return Distinct(Project(negative, [ColumnRef("d", "g"), ColumnRef("d", "f")], ["g", "f"]))
+
+    assert _run_both_exact(empty, None) == []
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="the kernel needs numpy")
+@pytest.mark.parametrize("with_nan", [False, True])
+def test_numeric_distinct_never_builds_every_row(monkeypatch, with_nan):
+    """A numpy-backed (INT, FLOAT) DISTINCT turns only its first
+    occurrences into tuples: ``Batch.to_rows`` is never called.  One NaN
+    makes its batch stand down to the tuple loop."""
+    rng = make_rng(5)
+    db = Database("distinct_fast")
+    table = db.create_table(TableSchema("d", _DISTINCT_COLUMNS[:3], primary_key="ID"))
+    for i in range(10_000):
+        g = rng.randrange(10)
+        table.insert((i, g, g * 0.25))
+    if with_nan:
+        table.insert((10_000, 0, float("nan")))
+    calls = []
+    real_to_rows = Batch.to_rows
+
+    def counting(batch):
+        calls.append(batch.length)
+        return real_to_rows(batch)
+
+    monkeypatch.setattr(Batch, "to_rows", counting)
+    with columnar_mode():
+        out = Distinct(
+            Project(
+                SeqScan(table, "d", db.stats),
+                [ColumnRef("d", "g"), ColumnRef("d", "f")],
+                ["g", "f"],
+            )
+        ).drain_batch()
+    rows = real_to_rows(out)
+    if with_nan:
+        assert len(calls) == 1 and math.isnan(rows[-1][1])  # the last batch
+        rows = rows[:-1]
+    else:
+        assert calls == []
+    assert sorted(rows) == [(g, g * 0.25) for g in range(10)]
 
 
 # ----------------------------------------------------------------------
