@@ -16,11 +16,11 @@ instead of a side effect:
     the same class share one plan, so repeated-shape traffic skips the
     optimizer entirely.
 ``Planner``
-    Produces plans.  Subsumes the cost logic previously inlined in
-    ``core/methods/optimized.py``: the System-R estimate for the SQL4
-    block plus final sort, and the Theorem-1 dynamic programs for the
-    IDGJ/HDGJ stacks — then applies the calibrator's per-strategy scale
-    factors before choosing.
+    Produces plans.  Prices the regular strategy from the engine's
+    prepared plan of the statement that runs it (the SQL4 block plus
+    final sort), the DGJ stacks with the Theorem-1 dynamic programs —
+    then applies the calibrator's per-strategy scale factors before
+    choosing.
 ``CostCalibrator``
     Learns per-strategy scale factors from (estimated cost, observed
     work) feedback: the factor is the geometric mean of observed/
@@ -39,7 +39,7 @@ from __future__ import annotations
 import math
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.query import (
@@ -51,15 +51,13 @@ from repro.core.query import (
     TopologyQuery,
 )
 from repro.core.ranking import score_column
-from repro.relational.expressions import ColumnRef, Comparison
 from repro.relational.optimizer import cost as C
 from repro.relational.optimizer.dgj_cost import (
     DgjLevel,
     hdgj_stack_cost,
     idgj_stack_cost,
 )
-from repro.relational.optimizer.logical import build_block
-from repro.relational.sql.tokens import sql_quote
+from repro.relational.sql.tokens import SqlParams, sql_quote
 
 # Strategy names shared by plans, methods, and the calibrator.
 STRATEGY_REGULAR = "regular"
@@ -68,8 +66,7 @@ STRATEGY_ET_HDGJ = "et-hdgj"
 STRATEGY_PER_TOPOLOGY = "per-topology"
 ET_STRATEGIES = (STRATEGY_ET_IDGJ, STRATEGY_ET_HDGJ)
 
-# k used for pricing when a cost-based plan is asked about a k-less
-# query (matches the pre-refactor ``query.k or 10``).
+# k used for pricing a k-less query (EXPLAIN of a top-k method).
 DEFAULT_COST_K = 10
 
 # Executor counters -> abstract work units, on the cost model's scale
@@ -178,8 +175,7 @@ class QueryPlan:
 
     ``strategy`` is the chosen alternative; ``alternatives`` keeps every
     considered strategy with its estimated and calibrated cost (the
-    EXPLAIN payload).  ``choice`` derives the old free-text
-    ``plan_choice`` label for backward compatibility."""
+    EXPLAIN payload).  ``choice`` is its short free-text label."""
 
     method: str
     strategy: str
@@ -220,7 +216,7 @@ class QueryPlan:
 
     @property
     def choice(self) -> str:
-        """Short label (the old ``MethodResult.plan_choice`` string)."""
+        """Short label (``MethodResult.plan_choice``)."""
         if len(self.alternatives) > 1 and self.has_costs:
             inner = ", ".join(
                 f"{a.strategy}={a.calibrated_cost:.0f}"
@@ -436,11 +432,11 @@ class CostCalibrator:
 class Planner:
     """Produces :class:`QueryPlan` objects for the nine methods.
 
-    Owns the cost estimation previously inlined in the ``*-Opt``
-    methods: the System-R estimate for the regular join block (plus the
-    final sort regular top-k plans cannot avoid, Section 5.2) and the
-    Theorem-1 dynamic programs for the IDGJ/HDGJ stacks — with the
-    calibrator's per-strategy factors applied before choosing."""
+    Owns the cost estimation: the System-R estimate of the regular
+    statement (plus the final sort regular top-k plans cannot avoid,
+    Section 5.2) and the Theorem-1 dynamic programs for the IDGJ/HDGJ
+    stacks — with the calibrator's per-strategy factors applied before
+    choosing."""
 
     def __init__(self, system) -> None:
         self.system = system
@@ -498,9 +494,7 @@ class Planner:
                 )
             for strategy in strategies:
                 if strategy == STRATEGY_REGULAR and pairs_table is not None:
-                    raw: Optional[float] = self.regular_cost(
-                        query, pairs_table, topk=bool(method.is_topk)
-                    )
+                    raw: Optional[float] = self.regular_cost(method, query)
                 elif strategy in et_costs:
                     raw = et_costs[strategy]
                 else:
@@ -529,9 +523,8 @@ class Planner:
 
     @staticmethod
     def _choose(alternatives: Sequence[PlanAlternative]) -> str:
-        """Pick the cheapest calibrated alternative, preserving the
-        pre-refactor tie behavior: ties go to the regular plan, and
-        between equal ET flavors IDGJ wins."""
+        """Pick the cheapest calibrated alternative: ties go to the
+        regular plan, and between equal ET flavors IDGJ wins."""
         by_strategy = {
             a.strategy: a.calibrated_cost
             for a in alternatives
@@ -554,7 +547,7 @@ class Planner:
         return STRATEGY_REGULAR
 
     # ------------------------------------------------------------------
-    # Cost estimation (moved here from core/methods/optimized.py)
+    # Cost estimation
     # ------------------------------------------------------------------
     def stack_parameters(
         self, query: TopologyQuery, use_pruned_store: bool
@@ -614,34 +607,13 @@ class Planner:
             )
         return costs
 
-    def regular_cost(
-        self, query: TopologyQuery, pairs_table: str, topk: bool
-    ) -> float:
-        """Cost of the regular join block under the System-R enumerator
-        — for top-k methods the SQL4 block plus the final sort that
-        regular plans cannot avoid (Section 5.2)."""
-        oriented = self.system.orientation(query)
-        col1 = "e1" if oriented else "e2"
-        col2 = "e2" if oriented else "e1"
-        relations = [
-            (query.entity1, "q1"),
-            (query.entity2, "q2"),
-            (pairs_table, "lt"),
-        ]
-        conjuncts = [
-            query.constraint1.to_expression("q1"),
-            query.constraint2.to_expression("q2"),
-            Comparison("=", ColumnRef("q1", "id"), ColumnRef("lt", col1)),
-            Comparison("=", ColumnRef("q2", "id"), ColumnRef("lt", col2)),
-        ]
-        if topk:
-            relations.append(("TopInfo", "t"))
-            conjuncts.append(
-                Comparison("=", ColumnRef("t", "tid"), ColumnRef("lt", "tid"))
-            )
-        block = build_block(relations, conjuncts)
-        optimizer = self.system.engine.planner.optimizer
-        best = optimizer.optimize(block)
-        if topk:
-            return best.cost + C.sort_cost(best.est_rows)
-        return best.cost
+    def regular_cost(self, method, query: TopologyQuery) -> float:
+        """System-R's cost of the statement ``method`` runs for the
+        regular strategy — for top-k methods the SQL4 block plus the
+        final sort that regular plans cannot avoid (Section 5.2) — from
+        the engine's prepared plan of it.  k is a late-bound ``FETCH``
+        parameter, so a k-less query is priced with the same statement
+        at :data:`DEFAULT_COST_K`."""
+        params = SqlParams()
+        sql = method.pairs_sql(replace(query, k=query.k or DEFAULT_COST_K), params)
+        return self.system.engine.prepare(sql, params).cost

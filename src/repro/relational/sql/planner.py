@@ -59,8 +59,14 @@ from repro.relational.operators import (
     TopN,
     UnionAll,
 )
+from repro.relational.optimizer import cost as C
 from repro.relational.optimizer.logical import build_block
-from repro.relational.optimizer.system_r import OrderSpec, Params, SystemROptimizer
+from repro.relational.optimizer.system_r import (
+    OrderSpec,
+    Params,
+    PhysicalCandidate,
+    SystemROptimizer,
+)
 from repro.relational.runtime import columnar_enabled
 from repro.relational.sql.ast import ExistsExpr, OrderItem, Query, SelectCore
 from repro.relational.sql.parser import is_count, parse, parse_prepared
@@ -111,6 +117,10 @@ class PreparedPlan:
 
     columns: List[str]
     build: Callable[..., Operator]
+    #: System-R's estimated cost of the statement's join blocks, plus
+    #: :func:`~repro.relational.optimizer.cost.sort_cost` of their rows
+    #: when the statement sorts its output (``Sort`` / ``TopN``).
+    cost: float
 
     def run(self, params: Params = None) -> List[Row]:
         return self.build(params).run()
@@ -123,7 +133,7 @@ class _PreparedCore:
     build: Callable[[Params], Operator]
     entries: List[Tuple[str, str]]
     exprs: List[Expression]
-    delivered: Optional[OrderSpec]
+    candidate: PhysicalCandidate
 
 
 @dataclass
@@ -335,7 +345,7 @@ class Planner:
         """Optimize one bound SELECT core, returning a replayable
         builder for the operator tree *before projection* plus the
         projected (alias, name) entries, projected expressions, and the
-        block order the chosen plan delivers."""
+        chosen block plan (its order, cost and rows)."""
         appliers = [self._optimize_exists(exists, params) for exists in bound.exists]
 
         # Everything evaluated over the block's output: with the
@@ -366,7 +376,7 @@ class Planner:
                 op = applier(op, params)
             return op
 
-        return _PreparedCore(build_core, entries, exprs, candidate.order)
+        return _PreparedCore(build_core, entries, exprs, candidate)
 
     def _projection(
         self,
@@ -467,82 +477,61 @@ class Planner:
             self._optimize_core(bound, statement.desired if i == 0 else None, params)
             for i, bound in enumerate(statement.cores)
         ]
-        first_entries = prepared_cores[0].entries
-        columns = [name for _, name in first_entries]
+        columns = [name for _, name in prepared_cores[0].entries]
 
         if len(prepared_cores) == 1:
             pc = prepared_cores[0]
             core = query.cores[0]
-
-            def build_single(params: Params = None) -> Operator:
-                return self._assemble_single(
-                    query, core, pc.build(params), pc.entries,
-                    _bound_all(pc.exprs, params), pc.delivered, params,
+            sorts = bool(query.order_by) and (
+                core.distinct
+                or not self._order_satisfied(
+                    query.order_by, pc.exprs, pc.entries, pc.candidate.order
                 )
+            )
 
-            return PreparedPlan(columns, build_single)
+            def build(params: Params = None) -> Operator:
+                # Keep the originating table alias on pass-through columns
+                # so ORDER BY can reference them post-projection.
+                op: Operator = Project(
+                    pc.build(params), _bound_all(pc.exprs, params), columns,
+                    entries=pc.entries,
+                )
+                if core.distinct:
+                    op = Distinct(op)
+                return self._order_and_fetch(op, query, sorts, params)
 
-        # UNION: project every core to the first core's arity.
-        arity = len(first_entries)
-        for pc in prepared_cores:
-            if len(pc.exprs) != arity:
-                raise SqlError("UNION inputs must have the same number of columns")
-        names = [n for _, n in first_entries]
+        else:
+            # UNION: project every core to the first core's arity.
+            for pc in prepared_cores:
+                if len(pc.exprs) != len(columns):
+                    raise SqlError("UNION inputs must have the same number of columns")
+            sorts = bool(query.order_by)
 
-        def build_union(params: Params = None) -> Operator:
-            projected = [
-                Project(pc.build(params), _bound_all(pc.exprs, params), names, alias="")
-                for pc in prepared_cores
-            ]
-            combined: Operator = UnionAll(projected)
-            if not query.union_all:
-                combined = Distinct(combined)
-            fetch = _fetch_count(query, params)
-            if query.order_by:
-                keys = self._order_keys(query.order_by, combined.layout, params)
-                if fetch is not None:
-                    return TopN(combined, keys, fetch)
-                return Sort(combined, keys)
-            if fetch is not None:
-                return Limit(combined, fetch)
-            return combined
+            def build(params: Params = None) -> Operator:
+                projected = [
+                    Project(pc.build(params), _bound_all(pc.exprs, params), columns, alias="")
+                    for pc in prepared_cores
+                ]
+                combined: Operator = UnionAll(projected)
+                if not query.union_all:
+                    combined = Distinct(combined)
+                return self._order_and_fetch(combined, query, sorts, params)
 
-        return PreparedPlan(columns, build_union)
+        cost = sum(pc.candidate.cost for pc in prepared_cores)
+        if sorts:
+            cost += C.sort_cost(sum(pc.candidate.est_rows for pc in prepared_cores))
+        return PreparedPlan(columns, build, cost)
 
-    def _assemble_single(
-        self,
-        query: Query,
-        core: SelectCore,
-        op: Operator,
-        entries: List[Tuple[str, str]],
-        exprs: List[Expression],
-        delivered: Optional[OrderSpec],
-        params: Params,
+    def _order_and_fetch(
+        self, op: Operator, query: Query, sorts: bool, params: Params
     ) -> Operator:
-        names = [n for _, n in entries]
-        # Keep the originating table alias on pass-through columns so
-        # ORDER BY can reference them post-projection.
-        projected = Project(op, exprs, names, entries=entries)
-        result: Operator = projected
-        if core.distinct:
-            result = Distinct(result)
-
+        """``op`` sorted by the statement's ORDER BY when ``sorts``, and
+        cut at its ``FETCH FIRST`` count."""
         fetch = _fetch_count(query, params)
-        if query.order_by:
-            order_satisfied = self._order_satisfied(
-                query.order_by, exprs, entries, delivered
-            ) and not core.distinct
-            if order_satisfied:
-                if fetch is not None:
-                    return Limit(result, fetch)
-                return result
-            keys = self._order_keys(query.order_by, result.layout, params)
-            if fetch is not None:
-                return TopN(result, keys, fetch)
-            return Sort(result, keys)
-        if fetch is not None:
-            return Limit(result, fetch)
-        return result
+        if sorts:
+            keys = self._order_keys(query.order_by, op.layout, params)
+            return Sort(op, keys) if fetch is None else TopN(op, keys, fetch)
+        return op if fetch is None else Limit(op, fetch)
 
     # ------------------------------------------------------------------
     # Ordering helpers
@@ -656,8 +645,9 @@ PLAN_CACHE_SIZE = 256
 class StatementCacheStats:
     """Counter snapshot of an :class:`Engine`'s statement cache.
 
-    ``hits`` and ``misses`` count plan lookups — every execution and
-    explain in columnar mode makes one, and a miss runs the optimizer;
+    ``hits`` and ``misses`` count plan lookups — every :meth:`Engine.prepare`
+    in columnar mode makes one (each execution, each explain, and each
+    costed estimate of a statement), and a miss runs the optimizer;
     ``texts`` is the number of bound statements held, ``classes`` the
     number of plans held (one per statement text and selectivity
     class), and ``size`` the bound on each of the two."""
@@ -742,7 +732,11 @@ class Engine:
         self._statements.clear()
         self._plans.clear()
 
-    def _prepared(self, sql: str, params: Params) -> PreparedPlan:
+    def prepare(self, sql: str, params: Params = None) -> PreparedPlan:
+        """The plan :meth:`execute` runs for ``sql`` under ``params``,
+        with its estimated :attr:`~PreparedPlan.cost`."""
+        if not columnar_enabled():
+            return self.planner.prepare(parse(sql, params))
         # Token captured *before* planning: if data changes while we
         # plan, the entry is cached under the old token and fails
         # revalidation next time — stale in the safe direction.
@@ -758,13 +752,8 @@ class Engine:
             self._plans.put(key, prepared, token)
         return prepared
 
-    def _plan(self, sql: str, params: Params) -> PreparedPlan:
-        if columnar_enabled():
-            return self._prepared(sql, params)
-        return self.planner.prepare(parse(sql, params))
-
     def execute(self, sql: str, params: Params = None) -> QueryResult:
-        prepared = self._plan(sql, params)
+        prepared = self.prepare(sql, params)
         rows = prepared.run(params)
         self.database.stats.rows_emitted += len(rows)
         return QueryResult(list(prepared.columns), rows)
@@ -772,4 +761,4 @@ class Engine:
     def explain(self, sql: str, params: Params = None) -> str:
         """The operator tree :meth:`execute` runs for ``sql`` under
         ``params``, rendered."""
-        return self._plan(sql, params).build(params).explain()
+        return self.prepare(sql, params).build(params).explain()

@@ -30,6 +30,8 @@ from repro.relational.expressions import (
     Literal,
     Not,
     Or,
+    RowLayout,
+    has_params,
 )
 from repro.relational.table import Table
 
@@ -192,8 +194,14 @@ class StatsCatalog:
     ) -> float:
         """Estimate the fraction of rows satisfying a (single-relation or
         already-joined) predicate.  ``alias_tables`` maps alias -> table
-        name so column references resolve to statistics.
+        name so column references resolve to statistics.  A constant
+        predicate (no column, no parameter) is evaluated: 1 or 0.
         """
+        if not expr.column_refs() and not has_params(expr):
+            try:
+                return 1.0 if expr.bind(RowLayout([]))(()) else 0.0
+            except (ArithmeticError, TypeError):
+                pass  # raises per row when executed; price its shape
         if isinstance(expr, And):
             sel = 1.0
             for item in expr.items:

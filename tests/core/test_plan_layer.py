@@ -7,6 +7,8 @@ methods, and the observation-driven cost calibrator.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.core import (
@@ -19,6 +21,7 @@ from repro.core import (
     TopologyQuery,
 )
 from repro.core.plan import (
+    DEFAULT_COST_K,
     ET_STRATEGIES,
     STRATEGY_PER_TOPOLOGY,
     STRATEGY_REGULAR,
@@ -27,6 +30,9 @@ from repro.core.plan import (
     selectivity_bucket,
     work_units,
 )
+from repro.relational.optimizer.system_r import SystemROptimizer
+from repro.relational.runtime import columnar_mode
+from repro.relational.sql.tokens import SqlParams
 
 EXHAUSTIVE = ("sql", "full-top", "fast-top")
 
@@ -175,6 +181,57 @@ class TestExplain:
         assert plan.strategy == STRATEGY_PER_TOPOLOGY
         assert plan.estimated_cost is None
         assert "ForEach" in plan.display()
+
+
+def regular_estimate(plan):
+    return next(
+        a.estimated_cost for a in plan.alternatives if a.strategy == STRATEGY_REGULAR
+    )
+
+
+def statement_cost(system, method, query):
+    """The engine's estimate of the statement ``method`` runs."""
+    params = SqlParams()
+    sql = system.method(method).pairs_sql(query, params)
+    return system.engine.prepare(sql, params).cost
+
+
+class TestRegularPrice:
+    """The regular strategy is priced from the prepared plan of the
+    statement that runs it: no second planning of its join block."""
+
+    @pytest.mark.parametrize("method", ["full-top-k", "fast-top-k", "fast-top-k-opt"])
+    def test_estimate_is_the_statement_cost(self, stable_plans, method):
+        query = make_query(keyword="kinase", k=4)
+        plan = stable_plans.search(query, method).plan
+        assert regular_estimate(plan) == statement_cost(stable_plans, method, query)
+
+    def test_explain_of_an_exhaustive_method_prices_its_statement(self, tiny_system):
+        query = dataclasses.replace(make_query(), k=None)
+        plan = tiny_system.explain(query, "fast-top")
+        assert regular_estimate(plan) == statement_cost(tiny_system, "fast-top", query)
+
+    def test_a_k_less_explain_prices_the_default_k(self, stable_plans):
+        query = dataclasses.replace(make_query(), k=None)
+        plan = stable_plans.explain(query, "fast-top-k")
+        priced = dataclasses.replace(query, k=DEFAULT_COST_K)
+        assert regular_estimate(plan) == statement_cost(stable_plans, "fast-top-k", priced)
+
+    def test_a_cold_class_runs_system_r_once(self, stable_plans, monkeypatch):
+        """Pricing prepares the statement that the execution then finds
+        in the statement cache."""
+        runs = []
+        optimize = SystemROptimizer.optimize
+
+        def counting(self, *args, **kwargs):
+            runs.append(args[0])
+            return optimize(self, *args, **kwargs)
+
+        monkeypatch.setattr(SystemROptimizer, "optimize", counting)
+        stable_plans.engine.clear_plan_cache()
+        with columnar_mode():
+            stable_plans.search(make_query(keyword="binding", k=3), "full-top-k")
+        assert len(runs) == 1
 
 
 class TestCostCalibrator:

@@ -136,6 +136,17 @@ class TestSelectivity:
         )
         assert sel == pytest.approx(0.8)
 
+    @pytest.mark.parametrize(
+        "expr, expected",
+        [
+            (Comparison("=", Literal(1), Literal(1)), 1.0),
+            (Literal(True), 1.0),
+            (Comparison("=", Literal(1), Literal(0)), 0.0),
+        ],
+    )
+    def test_constant_predicate_is_evaluated(self, catalog, expr, expected):
+        assert catalog.predicate_selectivity(expr, ALIASES) == expected
+
     def test_join_selectivity(self, catalog):
         sel = catalog.join_selectivity("Items", "id", "Items", "grp")
         assert sel == pytest.approx(1.0 / 100)
