@@ -3,7 +3,9 @@
 Walks the plan layer end to end on a synthetic Biozon instance:
 
 1. ``explain()`` — the cost-based optimizer's chosen plan with every
-   alternative's estimated cost, rendered as a Figure-14/15-style tree;
+   alternative's estimated cost and the operator tree the engine builds
+   for it (the DGJ stack of Figure 15, or the System-R plan of the
+   regular statement, Figure 14);
 2. plan caching — repeated same-class queries skip the optimizer
    (watch ``planning_seconds`` collapse and the plan-cache hits climb);
 3. calibration — each execution feeds (estimated cost, observed work)

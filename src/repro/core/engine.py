@@ -23,7 +23,7 @@ method name           description
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.biozon.schema import database_to_graph
@@ -385,8 +385,9 @@ class TopologySearchSystem:
 
     def explain(self, query: TopologyQuery, method: str = "fast-top-k-opt") -> QueryPlan:
         """The plan ``search(query, method)`` would execute, with every
-        alternative's estimated and calibrated cost filled in — render
-        it with :meth:`~repro.core.plan.QueryPlan.display`.
+        alternative's estimated and calibrated cost filled in and the
+        operator tree its strategy builds for ``query`` — render it
+        with :meth:`~repro.core.plan.QueryPlan.display`.
 
         A method that prices its plan on the hot path explains through
         the plan cache.  The others (``sql``, ``full-top``, ``fast-top``)
@@ -396,8 +397,10 @@ class TopologySearchSystem:
         self.validate_query(query)
         instance = self.method(method)
         if instance.estimates_costs:
-            return self.plan_query(query, instance)
-        return self.planner.plan_for(instance, query, with_costs=True)
+            plan = self.plan_query(query, instance)
+        else:
+            plan = self.planner.plan_for(instance, query, with_costs=True)
+        return replace(plan, operators=instance.operator_tree(plan.strategy, query))
 
     def record_plan_observation(self, plan: QueryPlan, work: Dict[str, int]) -> None:
         """Feed one execution's (estimated cost, observed work) pair to

@@ -11,11 +11,11 @@ observed work) pair back to the engine's cost calibrator.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.methods.pruned import Endpoints, PrunedChecks
-from repro.core.plan import STRATEGY_REGULAR, QueryPlan
+from repro.core.methods.pruned import Endpoints, PrunedChecks, pruned_topologies
+from repro.core.plan import DEFAULT_COST_K, STRATEGY_REGULAR, QueryPlan
 from repro.core.query import TopologyQuery
 from repro.core.ranking import score_column
 from repro.errors import TopologyError
@@ -162,6 +162,24 @@ class Method:
     ) -> Tuple[List[int], Optional[List[float]]]:
         """Carry out a plan produced by :meth:`plan`."""
         raise NotImplementedError
+
+    def operator_tree(self, strategy: str, query: TopologyQuery) -> str:
+        """The operator tree ``strategy`` runs for ``query``, rendered
+        (EXPLAIN's body): the engine's plan of :meth:`pairs_sql` — the
+        one pricing prepared, a k-less query at
+        :data:`~repro.core.plan.DEFAULT_COST_K` as pricing does it."""
+        params = SqlParams()
+        sql = self.pairs_sql(replace(query, k=query.k or DEFAULT_COST_K), params)
+        return self._with_pruned_checks(self.system.engine.explain(sql, params), query)
+
+    def _with_pruned_checks(self, tree: str, query: TopologyQuery) -> str:
+        """``tree`` plus, over LeftTops, the line naming the online
+        checks of the pair's pruned topologies."""
+        if not self.use_pruned_store:
+            return tree
+        merged = ", merged by score" if self.is_topk else ""
+        count = len(pruned_topologies(self.system, query))
+        return f"{tree}\nPrunedChecks(topologies={count}{merged})"
 
     # -- Shared helpers ------------------------------------------------------
     def pairs_sql(self, query: TopologyQuery, params: Optional[SqlParams] = None) -> str:

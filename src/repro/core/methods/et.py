@@ -180,6 +180,13 @@ class _EtBase(Method):
             endpoints.keep(1),
         )
 
+    def operator_tree(self, strategy: str, query: TopologyQuery) -> str:
+        tree = FirstPerGroup(self.build_stack(query), None).explain()
+        if self.flavor == "idgj" and columnar_enabled():
+            # Building the probe would evaluate the endpoint selections.
+            tree += "\nruns as one IDGJProbe (columnar mode)"
+        return self._with_pruned_checks(tree, query)
+
     # ------------------------------------------------------------------
     # Driver: merge the DGJ stream with pruned-topology checks
     # ------------------------------------------------------------------

@@ -55,6 +55,9 @@ class _OptBase(Method):
             STRATEGY_ET_HDGJ: et(system, flavor="hdgj"),
         }
 
+    def operator_tree(self, strategy: str, query: TopologyQuery) -> str:
+        return self._delegates[strategy].operator_tree(strategy, query)
+
     def execute(
         self, plan: QueryPlan, query: TopologyQuery
     ) -> Tuple[List[int], Optional[List[float]]]:

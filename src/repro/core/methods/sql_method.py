@@ -18,6 +18,7 @@ dominant cost (many complex queries, no reuse across topologies).
 
 from __future__ import annotations
 
+import textwrap
 from typing import List, Optional, Tuple
 
 from repro.core.methods.base import Method, rank_scored
@@ -65,6 +66,18 @@ class SqlMethod(Method):
             f"WHERE " + " AND ".join(conditions) + "\n"
             f"FETCH FIRST {MAX_PAIRS_PER_TOPOLOGY} ROWS ONLY"
         )
+
+    def operator_tree(self, strategy: str, query: TopologyQuery) -> str:
+        """One existence query per candidate topology: the header, then
+        the engine's tree of the first candidate's statement."""
+        candidates = self._candidates(query)
+        header = f"ForEach(candidate topology, {len(candidates)} candidates)"
+        if not candidates:
+            return header
+        params = SqlParams()
+        sql = self.candidate_pairs_sql(query, candidates[0], params)
+        tree = self.system.engine.explain(sql, params)
+        return header + "\n" + textwrap.indent(tree, "  ")
 
     def _topology_has_witness(self, query: TopologyQuery, topology: Topology) -> bool:
         params = SqlParams()

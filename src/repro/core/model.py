@@ -103,11 +103,6 @@ class Topology:
         return f"Topology(tid={self.tid}, classes={self.num_classes}, {self.key})"
 
 
-def signature_display(signature: ClassSignature) -> str:
-    """Render a class signature like ``Protein-uni_encodes-Unigene-...``."""
-    return "-".join(signature)
-
-
 @dataclass(frozen=True)
 class PairTopologies:
     """Offline computation output for one entity pair: its equivalence

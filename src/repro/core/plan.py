@@ -9,7 +9,9 @@ instead of a side effect:
 ``QueryPlan``
     What a method decided to run: the chosen strategy, the pairs table,
     and every alternative's estimated + calibrated cost.  Rendered by
-    :meth:`QueryPlan.display` as a Figure-14/15-style plan tree.
+    :meth:`QueryPlan.display`; an EXPLAIN adds the operator tree the
+    engine builds for the chosen strategy (the regular statement's
+    System-R plan, Figure 14, or the DGJ stack, Figure 15).
 ``PlanClass``
     The cache key — a query's *class*: entity pair, constraint shape
     with selectivity bucket, ``l``, k-bucket, and ranking.  Queries in
@@ -50,14 +52,13 @@ from repro.core.query import (
     NoConstraint,
     TopologyQuery,
 )
-from repro.core.ranking import score_column
 from repro.relational.optimizer import cost as C
 from repro.relational.optimizer.dgj_cost import (
     DgjLevel,
     hdgj_stack_cost,
     idgj_stack_cost,
 )
-from repro.relational.sql.tokens import SqlParams, sql_quote
+from repro.relational.sql.tokens import SqlParams
 
 # Strategy names shared by plans, methods, and the calibrator.
 STRATEGY_REGULAR = "regular"
@@ -100,7 +101,13 @@ def calibration_key(pairs_table: Optional[str], strategy: str) -> str:
 def selectivity_bucket(selectivity: float) -> int:
     """Decimal order of magnitude of a selectivity (0 = everything,
     -1 = ~10%, ...).  Two constraints in the same bucket are treated as
-    the same plan class."""
+    the same plan class.
+
+    The statement cache classifies the same conjuncts by half-decade
+    (:func:`repro.relational.sql.planner.half_decade`) on purpose.
+    Strategy classes at half-decades re-plan too often: on
+    ``http_cold_topk`` (seed 11) the plan-cache hit ratio fell from
+    0.775 to 0.637, and the replay was slower in 3 of 4 pairs."""
     clamped = min(1.0, max(1e-9, selectivity))
     return int(math.floor(math.log10(clamped) + 1e-12))
 
@@ -175,17 +182,18 @@ class QueryPlan:
 
     ``strategy`` is the chosen alternative; ``alternatives`` keeps every
     considered strategy with its estimated and calibrated cost (the
-    EXPLAIN payload).  ``choice`` is its short free-text label."""
+    EXPLAIN payload).  ``choice`` is its short free-text label.
+    ``operators`` is the operator tree the chosen strategy builds for
+    the explained query (:meth:`Method.operator_tree
+    <repro.core.methods.base.Method.operator_tree>`), rendered; only
+    EXPLAIN fills it, so cached and executed plans carry none."""
 
     method: str
     strategy: str
     plan_class: PlanClass
     alternatives: Tuple[PlanAlternative, ...]
     pairs_table: Optional[str] = None
-    oriented: bool = True
-    store_pair: Tuple[str, str] = ("", "")
-    is_topk: bool = False
-    include_pruned_checks: bool = False
+    operators: Optional[str] = None
 
     # ------------------------------------------------------------------
     @property
@@ -228,9 +236,9 @@ class QueryPlan:
 
     # ------------------------------------------------------------------
     def display(self, query: Optional[TopologyQuery] = None) -> str:
-        """Render the plan the way the paper draws Figures 14/15: the
-        alternatives with their costs, then the chosen operator tree.
-        Pass the concrete ``query`` to show its actual constraints."""
+        """Render the plan: the alternatives with their costs, then the
+        operator tree when the plan carries one (an EXPLAIN).  Pass the
+        concrete ``query`` to show its actual constraints."""
         lines = [f"QueryPlan[{self.method}] strategy={self.strategy}"]
         if query is not None:
             lines.append(f"  query: {query.describe()}")
@@ -246,56 +254,10 @@ class QueryPlan:
                     f"  {marker} {alt.strategy:<10} {alt.estimated_cost:12.1f}"
                     f" x {alt.calibration_factor:<6.3f} -> {alt.calibrated_cost:12.1f}"
                 )
-        lines.append("  operator tree:")
-        lines.extend("    " + line for line in self._tree(query))
+        if self.operators is not None:
+            lines.append("  operator tree:")
+            lines.extend("    " + line for line in self.operators.splitlines())
         return "\n".join(lines)
-
-    def _tree(self, query: Optional[TopologyQuery]) -> List[str]:
-        pc = self.plan_class
-        cond1 = query.constraint1.to_sql("q1") if query else "<constraint1>"
-        cond2 = query.constraint2.to_sql("q2") if query else "<constraint2>"
-        if self.strategy == STRATEGY_PER_TOPOLOGY:
-            return [
-                "ForEach(candidate topology T)",
-                "└─ Exists(path-condition chain joins of T",
-                f"          over {pc.entity1} q1 [{cond1}], {pc.entity2} q2 [{cond2}])",
-            ]
-        if self.strategy in ET_STRATEGIES:  # Figure 15
-            entity_op = "IDGJ" if self.strategy == STRATEGY_ET_IDGJ else "HDGJ"
-            score = score_column(pc.ranking)
-            pruned = ", PRUNED=FALSE" if self.include_pruned_checks else ""
-            lines = [
-                f"FirstPerGroup(stop after k<={pc.k_bucket or '?'} groups)",
-                f"└─ {entity_op}({pc.entity2} q2, residual [{cond2}])",
-                f"   └─ {entity_op}({pc.entity1} q1, residual [{cond1}])",
-                f"      └─ IDGJ({self.pairs_table} on TID)",
-                f"         └─ GroupFilter(ES1={sql_quote(self.store_pair[0])}, "
-                f"ES2={sql_quote(self.store_pair[1])}{pruned})",
-                f"            └─ OrderedIndexScan(TopInfo.{score} desc)",
-            ]
-            if self.include_pruned_checks:
-                lines.append("[pruned topologies merged by score via online checks]")
-            return lines
-        # Regular strategy (Figure 14): System-R over the join block.
-        tables = [
-            f"{pc.entity1} q1 [{cond1}]",
-            f"{pc.entity2} q2 [{cond2}]",
-            f"{self.pairs_table or '<pairs>'}",
-        ]
-        if self.is_topk:
-            score = score_column(pc.ranking)
-            head = f"TopN(k<={pc.k_bucket or '?'}, {score} desc, TID desc)"
-            tables.append("TopInfo T")
-        else:
-            head = "Distinct(TID)"
-        lines = [head, "└─ System-R join block over:"]
-        lines.extend(f"     {t}" for t in tables)
-        if self.include_pruned_checks:
-            if self.is_topk:
-                lines.append("[online checks for pruned topologies that can reach the top k]")
-            else:
-                lines.append("[one online check per pruned topology]")
-        return lines
 
 
 # ----------------------------------------------------------------------
@@ -476,7 +438,6 @@ class Planner:
 
         ``with_costs`` forces cost estimation even for methods that do
         not price their strategy on the hot path (the EXPLAIN case)."""
-        system = self.system
         strategies = tuple(method.plan_strategies)
         pairs_table = getattr(method, "pairs_table", None)
         use_pruned_store = bool(getattr(method, "use_pruned_store", False))
@@ -515,10 +476,6 @@ class Planner:
             plan_class=self.classify(query, method),
             alternatives=tuple(alternatives),
             pairs_table=pairs_table,
-            oriented=system.orientation(query),
-            store_pair=system.store_entity_pair(query),
-            is_topk=bool(method.is_topk),
-            include_pruned_checks=use_pruned_store,
         )
 
     @staticmethod

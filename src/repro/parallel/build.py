@@ -97,16 +97,6 @@ class ParallelBuildReport:
         mean = self.worker_seconds_total / len(self.tasks)
         return self.slowest_task_seconds / mean if mean > 0 else 1.0
 
-    def partition_row_histogram(self) -> Tuple[int, ...]:
-        """Related-pair rows produced per partition (summed over entity
-        pairs) — the data-volume counterpart of the time-based
-        :meth:`partition_skew`, and the number that predicts how evenly
-        a same-bucket *shard* split (:mod:`repro.shard`) will land."""
-        counts = [0] * self.partitions
-        for task in self.tasks:
-            counts[task.partition_index] += task.pairs_related
-        return tuple(counts)
-
 
 def _pick_start_method(requested: Optional[str]) -> str:
     """``fork`` where available (cheap, the graph is shared copy-on-write

@@ -147,7 +147,8 @@ class IDGJ(GroupAware):
         self._opened = False
 
     def describe(self) -> str:
-        return f"IDGJ({self.table.schema.name} AS {self.alias})"
+        residual = f", residual {self.residual!r}" if self.residual is not None else ""
+        return f"IDGJ({self.table.schema.name} AS {self.alias}{residual})"
 
     def children(self) -> List[Operator]:
         return [self.outer]

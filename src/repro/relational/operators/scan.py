@@ -261,9 +261,10 @@ class OrderedIndexScan(GroupAware):
 
     def describe(self) -> str:
         direction = "desc" if self.descending else "asc"
+        key = self.table.schema.columns[self.index.column_position].name
         return (
             f"OrderedIndexScan({self.table.schema.name} AS {self.alias}, "
-            f"key order {direction})"
+            f"{key} {direction})"
         )
 
 

@@ -27,6 +27,7 @@ from repro.core import (
 )
 from repro.core.methods.et import FastTopKEtMethod
 from repro.core.methods.topk import FastTopKMethod
+from repro.core.plan import STRATEGY_ET_HDGJ
 from repro.core.topologies import (
     path_equivalence_classes,
     topologies_for_pair,
@@ -106,6 +107,22 @@ def test_fig14_15_regular_and_dgj_plan_shapes(tiny_system):
     assert "OrderedIndexScan(TopInfo" in idgj and "OrderedIndexScan(TopInfo" in hdgj
     assert idgj.count("IDGJ") == 3 and "HDGJ" not in idgj
     assert hdgj.count("HDGJ(") == 2 and hdgj.count("IDGJ") == 1
+    # EXPLAIN prints these trees, not a drawing of them: the query's
+    # predicates are the entity levels' residuals, and the scan's key is
+    # the ranking's score column.
+    explained = tiny_system.explain(query, "fast-top-k").operators
+    assert "Join" in explained and "DGJ" not in explained
+    assert "TopN" in explained or "Sort" in explained
+    explained_idgj = tiny_system.explain(query, "fast-top-k-et").operators
+    explained_hdgj = tiny_system.method("fast-top-k-opt").operator_tree(
+        STRATEGY_ET_HDGJ, query
+    )
+    for tree in (explained_idgj, explained_hdgj):
+        assert "OrderedIndexScan(TopInfo AS t, SCORE_FREQ desc)" in tree
+    assert explained_idgj.count("IDGJ(") == 3 and "HDGJ" not in explained_idgj
+    assert explained_hdgj.count("HDGJ(") == 2 and explained_hdgj.count("IDGJ(") == 1
+    assert "IDGJ(Protein AS q1, residual Contains(ColumnRef(q1.desc)" in explained_idgj
+    assert "IDGJ(Interaction AS q2, residual Contains(" in explained_idgj
 
 
 def test_table2_regular_wins_selective_et_wins_unselective_sql_loses(tiny_system):
@@ -133,7 +150,7 @@ def test_table2_regular_wins_selective_et_wins_unselective_sql_loses(tiny_system
 
 @pytest.mark.xfail(
     strict=True,
-    reason="ROADMAP item 2: both Table-2 keywords fall in one decade "
+    reason="ROADMAP item 5: both Table-2 keywords fall in one decade "
     "selectivity bucket, so the plan cache serves whichever plan it "
     "cached first to both cells",
 )

@@ -20,9 +20,12 @@ from repro.core import (
     NoConstraint,
     TopologyQuery,
 )
+from repro.core.methods.et import FastTopKEtMethod
+from repro.core.methods.pruned import pruned_topologies
 from repro.core.plan import (
     DEFAULT_COST_K,
     ET_STRATEGIES,
+    STRATEGY_ET_HDGJ,
     STRATEGY_PER_TOPOLOGY,
     STRATEGY_REGULAR,
     constraint_structure,
@@ -30,8 +33,9 @@ from repro.core.plan import (
     selectivity_bucket,
     work_units,
 )
+from repro.relational.operators import FirstPerGroup
 from repro.relational.optimizer.system_r import SystemROptimizer
-from repro.relational.runtime import columnar_mode
+from repro.relational.runtime import columnar_enabled, columnar_mode
 from repro.relational.sql.tokens import SqlParams
 
 EXHAUSTIVE = ("sql", "full-top", "fast-top")
@@ -81,8 +85,6 @@ class TestPlanClassification:
         assert planner.classify(make_query(k=2), method) != c1
 
     def test_flavors_get_distinct_classes(self, tiny_system):
-        from repro.core.methods.et import FastTopKEtMethod
-
         idgj = FastTopKEtMethod(tiny_system, flavor="idgj")
         hdgj = FastTopKEtMethod(tiny_system, flavor="hdgj")
         query = make_query()
@@ -181,6 +183,57 @@ class TestExplain:
         assert plan.strategy == STRATEGY_PER_TOPOLOGY
         assert plan.estimated_cost is None
         assert "ForEach" in plan.display()
+
+    @pytest.mark.parametrize("method", ["full-top", "fast-top-k"])
+    def test_regular_tree_is_the_engines_plan_of_the_statement(self, stable_plans, method):
+        query = make_query(keyword="kinase", k=None if method == "full-top" else 4)
+        instance = stable_plans.method(method)
+        params = SqlParams()
+        tree = stable_plans.engine.explain(instance.pairs_sql(query, params), params)
+        if instance.use_pruned_store:
+            count = len(pruned_topologies(stable_plans, query))
+            tree += f"\nPrunedChecks(topologies={count}, merged by score)"
+        assert stable_plans.explain(query, method).operators == tree
+
+    @pytest.mark.parametrize("flavor", ["idgj", "hdgj"])
+    def test_et_tree_is_the_stack_under_first_per_group(self, tiny_system, flavor):
+        query = make_query(keyword="kinase", k=4)
+        stack = FastTopKEtMethod(tiny_system, flavor=flavor).build_stack(query)
+        tree = FirstPerGroup(stack, None).explain()
+        if flavor == "idgj" and columnar_enabled():
+            tree += "\nruns as one IDGJProbe (columnar mode)"
+        count = len(pruned_topologies(tiny_system, query))
+        tree += f"\nPrunedChecks(topologies={count}, merged by score)"
+        if flavor == "idgj":
+            explained = tiny_system.explain(query, "fast-top-k-et").operators
+        else:
+            opt = tiny_system.method("fast-top-k-opt")
+            explained = opt.operator_tree(STRATEGY_ET_HDGJ, query)
+        assert explained == tree
+
+    def test_cached_and_executed_plans_carry_no_tree(self, stable_plans):
+        query = make_query(keyword="kinase", k=4)
+        executed = stable_plans.search(query, "fast-top-k-opt").plan
+        cached = stable_plans.plan_query(query, stable_plans.method("fast-top-k-opt"))
+        assert executed.operators is None and cached.operators is None
+        assert "operator tree" not in executed.display()
+        assert stable_plans.explain(query, "fast-top-k-opt").operators is not None
+
+    def test_explaining_a_cold_class_reuses_the_priced_statement(
+        self, stable_plans, monkeypatch
+    ):
+        runs = []
+        optimize = SystemROptimizer.optimize
+
+        def counting(self, *args, **kwargs):
+            runs.append(args[0])
+            return optimize(self, *args, **kwargs)
+
+        monkeypatch.setattr(SystemROptimizer, "optimize", counting)
+        stable_plans.engine.clear_plan_cache()
+        with columnar_mode():
+            stable_plans.explain(make_query(keyword="binding", k=3), "full-top-k")
+        assert len(runs) == 1
 
 
 def regular_estimate(plan):

@@ -150,6 +150,13 @@ class TestCachingAndStats:
         plan = coordinator.explain(query)
         assert plan.method == tiny_system.explain(query).method
 
+    def test_explain_carries_shard_zero_operator_tree(self, coordinator):
+        query = query_for("fast-top-k-et")
+        plan = coordinator.explain(query, method="fast-top-k-et")
+        shard0 = load_system(coordinator.manifest.shard_paths[0])
+        assert plan.operators == shard0.explain(query, "fast-top-k-et").operators
+        assert "OrderedIndexScan(TopInfo" in plan.operators
+
     def test_stats_shard_sections(self, coordinator, split4):
         sections = coordinator.stats().shards
         assert [s["index"] for s in sections] == list(range(NUM_SHARDS))
