@@ -12,8 +12,9 @@ Packages:
 * :mod:`repro.core` — topology definitions, the offline
   computation/pruning pipeline, and the nine query methods (Sections
   2-6);
-* :mod:`repro.parallel` — the partitioned multi-process offline build
-  (hash-bucketed fan-out, serial-order merge, bit-identical output);
+* :mod:`repro.parallel` — the partition hash, and a multi-process
+  computation step (bit-identical to the serial one) that the
+  benchmark compares the serial build with;
 * :mod:`repro.persist` — schema-versioned SQLite snapshots of a built
   system (save once, cold-start in milliseconds);
 * :mod:`repro.shard` — split a built store into verified

@@ -225,11 +225,10 @@ def compute_alltops(
     paper); ``combination_cap`` bounds Definition 2's representative
     cross-product.  Both truncations are counted in the report.
 
-    This is the single-process formulation; for bulk builds over large
-    graphs use :func:`repro.parallel.compute_alltops_parallel` (or
-    ``TopologySearchSystem.build(parallel=N)``), which partitions the
-    source space across a worker pool and merges into an identical
-    store.
+    ``TopologySearchSystem.build`` runs this; the benchmark compares
+    it with :func:`repro.parallel.compute_alltops_parallel`, which
+    partitions the source space across a worker pool and merges into
+    an identical store.
     """
     if store is None:
         store = TopologyStore()

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.biozon.schema import database_to_graph
 from repro.cache import MISSING, CacheStats, LRUCache
@@ -44,9 +44,6 @@ from repro.relational.database import Database
 from repro.relational.sql.planner import Engine
 from repro.relational.statistics import StatsCatalog
 
-if TYPE_CHECKING:  # runtime import stays inside build() (cycle-free)
-    from repro.parallel import ParallelBuildReport
-
 # Capacity of TopologySearchSystem.selection_cache.  An outcome entry is
 # a few hundred bytes; a selection holds one keep flag and at most one
 # id per row of its entity table, so the worst case is capacity x
@@ -56,22 +53,23 @@ if TYPE_CHECKING:  # runtime import stays inside build() (cycle-free)
 # MB of them selections.
 SELECTION_CACHE_SIZE = 512
 
+# The build() parameters a rebuild takes over from the last build's
+# recorded build_config.  Snapshots written by older versions record
+# more keys ("parallel", "partitions"); a rebuild ignores them.
+REBUILD_CARRIED = (
+    "max_length", "prune", "prune_threshold", "combination_cap", "per_pair_path_limit"
+)
+
 
 @dataclass
 class BuildReport:
-    """Combined offline-phase summary.
-
-    ``parallel`` is populated only for partitioned builds
-    (``build(parallel=N)`` with N >= 2): worker count, partition count,
-    per-partition task timings, and merge overhead.  ``spans`` holds the
-    build-phase trace (wire-format span records: compute, prune,
-    materialize — plus the parallel fan-out phases when applicable) when
+    """Combined offline-phase summary.  ``spans`` holds the build-phase
+    trace (wire-format span records: compute, prune, materialize) when
     tracing is enabled."""
 
     alltops: AllTopsReport
     pruning: Optional[PruneReport]
     elapsed_seconds: float
-    parallel: Optional["ParallelBuildReport"] = None
     spans: List[Dict[str, object]] = field(default_factory=list)
 
 
@@ -105,8 +103,7 @@ class TopologySearchSystem:
         self.engine = Engine(database, self.stats)
         self.build_report: Optional[BuildReport] = None
         # The parameters of the last build() — persisted into snapshots
-        # (repro.persist) and reused by TopologyServer.rebuild(), so a
-        # system built in parallel rebuilds in parallel.
+        # (repro.persist) and reused by rebuilt().
         self.build_config: Optional[Dict[str, object]] = None
         # Bumped on every (re)build or snapshot restore; caches layered on
         # top of the system (e.g. repro.service) key their validity on it.
@@ -139,53 +136,22 @@ class TopologySearchSystem:
         prune: bool = True,
         combination_cap: int = DEFAULT_COMBINATION_CAP,
         per_pair_path_limit: Optional[int] = None,
-        parallel: int = 0,
-        partitions: Optional[int] = None,
     ) -> BuildReport:
         """Run Topology Computation and Topology Pruning, then
-        materialize the derived tables and refresh statistics.
-
-        ``parallel`` >= 2 runs the Topology Computation step across
-        that many worker processes (:mod:`repro.parallel`), partitioned
-        into ``partitions`` deterministic hash buckets per entity pair
-        (default: 4 per worker); 0 or 1 keeps the single-process path.
-        The resulting store is bit-identical either way — only the
-        wall-clock and :attr:`BuildReport.parallel` differ."""
+        materialize the derived tables and refresh statistics."""
         start = time.perf_counter()
-        if parallel < 0:
-            raise TopologyError(
-                f"parallel must be >= 0 (0/1 = serial), got {parallel}"
-            )
-        store = TopologyStore(self.weak_rules)
-        parallel_report: Optional["ParallelBuildReport"] = None
         with obs_span(
             "engine.build", ingress=True, pairs=len(entity_pairs), max_length=max_length
         ) as build_span:
-            with obs_span(
-                "build.compute_alltops", parallel=int(parallel or 0)
-            ) as alltops_span:
-                if parallel and parallel >= 2:
-                    from repro.parallel import compute_alltops_parallel
-
-                    store, alltops_report, parallel_report = compute_alltops_parallel(
-                        self.graph,
-                        entity_pairs,
-                        max_length,
-                        workers=parallel,
-                        partitions=partitions,
-                        store=store,
-                        combination_cap=combination_cap,
-                        per_pair_path_limit=per_pair_path_limit,
-                    )
-                else:
-                    store, alltops_report = compute_alltops(
-                        self.graph,
-                        entity_pairs,
-                        max_length,
-                        store=store,
-                        combination_cap=combination_cap,
-                        per_pair_path_limit=per_pair_path_limit,
-                    )
+            with obs_span("build.compute_alltops") as alltops_span:
+                store, alltops_report = compute_alltops(
+                    self.graph,
+                    entity_pairs,
+                    max_length,
+                    store=TopologyStore(self.weak_rules),
+                    combination_cap=combination_cap,
+                    per_pair_path_limit=per_pair_path_limit,
+                )
                 alltops_span.tag(
                     combinations=alltops_report.combinations,
                     canonical_searches=alltops_report.canonical_searches,
@@ -216,16 +182,11 @@ class TopologySearchSystem:
             "prune_threshold": prune_threshold,
             "combination_cap": combination_cap,
             "per_pair_path_limit": per_pair_path_limit,
-            "parallel": int(parallel) if parallel and parallel >= 2 else 0,
-            "partitions": (
-                parallel_report.partitions if parallel_report is not None else None
-            ),
         }
         self.build_report = BuildReport(
             alltops=alltops_report,
             pruning=prune_report,
             elapsed_seconds=time.perf_counter() - start,
-            parallel=parallel_report,
             spans=build_spans,
         )
         return self.build_report
@@ -276,6 +237,34 @@ class TopologySearchSystem:
             database.restore_table(dump)
         return TopologySearchSystem(database, weak_rules=self.weak_rules)
 
+    def rebuilt(
+        self,
+        entity_pairs: Optional[Sequence[Tuple[str, str]]] = None,
+        **overrides: Any,
+    ) -> Tuple["TopologySearchSystem", BuildReport]:
+        """Rebuild like before: a :meth:`clone_base` successor, built,
+        and its report; this system is left untouched.
+
+        The built pairs and the recorded :data:`REBUILD_CARRIED`
+        parameters are reused (``max_length`` is the store's own, so a
+        system built at l=4 never shrinks to the ``build()`` default and
+        rejects its traffic); explicit arguments win.  Calibration state
+        and ``calibration_enabled`` carry over.  Both serving front ends
+        rebuild through this one definition."""
+        recorded = {**(self.build_config or {}), "max_length": self.max_length}
+        kwargs: Dict[str, Any] = {
+            key: recorded[key]
+            for key in REBUILD_CARRIED
+            if recorded.get(key) is not None
+        }
+        kwargs.update(overrides)
+        pairs = list(entity_pairs if entity_pairs is not None else self.built_pairs)
+        successor = self.clone_base()
+        report = successor.build(pairs, **kwargs)
+        successor.restore_calibration(self.calibrator.export_state())
+        successor.calibration_enabled = self.calibration_enabled
+        return successor, report
+
     def adopt_store(
         self,
         store: TopologyStore,
@@ -292,8 +281,7 @@ class TopologySearchSystem:
         persistence layer calls it after rebuilding the store and the
         base database from a snapshot.  ``build_config`` carries the
         original build's recorded parameters (snapshots persist them) so
-        a later ``rebuild()`` can reproduce the build — including its
-        parallel worker/partition configuration."""
+        a later :meth:`rebuilt` can reproduce the build."""
         store.materialize(
             self.database, include_alltops=include_alltops, validate=validate
         )

@@ -2,15 +2,13 @@
 
 The paper's offline phase (topology computation → pruning →
 materialization, Figure 10) is the cost that dominates operation at
-Biozon scale (28M objects / 9.6M relationships).  This package makes
-the computation step scale with cores while guaranteeing the output is
-**bit-identical** to a single-process build:
-
->>> report = system.build([("Protein", "DNA")], parallel=4)
->>> report.parallel.workers, report.parallel.merge_seconds
-(4, ...)
-
-or, below the engine facade:
+Biozon scale (28M objects / 9.6M relationships).  This package spreads
+the computation step over worker processes while guaranteeing the
+output is **bit-identical** to a single-process build.
+``TopologySearchSystem.build`` does not use it: since the serial build
+canonicalises each union shape once, two workers no longer beat it.
+It stays as the comparison ``python3 -m bench`` measures
+(``parallel.speedup_w2``):
 
 >>> from repro.parallel import compute_alltops_parallel
 >>> store, report, preport = compute_alltops_parallel(
@@ -27,7 +25,7 @@ story stage by stage.
 from repro.parallel.build import (
     DEFAULT_PARTITIONS_PER_WORKER,
     ParallelBuildReport,
-    TaskTiming,
+    TaskVolume,
     compute_alltops_parallel,
 )
 from repro.parallel.partition import (
@@ -40,7 +38,7 @@ from repro.parallel.partition import (
 __all__ = [
     "DEFAULT_PARTITIONS_PER_WORKER",
     "ParallelBuildReport",
-    "TaskTiming",
+    "TaskVolume",
     "compute_alltops_parallel",
     "histogram_skew",
     "partition_histogram",

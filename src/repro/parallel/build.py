@@ -58,44 +58,24 @@ DEFAULT_PARTITIONS_PER_WORKER = 4
 
 
 @dataclass
-class TaskTiming:
-    """Wall-clock and volume of one (pair, partition) task."""
+class TaskVolume:
+    """Volume of one (pair, partition) task."""
 
     pair_index: int
     partition_index: int
     sources_scanned: int
     pairs_related: int
-    elapsed_seconds: float
 
 
 @dataclass
 class ParallelBuildReport:
-    """What the partitioned build did, for BuildReport and benchmarks."""
+    """What the partitioned build did, for tests and the benchmark."""
 
     workers: int
     partitions: int
     start_method: str
-    tasks: List[TaskTiming] = field(default_factory=list)
-    pool_seconds: float = 0.0
+    tasks: List[TaskVolume] = field(default_factory=list)
     merge_seconds: float = 0.0
-    elapsed_seconds: float = 0.0
-
-    @property
-    def worker_seconds_total(self) -> float:
-        """Sum of in-task wall-clock across all tasks (the work that
-        actually fans out; compare with ``pool_seconds`` for overhead)."""
-        return sum(t.elapsed_seconds for t in self.tasks)
-
-    @property
-    def slowest_task_seconds(self) -> float:
-        return max((t.elapsed_seconds for t in self.tasks), default=0.0)
-
-    def partition_skew(self) -> float:
-        """Slowest task over mean task time (1.0 = perfectly balanced)."""
-        if not self.tasks:
-            return 1.0
-        mean = self.worker_seconds_total / len(self.tasks)
-        return self.slowest_task_seconds / mean if mean > 0 else 1.0
 
 
 def _pick_start_method(requested: Optional[str]) -> str:
@@ -178,7 +158,6 @@ def compute_alltops_parallel(
 
     results: Dict[Tuple[int, int], PartitionResult] = {}
     context = multiprocessing.get_context(method)
-    pool_start = time.perf_counter()
     try:
         with obs_span(
             "build.fanout",
@@ -193,18 +172,16 @@ def compute_alltops_parallel(
             for result in pool.imap_unordered(run_partition, tasks):
                 results[(result.pair_index, result.partition_index)] = result
                 parallel_report.tasks.append(
-                    TaskTiming(
+                    TaskVolume(
                         pair_index=result.pair_index,
                         partition_index=result.partition_index,
                         sources_scanned=result.sources_scanned,
                         pairs_related=result.pairs_related,
-                        elapsed_seconds=result.elapsed_seconds,
                     )
                 )
     finally:
         if method == "fork":
             clear_context()
-    parallel_report.pool_seconds = time.perf_counter() - pool_start
 
     # Serial-order merge: pair list order, then graph insertion order.
     # Looking each source up in its owning bucket's result replays the
@@ -246,5 +223,4 @@ def compute_alltops_parallel(
     report.distinct_topologies = len(store.topologies)
     report.truncated_pairs = store.truncated_pairs
     report.elapsed_seconds = time.perf_counter() - start
-    parallel_report.elapsed_seconds = report.elapsed_seconds
     return store, report, parallel_report

@@ -24,7 +24,6 @@ module in each worker and resolves :func:`init_worker` /
 from __future__ import annotations
 
 import pickle
-import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -67,7 +66,6 @@ class PartitionResult:
     records: Dict[NodeId, List[PairRecord]]
     sources_scanned: int
     pairs_related: int
-    elapsed_seconds: float
     canonical_searches: int = 0
 
 
@@ -129,7 +127,6 @@ def run_partition(task: Tuple[int, int]) -> PartitionResult:
     shape_memo: ShapeMemo = _CONTEXT["shape_memo"]  # type: ignore[assignment]
     searches_before = len(shape_memo)
     es1, es2 = context.entity_pairs[pair_index]
-    start = time.perf_counter()
     records: Dict[NodeId, List[PairRecord]] = {}
     sources_scanned = 0
     pairs_related = 0
@@ -155,6 +152,5 @@ def run_partition(task: Tuple[int, int]) -> PartitionResult:
         records=records,
         sources_scanned=sources_scanned,
         pairs_related=pairs_related,
-        elapsed_seconds=time.perf_counter() - start,
         canonical_searches=len(shape_memo) - searches_before,
     )

@@ -107,22 +107,6 @@ class HashIndex:
         self._buckets.setdefault(self.key_of(row), []).append(position)
         self._csr = _UNSET
 
-    def bulk_build(self, rows: Sequence[Sequence[Any]]) -> None:
-        """Rebuild from scratch in one pass (bulk-load / restore path);
-        noticeably faster than per-row :meth:`insert` calls."""
-        buckets: Dict[Any, List[int]] = {}
-        if len(self.column_positions) == 1:
-            p = self.column_positions[0]
-            for position, row in enumerate(rows):
-                buckets.setdefault(row[p], []).append(position)
-        else:
-            positions = self.column_positions
-            for position, row in enumerate(rows):
-                key = tuple(row[p] for p in positions)
-                buckets.setdefault(key, []).append(position)
-        self._buckets = buckets
-        self._csr = _UNSET
-
     def bulk_build_columns(self, store) -> None:
         """Rebuild straight from a table's column store, touching only
         the key columns instead of materializing row tuples."""
@@ -208,17 +192,6 @@ class SortedIndex:
         idx = bisect.bisect_right(self._keys, key)
         self._keys.insert(idx, key)
         self._positions.insert(idx, position)
-
-    def bulk_build(self, rows: Sequence[Sequence[Any]]) -> None:
-        """Rebuild from scratch (faster than repeated inserts)."""
-        pairs = [
-            (row[self.column_position], pos)
-            for pos, row in enumerate(rows)
-            if row[self.column_position] is not None
-        ]
-        pairs.sort(key=lambda kv: kv[0])
-        self._keys = [k for k, _ in pairs]
-        self._positions = [p for _, p in pairs]
 
     def bulk_build_columns(self, store) -> None:
         """Rebuild straight from a table's column store, touching only

@@ -53,6 +53,20 @@ def _key_fn(positions: Sequence[int]):
     return lambda row: tuple(row[p] for p in ps)
 
 
+def _equi_keys(join) -> str:
+    """``alias.column = alias.column`` per key pair of a two-input
+    equi-join, named from its children's layouts (``describe``)."""
+    left, right = join.left.layout.entries, join.right.layout.entries
+    return ", ".join(
+        f"{'.'.join(left[l])} = {'.'.join(right[r])}"
+        for l, r in zip(join.left_key_positions, join.right_key_positions)
+    )
+
+
+def _residual(residual: Optional[Expression]) -> str:
+    return f", residual {residual!r}" if residual is not None else ""
+
+
 def _batch_keys(batch: Batch, positions: Sequence[int]) -> list:
     """Join-key values per batch row, as plain Python scalars/tuples."""
     if len(positions) == 1:
@@ -256,7 +270,7 @@ class HashJoin(Operator):
         self._matches = None
 
     def describe(self) -> str:
-        return "HashJoin"
+        return f"HashJoin({_equi_keys(self)}{_residual(self.residual)})"
 
     def children(self) -> List[Operator]:
         return [self.left, self.right]
@@ -358,7 +372,15 @@ class IndexNestedLoopJoin(Operator):
         self._opened = False
 
     def describe(self) -> str:
-        return f"IndexNestedLoopJoin({self.table.schema.name} AS {self.alias})"
+        outer, columns = self.outer.layout.entries, self.table.schema.columns
+        keys = ", ".join(
+            f"{'.'.join(outer[o])} = {self.alias}.{columns[i].name}".lower()
+            for o, i in zip(self.outer_key_positions, self.index.column_positions)
+        )
+        return (
+            f"IndexNestedLoopJoin({self.table.schema.name} AS {self.alias}, "
+            f"{keys}{_residual(self.residual)})"
+        )
 
     def children(self) -> List[Operator]:
         return [self.outer]
@@ -416,7 +438,9 @@ class NestedLoopJoin(Operator):
         self._inner_rows = None
 
     def describe(self) -> str:
-        return "NestedLoopJoin"
+        if self.predicate is None:
+            return "NestedLoopJoin"
+        return f"NestedLoopJoin({self.predicate!r})"
 
     def children(self) -> List[Operator]:
         return [self.left, self.right]
@@ -442,6 +466,8 @@ class SortMergeJoin(Operator):
         super().__init__(left.layout.concat(right.layout), left.stats)
         self.left = left
         self.right = right
+        self.left_key_positions = tuple(left_key_positions)
+        self.right_key_positions = tuple(right_key_positions)
         self.left_key = _key_fn(left_key_positions)
         self.right_key = _key_fn(right_key_positions)
         self.residual = residual
@@ -495,7 +521,7 @@ class SortMergeJoin(Operator):
         self._output = None
 
     def describe(self) -> str:
-        return "SortMergeJoin"
+        return f"SortMergeJoin({_equi_keys(self)}{_residual(self.residual)})"
 
     def children(self) -> List[Operator]:
         return [self.left, self.right]
@@ -569,7 +595,8 @@ class HashSemiJoin(Operator):
         self._build = None
 
     def describe(self) -> str:
-        return "HashAntiJoin" if self.negated else "HashSemiJoin"
+        name = "HashAntiJoin" if self.negated else "HashSemiJoin"
+        return f"{name}({_equi_keys(self)})"
 
     def children(self) -> List[Operator]:
         return [self.left, self.right]

@@ -76,7 +76,6 @@ class PhysicalCandidate:
     est_rows: float
     order: Optional[OrderSpec]
     build: Callable[..., Operator]
-    description: str
 
 
 class SystemROptimizer:
@@ -186,9 +185,7 @@ class SystemROptimizer:
         def build_seq(params: Params = None, table=table, alias=alias, pred=pred) -> Operator:
             return with_filter(SeqScan(table, alias, db.stats, rel.columns), pred, params)
 
-        out.append(
-            PhysicalCandidate(scan_cost, est, None, build_seq, f"SeqScan({rel.table})")
-        )
+        out.append(PhysicalCandidate(scan_cost, est, None, build_seq))
 
         # 2. Hash-index probe for a col = literal / parameter conjunct.
         for conjunct in preds:
@@ -222,15 +219,7 @@ class SystemROptimizer:
                     params,
                 )
 
-            out.append(
-                PhysicalCandidate(
-                    probe_cost,
-                    est,
-                    None,
-                    build_probe,
-                    f"HashIndexScan({rel.table}.{key_col})",
-                )
-            )
+            out.append(PhysicalCandidate(probe_cost, est, None, build_probe))
 
         # 3. Ordered-index scans (provide interesting orders).
         for index_name, sorted_index in table.sorted_indexes.items():
@@ -267,8 +256,6 @@ class SystemROptimizer:
                         est,
                         (alias, column, descending),
                         build_ordered,
-                        f"OrderedIndexScan({rel.table}.{column}"
-                        f"{' desc' if descending else ''})",
                     )
                 )
         return out
@@ -446,13 +433,7 @@ class SystemROptimizer:
                     )
 
                 out.append(
-                    PhysicalCandidate(
-                        hj_cost,
-                        est_rows,
-                        left_cand.order,
-                        build_hash,
-                        f"HashJoin({left_cand.description}, {best_right.description})",
-                    )
+                    PhysicalCandidate(hj_cost, est_rows, left_cand.order, build_hash)
                 )
 
             # Index nested loops: right side must be a single relation
@@ -496,7 +477,6 @@ class SystemROptimizer:
                     est_rows,
                     (first.left_alias, first.left_column, False),
                     build_smj,
-                    f"SortMergeJoin({best_left.description}, {best_right.description})",
                 )
             )
         else:
@@ -522,13 +502,7 @@ class SystemROptimizer:
                 )
 
             out.append(
-                PhysicalCandidate(
-                    nlj_cost,
-                    est_rows,
-                    best_left.order,
-                    build_nlj,
-                    f"NestedLoopJoin({best_left.description}, {best_right.description})",
-                )
+                PhysicalCandidate(nlj_cost, est_rows, best_left.order, build_nlj)
             )
         return out
 
@@ -595,13 +569,7 @@ class SystemROptimizer:
                     )
 
                 out.append(
-                    PhysicalCandidate(
-                        inlj_cost,
-                        est_rows,
-                        left_cand.order,
-                        build_inlj,
-                        f"INLJ({left_cand.description} -> {rel.table}.{probe_edge.right_column})",
-                    )
+                    PhysicalCandidate(inlj_cost, est_rows, left_cand.order, build_inlj)
                 )
             break  # one probe edge is enough; others become residuals
         return out

@@ -711,14 +711,6 @@ class Engine:
         self._statements = LRUCache(PLAN_CACHE_SIZE)
         self._plans = LRUCache(PLAN_CACHE_SIZE)
 
-    @property
-    def plan_cache_hits(self) -> int:
-        return self._plans.hits
-
-    @property
-    def plan_cache_misses(self) -> int:
-        return self._plans.misses
-
     def statement_cache_stats(self) -> StatementCacheStats:
         """The statement cache's counters, one snapshot per level.  Two
         acquisitions cannot tear the value: no invariant links ``texts``

@@ -34,7 +34,6 @@ from repro.service.core import (
     ReadWriteLock,
     ServingCore,
     ServingStats,
-    resolve_rebuild_config,
 )
 from repro.service.server import TopologyServer
 
@@ -49,5 +48,4 @@ __all__ = [
     "ServingStats",
     "ShardCoordinator",
     "TopologyServer",
-    "resolve_rebuild_config",
 ]

@@ -62,7 +62,7 @@ from repro.core.query import TopologyQuery
 from repro.errors import ShardError, ShardUnavailableError, TopologyError
 from repro.obs import span as obs_span
 from repro.parallel.partition import histogram_skew
-from repro.service.core import DEFAULT_METHOD, ServingCore, resolve_rebuild_config
+from repro.service.core import DEFAULT_METHOD, ServingCore
 from repro.service.replica import ShardBackend
 from repro.shard.build import SKEW_WARNING_THRESHOLD
 from repro.shard.manifest import ShardManifest, read_manifest
@@ -381,12 +381,7 @@ class ShardCoordinator(ServingCore):
             # serializes rebuilds, so this read cannot go stale.
             next_generation = self._generation + 1
             reference = load_system(manifest.shard_path(0))
-            pairs, kwargs = resolve_rebuild_config(
-                reference, entity_pairs, build_kwargs
-            )
-            successor = reference.clone_base()
-            report = successor.build(pairs, **kwargs)
-            successor.restore_calibration(reference.calibrator.export_state())
+            successor, report = reference.rebuilt(entity_pairs, **build_kwargs)
             generation_dir = tempfile.mkdtemp(
                 prefix=f"gen-{next_generation}-",
                 dir=os.path.dirname(manifest.path),

@@ -59,7 +59,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.cache import MISSING, CacheStats, LRUCache
-from repro.core.engine import TopologySearchSystem
 from repro.core.methods import MethodResult
 from repro.core.methods.base import TRACED_WORK
 from repro.core.query import TopologyQuery
@@ -81,7 +80,6 @@ __all__ = [
     "ReadWriteLock",
     "ServingCore",
     "ServingStats",
-    "resolve_rebuild_config",
 ]
 
 DEFAULT_METHOD = "fast-top-k-opt"
@@ -89,52 +87,6 @@ LATENCY_SAMPLE_WINDOW = 512
 
 #: ``execute(generation, method, owned queries) -> one result per query``.
 Execute = Callable[[int, str, List[TopologyQuery]], Sequence[MethodResult]]
-
-
-def resolve_rebuild_config(
-    system: TopologySearchSystem,
-    entity_pairs: Optional[Sequence[Tuple[str, str]]],
-    build_kwargs: Dict[str, Any],
-) -> Tuple[List[Tuple[str, str]], Dict[str, Any]]:
-    """The ``(pairs, kwargs)`` a rebuild of ``system`` should use.
-
-    Without ``entity_pairs`` the previously built pairs are reused, and
-    without an explicit ``max_length`` the previous one is kept (the
-    common "refresh after bulk update" case, Section 3.2) — otherwise a
-    system built at l=4 would silently shrink to the ``build()`` default
-    and reject all existing traffic.
-
-    The rest of the previous build's recorded configuration — parallel
-    worker/partition counts, caps, prune settings — is reused the same
-    way (snapshots persist it, so this also holds for snapshot-restored
-    systems); any explicit keyword wins.  Shared by
-    :meth:`TopologyServer.rebuild
-    <repro.service.server.TopologyServer.rebuild>` and
-    :meth:`ShardCoordinator.rebuild
-    <repro.service.coordinator.ShardCoordinator.rebuild>`, which must
-    agree on what "rebuild like before" means."""
-    pairs = list(entity_pairs if entity_pairs is not None else system.built_pairs)
-    kwargs = dict(build_kwargs)
-    if "max_length" not in kwargs and system.max_length is not None:
-        kwargs["max_length"] = system.max_length
-    previous = system.build_config or {}
-    carried = [
-        "prune",
-        "prune_threshold",
-        "combination_cap",
-        "per_pair_path_limit",
-        "parallel",
-    ]
-    # The recorded partition count was resolved for the recorded worker
-    # count; carrying it under an explicitly different ``parallel``
-    # would starve (or over-chop) the new pool, so in that case let the
-    # build re-derive its default.
-    if "parallel" not in kwargs:
-        carried.append("partitions")
-    for key in carried:
-        if key not in kwargs and previous.get(key) is not None:
-            kwargs[key] = previous[key]
-    return pairs, kwargs
 
 
 @dataclass

@@ -390,10 +390,12 @@ def parse_rebuild_request(payload: Any) -> Dict[str, Any]:
     """Body of ``POST /rebuild`` -> build kwargs overrides.
 
     An empty body (or ``{}``) means "rebuild exactly like before" —
-    :func:`~repro.service.core.resolve_rebuild_config` reuses the
+    :meth:`~repro.core.engine.TopologySearchSystem.rebuilt` reuses the
     previous build's recorded configuration.  The overridable subset is
     deliberately small: the refresh knobs an operator of an evolving
-    database actually turns."""
+    database actually turns.  ``parallel`` is validated, then ignored:
+    the build is serial, and clients that send a worker count keep
+    their contract."""
     issues = _Issues()
     if payload is None:
         return {}
@@ -407,9 +409,7 @@ def parse_rebuild_request(payload: Any) -> Dict[str, Any]:
         if parsed is not None:
             kwargs["max_length"] = parsed
     if "parallel" in obj:
-        parsed = _parse_bounded_int(obj["parallel"], "parallel", issues, 1, MAX_PARALLEL)
-        if parsed is not None:
-            kwargs["parallel"] = parsed
+        _parse_bounded_int(obj["parallel"], "parallel", issues, 1, MAX_PARALLEL)
     if "per_pair_path_limit" in obj:
         value = obj["per_pair_path_limit"]
         if value is None:

@@ -52,7 +52,7 @@ from repro.core.plan import QueryPlan
 from repro.core.query import TopologyQuery
 from repro.errors import TopologyError
 from repro.obs import span as obs_span
-from repro.service.core import DEFAULT_METHOD, ServingCore, resolve_rebuild_config
+from repro.service.core import DEFAULT_METHOD, ServingCore
 from repro.service.replica import ReplicaPool
 
 __all__ = ["TopologyServer"]
@@ -326,7 +326,7 @@ class TopologyServer(ServingCore):
         """Re-run the offline phase *without* interrupting traffic.
 
         The previous build's configuration is reused unless overridden
-        (:func:`~repro.service.core.resolve_rebuild_config`).  The build runs
+        (:meth:`~repro.core.engine.TopologySearchSystem.rebuilt`).  The build runs
         on a clone of the base relations while queries keep executing
         against the current generation; learned calibration factors are
         carried over; then an exclusive pointer swap — microseconds, not
@@ -334,17 +334,7 @@ class TopologyServer(ServingCore):
         result cache.  In-flight queries finish on the generation they
         started on."""
         with self._writer_mutex:
-            current = self._system
-            pairs, kwargs = resolve_rebuild_config(
-                current, entity_pairs, build_kwargs
-            )
-            successor = current.clone_base()
-            report = successor.build(pairs, **kwargs)
-            successor.restore_calibration(current.calibrator.export_state())
-            # Runtime knobs survive the swap too: an operator who pinned
-            # plan choices must not have calibration silently re-enabled
-            # by a rebuild.
-            successor.calibration_enabled = current.calibration_enabled
+            successor, report = self._system.rebuilt(entity_pairs, **build_kwargs)
             with self._swap():
                 self._system = successor
             return report

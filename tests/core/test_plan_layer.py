@@ -195,6 +195,19 @@ class TestExplain:
             tree += f"\nPrunedChecks(topologies={count}, merged by score)"
         assert stable_plans.explain(query, method).operators == tree
 
+    def test_regular_tree_shows_every_predicate(self, fig3_system):
+        """On the Figure-3 store the DNA constraint is an index join's
+        residual, not a Filter: the tree must still print it."""
+        query = TopologyQuery(
+            "Protein", "DNA",
+            KeywordConstraint("DESC", "enzyme"),
+            AttributeConstraint("TYPE", "mRNA"),
+            k=2, ranking="rare",
+        )
+        tree = fig3_system.explain(query, "fast-top-k").operators
+        assert "(ColumnRef(q2.type) = Literal('mRNA'))" in tree
+        assert "ColumnRef(q1.desc), Literal('enzyme')" in tree
+
     @pytest.mark.parametrize("flavor", ["idgj", "hdgj"])
     def test_et_tree_is_the_stack_under_first_per_group(self, tiny_system, flavor):
         query = make_query(keyword="kinase", k=4)

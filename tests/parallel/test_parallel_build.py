@@ -20,11 +20,12 @@ from repro.core import (
     NoConstraint,
     TopologyQuery,
     TopologySearchSystem,
+    TopologyStore,
+    apply_pruning,
 )
 from repro.core.alltops import compute_alltops
 from repro.errors import TopologyError
 from repro.parallel import (
-    DEFAULT_PARTITIONS_PER_WORKER,
     compute_alltops_parallel,
     partition_histogram,
     partition_sources,
@@ -128,6 +129,7 @@ class TestStoreEquivalence:
         assert report.alltops_rows == serial_report.alltops_rows
         assert report.distinct_topologies == serial_report.distinct_topologies
         assert report.truncated_pairs == serial_report.truncated_pairs
+        assert parallel_report.merge_seconds > 0.0
         # Every source of every pair was scanned by exactly one task.
         by_pair = {}
         for task in parallel_report.tasks:
@@ -216,10 +218,17 @@ def serial_system():
 @pytest.fixture(scope="module")
 def parallel_system():
     # Same seed, fresh dataset object: nothing shared with the serial
-    # system except the (deterministic) generator inputs.
+    # system except the (deterministic) generator inputs.  The store is
+    # built the way the benchmark builds its partitioned twin: compute
+    # in a pool, prune, adopt.
     ds = generate(BiozonConfig.tiny(seed=3))
     system = TopologySearchSystem(ds.database, ds.graph())
-    system.build(SYSTEM_PAIRS, max_length=MAX_LENGTH, parallel=2, partitions=5)
+    store, _, _ = compute_alltops_parallel(
+        system.graph, SYSTEM_PAIRS, MAX_LENGTH, workers=2, partitions=5,
+        store=TopologyStore(system.weak_rules),
+    )
+    apply_pruning(store)
+    system.adopt_store(store, MAX_LENGTH, SYSTEM_PAIRS)
     return system
 
 
@@ -276,82 +285,3 @@ class TestNineMethodsEquivalence:
             parallel = parallel_system.search(query, method=method)
             assert serial.tids == parallel.tids, (method, query.describe())
             assert serial.scores == parallel.scores, (method, query.describe())
-
-
-# ----------------------------------------------------------------------
-# Engine / persistence / service wiring
-# ----------------------------------------------------------------------
-class TestWiring:
-    def test_build_report_parallel_section(self, parallel_system):
-        report = parallel_system.build_report
-        assert report.parallel is not None
-        assert report.parallel.workers == 2
-        assert report.parallel.partitions == 5
-        assert report.parallel.merge_seconds >= 0.0
-        assert report.parallel.worker_seconds_total > 0.0
-        assert report.parallel.partition_skew() >= 1.0
-
-    def test_negative_parallel_rejected(self):
-        ds = generate(BiozonConfig.tiny(seed=3))
-        system = TopologySearchSystem(ds.database, ds.graph())
-        with pytest.raises(TopologyError):
-            system.build(SYSTEM_PAIRS, max_length=MAX_LENGTH, parallel=-4)
-
-    def test_serial_build_has_no_parallel_section(self, serial_system):
-        assert serial_system.build_report.parallel is None
-        assert serial_system.build_config["parallel"] == 0
-
-    def test_build_config_recorded(self, parallel_system):
-        config = parallel_system.build_config
-        assert config["parallel"] == 2
-        assert config["partitions"] == 5
-        assert config["max_length"] == MAX_LENGTH
-
-    def test_snapshot_round_trips_build_config(self, parallel_system, tmp_path):
-        from repro.persist import load_system, save_system, snapshot_info
-
-        path = tmp_path / "parallel.topo"
-        save_system(parallel_system, path)
-        assert snapshot_info(path).build_config == parallel_system.build_config
-        loaded = load_system(path)
-        assert loaded.build_config == parallel_system.build_config
-        assert (
-            loaded.store.state_digest()
-            == parallel_system.store.state_digest()
-        )
-
-    def test_service_rebuild_reuses_parallel_config(self):
-        from repro.service import TopologyServer
-
-        ds = generate(BiozonConfig.tiny(seed=3))
-        system = TopologySearchSystem(ds.database, ds.graph())
-        system.build(SYSTEM_PAIRS, max_length=MAX_LENGTH, parallel=2, partitions=3)
-        service = TopologyServer(system)
-
-        query = TopologyQuery(
-            "Protein", "DNA",
-            KeywordConstraint("DESC", "kinase"),
-            NoConstraint(),
-            k=5, ranking="freq",
-        )
-        before = service.query(query)
-        assert service.cache_stats().size == 1
-
-        report = service.rebuild()
-        # The recorded configuration is reused without re-specifying it...
-        assert report.parallel is not None
-        assert report.parallel.workers == 2
-        assert report.parallel.partitions == 3
-        # ...and the rebuild invalidated the cache (generation bump).
-        assert service.cache_stats().size == 0
-        after = service.query(query)
-        assert after.tids == before.tids
-        # An explicit override still wins over the recorded config, and
-        # the recorded partition count (resolved for the old worker
-        # count) is NOT carried along with it — the new build derives
-        # its own default instead of starving the new pool.
-        report = service.rebuild(parallel=4)
-        assert report.parallel.workers == 4
-        assert report.parallel.partitions == 4 * DEFAULT_PARTITIONS_PER_WORKER
-        report = service.rebuild(parallel=0)
-        assert report.parallel is None

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import sqlite3
 
@@ -16,9 +17,13 @@ from repro.core import (
     TopologyQuery,
     TopologySearchSystem,
 )
+from repro.core.engine import REBUILD_CARRIED
+from repro.core.topologies import DEFAULT_COMBINATION_CAP
 from repro.errors import TopologyError
 from repro.persist import SCHEMA_VERSION, load_system, save_system, snapshot_info
 from repro.persist.codec import check_endpoint
+from repro.service import ShardCoordinator, TopologyServer
+from repro.shard import split_system
 
 EXHAUSTIVE_METHODS = ("sql", "full-top", "fast-top")
 
@@ -305,3 +310,59 @@ class TestIncludeAlltops:
             restored.search(query, method="fast-top").tids
             == system.search(query, method="fast-top").tids
         )
+
+
+class TestBuildConfig:
+    """A snapshot records how its store was built, and a rebuild of a
+    restored system reproduces that build — also for snapshots written
+    while ``build()`` still took ``parallel``/``partitions``."""
+
+    def test_fresh_build_records_the_carried_parameters(self, tiny_system):
+        assert tiny_system.build_config == {
+            "max_length": 3,
+            "prune": True,
+            "prune_threshold": None,
+            "combination_cap": DEFAULT_COMBINATION_CAP,
+            "per_pair_path_limit": None,
+        }
+        assert tuple(tiny_system.build_config) == REBUILD_CARRIED
+
+    def test_snapshot_round_trips_build_config(self, snapshot_path, tiny_system):
+        assert snapshot_info(snapshot_path).build_config == tiny_system.build_config
+        assert load_system(snapshot_path).build_config == tiny_system.build_config
+
+    def test_old_snapshot_rebuilds_through_the_server(self, tiny_system, tmp_path):
+        path = tmp_path / "old.topo"
+        save_system(tiny_system, path)
+        _record_partitioned_build(path, tiny_system)
+        serial_digest = tiny_system.require_store().state_digest()
+        with TopologyServer.from_snapshot(str(path)) as server:
+            assert server.system.build_config["parallel"] == 2  # loads as written
+            server.rebuild()
+            assert server.generation == 2
+            assert server.system.require_store().state_digest() == serial_digest
+            assert "parallel" not in server.system.build_config
+
+    def test_old_shard_set_rebuilds_through_the_coordinator(
+        self, tiny_system, tmp_path
+    ):
+        split = split_system(tiny_system, 2, tmp_path / "shards")
+        _record_partitioned_build(split.shard_paths[0], tiny_system)
+        with ShardCoordinator(split.manifest_path, start_method="fork") as coord:
+            # Each worker's store digest is the serial build's routed state.
+            serial_digests = coord.shard_digests()
+            coord.rebuild()
+            assert coord.generation == 2
+            assert coord.shard_digests() == serial_digests
+
+
+def _record_partitioned_build(path, system) -> None:
+    """Rewrite a snapshot's ``build_config`` the way files written by a
+    ``build(parallel=2, partitions=8)`` recorded it."""
+    config = {**system.build_config, "parallel": 2, "partitions": 8}
+    conn = sqlite3.connect(path)
+    conn.execute(
+        "UPDATE meta SET value = ? WHERE key = 'build_config'", (json.dumps(config),)
+    )
+    conn.commit()
+    conn.close()

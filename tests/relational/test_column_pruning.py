@@ -9,6 +9,8 @@ fast-top's UNION with a NOT EXISTS branch, SQL3 and SQL4 — and for a
 ``SELECT *``, the rows, the column names and the ``explain()`` text.
 The plans must still be those plans and return those answers, in both
 execution modes; what may differ is only what each operator carries.
+The ``explain`` strings were re-recorded once since, unchanged in plan,
+when the join operators began printing their keys and residuals.
 """
 
 from __future__ import annotations

@@ -438,9 +438,9 @@ def test_random_sql_repeated_executions_hit_plan_cache(difftest_seeds):
     for sql in gen_queries(rng, tables, count=4):
         with columnar_mode():
             first = engine.execute(sql)
-            hits_before = engine.plan_cache_hits
+            hits_before = engine.statement_cache_stats().hits
             second = engine.execute(sql)
-        assert engine.plan_cache_hits == hits_before + 1, sql
+        assert engine.statement_cache_stats().hits == hits_before + 1, sql
         assert second.rows == first.rows, f"seed={seed}: cached plan diverged\n  {sql}"
 
 
@@ -520,7 +520,7 @@ class TestPlanCache:
         with columnar_mode():
             first = engine.execute(sql)
             assert engine.execute(sql).rows == first.rows
-            assert engine.plan_cache_hits == 1
+            assert engine.statement_cache_stats().hits == 1
             # Any data change flips the change token: replan, new rows.
             schema = db.table("t0").schema
             row = [None] * len(schema.columns)
@@ -530,9 +530,9 @@ class TestPlanCache:
 
                 row[i] = _gen_value(make_rng(0), col.dtype, False)
             db.table("t0").insert(tuple(row))
-            hits = engine.plan_cache_hits
+            hits = engine.statement_cache_stats().hits
             engine.execute(sql)
-            assert engine.plan_cache_hits == hits  # miss, not a stale hit
+            assert engine.statement_cache_stats().hits == hits  # miss, not a stale hit
 
     def test_invalidation_on_catalog_change(self):
         engine, db = self._engine()
@@ -544,9 +544,9 @@ class TestPlanCache:
             db.create_table(
                 TableSchema("other", [Column("ID", DataType.INT, True)], "ID")
             )
-            hits = engine.plan_cache_hits
+            hits = engine.statement_cache_stats().hits
             engine.execute(sql)
-            assert engine.plan_cache_hits == hits
+            assert engine.statement_cache_stats().hits == hits
 
     def test_row_mode_bypasses_cache(self):
         engine, _ = self._engine()
@@ -554,8 +554,8 @@ class TestPlanCache:
         with row_mode():
             engine.execute(sql)
             engine.execute(sql)
-        assert engine.plan_cache_hits == 0
-        assert engine.plan_cache_misses == 0
+        assert engine.statement_cache_stats().hits == 0
+        assert engine.statement_cache_stats().misses == 0
 
     def test_bindings_of_one_class_share_one_plan(self):
         """Equality estimates 1/ndv whatever the value, so every key is
@@ -566,10 +566,10 @@ class TestPlanCache:
         with columnar_mode():
             a = engine.execute(sql, {"key": 1})
             b = engine.execute(sql, {"key": 2})
-            assert engine.plan_cache_hits == 1
+            assert engine.statement_cache_stats().hits == 1
             a2 = engine.execute(sql, {"key": 1})
         assert (a.rows, b.rows, a2.rows) == ([(1,)], [(2,)], [(1,)])
-        assert engine.plan_cache_hits == 2
+        assert engine.statement_cache_stats().hits == 2
         assert engine.statement_cache_stats().classes == 1
 
 

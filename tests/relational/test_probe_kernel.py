@@ -109,10 +109,17 @@ def key_lists(draw, max_size: int):
     return values
 
 
-def index_over(values: Sequence[Any]) -> HashIndex:
-    index = HashIndex("hx", [0])
-    index.bulk_build([(v,) for v in values])
+def bulk_load(index: HashIndex, rows: Sequence[Tuple[Any, ...]]) -> HashIndex:
+    """Rebuild ``index`` over ``rows`` the way a table does: from its
+    column store."""
+    store = ColumnStore([DataType.INT] * (max(index.column_positions) + 1))
+    store.extend_rows(rows)
+    index.bulk_build_columns(store)
     return index
+
+
+def index_over(values: Sequence[Any]) -> HashIndex:
+    return bulk_load(HashIndex("hx", [0]), [(v,) for v in values])
 
 
 class TestKernelAgainstLoop:
@@ -145,8 +152,7 @@ class TestKernelAgainstLoop:
         assert index_over([1, BEYOND_INT64]).key_arrays() is None
         assert index_over(["a", "b"]).key_arrays() is None
         assert index_over([1.5, 2.0]).key_arrays() is None
-        composite = HashIndex("hx2", [0, 1])
-        composite.bulk_build([(1, 2), (1, None)])
+        composite = bulk_load(HashIndex("hx2", [0, 1]), [(1, 2), (1, None)])
         assert composite.key_arrays() is None
         with probe_threshold(KERNEL):
             nullable = Batch([[1, None, 1]], 3)
@@ -175,7 +181,7 @@ class TestKernelAgainstLoop:
             index.insert((9,), 2)
             assert pairs_of(probe_pairs(probe, (0,), index)) == [(0, 2), (1, 0)]
             assert HAVE_NUMPY is False or index.key_arrays() is not first
-            index.bulk_build([(9,), (9,)])
+            bulk_load(index, [(9,), (9,)])
             assert pairs_of(probe_pairs(probe, (0,), index)) == [(0, 0), (0, 1)]
 
 

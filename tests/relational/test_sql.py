@@ -411,8 +411,8 @@ class TestParameters:
         with columnar_mode():
             first = engine.explain(sql, {"word": "membrane", "id": 3})
             second = engine.explain(sql, {"word": "binding", "id": 1})
-            assert engine.plan_cache_misses == 1  # one class, one plan
+            assert engine.statement_cache_stats().misses == 1  # one class, one plan
             assert engine.execute(sql, {"word": "binding", "id": 1}).rows == [(1,)]
-            assert engine.plan_cache_hits == 2
+            assert engine.statement_cache_stats().hits == 2
         assert "'binding'" in second and "'membrane'" not in second
         assert first.replace("'membrane'", "'binding'").replace("key=3", "key=1") == second

@@ -164,9 +164,9 @@ def test_parameterised_statements_answer_like_their_literal_twins(seed):
         else:
             continue
         with columnar_mode():
-            hits = engine.plan_cache_hits
+            hits = engine.statement_cache_stats().hits
             rows = _run(engine, sql, other)
-            assert engine.plan_cache_hits == hits + 1, sql
+            assert engine.statement_cache_stats().hits == hits + 1, sql
         _same_answer(sql, other, rows, engine)
 
 

@@ -516,6 +516,16 @@ class TestRebuild:
         assert response.status == 200
         assert response.json()["generation"] == 2
 
+    def test_parallel_is_validated_then_ignored(self, client):
+        # The engine builds serially; the field stays in the contract so
+        # clients written against the partitioned build keep working.
+        response = client.post("/rebuild", json={"parallel": 4})
+        assert response.status == 200
+        assert response.json()["generation"] == 2
+        response = client.post("/rebuild", json={"parallel": 0})
+        error = assert_error_body(response, 422, "validation_error")
+        assert error_fields(error) == {"parallel"}
+
     def test_unknown_field_is_422(self, client):
         response = client.post("/rebuild", json={"force": True})
         error = assert_error_body(response, 422, "validation_error")
