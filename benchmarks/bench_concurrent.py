@@ -3,7 +3,7 @@ replica processes.
 
 The one measurement anywhere of :meth:`TopologyServer.query_many
 <repro.service.TopologyServer.query_many>`'s ``mode="process"`` (no
-``python3 -m bench`` workload covers it yet; ROADMAP item 5(c) decides
+``python3 -m bench`` workload covers it yet; ROADMAP item 6(c) decides
 from this number whether the mode stays).  The same cache-busting
 workload (every query distinct, so engine executions dominate — the
 hard case for scaling) runs serially on one thread and over warm

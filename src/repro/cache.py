@@ -1,12 +1,12 @@
 """The one thread-safe LRU behind every cache in the repository.
 
-Six caches are instances of :class:`LRUCache`: the service's result
+Seven caches are instances of :class:`LRUCache`: the service's result
 cache (:class:`~repro.service.ServingCore`), the HTTP layer's query
 memo (:class:`~repro.service.http.app.TopologyHttpApp`), the topology
-plan cache and the selection cache of endpoint selections and
-pruned-check outcomes (:class:`~repro.core.engine.TopologySearchSystem`)
-and the two levels of the SQL engine's statement cache
-(:class:`~repro.relational.sql.Engine`).
+plan cache and the selection cache of pruned-check outcomes
+(:class:`~repro.core.engine.TopologySearchSystem`), the two levels of
+the SQL engine's statement cache (:class:`~repro.relational.sql.Engine`)
+and the keep-flag memo (:mod:`repro.relational.keepmemo`).
 The cache never inspects values; what makes an entry current is the
 owner's business, expressed through an optional *stamp*.
 

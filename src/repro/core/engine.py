@@ -44,13 +44,12 @@ from repro.relational.database import Database
 from repro.relational.sql.planner import Engine
 from repro.relational.statistics import StatsCatalog
 
-# Capacity of TopologySearchSystem.selection_cache.  An outcome entry is
-# a few hundred bytes; a selection holds one keep flag and at most one
-# id per row of its entity table, so the worst case is capacity x
-# (largest entity table rows x 9 B): 5.1 MB over the 1,100-row DNA table
-# of the benchmark's dataset.  One benchmark segment (a third of a
-# seed-7 request list on a fresh system) fills 210-333 entries, 0.3-0.8
-# MB of them selections.
+# Capacity of TopologySearchSystem.selection_cache, which holds
+# pruned-check outcomes only: one short string per entry under a key of
+# a tid and two (entity, constraint) sides, a few hundred bytes, so the
+# worst case is about 0.2 MB.  Endpoint selections are not held here:
+# they are read from the relational keep-flag memo
+# (repro.relational.database.KEEP_MEMO_SIZE states its own worst case).
 SELECTION_CACHE_SIZE = 512
 
 # The build() parameters a rebuild takes over from the last build's
@@ -119,10 +118,9 @@ class TopologySearchSystem:
         self.planner = Planner(self)
         self.plan_cache = LRUCache(512)
         self.calibration_enabled = True
-        # The online work that depends on a query's constraints alone —
-        # endpoint selections and pruned-check outcomes — kept across
-        # queries and stamped with (build_generation, change_token()); see
-        # repro.core.methods.pruned.
+        # Pruned-check outcomes, which depend on a query's constraints
+        # alone, kept across queries and stamped with (build_generation,
+        # change_token()); see repro.core.methods.pruned.
         self.selection_cache = LRUCache(SELECTION_CACHE_SIZE)
 
     # ------------------------------------------------------------------
@@ -413,8 +411,8 @@ class TopologySearchSystem:
         return self.plan_cache.stats()
 
     def selection_cache_stats(self) -> CacheStats:
-        """The selection cache's counters: endpoint selections and
-        pruned-check outcomes together."""
+        """The selection cache's counters: pruned-check outcomes (each
+        miss is one check that walked the topology's chains)."""
         return self.selection_cache.stats()
 
     def restore_calibration(self, state: Optional[Dict[str, object]]) -> None:

@@ -1,10 +1,9 @@
 """One query's endpoint sets and its online checks of pruned topologies.
 
-A 2-query constrains two entity sets.  :class:`Endpoints` evaluates each
-constraint once per data version, vectorised over its entity table;
-everything downstream is a membership test against the result — the
-batch DGJ probe reads the per-row keep flags, the pruned-check walk
-reads the ids.
+A 2-query constrains two entity sets.  :class:`Endpoints` reads each
+constraint's keep flags over its entity table; everything downstream is
+a membership test against the result — the batch DGJ probe reads the
+per-row keep flags, the pruned-check walk reads the ids.
 
 :class:`PrunedChecks` is the one place a pruned topology is checked
 online: it gives the answer of the paper's SQL5 (and of each lower
@@ -19,18 +18,18 @@ pair, the topology's ExcpTops pairs left out — and stops at the first.
 :func:`merge_ranked` merges the checks into a top-k method's best-first
 stream, the SQL3/SQL4 rows or the DGJ stack's groups.
 
-Both results are functions of the constraints alone, so they are kept
-across queries in the system's selection cache
-(:attr:`~repro.core.engine.TopologySearchSystem.selection_cache`):
+A selection is read from the relational keep-flag memo
+(:mod:`repro.relational.keepmemo`), one entry per table version and
+conjunct, which the regular statements' filters read too.  A check's
+*outcome* — proved empty, witness, or no witness — is a function of the
+constraints alone, so it is kept across queries in the system's
+selection cache
+(:attr:`~repro.core.engine.TopologySearchSystem.selection_cache`) under
+``(tid, end1 side, end2 side)``, the sides being the ``(entity table,
+constraint)`` pairs in build orientation, so a reversed query reads the
+same entry.
 
-* a *selection* — the keep flags and kept ids of one constraint over
-  one entity table — under ``(entity table, constraint)``;
-* a check's *outcome* — proved empty, witness, or no witness — under
-  ``(tid, end1 side, end2 side)``, the sides being the ``(entity
-  table, constraint)`` pairs in build orientation, so a reversed query
-  reads the same entry.
-
-Every entry is stamped with ``(build_generation,
+Every outcome is stamped with ``(build_generation,
 database.change_token())``, read once per query before anything is
 computed: a rebuild (which reassigns tids), a restore or any table
 write retires every entry made before it.  A cached value is exactly
@@ -41,6 +40,7 @@ what the code computes on a miss, and a hit charges the same
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import Any, Iterator, List, Optional, Tuple
 
 from repro.cache import MISSING
@@ -49,6 +49,8 @@ from repro.core.pathsql import chains_reach, chains_witness
 from repro.core.query import Constraint, TopologyQuery
 from repro.errors import TopologyError
 from repro.relational.column import ColumnValues, compact_column, is_ndarray
+from repro.relational.expressions import conjoin, split_conjuncts
+from repro.relational.keepmemo import and_keep, every_row, memo_flags, split_memoised
 from repro.relational.operators import table_batch, table_layout
 from repro.relational.table import Table
 
@@ -60,8 +62,8 @@ NO_WITNESS = "no witness"
 
 def _read_only(values: Any, freeze: type) -> Any:
     """``values`` made immutable in place (a numpy array) or as
-    ``freeze(values)`` (a list): a cached selection is shared by every
-    query that reads it."""
+    ``freeze(values)`` (a list): a selection is shared by every reader
+    of one query."""
     if is_ndarray(values):
         values.flags.writeable = False
         return values
@@ -72,9 +74,16 @@ def _select(table: Table, constraint: Constraint) -> Tuple[ColumnValues, Any]:
     """The keep flags of ``constraint`` over every row of ``table``
     (unknown is not kept, as in a WHERE clause) and the ids of the kept
     rows: a bool array or tuple, and an id array where the ID column has
-    one, a frozenset otherwise."""
-    evaluate = constraint.to_expression("q").bind_batch(table_layout(table, "q"))
-    keep = evaluate(table_batch(table)).as_keep()
+    one, a frozenset otherwise.  The conjuncts the keep-flag memo holds
+    are read from it; only the rest are evaluated here."""
+    keyed, rest = split_memoised(table, split_conjuncts(constraint.to_expression("q")))
+    flags = [memo_flags(table, "q", keyed)] if keyed else []
+    residual = conjoin(rest)
+    if residual is not None:
+        result = residual.bind_batch(table_layout(table, "q"))(table_batch(table))
+        if result.kind != "const" or result.data is not True:
+            flags.append(result.as_keep())
+    keep = reduce(and_keep, flags) if flags else every_row(table.row_count)
     position = table.schema.column_position("ID")
     values = table.store.array(position)
     if values is None:
@@ -84,16 +93,14 @@ def _select(table: Table, constraint: Constraint) -> Tuple[ColumnValues, Any]:
 
 
 class Endpoints:
-    """The two endpoint constraints of one query, each evaluated once
-    per data version.  Side 0 is ``(entity1, constraint1)``, side 1 the
-    other."""
+    """The two endpoint constraints of one query, each selected once.
+    Side 0 is ``(entity1, constraint1)``, side 1 the other."""
 
     def __init__(self, system, query: TopologyQuery) -> None:
         self._database = system.database
-        self._cache = system.selection_cache
-        # Read before anything is computed: an entry made while the data
-        # changes is put under the older stamp and retired on its next
-        # lookup — stale in the safe direction.
+        # Read before anything is computed: an outcome made while the
+        # data changes is put under the older stamp and retired on its
+        # next lookup — stale in the safe direction.
         self.stamp = (system.build_generation, system.database.change_token())
         self.sides = (
             (query.entity1, query.constraint1),
@@ -112,11 +119,8 @@ class Endpoints:
     def _selection(self, side: int) -> Tuple[ColumnValues, Any]:
         selection = self._selections[side]
         if selection is None:
-            key = self.sides[side]
-            selection = self._cache.get(key, MISSING, self.stamp)
-            if selection is MISSING:
-                selection = _select(self._database.table(key[0]), key[1])
-                self._cache.put(key, selection, self.stamp)
+            entity, constraint = self.sides[side]
+            selection = _select(self._database.table(entity), constraint)
             self._selections[side] = selection
         return selection
 

@@ -16,7 +16,8 @@ temp file + ``os.replace``):
     Key/value JSON: format version, engine version, ``max_length``, the
     built entity pairs, the weak-path rules, the recorded build
     configuration, the cost-calibration state (learned per-strategy
-    factors, so a restored service keeps them), bookkeeping counters.
+    factors, so a restored service keeps them) and whether calibration
+    is enabled, bookkeeping counters.
 ``base_tables`` + ``base_<n>_<name>``
     The catalog (schema, declared indexes) and rows of every *base*
     relation.  The four derived tables (TopInfo, AllTops, LeftTops,
@@ -210,12 +211,15 @@ def _write_meta(
         },
         "truncated_pairs": state["truncated_pairs"],
         "include_alltops": not alltops_table_empty,
-        # How the store was built (worker/partition counts, caps, prune
-        # settings) — restored so rebuilds reproduce the configuration.
+        # How the store was built (max_length, caps, prune settings) —
+        # restored so rebuilds reproduce the configuration.
         "build_config": system.build_config,
         # Learned per-strategy cost factors (repro.core.plan) — restored
         # so a cold-started service plans with its calibrated costs.
         "calibration": system.calibrator.export_state(),
+        # The operator's switch that pins plan choices.  An optional key,
+        # like "shard": a file without it loads with calibration on.
+        "calibration_enabled": system.calibration_enabled,
         "saved_at": time.time(),
     }
     if shard is not None:
@@ -386,6 +390,7 @@ def load_system(path):
         build_config=meta.get("build_config"),
     )
     system.restore_calibration(meta.get("calibration"))
+    system.calibration_enabled = bool(meta.get("calibration_enabled", True))
     return system
 
 

@@ -6,9 +6,19 @@ import threading
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro.cache import LRUCache
 from repro.errors import CatalogError
 from repro.relational.schema import TableSchema
 from repro.relational.table import Row, Table
+
+# Capacity of a database's keep-flag memo (repro.relational.keepmemo).
+# An entry holds one flag per row of its table: 1 B on the numpy leg, an
+# 8 B tuple slot on the REPRO_NO_NUMPY=1 leg.  The worst case is
+# capacity x largest table rows x bytes per flag: 0.28 MB (numpy) or
+# 2.3 MB (tuples) over the 1,100-row DNA table of the benchmark's
+# dataset, the largest table a filtered scan reads there.  One benchmark
+# segment (a third of a seed-7 request list) asks for 31 conjuncts.
+KEEP_MEMO_SIZE = 256
 
 
 @dataclass
@@ -98,6 +108,9 @@ class Database:
         self._stats_lock = threading.Lock()
         self._stats_buckets: List[Tuple[threading.Thread, ExecStats]] = []
         self._stats_retired = ExecStats()
+        # One conjunct's keep flags per table version, shared by every
+        # reader of this catalog's tables (repro.relational.keepmemo).
+        self.keep_memo = LRUCache(KEEP_MEMO_SIZE)
 
     @property
     def stats(self) -> ExecStats:
@@ -154,6 +167,7 @@ class Database:
         if key in self._tables:
             raise CatalogError(f"table {schema.name!r} already exists")
         table = Table(schema)
+        table.keep_memo = self.keep_memo
         self._tables[key] = table
         self._catalog_version += 1
         return table

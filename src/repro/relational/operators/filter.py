@@ -5,10 +5,25 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import ExecutionError
-from repro.relational.column import Batch
-from repro.relational.database import ExecStats
-from repro.relational.expressions import Expression, Row, RowLayout, is_truthy
+from repro.relational.column import Batch, ColumnValues
+from repro.relational.expressions import (
+    BatchFunc,
+    Expression,
+    Row,
+    RowLayout,
+    conjoin,
+    is_truthy,
+    split_conjuncts,
+)
+from repro.relational.keepmemo import (
+    Keyed,
+    and_keep,
+    count_kept,
+    memo_flags,
+    split_memoised,
+)
 from repro.relational.operators.base import GroupAware, Operator
+from repro.relational.operators.scan import SeqScan
 
 
 class Filter(Operator):
@@ -24,6 +39,12 @@ class Filter(Operator):
     with the rows, before anything is compacted.  Names are matched
     without their alias: this is for the filter of a single relation's
     access path.
+
+    Over a base-table :class:`SeqScan`, the batch path reads the
+    conjuncts the keep-flag memo holds (:mod:`repro.relational.keepmemo`)
+    as flags over the whole table, once per execution, and slices them
+    for each batch; only the rest of the predicate is evaluated per
+    batch.  The scan still runs, so every counter is charged as before.
     """
 
     def __init__(
@@ -46,9 +67,26 @@ class Filter(Operator):
         self.child = child
         self.predicate = predicate
         self._fn = predicate.bind(child.layout)
-        self._batch_fn = predicate.bind_batch(child.layout)
+        self._memoised: Keyed = []
+        self._scan: Optional[SeqScan] = None
+        residual: Optional[Expression] = predicate
+        if isinstance(child, SeqScan):
+            self._memoised, rest = split_memoised(child.table, split_conjuncts(predicate))
+            if self._memoised:
+                self._scan = child
+                residual = conjoin(rest)
+        self._batch_fn: Optional[BatchFunc] = (
+            None if residual is None else residual.bind_batch(child.layout)
+        )
+        # The memoised conjuncts' flags over the whole table, read at
+        # the first batch of an execution, and the heap position where
+        # the next batch starts (a SeqScan emits the heap in order).
+        self._flags: Optional[ColumnValues] = None
+        self._offset = 0
 
     def open(self) -> None:
+        self._flags = None
+        self._offset = 0
         self.child.open()
 
     def next(self) -> Optional[Row]:
@@ -66,14 +104,11 @@ class Filter(Operator):
             batch = self.child.next_batch()
             if batch is None:
                 return None
-            result = self._batch_fn(batch)
-            if result.kind == "const":
-                if result.data is not True:
-                    continue
-                keep, kept = None, batch.length
+            keep = self._keep(batch)
+            if keep is None:
+                kept = batch.length
             else:
-                keep = result.as_keep()
-                kept = sum(keep) if isinstance(keep, list) else int(keep.sum())
+                kept = count_kept(keep)
                 if kept == 0:
                     continue
             if emit is not None:
@@ -82,6 +117,24 @@ class Filter(Operator):
             if kept == batch.length:
                 return batch
             return batch.compact(keep, kept)
+
+    def _keep(self, batch: Batch) -> Optional[ColumnValues]:
+        """The batch's keep flags; None when every row is kept."""
+        keep: Optional[ColumnValues] = None
+        scan = self._scan
+        if scan is not None:
+            if self._flags is None:
+                self._flags = memo_flags(scan.table, scan.alias, self._memoised)
+            start = self._offset
+            self._offset += batch.length
+            keep = self._flags[start : self._offset]
+        if self._batch_fn is None:
+            return keep
+        result = self._batch_fn(batch)
+        if result.kind == "const":
+            return keep if result.data is True else [False] * batch.length
+        rest = result.as_keep()
+        return rest if keep is None else and_keep(keep, rest)
 
     def close(self) -> None:
         self.child.close()

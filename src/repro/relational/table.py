@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
+from repro.cache import LRUCache
 from repro.errors import CatalogError, SchemaError
 from repro.relational.column import ColumnStore, RowsView
 from repro.relational.index import HashIndex, SortedIndex
@@ -35,6 +36,10 @@ class Table:
         self.rows = RowsView(self.store)
         self._hash_indexes: Dict[str, HashIndex] = {}
         self._sorted_indexes: Dict[str, SortedIndex] = {}
+        # The catalog's keep-flag memo, set by Database.create_table; a
+        # table outside a catalog has none, and its selections are
+        # evaluated every time (repro.relational.keepmemo).
+        self.keep_memo: Optional[LRUCache] = None
         if schema.primary_key is not None:
             self.create_hash_index("pk", [schema.primary_key])
 

@@ -11,10 +11,11 @@ batch IDGJ probe against their tuple-at-a-time references.
 * the merge of a best-first stream with the pruned checks: Fast-Top-k
   and both Fast-Top-k-ET flavors make the same checks, and the ET
   drivers read their stream one answer ahead;
-* the selection cache — endpoint selections and check outcomes kept
-  across queries — changes no answer and no ``work`` counter, never
-  serves an entry across a data change or a rebuild, and hands out
-  read-only values from a bounded cache.
+* the selection cache of check outcomes kept across queries, and the
+  endpoint selections read from the keep-flag memo, change no answer
+  and no ``work`` counter, never serve an entry across a data change or
+  a rebuild, and hand out read-only values (the memo's own bound and
+  staleness pins are in ``tests/relational/test_keep_memo.py``).
 
 The numpy-free leg runs this same file under ``REPRO_NO_NUMPY=1`` (CI's
 ``numpy: none`` matrix leg); the set fallback of the walk is also
@@ -544,7 +545,7 @@ def test_engine_execute_span_and_counter_report_the_checks(tiny_system):
 
 
 # ----------------------------------------------------------------------
-# (d) The selection cache: selections and check outcomes across queries
+# (d) Selections and cached check outcomes across queries
 # ----------------------------------------------------------------------
 FAST_METHODS = ("fast-top", "fast-top-k", "fast-top-k-et", "fast-top-k-opt")
 
@@ -719,16 +720,3 @@ def test_cached_selections_are_read_only(tiny_system):
                 values.add(0)
             else:
                 values[0] = values[0]
-
-
-def test_selection_cache_is_bounded():
-    system = _pruned_build()
-    capacity = system.selection_cache_stats().capacity
-    for n in range(capacity + 10):
-        query = TopologyQuery(
-            "Protein", "DNA", KeywordConstraint("DESC", f"absent{n}"), NoConstraint()
-        )
-        Endpoints(system, query).ids(0)
-    stats = system.selection_cache_stats()
-    assert stats.size == capacity
-    assert stats.misses == capacity + 10

@@ -162,6 +162,18 @@ class TestCalibrationRoundTrip:
         assert info.calibration is not None
         assert info.calibration["strategies"]["LeftTops:et-idgj"]["count"] >= 4
 
+    def test_switch_survives_snapshot(self, calibrated_system, tmp_path):
+        path = tmp_path / "pinned.topo"
+        calibrated_system.calibration_enabled = False
+        save_system(calibrated_system, path)
+        assert load_system(path).calibration_enabled is False
+        # A file written before the switch was persisted loads with it on.
+        conn = sqlite3.connect(path)
+        conn.execute("DELETE FROM meta WHERE key = 'calibration_enabled'")
+        conn.commit()
+        conn.close()
+        assert load_system(path).calibration_enabled is True
+
     def test_pre_plan_layer_snapshot_loads_clean(self, calibrated_system, tmp_path):
         """A snapshot without a calibration entry (older writer) still
         restores — with a fresh calibrator."""

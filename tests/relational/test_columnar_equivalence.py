@@ -63,13 +63,28 @@ from repro.relational.operators import (
 )
 
 
+def _clear_keep_memos(op):
+    """Empty the keep-flag memo of every table a scan in the tree reads."""
+    table = getattr(op, "table", None)
+    if table is not None and table.keep_memo is not None:
+        table.keep_memo.clear()
+    for child in op.children():
+        _clear_keep_memos(child)
+
+
 def run_both(build, seed=None):
-    """Build + run an operator tree once per mode; assert equal rows."""
+    """Build + run an operator tree once per mode; assert equal rows.
+    The columnar run goes twice over one data version, from a cold
+    keep-flag memo and then from a warm one."""
     with row_mode():
         expected = build().run()
-    with columnar_mode():
-        actual = build().run()
-    assert actual == expected, f"seed={seed}: columnar differs from row engine"
+    _clear_keep_memos(build())
+    for memo in ("cold", "warm"):
+        with columnar_mode():
+            actual = build().run()
+        assert actual == expected, (
+            f"seed={seed}: columnar ({memo} memo) differs from row engine"
+        )
     return expected
 
 
@@ -381,15 +396,18 @@ def test_random_sql_end_to_end(difftest_seeds):
         for i, sql in enumerate(gen_queries(rng, tables, count=6)):
             with row_mode():
                 expected = engine.execute(sql)
-            with columnar_mode():
-                actual = engine.execute(sql)
-            assert actual.columns == expected.columns, (
-                f"seed={seed} query#{i}: column names differ\n  {sql}"
-            )
-            assert actual.rows == expected.rows, (
-                f"seed={seed} query#{i}: rows differ "
-                f"({len(actual.rows)} vs {len(expected.rows)})\n  {sql}"
-            )
+            # Cold keep-flag memo, then warm, on one data version.
+            db.keep_memo.clear()
+            for memo in ("cold", "warm"):
+                with columnar_mode():
+                    actual = engine.execute(sql)
+                assert actual.columns == expected.columns, (
+                    f"seed={seed} query#{i} ({memo} memo): column names differ\n  {sql}"
+                )
+                assert actual.rows == expected.rows, (
+                    f"seed={seed} query#{i} ({memo} memo): rows differ "
+                    f"({len(actual.rows)} vs {len(expected.rows)})\n  {sql}"
+                )
 
 
 def test_nullable_indexed_join_agrees_across_join_methods(difftest_seeds):

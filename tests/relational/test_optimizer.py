@@ -61,13 +61,21 @@ def optimizer(db):
 
 
 def reference_join(db, block: SPJBlock):
-    """Brute-force evaluation of a block for correctness checks."""
-    tables = [list(db.table(rel.table).rows) for rel in block.relations]
+    """Brute-force evaluation of a block for correctness checks: each
+    relation's rows filtered by its own local predicates (a selection
+    before a product changes no result), their cross product, then every
+    predicate of the block over each combined row."""
+    from repro.relational.expressions import RowLayout, conjoin, is_truthy
+
+    tables = []
     layout_entries = []
     for rel in block.relations:
-        for col in db.table(rel.table).schema.columns:
-            layout_entries.append((rel.alias, col.name))
-    from repro.relational.expressions import RowLayout, conjoin, is_truthy
+        columns = [(rel.alias, col.name) for col in db.table(rel.table).schema.columns]
+        local = conjoin(list(rel.local_predicates))
+        keep = local.bind(RowLayout(columns)) if local is not None else None
+        rows = db.table(rel.table).rows
+        tables.append([row for row in rows if keep is None or is_truthy(keep(row))])
+        layout_entries.extend(columns)
 
     layout = RowLayout(layout_entries)
     all_preds = list(block.join_conjuncts)

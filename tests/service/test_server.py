@@ -318,6 +318,28 @@ class TestSnapshotLifecycle:
             assert server.stats().restores == 1
             assert server.query(query).tids == expected
 
+    def test_restore_keeps_calibration_disabled(self, tiny_system, tmp_path):
+        path = tmp_path / "pinned.topo"
+        tiny_system.calibration_enabled = False
+        try:
+            with TopologyServer(tiny_system) as server:
+                server.save(path)
+                server.restore(path)
+                assert server.system is not tiny_system
+                assert server.system.calibration_enabled is False
+        finally:
+            tiny_system.calibration_enabled = True
+
+    def test_from_snapshot_keeps_calibration_disabled(self, tiny_system, tmp_path):
+        path = tmp_path / "pinned.topo"
+        tiny_system.calibration_enabled = False
+        try:
+            tiny_system.save(path)
+        finally:
+            tiny_system.calibration_enabled = True
+        with TopologyServer.from_snapshot(path) as server:
+            assert server.system.calibration_enabled is False
+
     def test_from_snapshot(self, tiny_system, tmp_path):
         path = tmp_path / "srv.topo"
         tiny_system.save(path)

@@ -19,6 +19,7 @@ from repro.errors import ShardError, ShardUnavailableError, TopologyError
 from repro.persist import load_system
 from repro.service import ShardCoordinator
 from repro.service.http import TestClient, create_app
+from repro.shard import split_system
 
 EXHAUSTIVE_METHODS = ("sql", "full-top", "fast-top")
 NUM_SHARDS = 4  # matches the session split in conftest.py
@@ -366,3 +367,20 @@ class TestRebuild:
             coord.explain(query_for("fast-top-k"))
         with pytest.raises(TopologyError, match="closed"):
             coord.rebuild()
+
+
+class TestCalibrationSwitch:
+    def test_shard_workers_keep_calibration_disabled(self, tmp_path, tiny_system):
+        """A store split while calibration is off serves from workers
+        that leave it off: the costed queries teach no calibrator."""
+        tiny_system.calibration_enabled = False
+        try:
+            split = split_system(tiny_system, 2, tmp_path)
+        finally:
+            tiny_system.calibration_enabled = True
+        with ShardCoordinator(split.manifest_path, start_method="fork") as coord:
+            before = [s["calibrator"] for s in coord.shard_obs_sections()]
+            for keyword in ("kinase", "binding", "human"):
+                coord.query(query_for("fast-top-k-opt", keyword), method="fast-top-k-opt")
+            after = [s["calibrator"] for s in coord.shard_obs_sections()]
+        assert len(after) == 2 and after == before
