@@ -29,6 +29,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.biozon.schema import database_to_graph
 from repro.cache import MISSING, CacheStats, LRUCache
 from repro.core.alltops import AllTopsReport, compute_alltops
+from repro.core.etindexes import EtIndexes
 from repro.core.model import Topology
 from repro.core.plan import CostCalibrator, Planner, QueryPlan, work_units
 from repro.core.pruning import PruneReport, apply_pruning
@@ -44,12 +45,18 @@ from repro.relational.database import Database
 from repro.relational.sql.planner import Engine
 from repro.relational.statistics import StatsCatalog
 
-# Capacity of TopologySearchSystem.selection_cache, which holds
-# pruned-check outcomes only: one short string per entry under a key of
-# a tid and two (entity, constraint) sides, a few hundred bytes, so the
-# worst case is about 0.2 MB.  Endpoint selections are not held here:
-# they are read from the relational keep-flag memo
-# (repro.relational.database.KEEP_MEMO_SIZE states its own worst case).
+# Capacity of TopologySearchSystem.selection_cache, which holds two
+# kinds of entry (repro.core.methods.pruned).  A pruned-check outcome is
+# one short string under a key of a tid and two (entity, constraint)
+# sides, a few hundred bytes.  A chain reach holds the far-end ids one
+# class's chain reaches, at most one per row of the far-end entity
+# table (1,100 rows at most on the benchmark's store): an int64 array
+# on the numpy leg, 512 x 1,100 x 8 B = 4.5 MB at worst; a frozenset of
+# the table's own id objects without numpy or over non-integer ids,
+# about 30 B per id, 512 x 1,100 x 30 B = 17 MB at worst.  Endpoint
+# selections are not held here: they are read from the relational
+# keep-flag memo (repro.relational.database.KEEP_MEMO_SIZE states its
+# own worst case).
 SELECTION_CACHE_SIZE = 512
 
 # The build() parameters a rebuild takes over from the last build's
@@ -118,10 +125,14 @@ class TopologySearchSystem:
         self.planner = Planner(self)
         self.plan_cache = LRUCache(512)
         self.calibration_enabled = True
-        # Pruned-check outcomes, which depend on a query's constraints
-        # alone, kept across queries and stamped with (build_generation,
-        # change_token()); see repro.core.methods.pruned.
+        # Pruned-check outcomes and chain reach, which depend on a
+        # query's constraints alone, kept across queries and stamped with
+        # (build_generation, change_token()); see
+        # repro.core.methods.pruned.
         self.selection_cache = LRUCache(SELECTION_CACHE_SIZE)
+        # The ET plans' group orders and group join indexes, one per
+        # version of the tables they read (repro.core.etindexes).
+        self.et_indexes = EtIndexes(database)
 
     # ------------------------------------------------------------------
     # Offline phase
@@ -173,6 +184,7 @@ class TopologySearchSystem:
         self.max_length = max_length
         self.built_pairs = [tuple(p) for p in entity_pairs]
         self._methods.clear()
+        self.et_indexes.clear()
         self.build_generation += 1
         self.build_config = {
             "max_length": max_length,
@@ -290,6 +302,7 @@ class TopologySearchSystem:
         self.max_length = max_length
         self.built_pairs = [tuple(p) for p in built_pairs]
         self._methods.clear()
+        self.et_indexes.clear()
         self.build_generation += 1
         self.build_report = None
         self.build_config = dict(build_config) if build_config else None
@@ -331,11 +344,9 @@ class TopologySearchSystem:
         """Get (and cache) a method instance by its paper name.
 
         Safe under concurrent callers: method objects hold the system
-        handle and nothing a query writes except structures derived from
-        the tables and keyed by their versions (the ET methods' per-group
-        position arrays, which racing threads would rebuild identically),
-        so if two threads race the first lookup both build an equivalent
-        instance and ``setdefault`` keeps exactly one."""
+        handle and nothing a query writes, so if two threads race the
+        first lookup both build an equivalent instance and
+        ``setdefault`` keeps exactly one."""
         from repro.core.methods import create_method
 
         key = name.lower()
@@ -411,8 +422,10 @@ class TopologySearchSystem:
         return self.plan_cache.stats()
 
     def selection_cache_stats(self) -> CacheStats:
-        """The selection cache's counters: pruned-check outcomes (each
-        miss is one check that walked the topology's chains)."""
+        """The selection cache's counters: pruned-check outcomes and
+        chain reach (each miss is one check that walked the topology's
+        chains, or one chain's reach walked from the first endpoint
+        set)."""
         return self.selection_cache.stats()
 
     def restore_calibration(self, state: Optional[Dict[str, object]]) -> None:

@@ -21,33 +21,29 @@ In columnar mode the IDGJ plan runs set-at-a-time: both constraints are
 evaluated over their entity tables once per data version
 (:class:`~repro.core.methods.pruned.Endpoints`, shared across queries)
 and
-:class:`~repro.relational.operators.IDGJProbe` decides each TopInfo
-group with a vectorised probe, in the same order, to the same witness
-and for the same counters as the operator stack, which ``row_mode()``
-and the HDGJ flavor still run.
+:class:`~repro.relational.operators.IDGJProbe` walks TopInfo's kept
+groups from the system's score-ordered group array
+(:class:`~repro.core.etindexes.EtIndexes`, built once per version) and
+decides each group with a vectorised probe, in the same order, to the
+same witness and for the same counters as the operator stack, which
+``row_mode()`` and the HDGJ flavor still run.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
+from repro.core.etindexes import topinfo_filter
 from repro.core.methods.base import Method
 from repro.core.methods.pruned import Endpoints, merge_ranked
 from repro.core.plan import QueryPlan
 from repro.core.query import TopologyQuery
 from repro.errors import TopologyError
-from repro.relational.expressions import (
-    And,
-    ColumnRef,
-    Comparison,
-    Literal,
-)
 from repro.relational.operators import (
     FirstPerGroup,
     Filter,
     GroupAware,
     GroupFilter,
-    GroupJoinIndex,
     HDGJ,
     IDGJ,
     IDGJProbe,
@@ -70,10 +66,6 @@ class _EtBase(Method):
             raise TopologyError("flavor must be 'idgj' or 'hdgj'")
         self.flavor = flavor
         self.plan_strategies = (f"et-{flavor}",)
-        # (entity1, entity2) -> (table versions, GroupJoinIndex): the
-        # per-group position arrays of IDGJProbe, one set per version of
-        # the pairs table and the two entity tables.
-        self._join_indexes: Dict[Tuple[str, str], Tuple[tuple, GroupJoinIndex]] = {}
 
     # ------------------------------------------------------------------
     # Plan construction (Figure 15)
@@ -96,16 +88,8 @@ class _EtBase(Method):
             group_positions=[tid_pos],
             stats=db.stats,
         )
-        es1, es2 = self.system.store_entity_pair(query)
-        filters = [
-            Comparison("=", ColumnRef("t", "es1"), Literal(es1)),
-            Comparison("=", ColumnRef("t", "es2"), Literal(es2)),
-        ]
-        if self.use_pruned_store:
-            # Pruned topologies have no LeftTops rows; they are merged
-            # in by score via their online checks instead.
-            filters.append(Comparison("=", ColumnRef("t", "pruned"), Literal(False)))
-        return GroupFilter(scan, And(filters))
+        predicate = topinfo_filter(self.system.store_entity_pair(query), self.use_pruned_store)
+        return GroupFilter(scan, predicate)
 
     def _pairs_columns(self, query: TopologyQuery) -> Tuple[str, str]:
         """The pairs-table columns holding entity1's and entity2's ids."""
@@ -157,27 +141,16 @@ class _EtBase(Method):
     def build_probe(self, query: TopologyQuery, endpoints: Endpoints) -> IDGJProbe:
         """The IDGJ plan of :meth:`build_stack` under ``FirstPerGroup``,
         as one set-at-a-time operator."""
-        db = self.system.database
-        tables = (
-            db.table(self.pairs_table),
-            db.table(query.entity1),
-            db.table(query.entity2),
+        col1, col2 = self._pairs_columns(query)
+        indexes = self.system.et_indexes
+        order = indexes.group_order(
+            self.system.store_entity_pair(query), self._score_col(query), self.use_pruned_store
         )
-        versions = tuple((table, table.data_version) for table in tables)
-        key = (query.entity1, query.entity2)
-        held = self._join_indexes.get(key)
-        if held is None or held[0] != versions:
-            pairs, table1, table2 = tables
-            col1, col2 = self._pairs_columns(query)
-            held = (versions, GroupJoinIndex(pairs, "TID", [(col1, table1), (col2, table2)]))
-            self._join_indexes[key] = held
-        source = self._group_source(query)
+        join_index = indexes.join_index(
+            self.pairs_table, ((col1, query.entity1), (col2, query.entity2))
+        )
         return IDGJProbe(
-            source,
-            source.layout.position("t", "tid"),
-            held[1],
-            endpoints.keep(0),
-            endpoints.keep(1),
+            order, join_index, endpoints.keep(0), endpoints.keep(1), self.system.database.stats
         )
 
     def operator_tree(self, strategy: str, query: TopologyQuery) -> str:

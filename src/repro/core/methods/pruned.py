@@ -27,9 +27,13 @@ selection cache
 (:attr:`~repro.core.engine.TopologySearchSystem.selection_cache`) under
 ``(tid, end1 side, end2 side)``, the sides being the ``(entity table,
 constraint)`` pairs in build orientation, so a reversed query reads the
-same entry.
+same entry.  The reduction's chain reach — the far-end ids one class's
+chain reaches from the first endpoint set — depends on the class and
+the first side alone, and many pruned topologies share a class, so the
+same cache holds it under ``("reach", oriented signature, end1 side)``
+(a read-only id array or frozenset).
 
-Every outcome is stamped with ``(build_generation,
+Every entry is stamped with ``(build_generation,
 database.change_token())``, read once per query before anything is
 computed: a rebuild (which reassigns tids), a restore or any table
 write retires every entry made before it.  A cached value is exactly
@@ -44,8 +48,8 @@ from functools import reduce
 from typing import Any, Iterator, List, Optional, Tuple
 
 from repro.cache import MISSING
-from repro.core.model import Topology
-from repro.core.pathsql import chains_reach, chains_witness
+from repro.core.model import ClassSignature, Topology
+from repro.core.pathsql import chain_reach, chains_reach, chains_witness
 from repro.core.query import Constraint, TopologyQuery
 from repro.errors import TopologyError
 from repro.relational.column import ColumnValues, compact_column, is_ndarray
@@ -62,8 +66,8 @@ NO_WITNESS = "no witness"
 
 def _read_only(values: Any, freeze: type) -> Any:
     """``values`` made immutable in place (a numpy array) or as
-    ``freeze(values)`` (a list): a selection is shared by every reader
-    of one query."""
+    ``freeze(values)`` (a list or set): a selection is shared by every
+    reader of one query, a chain reach by every check that reads it."""
     if is_ndarray(values):
         values.flags.writeable = False
         return values
@@ -170,13 +174,19 @@ class PrunedChecks:
         sides = self._endpoints.sides
         return (topology.tid, sides[self._first], sides[1 - self._first])
 
+    def reach_key(self, oriented: ClassSignature) -> Tuple[str, ClassSignature, Any]:
+        """The selection-cache key of an oriented signature's chain
+        reach: the signature and the first endpoint's side."""
+        return ("reach", oriented, self._endpoints.sides[self._first])
+
     def _check(self, topology: Topology) -> str:
         database = self._system.database
         es1, es2 = self._entity_pair
         signatures = topology.class_signatures
         end1_ids = self._endpoints.ids(self._first)
         ends = chains_reach(
-            database, signatures, es1, es2, end1_ids, self._endpoints.ids(1 - self._first)
+            database, signatures, es1, es2, end1_ids,
+            self._endpoints.ids(1 - self._first), reach=self._reach,
         )
         if len(ends) == 0:
             return PROVED_EMPTY
@@ -184,6 +194,20 @@ class PrunedChecks:
             database, signatures, es1, es2, end1_ids, ends, self._exceptions(topology)
         )
         return WITNESS if found else NO_WITNESS
+
+    def _reach(self, oriented: ClassSignature) -> Any:
+        """The far-end ids ``oriented``'s chain reaches from the first
+        endpoint set, shared through the selection cache."""
+        cache, stamp = self._system.selection_cache, self._endpoints.stamp
+        key = self.reach_key(oriented)
+        ids = cache.get(key, MISSING, stamp)
+        if ids is MISSING:
+            ids = chain_reach(
+                self._system.database, oriented, self._endpoints.ids(self._first)
+            )
+            ids = _read_only(ids, frozenset)
+            cache.put(key, ids, stamp)
+        return ids
 
     def _exceptions(self, topology: Topology) -> Tuple[ColumnValues, ColumnValues]:
         """The (E1, E2) columns of the topology's ExcpTops rows."""

@@ -52,6 +52,7 @@ from repro.core.query import (
     NoConstraint,
     TopologyQuery,
 )
+from repro.core.ranking import score_column
 from repro.relational.optimizer import cost as C
 from repro.relational.optimizer.dgj_cost import (
     DgjLevel,
@@ -511,19 +512,17 @@ class Planner:
     ) -> Tuple[List[DgjLevel], List[float]]:
         """DGJ stack statistics (Section 5.4.3): one level per
         constrained entity table, group cardinalities in score order."""
-        store = self.system.require_store()
+        self.system.require_store()
         stats = self.system.stats
-        pair = self.system.store_entity_pair(query)
-        topologies = [
-            t
-            for t in store.topologies.values()
-            if t.entity_pair == pair
-            and not (use_pruned_store and t.tid in store.pruned_tids)
-        ]
-        # Groups arrive in score order; Card_i = the topology's pair
-        # count (one pairs-table row per related pair).
-        topologies.sort(key=lambda t: (-t.scores[query.ranking], -t.tid))
-        cards = [float(t.frequency) for t in topologies]
+        # Groups arrive in score order, as the ET scan reads them;
+        # Card_i = the topology's pair count (one pairs-table row per
+        # related pair).
+        order = self.system.et_indexes.group_order(
+            self.system.store_entity_pair(query),
+            score_column(query.ranking),
+            use_pruned_store,
+        )
+        cards = [float(freq) for freq in order.values("FREQ")]
 
         levels: List[DgjLevel] = []
         for entity, constraint in (

@@ -666,7 +666,7 @@ class Like(Expression):
         return self.value.column_refs()
 
     def __repr__(self) -> str:
-        return f"Like({self.value!r}, {self.pattern!r})"
+        return f"Like({self.value!r}, {self.pattern!r}, negated={self.negated})"
 
 
 class InList(Expression):

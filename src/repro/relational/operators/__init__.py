@@ -6,6 +6,7 @@ from repro.relational.operators.dgj import (
     IDGJ,
     FirstPerGroup,
     GroupJoinIndex,
+    GroupOrder,
     IDGJProbe,
 )
 from repro.relational.operators.filter import Filter, GroupFilter, Project
@@ -33,6 +34,7 @@ __all__ = [
     "GroupAware",
     "GroupFilter",
     "GroupJoinIndex",
+    "GroupOrder",
     "HDGJ",
     "HashIndexScan",
     "HashJoin",

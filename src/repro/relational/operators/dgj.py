@@ -24,10 +24,12 @@ advancing past the rest, and stops after ``n_groups`` emissions.
 
 :class:`IDGJProbe` is the batch-native form of the stack the ET plans
 build most often — ``FirstPerGroup`` over an IDGJ into a pairs table
-and one IDGJ into each of two keyed tables: it decides a whole group
-with a vectorised probe over per-group position arrays
-(:class:`GroupJoinIndex`) and charges the counters the tuple-at-a-time
-stack would have charged up to the same witness.
+and one IDGJ into each of two keyed tables, over a filtered ordered
+scan: it walks the scan's kept groups from a flat array
+(:class:`GroupOrder`), decides each with a vectorised probe over
+per-group position arrays (:class:`GroupJoinIndex`) and charges the
+counters the tuple-at-a-time stack would have charged up to the same
+witness.
 """
 
 from __future__ import annotations
@@ -35,11 +37,12 @@ from __future__ import annotations
 from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ExecutionError
-from repro.relational.column import HAVE_NUMPY, ColumnValues, np
+from repro.relational.column import HAVE_NUMPY, ColumnValues, np, to_pylist
+from repro.relational.database import ExecStats
 from repro.relational.expressions import Expression, Row, is_truthy
-from repro.relational.index import HashIndex, is_null_key
+from repro.relational.index import HashIndex, SortedIndex, is_null_key
 from repro.relational.operators.base import GroupAware, Operator
-from repro.relational.operators.scan import table_layout
+from repro.relational.operators.scan import table_batch, table_layout
 from repro.relational.table import Table
 
 
@@ -332,6 +335,50 @@ class FirstPerGroup(Operator):
         return [self.child]
 
 
+class GroupOrder:
+    """The rows ``GroupFilter(OrderedIndexScan(table, index,
+    descending=True), predicate)`` returns, as flat arrays decided once
+    per version of ``table``.
+
+    The scan groups by the table's primary key, so each row is one
+    group.  ``steps[i]`` is the scan index of the i-th kept row (how
+    many rows the scan reads before it), ``keys[i]`` its key and
+    ``positions[i]`` its heap position; ``scanned`` is the number of rows
+    the whole scan reads (the index's entries: a NULL score is not in
+    it).  The predicate keeps a row under WHERE semantics, so NULL is
+    never kept.  The owner drops the order when ``table`` changes
+    (``Table.data_version``).
+    """
+
+    def __init__(
+        self,
+        table: Table,
+        alias: str,
+        index: SortedIndex,
+        predicate: Expression,
+    ) -> None:
+        key = table.schema.primary_key
+        if key is None:
+            raise ExecutionError(f"{table.schema.name} has no primary key")
+        order = list(index.scan(descending=True))
+        batch = predicate.bind_batch(table_layout(table, alias))(table_batch(table))
+        keep = to_pylist(batch.as_keep())
+        self.table = table
+        self.alias = alias
+        self.scanned = len(order)
+        self.steps = [step for step, position in enumerate(order) if keep[position]]
+        self.positions = [order[step] for step in self.steps]
+        self.keys = self.values(key)
+
+    def values(self, column: str) -> list:
+        """``column`` of the kept rows, in scan order."""
+        values = self.table.store.column_values(self.table.schema.column_position(column))
+        return [values[position] for position in self.positions]
+
+    def __len__(self) -> int:
+        return len(self.steps)
+
+
 class GroupJoinIndex:
     """Per-group position arrays for :class:`IDGJProbe`.
 
@@ -404,65 +451,71 @@ def _probe_mask(keep: ColumnValues) -> Any:
 
 
 class IDGJProbe(Operator):
-    """Batch-native ``FirstPerGroup(IDGJ(IDGJ(IDGJ(source, pairs), t1), t2))``.
+    """Batch-native ``FirstPerGroup(IDGJ(IDGJ(IDGJ(source, pairs), t1), t2))``
+    over the filtered ordered scan ``order`` describes.
 
-    ``source`` yields groups in the order they are to be decided (a
-    score-ordered scan of TopInfo); ``keep1`` / ``keep2`` are the
-    residual predicates of the two upper levels, each already evaluated
-    over its whole table into per-row keep flags.  For every group the
+    ``keep1`` / ``keep2`` are the residual predicates of the two upper
+    levels, each already evaluated over its whole table into per-row
+    keep flags.  For every kept group of ``order``, in scan order, the
     operator gathers the group's resolved positions from ``join_index``,
     tests both flags a chunk at a time and stops at the first pairs row
     that passes both — the witness the row stack would have stopped at.
-    It then returns the *source* row of that group and skips on, as
-    ``FirstPerGroup`` does.
+    It then returns the group's row of the scanned table and skips on,
+    as ``FirstPerGroup`` does.
 
     The counters are those of the row stack, computed instead of
-    incremented: per group one probe into the pairs table; per pairs
-    row up to the witness one joined row and one probe into the first
-    table; per such row whose first partner is kept one joined row and
-    one probe into the second table; one joined row for the witness and
-    one skip per level.  The source is driven through ``next`` /
-    ``advance_to_next_group`` and charges for itself.
+    incremented.  The scan reads every row up to a decided group's,
+    filtered-out rows included; after a witness it reads one more row to
+    find the group's end and reads that row again when the next group is
+    asked for; at the end it reads the rest.  Per group one probe into
+    the pairs table; per pairs row up to the witness one joined row and
+    one probe into the first table; per such row whose first partner is
+    kept one joined row and one probe into the second table; one joined
+    row for the witness and one skip per level and one for the scan.
     """
 
     def __init__(
         self,
-        source: GroupAware,
-        group_position: int,
+        order: GroupOrder,
         join_index: GroupJoinIndex,
         keep1: ColumnValues,
         keep2: ColumnValues,
+        stats: Optional[ExecStats] = None,
     ) -> None:
-        super().__init__(source.layout, source.stats)
-        self.source = source
+        super().__init__(table_layout(order.table, order.alias), stats)
+        self.order = order
         self.join_index = join_index
-        self._group_position = group_position
         self._masks = (_probe_mask(keep1), _probe_mask(keep2))
-        self._probed_group: Any = _NO_GROUP
+        self._next = 0  # the next group of ``order`` to decide
+        self._scanned = 0  # scan rows charged as read
         self._opened = False
 
     def open(self) -> None:
-        self.source.open()
-        self._probed_group = _NO_GROUP
+        self._next = 0
+        self._scanned = 0
         self._opened = True
 
     def next(self) -> Optional[Row]:
         if not self._opened:
             raise ExecutionError("IDGJProbe.next() before open()")
-        stats = self.stats
-        while True:
-            row = self.source.next()
-            if row is None:
-                return None
-            group = self.source.current_group()
-            if group != self._probed_group:
-                self._probed_group = group
-                stats.groups_probed += 1
+        order, stats = self.order, self.stats
+        steps = order.steps
+        while self._next < len(steps):
+            at = self._next
+            self._next = at + 1
+            step = steps[at]
+            stats.rows_scanned += step + 1 - self._scanned
+            self._scanned = step + 1
+            stats.groups_probed += 1
             stats.index_probes += 1
-            if self._has_witness(row[self._group_position]):
-                stats.groups_skipped += 3
-                self.source.advance_to_next_group()
-                return row
+            if self._has_witness(order.keys[at]):
+                stats.groups_skipped += 4
+                if step + 1 < order.scanned:
+                    stats.rows_scanned += 1
+                return order.table.store.row_at(order.positions[at])
+        stats.rows_scanned += order.scanned - self._scanned
+        self._scanned = order.scanned
+        return None
 
     def _has_witness(self, key: Any) -> bool:
         first, second = self.join_index.group(key)
@@ -495,12 +548,8 @@ class IDGJProbe(Operator):
         return False
 
     def close(self) -> None:
-        self.source.close()
         self._opened = False
 
     def describe(self) -> str:
         first, second = (t.schema.name for t in self.join_index.tables)
         return f"IDGJProbe({self.join_index.pairs.schema.name} -> {first}, {second})"
-
-    def children(self) -> List[Operator]:
-        return [self.source]

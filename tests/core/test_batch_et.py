@@ -5,15 +5,17 @@ batch IDGJ probe against their tuple-at-a-time references.
   returns zero rows (never the converse claim);
 * exactness — the walk answers exactly what SQL5 would, from int
   arrays and from Python sets, including the three ways a check the
-  reduction lets through can still fail; the batch probe returns the row
-  stack's tids and scores *and* charges its work counters;
+  reduction lets through can still fail; the batch probe, walking the
+  system's TopInfo group-order array, returns the row stack's tids and
+  scores *and* charges its work counters; the array follows TopInfo's
+  versions and gives the planner the store's score order;
 * a pruned check executes no SQL statement at all;
 * the merge of a best-first stream with the pruned checks: Fast-Top-k
   and both Fast-Top-k-ET flavors make the same checks, and the ET
   drivers read their stream one answer ahead;
-* the selection cache of check outcomes kept across queries, and the
-  endpoint selections read from the keep-flag memo, change no answer
-  and no ``work`` counter, never serve an entry across a data change or
+* the selection cache of check outcomes and chain reach kept across
+  queries, and the endpoint selections read from the keep-flag memo,
+  change no answer and no ``work`` counter, never serve an entry across a data change or
   a rebuild, and hand out read-only values (the memo's own bound and
   staleness pins are in ``tests/relational/test_keep_memo.py``).
 
@@ -42,7 +44,14 @@ from repro.core.methods.et import FastTopKEtMethod, FullTopKEtMethod
 from repro.core.methods.fast_top import FastTopMethod
 from repro.biozon.schema import build_empty_database
 from repro.core.methods.pruned import WITNESS, Endpoints, PrunedChecks, pruned_topologies
-from repro.core.pathsql import chains_reach, chains_witness, multi_chain_fragments
+from repro.core.pathsql import (
+    chain_reach,
+    chains_reach,
+    chains_witness,
+    multi_chain_fragments,
+    orient_signature,
+)
+from repro.core.ranking import score_column
 from repro.relational.column import HAVE_NUMPY, to_pylist
 from repro.relational.sql import Engine
 from repro.relational.operators import FirstPerGroup, dgj
@@ -116,9 +125,13 @@ def test_reducer_never_denies_a_witness(tiny_system, difftest_seeds):
     assert proved_empty and let_through  # the sweep saw both outcomes
 
 
-def _pruned_build(pairs=PAIRS):
+def _tiny_data():
     data = generate(BiozonConfig.tiny(seed=3))
-    system = TopologySearchSystem(data.database, data.graph())
+    return data.database, data.graph()
+
+
+def _pruned_build(pairs=PAIRS):
+    system = TopologySearchSystem(*_tiny_data())
     system.build(list(pairs), max_length=3, prune_threshold=5)
     return system
 
@@ -384,7 +397,8 @@ def test_full_top_k_et_work_is_mode_independent(tiny_system, k):
 
 def test_join_index_follows_table_versions():
     """The per-group position arrays belong to one version of the pairs
-    and entity tables: a new entity row is seen by the next query."""
+    and entity tables: a new entity row is seen by the next query.  The
+    system holds them, so the ET methods share one copy."""
     data = generate(BiozonConfig.tiny(seed=3))
     system = TopologySearchSystem(data.database, data.graph())
     system.build([("Protein", "DNA")], max_length=3)
@@ -392,11 +406,15 @@ def test_join_index_follows_table_versions():
     query = TopologyQuery(
         "Protein", "DNA", KeywordConstraint("DESC", "zzzfresh"), NoConstraint(), k=3
     )
+
+    def held():
+        return system.et_indexes.join_index("AllTops", (("e1", "Protein"), ("e2", "DNA")))
+
     with columnar_mode():
         assert method.run(query).tids == []
-        held = method._join_indexes[("Protein", "DNA")][1]
-        assert method.run(query).tids == []
-        assert method._join_indexes[("Protein", "DNA")][1] is held  # reused
+        index = held()
+        assert FullTopKEtMethod(system, flavor="idgj").run(query).tids == []
+        assert held() is index  # reused, by another method instance too
         protein = system.database.table("Protein")
         alltops = system.database.table("AllTops")
         new_id = max(protein.store.column_values(0)) + 1
@@ -404,9 +422,146 @@ def test_join_index_follows_table_versions():
         e1, e2, tid = alltops.rows[0]
         alltops.insert((new_id, e2, tid))
         assert method.run(query).tids == [tid]
-        assert method._join_indexes[("Protein", "DNA")][1] is not held
+        assert held() is not index
     with row_mode():
         assert method.run(query).tids == [tid]
+
+
+def _group_order(system, query, method_class):
+    return system.et_indexes.group_order(
+        system.store_entity_pair(query),
+        score_column(query.ranking),
+        method_class.use_pruned_store,
+    )
+
+
+def _probe_matches_stack_at_every_limit(system, method_class, query):
+    """Rows and work of the batch probe against the row stack, for every
+    number of groups the consumer can ask for."""
+    method = method_class(system, flavor="idgj")
+    score_at = method._score_col(query).lower()
+    for limit in range(1, len(_group_order(system, query, method_class)) + 2):
+        rows = _drain(FirstPerGroup(method.build_stack(query), None), score_at, limit)
+        probe = method.build_probe(query, Endpoints(system, query))
+        assert _drain(probe, score_at, limit) == rows, f"{query!r} limit={limit}"
+
+
+def test_batch_probe_ends_on_the_scans_last_row(tiny_system):
+    """The last kept group is TopInfo's last row in score order: its
+    witness leaves no next row for the scan to buffer."""
+    query = TopologyQuery("Protein", "DNA", NoConstraint(), NoConstraint(), k=3)
+    order = _group_order(tiny_system, query, FullTopKEtMethod)
+    assert order.steps[-1] == order.scanned - 1
+    _probe_matches_stack_at_every_limit(tiny_system, FullTopKEtMethod, query)
+
+
+@pytest.mark.parametrize("method_class", [FullTopKEtMethod, FastTopKEtMethod])
+@pytest.mark.parametrize("ranking", ["freq", "rare", "domain"])
+def test_batch_probe_skips_rows_of_the_other_pair(tiny_system, method_class, ranking):
+    """Kept groups separated by TopInfo rows of the other entity pair:
+    the scan reads (and charges) those rows, and reads the one after a
+    witness twice."""
+    for query in (
+        TopologyQuery("Protein", "Interaction", NoConstraint(), NoConstraint(), k=3, ranking=ranking),
+        TopologyQuery("DNA", "Protein", NoConstraint(), NoConstraint(), k=3, ranking=ranking),
+    ):
+        steps = _group_order(tiny_system, query, method_class).steps
+        assert any(later - earlier > 1 for earlier, later in zip(steps, steps[1:]))
+        _probe_matches_stack_at_every_limit(tiny_system, method_class, query)
+
+
+def test_group_order_follows_topinfo_writes_and_rebuilds():
+    """A TopInfo row written after a query, and a rebuild in place that
+    drops and recreates TopInfo, are seen by the next query, by both
+    execution modes and by the planner's group cardinalities."""
+    system = _pruned_build()
+    query = TopologyQuery("Protein", "DNA", NoConstraint(), NoConstraint(), k=1)
+    with columnar_mode():
+        top = system.search(query, "full-top-k-et").tids
+    order = _group_order(system, query, FullTopKEtMethod)
+    topinfo = system.database.table("TopInfo")
+    tid_at = topinfo.schema.column_position("TID")
+    score_at = topinfo.schema.column_position(score_column(query.ranking))
+    freq_at = topinfo.schema.column_position("FREQ")
+    template = next(r for r in topinfo.rows if r[tid_at] == top[0])
+    tid = max(row[tid_at] for row in topinfo.rows) + 1
+    row = list(template)
+    row[tid_at], row[score_at], row[freq_at] = tid, template[score_at] + 1.0, 1
+    topinfo.insert(tuple(row))
+    e1, e2, _ = system.database.table("AllTops").rows[0]
+    system.database.table("AllTops").insert((e1, e2, tid))
+    for mode in (columnar_mode, row_mode):
+        with mode():
+            assert system.search(query, "full-top-k-et").tids == [tid]
+    assert _group_order(system, query, FullTopKEtMethod) is not order
+    _, cards = system.planner.stack_parameters(query, False)
+    assert cards[0] == 1.0 and len(cards) == len(order) + 1
+
+    pairs = (("DNA", "Interaction"),) + PAIRS
+    system.build(list(pairs), max_length=3)
+    rebuilt = TopologySearchSystem(*_tiny_data())
+    rebuilt.build(list(pairs), max_length=3)
+    for method in ("full-top-k-et", "fast-top-k-et"):
+        for ranking in ("freq", "rare", "domain"):
+            variant = dataclasses.replace(query, k=40, ranking=ranking)
+            with columnar_mode():
+                expected = _outcome(rebuilt, variant, method)
+                assert _outcome(system, variant, method) == expected, (method, ranking)
+
+
+def test_group_order_follows_topinfo_created_again_under_its_name():
+    """Same name, same row count, so the same ``data_version``: only the
+    table's identity tells the two versions of TopInfo apart."""
+    system = TopologySearchSystem(*_tiny_data())
+    system.build(list(PAIRS), max_length=3)
+    query = TopologyQuery("Protein", "DNA", NoConstraint(), NoConstraint(), k=3)
+    with columnar_mode():
+        before = system.search(query, "full-top-k-et").tids
+    database = system.database
+    old = database.table("TopInfo")
+    score_at = old.schema.column_position(score_column(query.ranking))
+    rows = [r[:score_at] + (-r[score_at],) + r[score_at + 1 :] for r in old.rows]
+    database.drop_table("TopInfo")
+    topinfo = database.create_table(old.schema)
+    topinfo.bulk_load(rows)
+    for scheme in ("freq", "rare", "domain"):
+        topinfo.create_sorted_index(f"by_{scheme}", score_column(scheme))
+    assert topinfo.data_version == old.data_version
+    with row_mode():
+        expected = system.search(query, "full-top-k-et").tids
+    with columnar_mode():
+        assert system.search(query, "full-top-k-et").tids == expected != before
+
+
+@pytest.mark.parametrize("system_name", ["tiny_system", "pruned_system"])
+def test_stack_parameters_keep_the_score_order_of_the_store(request, system_name):
+    """The planner's group cardinalities, read from the group order, are
+    the store's topologies of the pair sorted by (-score, -tid), for
+    every (pair, ranking, pruned) key and both orientations."""
+    system = request.getfixturevalue(system_name)
+    store = system.require_store()
+    for es1, es2 in system.built_pairs:
+        for ranking in ("freq", "rare", "domain"):
+            for use_pruned_store in (False, True):
+                expected = sorted(
+                    (
+                        t
+                        for t in store.topologies.values()
+                        if t.entity_pair == (es1, es2)
+                        and not (use_pruned_store and t.tid in store.pruned_tids)
+                    ),
+                    key=lambda t: (-t.scores[ranking], -t.tid),
+                )
+                for first, second in ((es1, es2), (es2, es1)):
+                    query = TopologyQuery(
+                        first, second, NoConstraint(), NoConstraint(), k=3, ranking=ranking
+                    )
+                    _, cards = system.planner.stack_parameters(query, use_pruned_store)
+                    assert cards == [float(t.frequency) for t in expected]
+                    order = system.et_indexes.group_order(
+                        (es1, es2), score_column(ranking), use_pruned_store
+                    )
+                    assert order.keys == [t.tid for t in expected]
 
 
 # ----------------------------------------------------------------------
@@ -590,6 +745,27 @@ def _cached_outcomes(system, query):
             yield topology, outcome
 
 
+def _cached_reach(system, query):
+    """(key, ids) of the query's chain reach entries the selection cache
+    serves now, each checked against a fresh walk; also whether the
+    first endpoint set is the query's side 0."""
+    endpoints = Endpoints(system, query)
+    checks = PrunedChecks(system, query, endpoints)
+    first = 0 if system.orientation(query) else 1
+    es1, es2 = system.store_entity_pair(query)
+    found = {}
+    for topology in checks.topologies:
+        for signature in topology.class_signatures:
+            oriented = orient_signature(signature, es1, es2)
+            key = checks.reach_key(oriented)
+            ids = system.selection_cache.get(key, MISSING, endpoints.stamp)
+            if ids is not MISSING:
+                fresh = chain_reach(system.database, oriented, endpoints.ids(first))
+                assert set(to_pylist(ids)) == set(to_pylist(fresh)), key
+                found[key] = ids
+    return found
+
+
 def test_cached_selections_and_outcomes_change_nothing(difftest_seeds):
     """Every Fast method: answers and the full ``work`` dict are the same
     from a fresh system, a cold cache, a warm one repeating the query and
@@ -644,6 +820,8 @@ def test_selection_follows_an_entity_row_insert():
     for method in FAST_METHODS:
         system.search(query, method)
     assert len(Endpoints(system, query).ids(0)) == 0
+    before = _cached_reach(system, query)
+    assert before and not any(len(ids) for ids in before.values())
     protein = system.database.table("Protein")
     encodes = system.database.table("Encodes")
     new_id = 999_999  # ids are unique across entity tables
@@ -656,10 +834,13 @@ def test_selection_follows_an_entity_row_insert():
     system.invalidate_plans()
     fresh = _fresh_copy(system)
     assert set(to_pylist(Endpoints(system, query).ids(0))) == {new_id}
+    assert _cached_reach(system, query) == {}  # every reach entry retired
     for method in FAST_METHODS:
         result = system.search(query, method)
         assert result.tids, method  # the encodes topology's check holds now
         assert _outcome(system, query, method) == _outcome(fresh, query, method), method
+    after = _cached_reach(system, query)
+    assert any(len(after.get(key, ())) for key in before)  # empty before
 
 
 def test_witness_outcome_follows_an_exception_pair_insert():
@@ -684,8 +865,11 @@ def test_witness_outcome_follows_an_exception_pair_insert():
         return found
 
     assert answer() and answer()  # the second from the cache
+    assert _cached_reach(system, query)
     system.database.table("ExcpTops").insert((e1, e2, tid))
+    assert _cached_reach(system, query) == {}  # retired by the write
     assert not answer()
+    assert _cached_reach(system, query)  # walked again, equal to a fresh walk
 
 
 def test_rebuild_in_place_serves_no_outcome_of_the_old_generation():
@@ -699,8 +883,10 @@ def test_rebuild_in_place_serves_no_outcome_of_the_old_generation():
         for method in FAST_METHODS:
             system.search(query, method)
     filled = system.selection_cache_stats().size
+    reached = sum(len(_cached_reach(system, query)) for query in queries)
     pairs = (("DNA", "Interaction"),) + PAIRS
     system.build(list(pairs), max_length=3, prune_threshold=5)
+    assert not any(_cached_reach(system, query) for query in queries)
     rebuilt = _uncalibrated(_pruned_build(pairs))
     checks = 0
     for query in queries:
@@ -708,7 +894,8 @@ def test_rebuild_in_place_serves_no_outcome_of_the_old_generation():
             expected = _outcome(rebuilt, query, method)
             assert _outcome(system, query, method) == expected, f"{method} {query!r}"
             checks += expected[2]["pruned_checks"]
-    assert filled and checks
+    assert filled and reached and checks
+    assert any(_cached_reach(system, query) for query in queries)
 
 
 def test_cached_selections_are_read_only(tiny_system):
@@ -720,3 +907,66 @@ def test_cached_selections_are_read_only(tiny_system):
                 values.add(0)
             else:
                 values[0] = values[0]
+
+
+def _encodes_topology(system):
+    """The pruned (Protein, DNA) topology of the one class
+    Protein-encodes-DNA."""
+    store = system.require_store()
+    return next(
+        store.topology(tid)
+        for tid in sorted(store.pruned_tids)
+        if store.topology(tid).entity_pair == ("Protein", "DNA")
+        and [len(s) for s in store.topology(tid).class_signatures] == [3]
+        and "encodes" in store.topology(tid).class_signatures[0]
+    )
+
+
+def test_reach_follows_a_relationship_insert_on_the_chain():
+    """A new Encodes row from a protein of the first endpoint set to a
+    DNA its chain did not reach: a check with another second endpoint
+    reads the same reach entry, and must see the row."""
+    system = _uncalibrated(_pruned_build())
+    topology = _encodes_topology(system)
+    oriented = orient_signature(topology.class_signatures[0], "Protein", "DNA")
+    protein = system.database.table("Protein").rows[0]
+    first_side = KeywordConstraint("DESC", protein[1].split()[0])
+    broad = TopologyQuery("Protein", "DNA", first_side, NoConstraint())
+    assert PrunedChecks(system, broad, Endpoints(system, broad)).has_witness(topology)
+    reached = chain_reach(system.database, oriented, Endpoints(system, broad).ids(0))
+    unreached = next(
+        row[0]
+        for row in system.database.table("DNA").rows
+        if row[0] not in set(to_pylist(reached))
+    )
+    encodes = system.database.table("Encodes")
+    encodes.insert((max(encodes.store.column_values(0)) + 1, protein[0], unreached))
+    point = TopologyQuery("Protein", "DNA", first_side, AttributeConstraint("ID", unreached))
+    checks = PrunedChecks(system, point, Endpoints(system, point))
+    assert checks.reach_key(oriented) in system.selection_cache  # made before the insert
+    assert checks.has_witness(topology)
+    rows = system.engine.execute(
+        system.method("fast-top").pruned_check_sql(point, topology)
+    ).rows
+    assert rows
+    fresh = _fresh_copy(system)
+    ranked = dataclasses.replace(point, k=5)
+    for method in FAST_METHODS:
+        asked = point if method == "fast-top" else ranked
+        assert topology.tid in system.search(asked, method).tids, method
+        assert _outcome(system, asked, method) == _outcome(fresh, asked, method), method
+    assert _cached_reach(system, point)
+
+
+def test_cached_reach_is_read_only(pruned_system):
+    query = dataclasses.replace(WITNESSED, k=None)
+    pruned_system.search(query, "fast-top")
+    entries = _cached_reach(pruned_system, query)
+    assert entries
+    for ids in entries.values():
+        assert isinstance(ids, frozenset) or not ids.flags.writeable
+        with pytest.raises((ValueError, TypeError, AttributeError)):
+            if isinstance(ids, frozenset):
+                ids.add(0)
+            else:
+                ids[:1] = 0

@@ -416,3 +416,15 @@ class TestParameters:
             assert engine.statement_cache_stats().hits == 2
         assert "'binding'" in second and "'membrane'" not in second
         assert first.replace("'membrane'", "'binding'").replace("key=3", "key=1") == second
+
+    def test_explain_shows_a_negated_like(self):
+        db = Database("like")
+        table = db.create_table(
+            TableSchema("T", [Column("ID", DataType.INT, True), Column("NAME", DataType.TEXT)], "ID")
+        )
+        table.bulk_load([(1, "alpha"), (2, "beta")])
+        engine = Engine(db)
+        sql = "SELECT ID FROM T WHERE NAME NOT LIKE 'a%'"
+        assert engine.execute(sql).rows == [(2,)]
+        assert "negated=True" in engine.explain(sql)
+        assert "negated=False" in engine.explain("SELECT ID FROM T WHERE NAME LIKE 'a%'")

@@ -316,9 +316,11 @@ class TestRebuild:
         # mixed-generation merge could masquerade as a valid answer.
         assert oracles[1] != oracles[2]
 
+        posted = threading.Event()
         stop = threading.Event()
         seen: list = []
         failures: list = []
+        during_rebuild: list = []
 
         def ask(index):
             result = coord.query(workload[index])
@@ -327,17 +329,24 @@ class TestRebuild:
         def reader():
             i = 0
             while not stop.is_set():
+                asked_while_posted = posted.is_set()
                 try:
                     ask(i % len(workload))
                 except Exception as exc:  # pragma: no cover - fails test
                     failures.append(exc)
                     return
+                if asked_while_posted and not stop.is_set():
+                    during_rebuild.append(i)
                 i += 1
+                # A tight loop of result-cache hits holds the GIL the
+                # rebuild needs at each of its blocking steps.
+                stop.wait(0.001)
 
         thread = threading.Thread(target=reader)
         with create_app(coord) as app, TestClient(app) as client:
             thread.start()
             try:  # the commit goes through the wire's /rebuild
+                posted.set()
                 response = client.post("/rebuild", json={"per_pair_path_limit": 1})
             finally:
                 stop.set()
@@ -345,6 +354,8 @@ class TestRebuild:
         assert not thread.is_alive()
         assert response.status == 200, response.body
         assert not failures
+        # The reader itself was answered while /rebuild was in flight.
+        assert during_rebuild
         assert coord.generation == 2
         for index in range(len(workload)):
             ask(index)
