@@ -249,7 +249,9 @@ class TestRebuildUnderLoad:
 
         snapshot_oracle()
         stop = threading.Event()
+        rebuilding = threading.Event()
         observed = []
+        during_rebuild = []
         errors = []
         lock = threading.Lock()
 
@@ -258,12 +260,19 @@ class TestRebuildUnderLoad:
                 i = 0
                 while not stop.is_set():
                     query = workload[(offset + i) % len(workload)]
+                    asked_while_rebuilding = rebuilding.is_set()
                     result = server.query(query)
                     with lock:
                         observed.append(
                             (result.generation, query, tuple(result.tids))
                         )
+                        if asked_while_rebuilding and rebuilding.is_set():
+                            during_rebuild.append(offset)
                     i += 1
+                    # Eight tight loops of result-cache hits on one core
+                    # can keep the GIL from the rebuilding thread for
+                    # minutes; a 1 ms pause still overlaps every rebuild.
+                    stop.wait(0.001)
             except Exception as error:  # pragma: no cover
                 with lock:
                     errors.append(error)
@@ -275,14 +284,19 @@ class TestRebuildUnderLoad:
             thread.start()
         try:
             for round_number in range(3):
+                rebuilding.set()
                 server.rebuild(**self.CONFIGS[(round_number + 1) % 2])
+                rebuilding.clear()
                 snapshot_oracle()
         finally:
             stop.set()
             for thread in threads:
-                thread.join()
+                thread.join(timeout=120)
 
+        assert not any(thread.is_alive() for thread in threads)
         assert errors == []
+        # Readers were answered while a rebuild was in flight.
+        assert during_rebuild
         assert len(oracles) == 4  # initial + three rebuilds
         # The alternating configs genuinely disagree — otherwise this
         # test could not detect a mixed-generation answer.
