@@ -15,22 +15,29 @@ it reads and every ET method and the planner share it:
   table, query entity pair): each group's resolved positions in the two
   entity tables.
 
-Entries are stamped with the table objects they read and their
-``data_version``: a write to one of them, or a table dropped and
-created again under its name (a rebuild in place), makes the next
-reader build afresh.  Racing readers build identical structures and the
-last one stays.
+Both live in one :class:`~repro.cache.LRUCache` of
+:data:`ET_INDEXES_SIZE` entries, stamped with the table objects they
+read and their ``data_version``: a write to one of them, or a table
+dropped and created again under its name (a rebuild in place), makes
+the next reader build afresh.  Racing readers build identical
+structures and the last one stays.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Sequence, Tuple
+from typing import Sequence, Tuple
 
+from repro.cache import MISSING, LRUCache
 from repro.errors import TopologyError
 from repro.relational.database import Database
 from repro.relational.expressions import And, ColumnRef, Comparison, Expression, Literal
 from repro.relational.operators import GroupJoinIndex, GroupOrder
 from repro.relational.table import Table
+
+# A group order per (store entity pair, score column, pruned flag) and a
+# join index per (pairs table, oriented query entity pair): 12 and at
+# most 8 on the benchmark's store.
+ET_INDEXES_SIZE = 64
 
 
 def topinfo_filter(pair: Tuple[str, str], unpruned_only: bool, alias: str = "t") -> Expression:
@@ -53,15 +60,7 @@ class EtIndexes:
 
     def __init__(self, database: Database) -> None:
         self._database = database
-        self._held: Dict[Tuple, Tuple[Tuple, Any]] = {}
-
-    def _get(self, key: Tuple, tables: Sequence[Table], make: Callable[[], Any]) -> Any:
-        versions = tuple((table, table.data_version) for table in tables)
-        held = self._held.get(key)
-        if held is None or held[0] != versions:
-            held = (versions, make())
-            self._held[key] = held
-        return held[1]
+        self.cache = LRUCache(ET_INDEXES_SIZE)
 
     def group_order(
         self, pair: Tuple[str, str], score_column: str, unpruned_only: bool
@@ -69,14 +68,16 @@ class EtIndexes:
         """TopInfo's groups of ``pair`` in descending ``score_column``
         order."""
         topinfo = self._database.table("TopInfo")
-
-        def make() -> GroupOrder:
+        key = ("order", pair, score_column, unpruned_only)
+        stamp = _stamp((topinfo,))
+        order = self.cache.get(key, MISSING, stamp)
+        if order is MISSING:
             index = topinfo.sorted_index_on(score_column)
             if index is None:
                 raise TopologyError(f"no sorted index on TopInfo.{score_column}")
-            return GroupOrder(topinfo, "t", index, topinfo_filter(pair, unpruned_only))
-
-        return self._get(("order", pair, score_column, unpruned_only), (topinfo,), make)
+            order = GroupOrder(topinfo, "t", index, topinfo_filter(pair, unpruned_only))
+            self.cache.put(key, order, stamp)
+        return order
 
     def join_index(
         self, pairs_table: str, probes: Sequence[Tuple[str, str]]
@@ -86,11 +87,17 @@ class EtIndexes:
         database = self._database
         pairs = database.table(pairs_table)
         probed = [(column, database.table(entity)) for column, entity in probes]
-        return self._get(
-            ("join", pairs_table, tuple(probes)),
-            (pairs,) + tuple(table for _, table in probed),
-            lambda: GroupJoinIndex(pairs, "TID", probed),
-        )
+        key = ("join", pairs_table, tuple(probes))
+        stamp = _stamp((pairs,) + tuple(table for _, table in probed))
+        index = self.cache.get(key, MISSING, stamp)
+        if index is MISSING:
+            index = GroupJoinIndex(pairs, "TID", probed)
+            self.cache.put(key, index, stamp)
+        return index
 
     def clear(self) -> None:
-        self._held.clear()
+        self.cache.clear()
+
+
+def _stamp(tables: Sequence[Table]) -> Tuple[Tuple[Table, int], ...]:
+    return tuple((table, table.data_version) for table in tables)

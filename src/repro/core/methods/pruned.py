@@ -185,8 +185,7 @@ class PrunedChecks:
         signatures = topology.class_signatures
         end1_ids = self._endpoints.ids(self._first)
         ends = chains_reach(
-            database, signatures, es1, es2, end1_ids,
-            self._endpoints.ids(1 - self._first), reach=self._reach,
+            signatures, es1, es2, self._endpoints.ids(1 - self._first), self._reach
         )
         if len(ends) == 0:
             return PROVED_EMPTY

@@ -25,7 +25,7 @@ exception pairs as the statement does.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from repro.biozon.schema import RELATIONSHIPS, RelationshipSpec
 from repro.core.model import ClassSignature
@@ -219,29 +219,23 @@ def chain_reach(database: Database, signature: ClassSignature, start_ids: Any) -
 
 
 def chains_reach(
-    database: Database,
     signatures: Sequence[ClassSignature],
     end1_type: str,
     end2_type: str,
-    end1_ids: Any,
     end2_ids: Any,
-    reach: Optional[Callable[[ClassSignature], Any]] = None,
+    reach: Callable[[ClassSignature], Any],
 ) -> Any:
     """The walk's first phase, a forward semi-join reduction: the
-    ``end2_ids`` every class's chain reaches from ``end1_ids``
-    (:func:`chain_reach`, or ``reach`` of the oriented signature, which
-    must answer the same ids: a caller's shared copy of them).
+    ``end2_ids`` every class's chain reaches from the first endpoint's
+    ids.  ``reach`` answers an oriented signature's reach from those
+    ids: :func:`chain_reach`, or a caller's shared copy of its answer.
 
     Empty means the path condition of :func:`multi_chain_fragments`
-    holds for no pair from ``end1_ids`` x ``end2_ids``.  Otherwise it
-    promises nothing: the ``<>`` simplicity conditions and the
-    requirement that all classes connect the *same* pair are left to
-    :func:`chains_witness`.
+    holds for no pair from the first endpoint's ids x ``end2_ids``.
+    Otherwise it promises nothing: the ``<>`` simplicity conditions and
+    the requirement that all classes connect the *same* pair are left
+    to :func:`chains_witness`.
     """
-    if reach is None:
-        def reach(oriented: ClassSignature) -> Any:
-            return chain_reach(database, oriented, end1_ids)
-
     reached = end2_ids
     for signature in signatures:
         oriented = orient_signature(signature, end1_type, end2_type)

@@ -315,10 +315,13 @@ class Tracer:
         self._pending.append(record)
 
     def _drain(self) -> None:
-        """Move pending spans into the trace ring. Caller holds ``_lock``."""
+        """Move the spans pending at the call into the trace ring.
+        Caller holds ``_lock``.  Spans recorded meanwhile wait for the
+        next drain: threads that record without pause would otherwise
+        keep the loop, and its caller, running for as long as they do."""
         pending = self._pending
         traces = self._traces
-        while True:
+        for _ in range(len(pending)):
             try:
                 record = pending.popleft()
             except IndexError:

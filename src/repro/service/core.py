@@ -195,19 +195,28 @@ class ReadWriteLock:
     queries complete on the old generation, the swap happens, and the
     queued readers see the new one.
 
+    A writer announces itself before it takes the condition's mutex.
+    Readers that loop on the lock hand that mutex among themselves, and
+    the lock is not fair: on one core a writer that first had to win it
+    could wait for minutes.  Announced, it only waits while the readers
+    inside leave and the arriving ones park in ``wait()``.
+
     Not reentrant: a thread holding a read lease must not request the
     write lock (that's a deadlock by construction)."""
 
     def __init__(self) -> None:
         self._cond = threading.Condition()
+        self._writer = threading.Lock()  # one writer at a time
         self._readers = 0
-        self._writer_active = False
-        self._writers_waiting = 0
+        # Set by the writer holding ``_writer``, outside ``_cond``: an
+        # attribute store is atomic under the GIL, and readers read it
+        # under ``_cond``.
+        self._writing = False
 
     @contextmanager
     def read_locked(self) -> Iterator[None]:
         with self._cond:
-            while self._writer_active or self._writers_waiting:
+            while self._writing:
                 self._cond.wait()
             self._readers += 1
         try:
@@ -220,20 +229,17 @@ class ReadWriteLock:
 
     @contextmanager
     def write_locked(self) -> Iterator[None]:
-        with self._cond:
-            self._writers_waiting += 1
+        with self._writer:
+            self._writing = True
             try:
-                while self._writer_active or self._readers:
-                    self._cond.wait()
+                with self._cond:
+                    while self._readers:
+                        self._cond.wait()
+                yield
             finally:
-                self._writers_waiting -= 1
-            self._writer_active = True
-        try:
-            yield
-        finally:
-            with self._cond:
-                self._writer_active = False
-                self._cond.notify_all()
+                with self._cond:
+                    self._writing = False
+                    self._cond.notify_all()
 
 
 class _Flight:

@@ -39,7 +39,6 @@ import multiprocessing
 import os
 import sys
 import tempfile
-import threading
 import time
 from typing import Any, List, Optional, Sequence, Tuple
 
@@ -50,13 +49,6 @@ from repro.obs import current_wire as obs_current_wire
 from repro.obs import registry as obs_registry
 from repro.obs import span as obs_span
 from repro.obs import tracer as obs_tracer
-
-# How long ShardBackend.close() lets replies already dispatched reach
-# the parent before it terminates the worker.  A worker killed while it
-# writes a reply dies holding the pool's result-queue lock, and
-# Pool.terminate() then waits on that lock forever.  A wedged worker (a
-# long op) costs close() at most this long.
-CLOSE_GRACE_SECONDS = 1.0
 
 # Per-process engine installed by the pool initializer.  Module-level
 # globals: multiprocessing gives every worker its own module instance.
@@ -300,9 +292,6 @@ class ShardBackend:
             initializer=_init_shard,
             initargs=(self.snapshot_path, shard_index, generation),
         )
-        # Replies not yet received, for close() to let through first.
-        self._pending: List[Any] = []
-        self._pending_lock = threading.Lock()
 
     def submit(
         self, op: str, args: Any = None, timeout: Optional[float] = None
@@ -314,11 +303,9 @@ class ShardBackend:
             )
         budget = self.timeout if timeout is None else timeout
         request = (op, args, obs_current_wire())
-        reply = self._pool.apply_async(_shard_op, (request,))
-        with self._pending_lock:
-            self._pending = [r for r in self._pending if not r.ready()]
-            self._pending.append(reply)
-        return ShardCall(self, reply, budget)
+        return ShardCall(
+            self, self._pool.apply_async(_shard_op, (request,)), budget
+        )
 
     def call(self, op: str, args: Any = None, timeout: Optional[float] = None) -> Any:
         """Dispatch one op and wait for its reply."""
@@ -326,17 +313,9 @@ class ShardBackend:
 
     def close(self) -> None:
         """Stop the worker process (idempotent).  The snapshot file is
-        owned by the shard set, not the backend, and stays on disk.
-
-        Replies already dispatched get :data:`CLOSE_GRACE_SECONDS` to
-        arrive first, so the worker is not killed mid-write."""
+        owned by the shard set, not the backend, and stays on disk."""
         pool, self._pool = self._pool, None
         if pool is not None:
-            with self._pending_lock:
-                pending, self._pending = self._pending, []
-            deadline = time.monotonic() + CLOSE_GRACE_SECONDS
-            for reply in pending:
-                reply.wait(max(0.0, deadline - time.monotonic()))
             pool.terminate()
             pool.join()
 

@@ -59,6 +59,15 @@ from repro.relational.runtime import columnar_mode, row_mode
 
 PAIRS = (("Protein", "DNA"), ("Protein", "Interaction"))
 
+
+def _chains_reach(database, signatures, end1_type, end2_type, end1_ids, end2_ids):
+    """:func:`chains_reach` with every chain walked from ``end1_ids``."""
+    return chains_reach(
+        signatures, end1_type, end2_type, end2_ids,
+        lambda oriented: chain_reach(database, oriented, end1_ids),
+    )
+
+
 # On the tiny store the one pruned (Protein, DNA) topology walks
 # DNA-encodes-Protein-...: no EST sequence encodes a protein, so its
 # check under TYPE = 'EST' is provably empty.
@@ -112,9 +121,9 @@ def test_reducer_never_denies_a_witness(tiny_system, difftest_seeds):
             database, signatures, es1, es2, end1_ids, end2_ids, _ = _check_inputs(
                 tiny_system, query, topology
             )
-            ends = chains_reach(database, signatures, es1, es2, end1_ids, end2_ids)
+            ends = _chains_reach(database, signatures, es1, es2, end1_ids, end2_ids)
             # The set fallback gives the numpy path's answer.
-            assert set(to_pylist(ends)) == chains_reach(
+            assert set(to_pylist(ends)) == _chains_reach(
                 database, signatures, es1, es2, *_as_sets(end1_ids, end2_ids)
             )
             if len(ends):
@@ -152,7 +161,7 @@ def _walk_matches_sql5(system, fast_top, query, topology):
     database, signatures, es1, es2, end1_ids, end2_ids, excluded = _check_inputs(
         system, query, topology
     )
-    ends = chains_reach(database, signatures, es1, es2, end1_ids, end2_ids)
+    ends = _chains_reach(database, signatures, es1, es2, end1_ids, end2_ids)
     checks = PrunedChecks(system, query, Endpoints(system, query))
     assert checks.has_witness(topology) == bool(rows), context
     if len(ends):
@@ -275,7 +284,7 @@ def _explicit_checks(db, signatures):
                 f"FETCH FIRST 1 ROWS ONLY"
             ).rows
             end1_ids = _ids([p])
-            ends = chains_reach(db, signatures, "Protein", "DNA", end1_ids, _ids([d]))
+            ends = _chains_reach(db, signatures, "Protein", "DNA", end1_ids, _ids([d]))
             if len(ends):
                 assert chains_witness(
                     db, signatures, "Protein", "DNA", end1_ids, ends, no_pairs
@@ -315,7 +324,7 @@ def test_classes_connecting_different_pairs_have_no_witness():
         ("Protein", "encodes", "DNA"),
         ("Protein", "interacts_protein", "Interaction", "interacts_dna", "DNA"),
     ]
-    ends = chains_reach(db, signatures, "Protein", "DNA", {1, 2}, {11, 12})
+    ends = _chains_reach(db, signatures, "Protein", "DNA", {1, 2}, {11, 12})
     assert ends == {11, 12}
     assert not chains_witness(db, signatures, "Protein", "DNA", {1, 2}, ends, ([], []))
     answers = _explicit_checks(db, signatures)

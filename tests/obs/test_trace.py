@@ -4,6 +4,8 @@ buffer bounds, and the explicit cross-process handoff
 
 from __future__ import annotations
 
+from collections import deque
+
 import pytest
 
 from repro.obs import NOOP_SPAN, SpanRecord, TraceContext, Tracer
@@ -99,6 +101,29 @@ class TestRingBounds:
                     pass
         assert len(tracer.trace_spans(root.trace_id)) == 4
         assert tracer.stats()["spans_dropped"] > 0
+
+    def test_a_drain_takes_only_the_spans_pending_at_its_call(self, tracer):
+        """Spans recorded while a reader drains wait for the next drain,
+        so threads that record without pause cannot keep the reader (a
+        build collecting its spans) draining for as long as they run."""
+        for _ in range(3):
+            with tracer.span("root", ingress=True):
+                pass
+        refills = []
+
+        class Recording(deque):
+            """A recorder that adds a span for every span drained."""
+
+            def popleft(self):
+                record = super().popleft()
+                if len(refills) < 100:
+                    refills.append(record)
+                    self.append(record)
+                return record
+
+        tracer._pending = Recording(tracer._pending)
+        tracer.trace_spans("any")
+        assert len(refills) == 3
 
 
 class TestCrossProcessHandoff:

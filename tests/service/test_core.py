@@ -21,7 +21,7 @@ import pytest
 from repro.core import KeywordConstraint, NoConstraint, TopologyQuery
 from repro.core.methods import MethodResult
 from repro.errors import TopologyError
-from repro.service import ServingCore
+from repro.service import ReadWriteLock, ServingCore
 
 JOIN_TIMEOUT = 30.0
 
@@ -302,6 +302,41 @@ class TestConcurrency:
         execute.gate = None
         run_threads([lambda: core._serve("m", [a], execute)])
         assert core.stats().executions == 3
+
+
+class TestReadWriteLock:
+    def test_a_writer_waiting_for_the_mutex_holds_back_new_readers(self):
+        """Readers looping on the lock hand its mutex among themselves,
+        and the mutex is not fair: a writer that counted itself only
+        once it held the mutex could wait behind them for minutes on
+        one core.  It announces itself first, so a reader that wins the
+        mutex over it parks until the writer is done."""
+        rw = ReadWriteLock()
+        writer_in, release, reader_in = (threading.Event() for _ in range(3))
+
+        def writer() -> None:
+            with rw.write_locked():
+                writer_in.set()
+                release.wait(JOIN_TIMEOUT)
+
+        def reader() -> None:
+            with rw.read_locked():
+                reader_in.set()
+
+        threads = [threading.Thread(target=writer), threading.Thread(target=reader)]
+        with rw._cond:  # a reader holds the mutex
+            threads[0].start()
+            deadline = time.monotonic() + JOIN_TIMEOUT
+            while not rw._writing and time.monotonic() < deadline:
+                time.sleep(0.001)
+            assert rw._writing  # announced before it holds the mutex
+            threads[1].start()
+        assert writer_in.wait(JOIN_TIMEOUT)
+        assert not reader_in.is_set()
+        release.set()
+        assert reader_in.wait(JOIN_TIMEOUT)
+        for thread in threads:
+            thread.join(JOIN_TIMEOUT)
 
 
 class TestGenerations:
