@@ -86,16 +86,18 @@ def apply_pruning(store: TopologyStore, threshold: Optional[int] = None) -> Prun
         )
         for tid in pruned
     }
-    for pair, classes in store.pair_classes.items():
-        pair_tids = store.pair_tids[pair]
-        pair_types = store.pair_entity_types[pair]
+    # The (e1, e2, tid) memberships of pruned topologies: what l-Top
+    # holds for the exception test, derived from AllTops for this call.
+    related = {row for row in store.alltops_rows if row[2] in pruned}
+    for (e1, e2), classes in store.pair_classes.items():
+        pair_types = store.pair_entity_types[(e1, e2)]
         for tid, (entity_pair, class_set) in pruned_class_sets.items():
             if (
                 entity_pair == pair_types
                 and class_set <= classes
-                and tid not in pair_tids
+                and (e1, e2, tid) not in related
             ):
-                excp.append((pair[0], pair[1], tid))
+                excp.append((e1, e2, tid))
     store.excptops_rows = excp
 
     return PruneReport(

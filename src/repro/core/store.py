@@ -47,7 +47,6 @@ class TopologyStore:
         self._tid_by_key: Dict[Tuple[str, Tuple[str, str]], int] = {}
         self.alltops_rows: List[Tuple[object, object, int]] = []
         self.pair_classes: Dict[PairKey, FrozenSet[ClassSignature]] = {}
-        self.pair_tids: Dict[PairKey, Set[int]] = {}
         self.pair_entity_types: Dict[PairKey, Tuple[str, str]] = {}
         self.truncated_pairs: int = 0
         self.weak_rules = weak_rules or WeakPathRules()
@@ -99,12 +98,9 @@ class TopologyStore:
             raise TopologyError(f"pair {pair!r} recorded twice")
         self.pair_classes[pair] = class_signatures
         self.pair_entity_types[pair] = entity_pair
-        tids: Set[int] = set()
         for key, endpoints in topology_endpoints.items():
             tid = self.intern(key, entity_pair, endpoints, class_signatures)
-            tids.add(tid)
             self.alltops_rows.append((e1, e2, tid))
-        self.pair_tids[pair] = tids
         if truncated:
             self.truncated_pairs += 1
 
@@ -166,8 +162,7 @@ class TopologyStore:
     def export_state(self) -> Dict[str, object]:
         """The store's full state as plain-Python containers.
 
-        ``pair_tids`` and ``_tid_by_key`` are omitted: both are derived
-        (from ``alltops_rows`` and ``topologies`` respectively) and are
+        ``_tid_by_key`` is omitted: it is derived from ``topologies`` and
         rebuilt by :meth:`from_state`.
         """
         if not self._finalized:
@@ -245,14 +240,13 @@ class TopologyStore:
         store.pruned_tids = set(state["pruned_tids"])
         for record in state["pairs"]:
             pair: PairKey = (record["e1"], record["e2"])
+            # tuple() returns a tuple argument itself, so the values the
+            # snapshot reader shares stay shared here.
             store.pair_entity_types[pair] = tuple(record["entity_pair"])
             classes = record["class_signatures"]
             if not isinstance(classes, frozenset):
                 classes = frozenset(tuple(s) for s in classes)
             store.pair_classes[pair] = classes
-            store.pair_tids[pair] = set()
-        for e1, e2, tid in store.alltops_rows:
-            store.pair_tids.setdefault((e1, e2), set()).add(tid)
         store.truncated_pairs = int(state["truncated_pairs"])
         store._finalized = True
         return store
@@ -343,7 +337,12 @@ class TopologyStore:
             load_pairs_table("AllTops", self.alltops_rows)
         else:
             load_pairs_table("AllTops", [])
-        load_pairs_table("LeftTops", self.lefttops_rows or list(self.alltops_rows))
+        # A store that was never pruned serves LeftTops from AllTops; one
+        # whose pruning removed every topology keeps an empty LeftTops.
+        lefttops = self.lefttops_rows
+        if not lefttops and not self.pruned_tids:
+            lefttops = self.alltops_rows
+        load_pairs_table("LeftTops", lefttops)
         load_pairs_table("ExcpTops", self.excptops_rows)
 
     # ------------------------------------------------------------------

@@ -454,7 +454,8 @@ def _read_store_state(
 ) -> Dict[str, Any]:
     # Each distinct class-signature set decodes exactly once; the store
     # consumes tuples (topology catalog) and frozensets (pair classes),
-    # so both shapes are interned here and shared across records.
+    # so both shapes are interned here and shared across records, as
+    # are the pair catalog's (es1, es2) values.
     sig_tuples: Dict[int, Tuple[Tuple[str, ...], ...]] = {}
     sig_sets: Dict[int, frozenset] = {}
     for sid, text in conn.execute("SELECT id, signatures FROM store_sigsets"):
@@ -500,11 +501,12 @@ def _read_store_state(
         ).fetchall()
         for kind in ("all", "left", "excp")
     }
+    entity_pairs: Dict[Tuple[str, str], Tuple[str, str]] = {}
     pairs = [
         {
             "e1": e1,
             "e2": e2,
-            "entity_pair": (es1, es2),
+            "entity_pair": entity_pairs.setdefault((es1, es2), (es1, es2)),
             "class_signatures": sig_sets[sigset],
         }
         for e1, e2, es1, es2, sigset in conn.execute(

@@ -177,6 +177,48 @@ class TestTopKMethods:
         assert method.run(query).tids == reference
 
 
+@pytest.fixture(scope="module")
+def all_pruned_systems(tmp_path_factory):
+    """A store whose pruning removes every topology (LeftTops empty),
+    as built and as restored from its snapshot."""
+    from repro.biozon import BiozonConfig, generate
+    from repro.core import TopologySearchSystem
+    from repro.persist import load_system, save_system
+
+    dataset = generate(BiozonConfig(seed=3, n_proteins=60))
+    system = TopologySearchSystem(dataset.database, dataset.graph())
+    system.build([("Protein", "DNA")], max_length=3, prune_threshold=0)
+    store = system.require_store()
+    assert store.pruned_tids == set(store.topologies) != set()
+    path = str(tmp_path_factory.mktemp("all_pruned") / "system.topo")
+    save_system(system, path)
+    return {"built": system, "restored": load_system(path)}
+
+
+class TestAllPrunedStore:
+    @pytest.mark.parametrize("which", ["built", "restored"])
+    def test_lefttops_is_empty(self, all_pruned_systems, which):
+        system = all_pruned_systems[which]
+        assert system.database.table("LeftTops").row_count == 0
+
+    @pytest.mark.parametrize("which", ["built", "restored"])
+    @pytest.mark.parametrize("ranking", ["freq", "rare", "domain"])
+    def test_topk_methods_agree_with_full_top_k(
+        self, all_pruned_systems, which, ranking
+    ):
+        system = all_pruned_systems[which]
+        for constraint in (NoConstraint(), KeywordConstraint("DESC", "human")):
+            for k in (1, 5, 1000):
+                query = TopologyQuery(
+                    "Protein", "DNA", constraint, NoConstraint(),
+                    k=k, ranking=ranking,
+                )
+                reference = system.search(query, "full-top-k").tids
+                assert reference
+                for method in TOPK_METHODS[1:]:
+                    assert system.search(query, method).tids == reference, method
+
+
 class TestMethodBehaviour:
     def test_et_does_less_work_for_small_k(self, tiny_system):
         query_small = TopologyQuery(

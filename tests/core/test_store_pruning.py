@@ -25,6 +25,29 @@ def built():
     return ds, store, report
 
 
+# The default suggestion prunes a few topologies; 5 prunes many,
+# multi-class ones among them; 0 prunes every topology.
+PRUNE_THRESHOLDS = [pytest.param(None, id="default"), 5, 0]
+
+
+@pytest.fixture()
+def pruned_store(built, threshold):
+    ds, _, _ = built
+    store, _ = compute_alltops(
+        ds.graph(), [("Protein", "DNA"), ("Protein", "Interaction")], 3
+    )
+    apply_pruning(store, threshold)
+    return store
+
+
+def membership(store):
+    """Pair -> the TIDs AllTops relates it by (its l-Top set)."""
+    pair_tids = {}
+    for e1, e2, tid in store.alltops_rows:
+        pair_tids.setdefault((e1, e2), set()).add(tid)
+    return pair_tids
+
+
 class TestAllTops:
     def test_report_consistency(self, built):
         _, store, report = built
@@ -37,13 +60,6 @@ class TestAllTops:
         assert sum(t.frequency for t in store.topologies.values()) == len(
             store.alltops_rows
         )
-
-    def test_pair_tids_match_alltops(self, built):
-        _, store, _ = built
-        rebuilt = {}
-        for e1, e2, tid in store.alltops_rows:
-            rebuilt.setdefault((e1, e2), set()).add(tid)
-        assert rebuilt == {k: v for k, v in store.pair_tids.items() if v}
 
     def test_entity_pairs_scoped(self, built):
         _, store, _ = built
@@ -100,36 +116,33 @@ class TestPruning:
         assert min_pruned_freq > report.threshold >= 0
         assert max_kept_freq <= report.threshold
 
-    def test_exception_semantics(self, built):
+    @pytest.mark.parametrize("threshold", PRUNE_THRESHOLDS)
+    def test_exception_semantics(self, pruned_store, threshold):
         """ExcpTops = pairs with the pruned topology's classes present
         but the topology absent from l-Top (Section 4.2.2's subtlety)."""
-        ds, _, _ = built
-        store, _ = compute_alltops(
-            ds.graph(), [("Protein", "DNA"), ("Protein", "Interaction")], 3
-        )
-        apply_pruning(store)
+        store = pruned_store
+        pair_tids = membership(store)
         for e1, e2, tid in store.excptops_rows:
             topology = store.topologies[tid]
             classes = store.pair_classes[(e1, e2)]
             assert frozenset(topology.class_signatures) <= classes
-            assert tid not in store.pair_tids[(e1, e2)]
+            assert tid not in pair_tids.get((e1, e2), set())
 
-    def test_exceptions_complete(self, built):
+    @pytest.mark.parametrize("threshold", PRUNE_THRESHOLDS)
+    def test_exceptions_complete(self, pruned_store, threshold):
         """Every pair that satisfies a pruned topology's path condition
         without being related by it must appear in ExcpTops."""
-        ds, _, _ = built
-        store, _ = compute_alltops(
-            ds.graph(), [("Protein", "DNA"), ("Protein", "Interaction")], 3
-        )
-        apply_pruning(store)
+        store = pruned_store
+        pair_tids = membership(store)
         excp = set(store.excptops_rows)
+        assert store.pruned_tids
         for tid in store.pruned_tids:
             topology = store.topologies[tid]
             cs = frozenset(topology.class_signatures)
             for pair, classes in store.pair_classes.items():
                 if store.pair_entity_types[pair] != topology.entity_pair:
                     continue
-                if cs <= classes and tid not in store.pair_tids[pair]:
+                if cs <= classes and tid not in pair_tids.get(pair, set()):
                     assert (pair[0], pair[1], tid) in excp
 
     def test_space_ratio(self, built):

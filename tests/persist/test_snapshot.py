@@ -73,7 +73,7 @@ class TestRoundTrip:
         assert original.space_report() == copy.space_report()
         assert original.pruned_tids == copy.pruned_tids
         assert original.pair_classes == copy.pair_classes
-        assert original.pair_tids == copy.pair_tids
+        assert original.alltops_rows == copy.alltops_rows
         assert original.pair_entity_types == copy.pair_entity_types
         assert original.truncated_pairs == copy.truncated_pairs
         assert set(original.topologies) == set(copy.topologies)
@@ -85,6 +85,15 @@ class TestRoundTrip:
             assert topology.class_signatures == other.class_signatures
             assert topology.frequency == other.frequency
             assert topology.scores == other.scores
+
+    def test_pair_entity_types_are_shared(self, tiny_system, restored):
+        """The pair catalog holds one (es1, es2) value per entity-set
+        pair, not one tuple per entity pair."""
+        store = restored.require_store()
+        assert len(store.pair_entity_types) == len(store.pair_classes)
+        assert len(store.pair_entity_types) > len(tiny_system.built_pairs)
+        shared = {id(v) for v in store.pair_entity_types.values()}
+        assert len(shared) <= len(tiny_system.built_pairs)
 
     def test_export_state_round_trips_exactly(self, tiny_system, restored):
         assert (
