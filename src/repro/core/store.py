@@ -337,8 +337,7 @@ class TopologyStore:
             load_pairs_table("AllTops", self.alltops_rows)
         else:
             load_pairs_table("AllTops", [])
-        # A store that was never pruned serves LeftTops from AllTops; one
-        # whose pruning removed every topology keeps an empty LeftTops.
+        # Only a store that pruning never ran on serves LeftTops from AllTops.
         lefttops = self.lefttops_rows
         if not lefttops and not self.pruned_tids:
             lefttops = self.alltops_rows
